@@ -10,16 +10,82 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import components, cover, extensions, groups, homology, induction, strata
-from .errors import RVQError
-from .gp import parse_gp, validate
+from .errors import NotSuspendable, RVQError
+from .gp import is_irreducible, parse_gp, validate
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as one line on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
 def _gp_arg(text):
     return parse_gp(text)
+
+
+def _suspendable_gp_arg(text):
+    """A permutation that admits a suspension datum, so its stratum exists."""
+    gp = parse_gp(text)
+    report = validate(gp)
+    if report.violations:
+        raise NotSuspendable("%s: %s" % (gp.encode(),
+                                         "; ".join(report.violations)))
+    if not is_irreducible(gp):
+        raise NotSuspendable("%s: reducible" % gp.encode())
+    return gp
+
+
+def _walk_arg(text):
+    bad = sorted(set(text) - set("tbTB"))
+    if bad:
+        raise argparse.ArgumentTypeError(
+            "walk steps must be t, b, T or B, got %s" % ", ".join(map(repr, bad)))
+    return text
+
+
+def _orders_arg(text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
+
+
+def _prime_arg(text):
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError("%r is not a prime" % text)
+    return p
+
+
+def _rows_arg(text):
+    """Table rows from e.g. "1-12" or "1,3,5"; every row must exist."""
+    n_rows = len(components.table1_rows())
+    rows = set()
+    try:
+        for part in text.split(","):
+            if "-" in part:
+                a, b = part.split("-")
+                rows.update(range(int(a), int(b) + 1))
+            else:
+                rows.add(int(part))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected rows like 1-12 or 1,3,5, got %r" % text) from None
+    if not rows or not all(1 <= r <= n_rows for r in rows):
+        raise argparse.ArgumentTypeError(
+            "expected rows from 1..%d, got %r" % (n_rows, text))
+    return sorted(rows)
 
 
 def _emit(args, record, human):
@@ -46,7 +112,7 @@ def cmd_validate(args):
 
 
 def cmd_stratum(args):
-    gp = _gp_arg(args.gp)
+    gp = _suspendable_gp_arg(args.gp)
     sig = strata.stratum_signature(gp)
     rec = {"gp": gp.encode(), "orders": list(sig.orders), "genus": sig.genus,
            "genuine": gp.is_genuine}
@@ -95,7 +161,7 @@ def cmd_cocycle(args):
 
 
 def cmd_cover(args):
-    gp = _gp_arg(args.gp)
+    gp = _suspendable_gp_arg(args.gp)
     cs = cover.cover_stratum(gp)
     rec = {"gp": gp.encode(), "cover_orders": list(cs.orders),
            "cover_genus": cs.genus, "marked_points": cs.marked_points,
@@ -107,7 +173,7 @@ def cmd_cover(args):
 
 def cmd_extend(args):
     gp = _gp_arg(args.gp)
-    orders = [int(x) for x in args.orders.split(",")]
+    orders = args.orders
     if len(orders) == 2:
         res = extensions.split_singularity(gp, args.singularity, orders[0])
         out = res.witness.extended
@@ -124,8 +190,7 @@ def cmd_extend(args):
 
 def cmd_search(args):
     gp = _gp_arg(args.gp)
-    target = tuple(sorted((int(x) for x in args.target_stratum.split(",")),
-                          reverse=True))
+    target = tuple(sorted(args.target_stratum, reverse=True))
     rc = induction.enumerate_class(gp, limit=args.vertices,
                                    allow_truncated=True)
     vertices = rc.vertices[:args.vertices]
@@ -196,20 +261,8 @@ def cmd_group(args):
     return 0
 
 
-def _parse_rows(spec_text):
-    rows = set()
-    for part in spec_text.split(","):
-        if "-" in part:
-            a, b = part.split("-")
-            rows.update(range(int(a), int(b) + 1))
-        else:
-            rows.add(int(part))
-    return sorted(rows)
-
-
 def cmd_verify_table(args):
-    rows = _parse_rows(args.rows) if args.rows else None
-    reports = components.verify_extension_table(rows)
+    reports = components.verify_extension_table(args.rows)
     bad = 0
     for r in reports:
         rec = {"row": r.row, "start": r.start, "start_found": r.start_found,
@@ -251,11 +304,11 @@ def _common_flags(parser, suppress=False):
 
 
 def main(argv=None):
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="rvq",
         description="Rauzy-Veech machinery for generalized permutations")
     _common_flags(top)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     _common_flags(common, suppress=True)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -276,7 +329,7 @@ def main(argv=None):
 
     p = sub.add_parser("cocycle", parents=[common], help="transition matrix along a walk")
     p.add_argument("gp")
-    p.add_argument("--walk", required=True,
+    p.add_argument("--walk", required=True, type=_walk_arg,
                    help="steps over t, b (forward) and T, B (reversed)")
     p.add_argument("--minus", action="store_true",
                    help="double-cover matrices on both-rows letters")
@@ -290,14 +343,14 @@ def main(argv=None):
     p.add_argument("gp")
     p.add_argument("--singularity", type=int, required=True,
                    help="1-based position selecting the turning orbit")
-    p.add_argument("--orders", required=True,
+    p.add_argument("--orders", required=True, type=_orders_arg,
                    help="m11,m12 for one split or m11,m12,m13 for the "
                         "even-order double split")
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("search", parents=[common], help="scan two-letter extensions")
     p.add_argument("--from", dest="gp", required=True)
-    p.add_argument("--target-stratum", required=True,
+    p.add_argument("--target-stratum", required=True, type=_orders_arg,
                    help="comma-separated orders, e.g. 6,-1,-1")
     p.add_argument("--nonhyp", action="store_true")
     p.add_argument("--vertices", type=int, default=16,
@@ -311,7 +364,7 @@ def main(argv=None):
 
     p = sub.add_parser("group", parents=[common], help="mod-p closure of the cycle matrices")
     p.add_argument("gp")
-    p.add_argument("--mod", type=int, default=2)
+    p.add_argument("--mod", type=_prime_arg, default=2)
     p.add_argument("--minus", action="store_true")
     p.add_argument("--cycles", type=int, default=200)
     p.add_argument("--maxlen", type=int, default=60)
@@ -319,7 +372,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("verify-table", parents=[common], help="check the extension table rows")
-    p.add_argument("--rows", help="e.g. 1-12 or 1,3,5")
+    p.add_argument("--rows", type=_rows_arg, help="e.g. 1-12 or 1,3,5")
     p.set_defaults(func=cmd_verify_table)
 
     args = top.parse_args(argv)

@@ -44,11 +44,12 @@ def to_perm_involution(gp: GeneralizedPermutation) -> PermWithInvolution:
     strict permutation lacks a duplicate in one row).
     """
     ell, m = gp.ell, gp.m
+    sigma = gp.sigma_table()
     eps: dict[int, int] = {}
     for p in range(1, ell + m + 1):
         if p not in eps:
             eps[p] = 0
-            eps[gp.sigma(p)] = 1
+            eps[sigma[p]] = 1
 
     entries = []
     for p in range(ell + m, ell, -1):

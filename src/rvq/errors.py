@@ -69,6 +69,11 @@ class CaseUnmatched(RVQError):
     """The extension of an arrow does not fall into a supported case."""
 
 
+class NotSuspendable(RVQError):
+    """The permutation admits no suspension datum: it violates the both-rows
+    convention or is reducible, so it names no (non-empty) stratum."""
+
+
 class ConventionViolated(RVQError):
     """A strict generalized permutation lacks a duplicate in one of the rows."""
 

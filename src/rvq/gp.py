@@ -52,11 +52,7 @@ class GeneralizedPermutation:
     @property
     def alphabet(self) -> tuple[Letter, ...]:
         """Letters in order of first appearance, top row first."""
-        seen = []
-        for x in self.top + self.bottom:
-            if x not in seen:
-                seen.append(x)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.top + self.bottom))
 
     def letter(self, pos: int) -> Letter:
         """Letter at 1-based position in 1..l+m."""
@@ -66,18 +62,43 @@ class GeneralizedPermutation:
             return self.bottom[pos - self.ell - 1]
         raise IndexError(pos)
 
+    def position_table(self) -> dict[Letter, tuple[int, int]]:
+        """Every letter's two 1-based positions (i, j), i < j, in one pass.
+
+        Built on each call rather than stored, so that large classes of
+        permutations do not each carry a table.
+        """
+        first: dict[Letter, int] = {}
+        table: dict[Letter, tuple[int, int]] = {}
+        for p, x in enumerate(self.top + self.bottom, 1):
+            if x in first:
+                table[x] = (first[x], p)
+            else:
+                first[x] = p
+        return table
+
     def positions(self, x: Letter) -> tuple[int, int]:
         """The two 1-based positions (i, j) of a letter, i < j."""
-        found = [p for p in range(1, self.ell + self.m + 1)
-                 if self.letter(p) == x]
-        if len(found) != 2:
-            raise LetterCountError("letter %r not in permutation" % (x,))
-        return found[0], found[1]
+        row = self.top + self.bottom
+        try:
+            i = row.index(x)
+            return i + 1, row.index(x, i + 1) + 1
+        except ValueError:
+            raise LetterCountError(
+                "letter %r not in permutation" % (x,)) from None
 
     def sigma(self, pos: int) -> int:
         """The fixed-point-free involution pairing the two copies of a letter."""
         i, j = self.positions(self.letter(pos))
         return j if pos == i else i
+
+    def sigma_table(self) -> dict[int, int]:
+        """:meth:`sigma` on every position, from one pass over the rows."""
+        table = {}
+        for i, j in self.position_table().values():
+            table[i] = j
+            table[j] = i
+        return table
 
     def row_of(self, pos: int) -> str:
         return 'top' if pos <= self.ell else 'bottom'
@@ -210,7 +231,19 @@ def _corner_masks(row: Sequence[Letter], index: Mapping[Letter, int]):
 
 
 def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
-    """Search all cut quadruples for a decomposition proving reducibility.
+    """The first decomposition proving reducibility, or None.
+
+    Returns the first witness in (i1, i2, i3, i4) order, the one a scan of
+    every cut quadruple finds.  The bottom-right corner only shrinks as i4
+    grows, so for fixed (i1, i2, i3) the admissible i4 form an interval:
+    being disjoint from the top-left corner and inside top-right plus
+    bottom-left bound it below, and containing (top-right plus bottom-left)
+    minus top-left bounds it above.  Only its lower end, found by binary
+    search on the suffix masks, needs testing, since an empty bottom-right
+    corner (i4 = l+m+1) is allowed only with an empty top-right one, which
+    is handled on its own.  The loop over i3 stops once the bottom-left
+    prefix meets the top-right corner, as that prefix only grows.  Cost:
+    O(l^2 m log m) mask operations, against O(l^2 m^2) for the full scan.
 
     Only meaningful for strict generalized permutations; genuine permutations
     use the classical prefix criterion in :func:`is_irreducible`.
@@ -223,40 +256,42 @@ def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
     def mask_set(mask):
         return frozenset(x for x, k in index.items() if mask >> k & 1)
 
+    def witness(a, b, c, e, pattern):
+        corners = (tpref[a], tsuf[b], bpref[c - ell], bsuf[e - ell])
+        return Decomposition(a, b, c, e, tuple(map(mask_set, corners)),
+                             pattern)
+
     for a in range(0, ell + 1):          # i1; 0 = empty top-left
         tl = tpref[a]
-        for b in range(max(a, 1), ell + 2):   # i2; l+1 = empty top-right
+        for b in range(max(a, 1), ell + 1):   # i2 <= l: top-right non-empty
             tr = tsuf[b]
-            if a == 0 and b == ell + 1:
-                continue  # both top corners empty: never an allowed pattern
-            for c in range(ell, ell + m + 1):        # i3; l = empty bottom-left
-                bl = bpref[c - ell]
-                for e in range(max(c, ell + 1), ell + m + 2):  # i4
-                    br = bsuf[e - ell]
-                    empties = (a == 0, b == ell + 1, c == ell, e == ell + m + 1)
-                    n_empty = sum(empties)
-                    if n_empty == 0:
-                        pattern = 'none-empty'
-                    elif n_empty == 1 and empties[0]:
-                        pattern = 'one-left'
-                    elif n_empty == 1 and empties[2]:
-                        pattern = 'one-left'
-                    elif n_empty == 2 and empties[0] and empties[2]:
-                        pattern = 'two-left'
-                    elif n_empty == 2 and empties[1] and empties[3]:
-                        pattern = 'two-right'
+            for k in range(0, m + 1):    # i3 = l + k; k = 0: empty bottom-left
+                bl = bpref[k]
+                if tr & bl:
+                    break                # bl only grows with i3
+                if tl & ~(bl | tr):
+                    continue
+                # lower end: first suffix from max(k, 1) disjoint from `bad`
+                bad = tl | ~(tr | bl)
+                lo, hi = max(k, 1), m + 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if bsuf[mid] & bad:
+                        lo = mid + 1
                     else:
-                        continue
-                    if tl & br or tr & bl:
-                        continue
-                    if tl & ~(bl | tr) or tr & ~(br | tl):
-                        continue
-                    if bl & ~(tl | br) or br & ~(tr | bl):
-                        continue
-                    return Decomposition(
-                        a, b, c, e,
-                        (mask_set(tl), mask_set(tr), mask_set(bl), mask_set(br)),
-                        pattern)
+                        hi = mid
+                need = (tr | bl) & ~tl
+                if lo <= m and not need & ~bsuf[lo]:
+                    empty_left = (a == 0) + (k == 0)
+                    pattern = ('none-empty', 'one-left', 'two-left')[empty_left]
+                    return witness(a, b, ell + k, ell + lo, pattern)
+        # i2 = l + 1: the pattern must be two-right, so i4 = l+m+1, i1 > 0,
+        # i3 > l, and the conditions reduce to bottom-left == top-left
+        if a > 0:
+            for k in range(1, m + 1):
+                if bpref[k] == tl:
+                    return witness(a, ell + 1, ell + k, ell + m + 1,
+                                   'two-right')
     return None
 
 

@@ -32,7 +32,7 @@ def intersection_form(gp: GeneralizedPermutation,
     if cached is not None:
         return cached
     ell = gp.ell
-    pos = {x: gp.positions(x) for x in order}
+    pos = gp.position_table()
 
     def entry(a, b):
         ia, ja = pos[a]
@@ -65,7 +65,7 @@ def minus_form(gp: GeneralizedPermutation,
                order: Optional[Sequence[str]] = None) -> Matrix:
     """The +-2/0 alternating form on the letters occurring in both rows."""
     order = tuple(order) if order is not None else gp.both_rows_letters()
-    pos = {x: gp.positions(x) for x in order}
+    pos = gp.position_table()
 
     def entry(a, b):
         ia, ja = pos[a]

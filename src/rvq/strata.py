@@ -17,13 +17,14 @@ from .gp import GeneralizedPermutation
 def turning_map(gp: GeneralizedPermutation) -> dict[int, int]:
     """The bijection s on positions 1..l+m describing one clockwise turn."""
     ell, m = gp.ell, gp.m
+    sigma = gp.sigma_table()
     s = {}
     for k in range(2, ell + 1):
-        s[k] = gp.sigma(k - 1)
-    s[1] = gp.sigma(ell + 1)
+        s[k] = sigma[k - 1]
+    s[1] = sigma[ell + 1]
     for k in range(ell + 1, ell + m):
-        s[k] = gp.sigma(k + 1)
-    s[ell + m] = gp.sigma(ell)
+        s[k] = sigma[k + 1]
+    s[ell + m] = sigma[ell]
     return s
 
 

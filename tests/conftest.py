@@ -33,3 +33,19 @@ def random_gp(rng: random.Random, d: int, *, strict=None, convention=False,
             continue
         return gp
     raise RuntimeError("no sample found for d=%d" % d)
+
+
+def normal_forms(d: int):
+    """Words on 0..d-1, each letter twice, letters in first-appearance order.
+
+    Splitting each word into two non-empty rows gives every generalized
+    permutation with d letters up to relabeling.
+    """
+    def grow(word, used):
+        if len(word) == 2 * d:
+            yield tuple(word)
+            return
+        for k in range(min(used + 1, d)):
+            if word.count(str(k)) < 2:
+                yield from grow(word + [str(k)], max(used, k + 1))
+    return grow([], 0)

@@ -113,3 +113,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["cocycle", "1 2 / 2 1"])  # missing --walk
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cocycle", "1 2 / 2 1", "--walk", "tx"],
+    ["search", "--from", "1 2 3 4 / 4 3 2 1", "--target-stratum", "6,x"],
+    ["extend", "1 2 3 A A 4 / 4 3 B B 2 1", "--singularity", "1",
+     "--orders", "3,y"],
+    ["verify-table", "--rows", "13"],
+    ["verify-table", "--rows", "3-1"],
+    ["group", "1 2 / 2 1", "--mod", "4"],
+])
+def test_bad_argument_is_one_line_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert len(err.splitlines()) == 1 and "error: argument --" in err
+
+
+@pytest.mark.parametrize("command", ["stratum", "cover"])
+@pytest.mark.parametrize("gp, reason", [
+    ("1 2 / 2 1 3 3", "no duplicate letter in top row"),   # Q(1,-1) is empty
+    ("1 2 / 1 2", "reducible"),
+    ("A A 1 / B B 1", "reducible"),
+])
+def test_unsuspendable_input_refused(capsys, command, gp, reason):
+    code, out, err = run(capsys, command, gp)
+    assert code == 1 and out == ""
+    assert err.startswith("NotSuspendable:") and reason in err

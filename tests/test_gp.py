@@ -1,13 +1,20 @@
+import functools
+import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_gp
-from rvq.errors import EmptyRow, LetterCountError, MalformedText
-from rvq.gp import (GeneralizedPermutation, SuspensionDatum, check_suspension,
-                    erase_letters, find_reduction, is_irreducible, parse_gp,
-                    validate)
+from conftest import normal_forms, random_gp
+from rvq.components import table1
+from rvq.errors import (EmptyRow, LetterCountError, MalformedText,
+                        MoveUndefined, ReverseArrowMissing)
+from rvq.gp import (Decomposition, GeneralizedPermutation, SuspensionDatum,
+                    _corner_masks, check_suspension, erase_letters,
+                    find_reduction, is_irreducible, parse_gp, validate)
+from rvq.induction import apply_arrow, invert_arrow
 
 
 def test_parse_torus():
@@ -77,6 +84,95 @@ def test_reducible_strict_end_letter():
     assert not is_irreducible(gp)
 
 
+def _find_reduction_scan(gp):
+    """Reference for find_reduction: try every (i1, i2, i3, i4) quadruple."""
+    ell, m = gp.ell, gp.m
+    index = {x: k for k, x in enumerate(gp.alphabet)}
+    tpref, tsuf = _corner_masks(gp.top, index)
+    bpref, bsuf = _corner_masks(gp.bottom, index)
+
+    def mask_set(mask):
+        return frozenset(x for x, k in index.items() if mask >> k & 1)
+
+    for a in range(0, ell + 1):          # i1; 0 = empty top-left
+        tl = tpref[a]
+        for b in range(max(a, 1), ell + 2):   # i2; l+1 = empty top-right
+            tr = tsuf[b]
+            if a == 0 and b == ell + 1:
+                continue  # both top corners empty: never an allowed pattern
+            for c in range(ell, ell + m + 1):        # i3; l = empty bottom-left
+                bl = bpref[c - ell]
+                for e in range(max(c, ell + 1), ell + m + 2):  # i4
+                    br = bsuf[e - ell]
+                    empties = (a == 0, b == ell + 1, c == ell, e == ell + m + 1)
+                    n_empty = sum(empties)
+                    if n_empty == 0:
+                        pattern = 'none-empty'
+                    elif n_empty == 1 and empties[0]:
+                        pattern = 'one-left'
+                    elif n_empty == 1 and empties[2]:
+                        pattern = 'one-left'
+                    elif n_empty == 2 and empties[0] and empties[2]:
+                        pattern = 'two-left'
+                    elif n_empty == 2 and empties[1] and empties[3]:
+                        pattern = 'two-right'
+                    else:
+                        continue
+                    if tl & br or tr & bl:
+                        continue
+                    if tl & ~(bl | tr) or tr & ~(br | tl):
+                        continue
+                    if bl & ~(tl | br) or br & ~(tr | bl):
+                        continue
+                    return Decomposition(
+                        a, b, c, e,
+                        (mask_set(tl), mask_set(tr), mask_set(bl), mask_set(br)),
+                        pattern)
+    return None
+
+
+def test_find_reduction_matches_scan_exhaustive():
+    # the scan result is invariant under relabeling, so normal forms cover
+    # every permutation with d <= 5
+    count = 0
+    for d in range(2, 6):
+        for word in normal_forms(d):
+            for ell in range(1, 2 * d):
+                gp = GeneralizedPermutation(word[:ell], word[ell:])
+                assert find_reduction(gp) == _find_reduction_scan(gp), \
+                    gp.encode()
+                count += 1
+    assert count == 3 * 3 + 15 * 5 + 105 * 7 + 945 * 9
+
+
+def test_find_reduction_matches_scan_random():
+    rng = random.Random(11)
+    inputs = [random_gp(rng, rng.randint(2, 12)) for _ in range(1880)]
+    # reversed walk steps test predecessors of class vertices: irreducible
+    # inputs, the expensive case
+    for row in (1, 7, 11):
+        cur = table1(row)
+        for _ in range(40):
+            while True:
+                kind = rng.choice("tb")
+                try:
+                    if rng.random() < 0.5:
+                        cur = apply_arrow(cur, kind).target
+                    else:
+                        cur = invert_arrow(cur, kind,
+                                           require_irreducible=False).source
+                    break
+                except (MoveUndefined, ReverseArrowMissing):
+                    continue
+            inputs.append(cur)
+    irreducible = 0
+    for gp in inputs:
+        dec = find_reduction(gp)
+        assert dec == _find_reduction_scan(gp), gp.encode()
+        irreducible += dec is None and gp.is_strict
+    assert irreducible >= 100
+
+
 def test_irreducible_strict_with_suspension():
     # carries an explicit suspension datum, so it must be irreducible
     gp = parse_gp("1 1 2 2 / 3 3")
@@ -111,45 +207,121 @@ def test_suspension_checks():
     assert ("total",) in check_suspension(strict, unbalanced)
 
 
-def _search_suspension(gp, span=3):
-    """Brute-force a rational suspension datum on a small grid."""
-    import itertools
+@functools.lru_cache(maxsize=None)
+def _solve_strict(rows, eq):
+    """A rational y with r.y > 0 for every r in ``rows`` and eq.y = 0, or None.
 
+    The system is homogeneous, so r.y > 0 may be scaled to r.y >= 1.  The
+    equality is substituted away, the rest is decided exactly by
+    Fourier-Motzkin elimination on integer rows, and a solution is
+    back-substituted over Fractions one variable at a time.  Rows and eq
+    are tuples of integers; relabeled permutations give the same system in
+    alphabet order, hence the cache.
+    """
+    n = len(eq)
+    ineqs = [(tuple(r), 1) for r in rows]
+    pivot = next((k for k in range(n) if eq[k]), None)
+    if pivot is not None:
+        # y[pivot] = -sum(eq[k] y[k], k != pivot) / eq[pivot], scaled by
+        # |eq[pivot]| to stay integral
+        e, s = abs(eq[pivot]), (1 if eq[pivot] > 0 else -1)
+        ineqs = [(tuple(a[k] * e - a[pivot] * eq[k] * s for k in range(n)),
+                  b * e) for a, b in ineqs]
+    stages = []
+    for v in range(n):
+        stages.append(ineqs)
+        lower = [(a, b) for a, b in ineqs if a[v] > 0]
+        upper = [(a, b) for a, b in ineqs if a[v] < 0]
+        combined = set()
+        for a, b in [(a, b) for a, b in ineqs if a[v] == 0] + [
+                (tuple(p * -aq[v] + q * ap[v] for p, q in zip(ap, aq)),
+                 bp * -aq[v] + bq * ap[v])
+                for ap, bp in lower for aq, bq in upper]:
+            if not any(a):
+                if b > 0:
+                    return None      # 0 >= b > 0
+                continue
+            g = math.gcd(*a, b)
+            combined.add((tuple(x // g for x in a), b // g))
+        ineqs = list(combined)
+    # y = num / den with integer num, so each bound costs one Fraction
+    num, den = [0] * n, 1
+    for v in reversed(range(n)):
+        bounds = [(Fraction(b * den - sum(map(operator.mul, a, num)),
+                            a[v] * den), a[v] > 0)
+                  for a, b in stages[v] if a[v]]
+        lows = [t for t, is_low in bounds if is_low]
+        highs = [t for t, is_low in bounds if not is_low]
+        t = max(lows) if lows else min(highs, default=Fraction(0))
+        num = [x * t.denominator for x in num]
+        num[v] = t.numerator * den
+        den *= t.denominator
+    y = [Fraction(x, den) for x in num]
+    if pivot is not None:
+        y[pivot] = -sum(eq[k] * y[k] for k in range(n) if k != pivot) \
+            / Fraction(eq[pivot])
+    return tuple(y)
+
+
+def _exact_suspension(gp):
+    """A suspension datum for ``gp`` decided exactly, or None if none exists.
+
+    Real and imaginary parts are independent.  Widths are positive with
+    equal row totals; heights have positive top prefixes, negative bottom
+    prefixes and equal row totals.
+    """
     letters = gp.alphabet
+    index = {x: k for k, x in enumerate(letters)}
     d = len(letters)
-    heights = range(-span, span + 1)
-    for im in itertools.product(heights, repeat=d):
-        zeta = {x: Fraction(h) for x, h in zip(letters, im)}
-        # balance the widths: letters in one row twice need a matching letter
-        top_dup = [x for x in letters if gp.top.count(x) == 2]
-        bot_dup = [x for x in letters if gp.bottom.count(x) == 2]
-        re = {x: Fraction(1) for x in letters}
-        if top_dup or bot_dup:
-            if not top_dup or not bot_dup:
-                continue
-            need = sum(re[x] for x in top_dup) - sum(re[x] for x in bot_dup[1:])
-            if need <= 0:
-                continue
-            re[bot_dup[0]] = need
-        datum = SuspensionDatum.of({x: (re[x], zeta[x]) for x in letters})
-        if not check_suspension(gp, datum):
-            return datum
-    return None
+    balance = tuple(gp.top.count(x) - gp.bottom.count(x) for x in letters)
+    unit = tuple(tuple(int(k == j) for k in range(d)) for j in range(d))
+    widths = _solve_strict(unit, balance)
+    if widths is None:
+        return False, None
+    heights_rows = []
+    for row, sign in ((gp.top, 1), (gp.bottom, -1)):
+        prefix = [0] * d
+        for x in row[:-1]:
+            prefix[index[x]] += sign
+            heights_rows.append(tuple(prefix))
+    heights = _solve_strict(tuple(heights_rows), balance)
+    if heights is None:
+        return True, None
+    return True, SuspensionDatum.of(
+        {x: (widths[k], heights[k]) for k, x in enumerate(letters)})
+
+
+def _all_gps(d):
+    """Every valid generalized permutation on the letters 0..d-1."""
+    for word in sorted(set(itertools.permutations(
+            [str(k) for k in range(d)] * 2))):
+        for ell in range(1, 2 * d):
+            yield GeneralizedPermutation(word[:ell], word[ell:])
 
 
 def test_suspension_iff_irreducible_small():
-    # on suspendable strict permutations with up to 5 letters, a rational
-    # datum exists exactly when no reducing decomposition does
+    # Boissy-Lanneau: under the convention a permutation is irreducible
+    # exactly when it admits a suspension datum; widths exist exactly when
+    # the convention holds
+    checked = 0
+    for d in (2, 3, 4):
+        for gp in _all_gps(d):
+            widths_ok, datum = _exact_suspension(gp)
+            assert widths_ok == gp.satisfies_convention(), gp.encode()
+            if not widths_ok:
+                continue
+            assert (datum is not None) == is_irreducible(gp), gp.encode()
+            if datum is not None:
+                assert check_suspension(gp, datum) == [], gp.encode()
+            checked += 1
+    assert checked == 5532
     rng = random.Random(7)
-    seen = 0
-    while seen < 40:
-        gp = random_gp(rng, rng.randint(3, 5), strict=True, convention=True)
-        datum = _search_suspension(gp)
+    for _ in range(300):
+        gp = random_gp(rng, rng.randint(5, 6), convention=True)
+        _, datum = _exact_suspension(gp)
+        assert (datum is not None) == is_irreducible(gp), gp.encode()
         if datum is not None:
-            assert is_irreducible(gp), gp.encode()
-        if not is_irreducible(gp):
-            assert datum is None, gp.encode()
-        seen += 1
+            assert check_suspension(gp, datum) == [], gp.encode()
 
 
 def test_reduced_relabeling():

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from conftest import random_gp
-from rvq.gp import is_irreducible, parse_gp
+from conftest import normal_forms, random_gp
+from rvq.gp import GeneralizedPermutation, is_irreducible, parse_gp
 from rvq.induction import apply_arrow, defined_moves, enumerate_class
 from rvq.strata import (StratumSignature, orbit_order, stratum_signature,
                         turning_map, turning_orbits)
@@ -97,3 +97,22 @@ def test_orbit_order_helper():
     g = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
     orders = sorted(orbit_order(g, o) for o in turning_orbits(g))
     assert orders == [-1, -1, 6]
+
+
+def test_no_irreducible_strict_in_empty_strata():
+    # Masur-Smillie: Q(), Q(1,-1), Q(4) and Q(3,1) contain no quadratic
+    # differential that is not a square, so no irreducible strict
+    # permutation under the convention may land there (marked points aside)
+    empty = {(), (1, -1), (4,), (3, 1)}
+    checked = 0
+    for d in range(2, 6):
+        for word in normal_forms(d):
+            for ell in range(1, 2 * d):
+                gp = GeneralizedPermutation(word[:ell], word[ell:])
+                if not (gp.is_strict and gp.satisfies_convention()
+                        and is_irreducible(gp)):
+                    continue
+                orders = tuple(o for o in stratum_signature(gp).orders if o)
+                assert orders not in empty, gp.encode()
+                checked += 1
+    assert checked == 1662
