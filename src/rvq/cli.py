@@ -58,6 +58,14 @@ def _orders_arg(text):
             "expected comma-separated integers, got %r" % text) from None
 
 
+def _split_orders_arg(text):
+    orders = _orders_arg(text)
+    if len(orders) not in (2, 3):
+        raise argparse.ArgumentTypeError(
+            "expected two or three integers, got %r" % text)
+    return orders
+
+
 def _prime_arg(text):
     try:
         p = int(text)
@@ -177,10 +185,8 @@ def cmd_extend(args):
     if len(orders) == 2:
         res = extensions.split_singularity(gp, args.singularity, orders[0])
         out = res.witness.extended
-    elif len(orders) == 3:
-        out = extensions.split_even_zero(gp, args.singularity, *orders)
     else:
-        raise RVQError("--orders takes two or three integers")
+        out = extensions.split_even_zero(gp, args.singularity, *orders)
     sig = strata.stratum_signature(out)
     rec = {"gp": gp.encode(), "extended": out.encode(),
            "orders": list(sig.orders), "genus": sig.genus}
@@ -289,9 +295,6 @@ def _common_flags(parser, suppress=False):
     parser.add_argument("--json", action="store_true",
                         **({"default": d} if suppress else {}),
                         help="machine output as JSON lines")
-    parser.add_argument("--threads", type=int,
-                        default=d if suppress else 1,
-                        help="worker hint (computations are deterministic)")
     parser.add_argument("--budget", type=int,
                         default=d if suppress else induction.DEFAULT_BUDGET,
                         help="vertex/element budget for enumerations")
@@ -343,7 +346,7 @@ def main(argv=None):
     p.add_argument("gp")
     p.add_argument("--singularity", type=int, required=True,
                    help="1-based position selecting the turning orbit")
-    p.add_argument("--orders", required=True, type=_orders_arg,
+    p.add_argument("--orders", required=True, type=_split_orders_arg,
                    help="m11,m12 for one split or m11,m12,m13 for the "
                         "even-order double split")
     p.set_defaults(func=cmd_extend)

@@ -10,6 +10,7 @@ from them by genus-preserving splits). A non-match stays "unknown".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .errors import (CriterionInapplicable, OutOfRange, RVQError,
@@ -223,13 +224,9 @@ def _derived_genuine_reps(base: GeneralizedPermutation,
     return reps
 
 
-_registry_cache: dict = {}
-
-
+@cache
 def _abelian_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
     """Quadratic-order signature -> [(component label, representatives)]."""
-    if 'abelian' in _registry_cache:
-        return _registry_cache['abelian']
     reg: dict[tuple[int, ...], list[tuple[str, list]]] = {
         (0,): [("H(0)", [GeneralizedPermutation(("1", "2"), ("2", "1"))])],
         (4,): [("H(2)", [tau_sym(4)])],
@@ -251,13 +248,11 @@ def _abelian_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
               if pi.reduced() not in hyp_class]
     reg[(6, 6)] = [("H(3,3)^hyp", [tau_sym(9)]),
                    ("H(3,3)^nonhyp", nonhyp)]
-    _registry_cache['abelian'] = reg
     return reg
 
 
+@cache
 def _quadratic_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
-    if 'quadratic' in _registry_cache:
-        return _registry_cache['quadratic']
     reg: dict[tuple[int, ...], list[tuple[str, list]]] = {}
 
     def hyp_label(s, r):
@@ -280,7 +275,6 @@ def _quadratic_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
         sig = stratum_signature(gp, cross_check=False)
         label = "Q(%s)^nonhyp" % ",".join(str(o) for o in sig.orders)
         reg.setdefault(sig.orders, []).append((label, [gp]))
-    _registry_cache['quadratic'] = reg
     return reg
 
 

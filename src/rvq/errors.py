@@ -40,11 +40,6 @@ class ReverseArrowMissing(RVQError):
     """No arrow of the requested kind enters this vertex."""
 
 
-class ReverseArrowAmbiguous(RVQError):
-    """More than one arrow of one kind enters a vertex (cannot happen in a
-    Rauzy class; kept as an internal trap)."""
-
-
 class IllegalPosition(RVQError):
     """A letter insertion violates the simple-extension position rules."""
 

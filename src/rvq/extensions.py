@@ -152,12 +152,8 @@ def _letter_position_map(old: GeneralizedPermutation,
     return mapping
 
 
-def _orbit_family(gp: GeneralizedPermutation) -> list[tuple[int, ...]]:
-    return turning_orbits(gp)
-
-
 def _find_orbit(gp: GeneralizedPermutation, at) -> tuple[int, ...]:
-    orbits = _orbit_family(gp)
+    orbits = turning_orbits(gp)
     if isinstance(at, tuple) and len(at) > 1:
         target = set(at)
         for orb in orbits:
@@ -258,7 +254,7 @@ def _transposed_candidates(tau, m1, m11, m12, require_same_row):
     wrong picks.
     """
     rho = tau.transpose()
-    for rho_orbit in _orbit_family(rho):
+    for rho_orbit in turning_orbits(rho):
         if orbit_order(rho, rho_orbit) != m1:
             continue
         for w in _top_anchor_candidates(rho, rho_orbit, m11, m12,
@@ -271,7 +267,7 @@ def _transposed_candidates(tau, m1, m11, m12, require_same_row):
 
 def _split_scan(tau, orbit, m11, m12, prefer_row, restrict_row,
                 require_same_row):
-    old_orbits = [frozenset(o) for o in _orbit_family(tau)
+    old_orbits = [frozenset(o) for o in turning_orbits(tau)
                   if set(o) != set(orbit)]
     if restrict_row is not None:
         rows = [restrict_row]
@@ -319,7 +315,7 @@ def _certify_split(tau, witness, orbit, old_orbits, m11, m12):
     pi = witness.extended
     pmap = _letter_position_map(tau, pi, witness.letter)
     expected_old = {frozenset(pmap[p] for p in o) for o in old_orbits}
-    new_orbits = _orbit_family(pi)
+    new_orbits = turning_orbits(pi)
     fresh = [o for o in new_orbits if frozenset(o) not in expected_old]
     if len(fresh) != 2:
         return None
@@ -413,12 +409,6 @@ def extend_arrow(witness: ExtensionWitness, eta: Arrow) -> list[Arrow]:
     return arrows
 
 
-def end_witness(witness: ExtensionWitness, eta: Arrow,
-                arrows: Optional[list[Arrow]] = None) -> ExtensionWitness:
-    arrows = arrows if arrows is not None else extend_arrow(witness, eta)
-    return witness_from(arrows[-1].target, eta.target)
-
-
 def extend_walk(witness: ExtensionWitness,
                 steps: str) -> tuple[str, ExtensionWitness]:
     """Map a forward walk at the base through the extension, arrow by arrow."""
@@ -469,31 +459,18 @@ def search_extensions(vertices: Sequence[GeneralizedPermutation],
     found: list[list[ExtensionWitness]] = []
     examined = 0
 
-    def recurse(chain, depth):
+    def recurse(gp, chain):
         nonlocal examined
-        for w in _all_single_insertions(chain[-1].extended):
+        for w in _all_single_insertions(gp):
             examined += 1
             if examined > budget:
                 raise BudgetExceeded("insertion budget hit", partial=found)
-            if depth + 1 == letters:
+            if len(chain) + 1 == letters:
                 if is_irreducible(w.extended) and predicate(w.extended):
                     found.append(chain + [w])
-            else:
-                if stratum_precheck is not None and not stratum_precheck(w.extended):
-                    continue
-                recurse(chain + [w], depth + 1)
+            elif stratum_precheck is None or stratum_precheck(w.extended):
+                recurse(w.extended, chain + [w])
 
     for v in vertices:
-        chain0: list[ExtensionWitness] = []
-        for w in _all_single_insertions(v):
-            examined += 1
-            if examined > budget:
-                raise BudgetExceeded("insertion budget hit", partial=found)
-            if letters == 1:
-                if is_irreducible(w.extended) and predicate(w.extended):
-                    found.append([w])
-            else:
-                if stratum_precheck is not None and not stratum_precheck(w.extended):
-                    continue
-                recurse([w], 1)
+        recurse(v, [])
     return found

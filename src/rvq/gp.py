@@ -68,14 +68,7 @@ class GeneralizedPermutation:
         Built on each call rather than stored, so that large classes of
         permutations do not each carry a table.
         """
-        first: dict[Letter, int] = {}
-        table: dict[Letter, tuple[int, int]] = {}
-        for p, x in enumerate(self.top + self.bottom, 1):
-            if x in first:
-                table[x] = (first[x], p)
-            else:
-                first[x] = p
-        return table
+        return letter_positions(self.top + self.bottom)
 
     def positions(self, x: Letter) -> tuple[int, int]:
         """The two 1-based positions (i, j) of a letter, i < j."""
@@ -99,9 +92,6 @@ class GeneralizedPermutation:
             table[i] = j
             table[j] = i
         return table
-
-    def row_of(self, pos: int) -> str:
-        return 'top' if pos <= self.ell else 'bottom'
 
     # -- classification --------------------------------------------------
 
@@ -153,6 +143,19 @@ class GeneralizedPermutation:
         """Relabel by first appearance (top row first) to tokens 0, 1, 2, ..."""
         mapping = {x: str(k) for k, x in enumerate(self.alphabet)}
         return self.relabel(mapping)
+
+
+def letter_positions(word: Sequence[Letter]) -> dict[Letter, tuple[int, int]]:
+    """The two 1-based positions (i, j), i < j, of each letter of ``word``
+    (the rows read top row first), without building a permutation."""
+    first: dict[Letter, int] = {}
+    table: dict[Letter, tuple[int, int]] = {}
+    for p, x in enumerate(word, 1):
+        if x in first:
+            table[x] = (first[x], p)
+        else:
+            first[x] = p
+    return table
 
 
 def parse_gp(text: str) -> GeneralizedPermutation:

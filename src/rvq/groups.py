@@ -178,17 +178,7 @@ def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
                          ) -> tuple[list[Matrix], Matrix]:
     """Reduce cycle matrices to the quotient and mod p; returns (gens, form)."""
     qd = data if data is not None else quotient_data(base)
-    gens = []
-    seen = set()
-    for walk in cycles:
-        mat, end = kz_walk(base, walk)
-        assert end == base, "cycle does not close up"
-        red, _ = quotient_action(base, mat, data=qd)
-        key = linalg.mat_mod(red, p)
-        if key not in seen:
-            seen.add(key)
-            gens.append(red)
-    return gens, qd.reduced_form
+    return _quotient_generators(base, cycles, p, qd, kz_walk)
 
 
 def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
@@ -198,14 +188,18 @@ def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
     full = minus_form(base, tb)
     halved = tuple(tuple(x // 2 for x in row) for row in full)
     qd = quotient_data(base, order=tb, form=halved)
+    return _quotient_generators(base, cycles, p, qd,
+                                lambda b, w: kz_minus_walk(b, w, order=tb))
+
+
+def _quotient_generators(base, cycles, p, qd, walk_matrix):
+    """Cycle matrices pushed to the quotient of ``qd``, distinct mod p."""
     gens = []
     seen = set()
     for walk in cycles:
-        mat, end = kz_minus_walk(base, walk, order=tb)
-        assert end == base
-        conj = linalg.mul(linalg.mul(qd.unimodular, mat), qd.inverse)
-        r = len(qd.basis)
-        red = tuple(tuple(conj[i][j] for j in range(r)) for i in range(r))
+        mat, end = walk_matrix(base, walk)
+        assert end == base, "cycle does not close up"
+        red, _ = quotient_action(base, mat, data=qd)
         key = linalg.mat_mod(red, p)
         if key not in seen:
             seen.add(key)
@@ -399,10 +393,6 @@ def decomposition_product(base: GeneralizedPermutation,
         m, end = kz_walk(base, piece.cycle)
         assert end == base
         if piece.sign < 0:
-            m = _integer_inverse(m)
+            m = linalg.invert_integer(m)
         mat = linalg.mul(m, mat)
     return mat
-
-
-def _integer_inverse(m: Matrix) -> Matrix:
-    return linalg.invert_integer(m)

@@ -8,15 +8,14 @@ they grow exponentially in walk length, so no fixed-width arithmetic is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import MoveUndefined, NotOmegaPreserving
-from .gp import GeneralizedPermutation
+from .gp import GeneralizedPermutation, letter_positions
 from .induction import Arrow, resolve_walk
 from .linalg import Matrix
-
-_form_cache: dict[tuple, Matrix] = {}
 
 
 def intersection_form(gp: GeneralizedPermutation,
@@ -26,13 +25,15 @@ def intersection_form(gp: GeneralizedPermutation,
     The sign of the (alpha, beta) entry is decided by how the two occurrence
     pairs nest or link, split by which rows they sit in.
     """
-    order = tuple(order) if order is not None else gp.alphabet
-    key = (gp.top, gp.bottom, order)
-    cached = _form_cache.get(key)
-    if cached is not None:
-        return cached
-    ell = gp.ell
-    pos = gp.position_table()
+    return _intersection_form(
+        gp.top, gp.bottom, tuple(order) if order is not None else gp.alphabet)
+
+
+@lru_cache(maxsize=1 << 16)
+def _intersection_form(top: tuple[str, ...], bottom: tuple[str, ...],
+                       order: tuple[str, ...]) -> Matrix:
+    ell = len(top)
+    pos = letter_positions(top + bottom)
 
     def entry(a, b):
         ia, ja = pos[a]
@@ -55,10 +56,8 @@ def intersection_form(gp: GeneralizedPermutation,
             return -1
         return 0
 
-    form = tuple(tuple(entry(a, b) if a != b else 0 for b in order)
+    return tuple(tuple(entry(a, b) if a != b else 0 for b in order)
                  for a in order)
-    _form_cache[key] = form
-    return form
 
 
 def minus_form(gp: GeneralizedPermutation,
@@ -81,37 +80,50 @@ def minus_form(gp: GeneralizedPermutation,
 
 
 # ---------------------------------------------------------------------------
-# "plus" transition matrices
+# transition matrices
 # ---------------------------------------------------------------------------
 
-def _indices(order, arrow: Arrow) -> tuple[int, int]:
-    return order.index(arrow.loser), order.index(arrow.winner)
+def _factor(mat: list[list[int]], li: int, wi: int, reflection: bool,
+            inverse: bool) -> None:
+    """Left-multiply the rows ``mat`` by one cocycle factor, or its inverse.
+
+    Every factor is elementary: Id + E_lw (inverse Id - E_lw), or for the
+    reflection Id - E_lw - 2 E_ll, which is its own inverse.  Only row
+    ``li`` (the loser's) changes, by a multiple of row ``wi`` (the winner's).
+    A shared last letter that wins against itself (a fixed-point loop, only
+    at reducible vertices) has no invertible factor and is refused.
+    """
+    if li == wi:
+        raise MoveUndefined("the winner is also the loser: a fixed-point "
+                            "loop has no cocycle")
+    if reflection:
+        mat[li] = [-a - b for a, b in zip(mat[li], mat[wi])]
+    elif inverse:
+        mat[li] = [a - b for a, b in zip(mat[li], mat[wi])]
+    else:
+        mat[li] = [a + b for a, b in zip(mat[li], mat[wi])]
+
+
+def _plus_matrix(arrow: Arrow, order: Optional[Sequence[str]],
+                 inverse: bool) -> Matrix:
+    order = tuple(order) if order is not None else arrow.source.alphabet
+    omega = intersection_form(arrow.source, order)
+    li, wi = order.index(arrow.loser), order.index(arrow.winner)
+    mat = [list(row) for row in linalg.identity(len(order))]
+    _factor(mat, li, wi, omega[li][wi] == 0, inverse)
+    return tuple(tuple(row) for row in mat)
 
 
 def kz_plus(arrow: Arrow, order: Optional[Sequence[str]] = None) -> Matrix:
-    """Transition matrix of one arrow, evaluated at the source vertex."""
-    order = tuple(order) if order is not None else arrow.source.alphabet
-    omega = intersection_form(arrow.source, order)
-    li, wi = _indices(order, arrow)
-    n = len(order)
-    if omega[li][wi] != 0:
-        return linalg.add(linalg.identity(n), linalg.elementary(n, li, wi))
-    m = linalg.add(linalg.identity(n),
-                   linalg.scale(linalg.elementary(n, li, wi), -1))
-    return linalg.add(m, linalg.scale(linalg.elementary(n, li, li), -2))
+    """Transition matrix of one arrow, evaluated at the source vertex: Id+E
+    when loser and winner pair non-trivially, the reflection otherwise."""
+    return _plus_matrix(arrow, order, False)
 
 
 def kz_plus_inverse(arrow: Arrow, order: Optional[Sequence[str]] = None) -> Matrix:
     """Closed-form inverse: Id+E inverts to Id-E; the reflection case is an
     involution."""
-    order = tuple(order) if order is not None else arrow.source.alphabet
-    omega = intersection_form(arrow.source, order)
-    li, wi = _indices(order, arrow)
-    n = len(order)
-    if omega[li][wi] != 0:
-        return linalg.add(linalg.identity(n),
-                          linalg.scale(linalg.elementary(n, li, wi), -1))
-    return kz_plus(arrow, order)
+    return _plus_matrix(arrow, order, True)
 
 
 def kz_walk(base: GeneralizedPermutation, walk: str,
@@ -132,53 +144,13 @@ def kz_walk(base: GeneralizedPermutation, walk: str,
         omega = intersection_form(arrow.source, order)
         li = order.index(arrow.loser)
         wi = order.index(arrow.winner)
-        reflide = omega[li][wi] == 0
-        if reflide:
-            # self-inverse factor
-            mat[li] = [-a - b for a, b in zip(mat[li], mat[wi])]
-        elif direction > 0:
-            mat[li] = [a + b for a, b in zip(mat[li], mat[wi])]
-        else:
-            mat[li] = [a - b for a, b in zip(mat[li], mat[wi])]
+        _factor(mat, li, wi, omega[li][wi] == 0, direction < 0)
         cur = arrow.target if direction > 0 else arrow.source
     return tuple(tuple(row) for row in mat), cur
 
 
-# ---------------------------------------------------------------------------
-# "minus" transition matrices
-# ---------------------------------------------------------------------------
-
 class DuplicateWinner(MoveUndefined):
     """An arrow whose winner is a duplicate letter is not admissible here."""
-
-
-def kz_minus(arrow: Arrow, order: Sequence[str]) -> Matrix:
-    """Transition matrix on the both-rows letters; requires a non-duplicate
-    winner (equivalently, a type-preserving arrow)."""
-    order = tuple(order)
-    if arrow.winner not in order or arrow.type_change:
-        raise DuplicateWinner(
-            "winner %r is a duplicate letter" % (arrow.winner,))
-    n = len(order)
-    if arrow.loser in order:
-        li = order.index(arrow.loser)
-        wi = order.index(arrow.winner)
-        return linalg.add(linalg.identity(n), linalg.elementary(n, li, wi))
-    return linalg.identity(n)
-
-
-def kz_minus_inverse(arrow: Arrow, order: Sequence[str]) -> Matrix:
-    order = tuple(order)
-    if arrow.winner not in order or arrow.type_change:
-        raise DuplicateWinner(
-            "winner %r is a duplicate letter" % (arrow.winner,))
-    n = len(order)
-    if arrow.loser in order:
-        li = order.index(arrow.loser)
-        wi = order.index(arrow.winner)
-        return linalg.add(linalg.identity(n),
-                          linalg.scale(linalg.elementary(n, li, wi), -1))
-    return linalg.identity(n)
 
 
 def kz_minus_walk(base: GeneralizedPermutation, walk: str,
@@ -186,7 +158,9 @@ def kz_minus_walk(base: GeneralizedPermutation, walk: str,
                   ) -> tuple[Matrix, GeneralizedPermutation]:
     """Product of minus matrices along a walk with no duplicate-letter winner.
 
-    The both-rows letter set is constant along admissible walks, so the index
+    The minus factor is Id + E_lw on the both-rows letters when the loser is
+    one of them and Id otherwise; the arrow must keep the type.  The
+    both-rows letter set is constant along admissible walks, so the index
     set is pinned at the base vertex.
     """
     order = tuple(order) if order is not None else base.both_rows_letters()
@@ -198,12 +172,8 @@ def kz_minus_walk(base: GeneralizedPermutation, walk: str,
             raise DuplicateWinner(
                 "winner %r is a duplicate letter" % (arrow.winner,))
         if arrow.loser in order:
-            li = order.index(arrow.loser)
-            wi = order.index(arrow.winner)
-            if direction > 0:
-                mat[li] = [a + b for a, b in zip(mat[li], mat[wi])]
-            else:
-                mat[li] = [a - b for a, b in zip(mat[li], mat[wi])]
+            _factor(mat, order.index(arrow.loser), order.index(arrow.winner),
+                    False, direction < 0)
         cur = arrow.target if direction > 0 else arrow.source
         assert set(cur.both_rows_letters()) == set(order)
     return tuple(tuple(row) for row in mat), cur
@@ -219,8 +189,9 @@ class QuotientData:
 
     ``basis`` rows span a complement of the kernel; ``kernel`` rows span the
     kernel; ``unimodular`` stacks both (basis first) and is invertible over
-    the integers.
+    the integers.  ``form`` is the form the basis was built for.
     """
+    form: Matrix
     basis: Matrix
     kernel: Matrix
     unimodular: Matrix
@@ -248,8 +219,8 @@ def quotient_data(gp: GeneralizedPermutation,
     r = len(basis)
     full = linalg.mul(linalg.mul(uni, omega), linalg.transpose(uni))
     reduced = tuple(tuple(full[i][j] for j in range(r)) for i in range(r))
-    return QuotientData(basis=basis, kernel=kernel, unimodular=uni,
-                        inverse=inv, reduced_form=reduced)
+    return QuotientData(form=omega, basis=basis, kernel=kernel,
+                        unimodular=uni, inverse=inv, reduced_form=reduced)
 
 
 def quotient_action(gp: GeneralizedPermutation, matrix: Matrix,
@@ -258,14 +229,14 @@ def quotient_action(gp: GeneralizedPermutation, matrix: Matrix,
                     ) -> tuple[Matrix, Matrix]:
     """Push a form-preserving matrix down to the quotient by ker of the form.
 
+    The form is ``data.form``, by default the intersection form of ``gp``.
     Returns the induced 2g x 2g matrix together with the chosen basis rows.
     Raises NotOmegaPreserving when conjugation does not fix the form.
     """
-    order = tuple(order) if order is not None else gp.alphabet
-    omega = intersection_form(gp, order)
+    qd = data if data is not None else quotient_data(gp, order)
+    omega = qd.form
     if linalg.mul(linalg.mul(matrix, omega), linalg.transpose(matrix)) != omega:
         raise NotOmegaPreserving("matrix does not preserve the form")
-    qd = data if data is not None else quotient_data(gp, order)
     conj = linalg.mul(linalg.mul(qd.unimodular, matrix), qd.inverse)
     r = len(qd.basis)
     # the kernel is invariant, so its rows cannot leak into quotient coords

@@ -5,7 +5,8 @@ letter of the acting row, the loser the last letter of the other row.  When
 the winner's twin sits in the opposite row the move keeps the type (l, m) and
 reinserts the loser just after the twin; when the twin sits in the winner's
 own row the move transfers the loser into that row just before the twin and
-the type changes by (+1, -1) (top) or (-1, +1) (bottom).
+the type changes by (+1, -1) (top) or (-1, +1) (bottom).  A bottom move is
+the top move on the swapped rows, so one kernel serves both.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import (BudgetExceeded, EmptyRow, MoveUndefined, ReducibleSeed,
-                     ReverseArrowMissing)
+from .errors import (BudgetExceeded, MoveUndefined, ReducibleSeed,
+                     ReverseArrowMissing, RVQError)
 from .gp import GeneralizedPermutation, is_irreducible, parse_gp
 
 TOP = 't'
@@ -35,56 +37,40 @@ class Arrow:
     type_change: bool
 
 
+def _move(own: tuple[str, ...], other: tuple[str, ...]
+          ) -> tuple[tuple[str, ...], tuple[str, ...], str, str, bool]:
+    """The move whose winner is the last letter of ``own``, the acting row,
+    and whose loser is the last letter of ``other``.
+
+    Returns the new (own, other) rows, the winner, the loser and whether the
+    type changed.  A bottom move is this move on the swapped rows.
+    """
+    winner, loser = own[-1], other[-1]
+    if own.count(winner) == 2:
+        # twin in the acting row: the loser moves across, just before it
+        if not any(other.count(y) == 2 and y != loser for y in other):
+            raise MoveUndefined(
+                "move needs a non-final duplicate in the losing row")
+        tw = own.index(winner)
+        return own[:tw] + (loser,) + own[tw:], other[:-1], winner, loser, True
+    tw = other.index(winner)
+    if tw == len(other) - 1:
+        # winner's twin is the loser position itself; fixed point
+        return own, other, winner, loser, False
+    return (own, other[:tw + 1] + (loser,) + other[tw + 1:-1],
+            winner, loser, False)
+
+
 def apply_arrow(gp: GeneralizedPermutation, kind: str) -> Arrow:
     """Apply one induction move; raises MoveUndefined when it does not exist."""
-    top, bottom = gp.top, gp.bottom
     if kind == TOP:
-        winner, loser = top[-1], bottom[-1]
-        if top.count(winner) == 2:
-            # twin in the top row: loser moves up, type becomes (l+1, m-1)
-            if not any(bottom.count(y) == 2 and y != bottom[-1] for y in bottom):
-                raise MoveUndefined(
-                    "top move needs a non-final duplicate in the bottom row")
-            tw = top.index(winner)
-            new_top = top[:tw] + (loser,) + top[tw:]
-            new_bottom = bottom[:-1]
-            if not new_bottom:
-                raise MoveUndefined("bottom row would become empty")
-            change = True
-        else:
-            tw = bottom.index(winner)
-            if tw == len(bottom) - 1:
-                # winner's twin is the loser position itself; fixed point
-                new_top, new_bottom, change = top, bottom, False
-            else:
-                new_bottom = bottom[:tw + 1] + (loser,) + bottom[tw + 1:-1]
-                new_top, change = top, False
-        return Arrow(gp, TOP, winner, loser,
-                     GeneralizedPermutation(new_top, new_bottom), change)
-
-    if kind == BOTTOM:
-        winner, loser = bottom[-1], top[-1]
-        if bottom.count(winner) == 2:
-            if not any(top.count(y) == 2 and y != top[-1] for y in top):
-                raise MoveUndefined(
-                    "bottom move needs a non-final duplicate in the top row")
-            tw = bottom.index(winner)
-            new_bottom = bottom[:tw] + (loser,) + bottom[tw:]
-            new_top = top[:-1]
-            if not new_top:
-                raise MoveUndefined("top row would become empty")
-            change = True
-        else:
-            tw = top.index(winner)
-            if tw == len(top) - 1:
-                new_top, new_bottom, change = top, bottom, False
-            else:
-                new_top = top[:tw + 1] + (loser,) + top[tw + 1:-1]
-                new_bottom, change = bottom, False
-        return Arrow(gp, BOTTOM, winner, loser,
-                     GeneralizedPermutation(new_top, new_bottom), change)
-
-    raise ValueError("kind must be 't' or 'b', got %r" % (kind,))
+        top, bottom, winner, loser, change = _move(gp.top, gp.bottom)
+    elif kind == BOTTOM:
+        bottom, top, winner, loser, change = _move(gp.bottom, gp.top)
+    else:
+        raise ValueError("kind must be 't' or 'b', got %r" % (kind,))
+    return Arrow(gp, kind, winner, loser,
+                 GeneralizedPermutation(top, bottom), change)
 
 
 def defined_moves(gp: GeneralizedPermutation) -> tuple[str, ...]:
@@ -104,47 +90,28 @@ def invert_arrow(gp: GeneralizedPermutation, kind: str, *,
 
     The predecessor is reconstructed locally (no class enumeration): the
     shape of ``gp`` around the winner's twin determines whether the incoming
-    move kept or changed the type, and both reconstructions are verified by
-    reapplying the forward move.
+    move kept or changed the type, and the reconstruction is verified by
+    reapplying the forward move.  As in :func:`apply_arrow`, ``own`` is the
+    acting row and ``other`` the row of the loser.
     """
-    top, bottom = gp.top, gp.bottom
-    try:
-        if kind == TOP:
-            winner = top[-1]
-            if top.count(winner) == 2:
-                tw = top.index(winner)
-                if tw == 0:
-                    raise ReverseArrowMissing("no slot before the twin")
-                loser = top[tw - 1]
-                u = GeneralizedPermutation(top[:tw - 1] + top[tw:],
-                                           bottom + (loser,))
-            else:
-                tw = bottom.index(winner)
-                if tw + 1 > len(bottom) - 1:
-                    raise ReverseArrowMissing("twin at the end of the row")
-                loser = bottom[tw + 1]
-                u = GeneralizedPermutation(
-                    top, bottom[:tw + 1] + bottom[tw + 2:] + (loser,))
-        elif kind == BOTTOM:
-            winner = bottom[-1]
-            if bottom.count(winner) == 2:
-                tw = bottom.index(winner)
-                if tw == 0:
-                    raise ReverseArrowMissing("no slot before the twin")
-                loser = bottom[tw - 1]
-                u = GeneralizedPermutation(top + (loser,),
-                                           bottom[:tw - 1] + bottom[tw:])
-            else:
-                tw = top.index(winner)
-                if tw + 1 > len(top) - 1:
-                    raise ReverseArrowMissing("twin at the end of the row")
-                loser = top[tw + 1]
-                u = GeneralizedPermutation(
-                    top[:tw + 1] + top[tw + 2:] + (loser,), bottom)
-        else:
-            raise ValueError("kind must be 't' or 'b', got %r" % (kind,))
-    except EmptyRow as exc:
-        raise ReverseArrowMissing(str(exc))
+    if kind == TOP:
+        own, other = gp.top, gp.bottom
+    elif kind == BOTTOM:
+        own, other = gp.bottom, gp.top
+    else:
+        raise ValueError("kind must be 't' or 'b', got %r" % (kind,))
+    winner = own[-1]
+    if own.count(winner) == 2:
+        tw = own.index(winner)
+        if tw == 0:
+            raise ReverseArrowMissing("no slot before the twin")
+        own, other = own[:tw - 1] + own[tw:], other + (own[tw - 1],)
+    else:
+        tw = other.index(winner)
+        if tw < len(other) - 1:  # else gp is a fixed point of the move
+            other = other[:tw + 1] + other[tw + 2:] + (other[tw + 1],)
+    u = (GeneralizedPermutation(own, other) if kind == TOP
+         else GeneralizedPermutation(other, own))
 
     try:
         arrow = apply_arrow(u, kind)
@@ -337,13 +304,21 @@ class RauzyClass:
             raise ValueError("unsupported class cache format: %r"
                              % header.get("format"))
         verts, tt, bt, tw, bw = [], [], [], [], []
+        arrows = 0
         for ln in lines[1:]:
             rec = json.loads(ln)
             verts.append(parse_gp(rec["gp"]))
-            tt.append(rec["t"])
-            bt.append(rec["b"])
+            t, b = rec["t"], rec["b"]
+            tt.append(t)
+            bt.append(b)
             tw.append(rec["tw"])
             bw.append(rec["bw"])
+            arrows += (t is not None) + (b is not None)
+        if (len(verts), arrows) != (header["vertices"], header["arrows"]):
+            raise ValueError(
+                "class cache holds %d vertices and %d arrows, its header "
+                "says %r and %r" % (len(verts), arrows, header["vertices"],
+                                    header["arrows"]))
         return RauzyClass(
             base=parse_gp(header["base"]),
             vertices=tuple(verts),
@@ -435,19 +410,35 @@ def load_or_enumerate(seed: GeneralizedPermutation,
                       limit: int = DEFAULT_BUDGET,
                       *, reduced_labels: bool = False,
                       use_cache: bool = True) -> RauzyClass:
+    """The class of ``seed`` from the on-disk cache, else enumerated and
+    stored there.
+
+    A cache file that is unreadable, truncated, incomplete or holds another
+    class is a miss and is rebuilt.  Writers go through a unique temporary
+    file and an atomic rename, so concurrent writers cannot interleave.
+    """
     path = _cache_path(seed, reduced_labels)
     if use_cache and os.path.exists(path):
-        with open(path) as fh:
-            rc = RauzyClass.from_jsonl(fh.read())
-        if rc.complete:
+        try:
+            with open(path) as fh:
+                rc = RauzyClass.from_jsonl(fh.read())
+        except (OSError, ValueError, LookupError, TypeError, AttributeError,
+                RVQError):
+            rc = None
+        base = seed.reduced() if reduced_labels else seed
+        if rc is not None and rc.complete and rc.base == base:
             return rc
     rc = enumerate_class(seed, limit, reduced_labels=reduced_labels)
     if use_cache:
         os.makedirs(cache_dir(), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(rc.to_jsonl())
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir())
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(rc.to_jsonl())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     return rc
 
 

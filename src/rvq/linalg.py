@@ -15,20 +15,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def elementary(n: int, i: int, j: int) -> Matrix:
-    """Matrix with a single 1 at position (i, j)."""
-    return tuple(tuple(1 if (r, c) == (i, j) else 0 for c in range(n))
-                 for r in range(n))
-
-
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale(a: Matrix, k: int) -> Matrix:
-    return tuple(tuple(k * x for x in row) for row in a)
-
-
 def mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)

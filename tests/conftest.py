@@ -49,3 +49,12 @@ def normal_forms(d: int):
             if word.count(str(k)) < 2:
                 yield from grow(word + [str(k)], max(used, k + 1))
     return grow([], 0)
+
+
+def small_gps():
+    """Every generalized permutation with d <= 5 letters up to relabeling
+    (9,324 of them): each normal form, split into two rows every way."""
+    for d in range(2, 6):
+        for word in normal_forms(d):
+            for ell in range(1, 2 * d):
+                yield GeneralizedPermutation(word[:ell], word[ell:])

@@ -123,6 +123,8 @@ def test_usage_error_exit_code():
     ["verify-table", "--rows", "13"],
     ["verify-table", "--rows", "3-1"],
     ["group", "1 2 / 2 1", "--mod", "4"],
+    ["extend", "1 2 3 A A 4 / 4 3 B B 2 1", "--singularity", "1",
+     "--orders", "3"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+from rvq import groups
 from rvq.components import tau_sym
-from rvq.errors import MoveUndefined, NonSymplecticGenerator
+from rvq.errors import MoveUndefined, NonSymplecticGenerator, NotOmegaPreserving
 from rvq.gp import parse_gp
 from rvq.groups import (arrow_cycles, decomposition_product,
                         directed_decomposition, find_gamma_star,
-                        k_completeness, modp_closure, plus_generators_modp,
-                        random_directed_cycles, rauzy_veech_group_modp,
-                        sp_order)
+                        k_completeness, minus_generators_modp, modp_closure,
+                        plus_generators_modp, random_directed_cycles,
+                        rauzy_veech_group_modp, sp_order)
 from rvq.homology import kz_walk
 from rvq.induction import enumerate_class, load_or_enumerate
 from rvq.linalg import identity
@@ -34,6 +35,24 @@ def test_torus_closure_mod3():
     rc = load_or_enumerate(TORUS)
     res = rauzy_veech_group_modp(TORUS, rc, 3, cycles=20, seed=1)
     assert res.order == sp_order(1, 3) and res.index == 1
+
+
+@pytest.mark.parametrize("p, order", [(2, 6), (3, 24), (5, 120)])
+def test_minus_closure_genus_one(p, order):
+    # the halved minus form of this base has rank 2: the image is SL(2, F_p)
+    base = parse_gp("0 A A 1 / 1 B B 0")
+    rc = enumerate_class(base)
+    res = rauzy_veech_group_modp(base, rc, p, cycles=40, seed=1, minus=True)
+    assert res.genus == 1 and res.order == order == sp_order(1, p)
+
+
+def test_minus_generators_check_the_form(monkeypatch):
+    base = parse_gp("0 A A 1 / 1 B B 0")
+    bad = ((1, 1), (0, 2))  # det 2: cannot preserve a non-degenerate form
+    monkeypatch.setattr(groups, "kz_minus_walk",
+                        lambda gp, walk, order=None: (bad, gp))
+    with pytest.raises(NotOmegaPreserving):
+        minus_generators_modp(base, ["t"], 2)
 
 
 def test_non_symplectic_generator_rejected():

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from conftest import random_gp
+from conftest import random_gp, small_gps
 from rvq import linalg
-from rvq.errors import NotOmegaPreserving
+from rvq.errors import MoveUndefined, NotOmegaPreserving
 from rvq.gp import parse_gp
 from rvq.homology import (DuplicateWinner, intersection_form, kz_minus_walk,
-                          kz_plus, kz_walk, minus_form, quotient_action,
-                          quotient_data)
+                          kz_plus, kz_plus_inverse, kz_walk, minus_form,
+                          quotient_action, quotient_data)
 from rvq.induction import apply_arrow, defined_moves
 from rvq.linalg import identity, mul, rank, transpose
 from rvq.strata import stratum_signature
@@ -55,6 +55,22 @@ def test_torus_arrow_matrices():
     assert kz_plus(top) == ((1, 1), (0, 1))  # Id + E_{12} on (1, 2)
     bottom = apply_arrow(TORUS, 'b')
     assert kz_plus(bottom) == ((1, 0), (1, 1))
+
+
+def test_kz_plus_inverse_exhaustive():
+    arrows = 0
+    for gp in small_gps():
+        for kind in defined_moves(gp):
+            arrow = apply_arrow(gp, kind)
+            if arrow.winner == arrow.loser:
+                for matrix in (kz_plus, kz_plus_inverse):
+                    with pytest.raises(MoveUndefined):
+                        matrix(arrow)
+                continue
+            prod = mul(kz_plus(arrow), kz_plus_inverse(arrow))
+            assert prod == identity(gp.d), (gp.encode(), kind)
+            arrows += 1
+    assert arrows > 10_000
 
 
 def test_reflection_case_det():
@@ -208,3 +224,11 @@ def test_minus_walk_rejects_duplicate_winner():
     gp = parse_gp("1 2 A A / B B 2 1")  # top move has winner A
     with pytest.raises(DuplicateWinner):
         kz_minus_walk(gp, "t")
+
+
+def test_fixed_point_loop_has_no_cocycle():
+    # a shared last letter wins against itself; its factor would have det -2
+    with pytest.raises(MoveUndefined):
+        kz_walk(parse_gp("0 0 1 / 1"), "t")
+    with pytest.raises(MoveUndefined):
+        kz_minus_walk(parse_gp("0 1 / 0 1"), "t")

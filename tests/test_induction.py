@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_gp
+from conftest import random_gp, small_gps
 from rvq.errors import (BudgetExceeded, MoveUndefined, ReducibleSeed,
                         ReverseArrowMissing)
 from rvq.gp import is_irreducible, parse_gp
@@ -71,6 +71,19 @@ def _literal_move(gp, kind):
     return type(gp)(tuple(letters[:lnew]), tuple(letters[lnew:]))
 
 
+def _literal_arrow(gp, kind):
+    """(target, winner, loser, type change) by the literal formulas, or None.
+
+    The winner sits at position l (top move) or l+m (bottom move) and the
+    loser at the other row's last position."""
+    target = _literal_move(gp, kind)
+    if target is None:
+        return None
+    ell, m = gp.ell, gp.m
+    w, lo = (ell, ell + m) if kind == 't' else (ell + m, ell)
+    return target, gp.letter(w), gp.letter(lo), target.ell != ell
+
+
 def test_moves_match_literal_formulas():
     rng = random.Random(3)
     checked = 0
@@ -89,6 +102,61 @@ def test_moves_match_literal_formulas():
                 continue
             assert got == want, (gp.encode(), kind)
             checked += 1
+
+
+def test_moves_match_literal_formulas_exhaustive():
+    cases = checked = 0
+    for gp in small_gps():
+        for kind in ('t', 'b'):
+            cases += 1
+            try:
+                a = apply_arrow(gp, kind)
+            except MoveUndefined:
+                assert _literal_arrow(gp, kind) is None, (gp.encode(), kind)
+                continue
+            if gp.top[-1] == gp.bottom[-1]:
+                # the shared-last-letter loop, where the bottom formula breaks
+                want = (gp, gp.top[-1], gp.top[-1], False)
+            else:
+                want = _literal_arrow(gp, kind)
+            assert (a.target, a.winner, a.loser, a.type_change) == want, \
+                (gp.encode(), kind)
+            assert a.source == gp and a.kind == kind
+            checked += 1
+    assert cases == 2 * 9_324 and checked > 10_000
+
+
+def _predecessor_table():
+    """(kind, normal form of the target) -> source relabeled alike, built by
+    applying both moves to every permutation with d <= 5."""
+    table = {}
+    for gp in small_gps():
+        for kind in ('t', 'b'):
+            try:
+                target = apply_arrow(gp, kind).target
+            except MoveUndefined:
+                continue
+            rename = {x: str(k) for k, x in enumerate(target.alphabet)}
+            key = (kind, target.relabel(rename))
+            assert key not in table, "two %s-arrows into %s" % key
+            table[key] = gp.relabel(rename)
+    return table
+
+
+def test_invert_arrow_matches_predecessor_table():
+    table = _predecessor_table()
+    found = 0
+    for gp in small_gps():
+        for kind in ('t', 'b'):
+            want = table.get((kind, gp))
+            if want is None:
+                with pytest.raises(ReverseArrowMissing):
+                    invert_arrow(gp, kind, require_irreducible=False)
+                continue
+            a = invert_arrow(gp, kind, require_irreducible=False)
+            assert (a.source, a.target, a.kind) == (want, gp, kind)
+            found += 1
+    assert found == len(table)
 
 
 def test_spec_arrow_examples():
@@ -166,7 +234,8 @@ def test_invert_arrow_roundtrip():
 
 def test_invert_arrow_missing():
     with pytest.raises(ReverseArrowMissing):
-        # top winner's twin is the final bottom slot: nothing was reinserted
+        # top winner's twin is the final bottom slot: the only t-arrow into
+        # this vertex is its own fixed-point loop, and the vertex is reducible
         invert_arrow(parse_gp("A A 1 2 / 1 B B 2"), 't')
 
 
@@ -251,6 +320,25 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert rc1.to_jsonl() == rc2.to_jsonl()
     header = rc1.to_jsonl().splitlines()[0]
     assert '"complete": true' in header and '"base"' in header
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text, other: text[:-10],                               # mid-line
+    lambda text, other: "\n".join(text.splitlines()[:5]) + "\n",  # at a line
+    lambda text, other: "",
+    lambda text, other: other,                        # another class's file
+], ids=["byte-truncated", "line-truncated", "empty", "wrong-base"])
+def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+    seed = parse_gp("1 2 3 4 5 / 5 4 3 2 1")
+    good = load_or_enumerate(seed).to_jsonl()
+    other = enumerate_class(parse_gp("1 2 3 4 / 4 3 2 1")).to_jsonl()
+    [path] = tmp_path.iterdir()
+    path.write_text(corrupt(good, other))
+    rc = load_or_enumerate(seed)
+    assert len(rc) == 15 and rc.complete and rc.to_jsonl() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert path.read_text() == good
 
 
 def test_jsonl_format_fields():
