@@ -180,7 +180,7 @@ def cmd_cover(args):
 
 
 def cmd_extend(args):
-    gp = _gp_arg(args.gp)
+    gp = _suspendable_gp_arg(args.gp)
     orders = args.orders
     if len(orders) == 2:
         res = extensions.split_singularity(gp, args.singularity, orders[0])
@@ -195,7 +195,7 @@ def cmd_extend(args):
 
 
 def cmd_search(args):
-    gp = _gp_arg(args.gp)
+    gp = _suspendable_gp_arg(args.gp)
     target = tuple(sorted(args.target_stratum, reverse=True))
     rc = induction.enumerate_class(gp, limit=args.vertices,
                                    allow_truncated=True)
@@ -254,10 +254,11 @@ def cmd_group(args):
                                      use_cache=not args.no_cache)
     res = groups.rauzy_veech_group_modp(
         gp, rc, args.mod, cycles=args.cycles, maxlen=args.maxlen,
-        seed=args.seed, minus=args.minus, budget=args.budget)
+        seed=args.seed, minus=args.minus)
     rec = {"gp": gp.encode(), "p": res.p, "order": res.order,
            "index": res.index, "genus": res.genus,
-           "generators": res.generators_used, "cycles": args.cycles,
+           "generators": res.generators_used,
+           "base_length": res.base_length, "cycles": args.cycles,
            "maxlen": args.maxlen, "seed": args.seed, "minus": args.minus}
     _emit(args, rec,
           "mod-%d closure: order %d, index %d in Sp(%d, F_%d) "
@@ -297,7 +298,8 @@ def _common_flags(parser, suppress=False):
                         help="machine output as JSON lines")
     parser.add_argument("--budget", type=int,
                         default=d if suppress else induction.DEFAULT_BUDGET,
-                        help="vertex/element budget for enumerations")
+                        help="vertex budget for class enumerations (for "
+                             "search: extension candidates examined)")
     parser.add_argument("--cache-dir",
                         default=d if suppress else None,
                         help="class cache directory (default ./.rvq-cache)")

@@ -1,11 +1,11 @@
-"""Mod-p closure of the matrix groups generated along induction cycles,
-plus walk machinery: completeness counts, self-overlap-free complete cycles,
-and decomposition of mixed cycles into directed ones.
+"""Mod-p images of the groups generated along induction cycles, plus walk
+machinery: completeness counts, self-overlap-free complete cycles, and
+decomposition of mixed cycles into directed ones.
 
-Closures are computed over F_p with memoized row-times-generator tables, so
-the dominant cost is hashing p^n-bounded row tuples. Only lower-bound
-certificates are produced: the measured image order divides the full
-symplectic group order, and the quotient is reported as the mod-p index.
+A mod-p image is computed by deterministic Schreier-Sims on the permutation
+action of the generators on the nonzero row vectors of F_p^n. Its order is
+exact, and it is checked to divide the order of the full symplectic group;
+the quotient is reported as the mod-p index.
 """
 
 from __future__ import annotations
@@ -35,32 +35,31 @@ def sp_order(g: int, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closures over F_p
+# images over F_p
 # ---------------------------------------------------------------------------
-
-def _vec_mat_mod(v, m, p):
-    n = len(m[0])
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p
-                 for j in range(n))
-
 
 @dataclass(frozen=True)
 class ClosureResult:
+    """The mod-p image; ``base_length`` is the number of base points of its
+    stabilizer chain on the nonzero vectors."""
+
     order: int
     index: int
     genus: int
     p: int
     generators_used: int
+    base_length: int
 
 
-def modp_closure(generators: Sequence[Matrix], p: int, form: Matrix,
-                 budget: int = 10_000_000) -> ClosureResult:
+def modp_closure(generators: Sequence[Matrix], p: int,
+                 form: Matrix) -> ClosureResult:
     """Order and index of the subgroup of Sp(form, F_p) the generators span.
 
     ``form`` must be non-degenerate mod p (pass the halved minus form for the
-    double-cover case). The closure is a plain breadth-first multiplication
-    sweep; a finite monoid of invertible matrices is already a group, so
-    multiplying by the generators only is enough.
+    double-cover case). The order is exact: deterministic Schreier-Sims on
+    the action of the generators on the p^n - 1 nonzero row vectors of
+    F_p^n, which is faithful. No group element is stored; only the
+    stabilizer chain with its transversals.
     """
     n = len(form)
     if n % 2:
@@ -81,54 +80,175 @@ def modp_closure(generators: Sequence[Matrix], p: int, form: Matrix,
             seen_g.add(mg)
             gens.append(mg)
 
-    identity = linalg.mat_mod(linalg.identity(n), p)
-    seen = {identity}
-
-    def close(active):
-        # closure under right multiplication; restart from everything known
-        tables = {id(gen): {} for gen in active}
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for mat in frontier:
-                for gen in active:
-                    table = tables[id(gen)]
-                    rows = []
-                    for row in mat:
-                        out = table.get(row)
-                        if out is None:
-                            out = _vec_mat_mod(row, gen, p)
-                            table[row] = out
-                        rows.append(out)
-                    prod = tuple(rows)
-                    if prod not in seen:
-                        if len(seen) >= budget:
-                            raise BudgetExceeded(
-                                "closure budget of %d elements hit" % budget)
-                        seen.add(prod)
-                        new.append(prod)
-            frontier = new
-
-    # absorb generators a few at a time: ones already inside cost nothing
-    active: list = []
-    pending = list(gens)
-    while True:
-        missing = [gmat for gmat in pending if gmat not in seen]
-        if not missing:
-            break
-        take = missing[:6]
-        pending = [gmat for gmat in missing if gmat not in take]
-        active += take
-        close(active)
-
-    order = len(seen)
     total = sp_order(g, p)
+    levels = _schreier_sims(_vector_permutations(gens, p), p ** n - 1, total)
+    order = 1
+    for level in levels:
+        order *= len(level.orbit)
     if total % order:
         raise NonDividingOrder(
             "order %d does not divide |Sp(%d, F_%d)| = %d"
             % (order, 2 * g, p, total))
     return ClosureResult(order=order, index=total // order, genus=g, p=p,
-                         generators_used=len(gens))
+                         generators_used=len(gens), base_length=len(levels))
+
+
+def _vector_permutations(mats: Sequence[Matrix], p: int) -> list[list[int]]:
+    """The permutations v -> v.mat of the nonzero vectors of F_p^n, for
+    matrices with entries in 0..p-1.
+
+    Vector v is point sum(v[j] * p**j) - 1. Images are built linearly,
+    image(v) = image(v - e_k) + row_k with k the top nonzero coordinate of v,
+    so each matrix costs O(p^n) table lookups: vectors are added as integers
+    in base 2p - 1, where no digit carries, and two tables indexed by such a
+    sum give its reduction mod p in the same base and its point.
+    """
+    n = len(mats[0]) if mats else 0
+    q = 2 * p - 1
+    reduced, points = [0], [-1]
+    for j in range(n):
+        reduced = [r + d % p * q ** j for d in range(q) for r in reduced]
+        points = [x + d % p * p ** j for d in range(q) for x in points]
+    perms = []
+    for mat in mats:
+        images, perm = [0], []
+        for k, row in enumerate(mat):
+            r = sum(x * q ** j for j, x in enumerate(row))
+            step = p ** k
+            for d in range(1, p):
+                sums = [a + r for a in images[(d - 1) * step:d * step]]
+                images += [reduced[x] for x in sums]
+                perm += [points[x] for x in sums]
+        perms.append(perm)
+    return perms
+
+
+class _Level:
+    """One level of a stabilizer chain.
+
+    ``gens`` generate the level's group, which fixes the base points of the
+    levels above; ``orbit`` is the orbit of the base point ``orbit[0]`` under
+    them, and ``u[x]``/``uinv[x]`` are a transversal element taking the base
+    point to x and its inverse. The Schreier generators from ``orbit[:done[k]]``
+    and ``gens[k]`` are known to lie in the levels below.
+    """
+
+    __slots__ = ("gens", "invs", "done", "orbit", "u", "uinv")
+
+    def __init__(self, point: int, identity: list[int]):
+        self.gens: list[list[int]] = []
+        self.invs: list[list[int]] = []
+        self.done: list[int] = []
+        self.orbit = [point]
+        self.u = {point: identity}
+        self.uinv = {point: identity}
+
+    def add(self, s: list[int], sinv: list[int]) -> None:
+        """Add a generator and extend the orbit and the transversal."""
+        self.gens.append(s)
+        self.invs.append(sinv)
+        self.done.append(0)
+        orbit, u, uinv = self.orbit, self.u, self.uinv
+        old = len(orbit)
+        pos = 0
+        while pos < len(orbit):
+            x = orbit[pos]
+            pairs = zip(self.gens, self.invs) if pos >= old else ((s, sinv),)
+            for t, tinv in pairs:
+                y = t[x]
+                if y not in u:
+                    ux, uix = u[x], uinv[x]
+                    u[y] = [t[z] for z in ux]
+                    uinv[y] = [uix[z] for z in tinv]
+                    orbit.append(y)
+            pos += 1
+
+
+def _sift(levels: list[_Level], x: list[int], start: int
+          ) -> tuple[list[int], int]:
+    """Strip x through ``levels[start:]``: the residue and the level where it
+    left the chain (``len(levels)`` when it passed every level)."""
+    for i in range(start, len(levels)):
+        level = levels[i]
+        uinv = level.uinv.get(x[level.orbit[0]])
+        if uinv is None:
+            return x, i
+        x = [uinv[y] for y in x]
+    return x, len(levels)
+
+
+def _add_strong_generator(levels: list[_Level], h: list[int], first: int,
+                          last: int, identity: list[int]) -> None:
+    """Add h, which fixes the base points above ``last``, to
+    ``levels[first:last + 1]``; a new level gets the first point h moves."""
+    if last == len(levels):
+        point = next(x for x, y in enumerate(h) if x != y)
+        levels.append(_Level(point, identity))
+    hinv = [0] * len(h)
+    for x, y in enumerate(h):
+        hinv[y] = x
+    for level in levels[first:last + 1]:
+        level.add(h, hinv)
+
+
+def _schreier_residue(levels: list[_Level], i: int, identity: list[int]
+                      ) -> Optional[tuple[list[int], int]]:
+    """Sift the untested Schreier generators of level i through the levels
+    below it: the first residue that is not the identity, with the level it
+    left the chain at, or None when every one of them sifts to the identity."""
+    level = levels[i]
+    orbit, done, u = level.orbit, level.done, level.u
+    for k, s in enumerate(level.gens):
+        while done[k] < len(orbit):
+            x = orbit[done[k]]
+            done[k] += 1
+            t = [s[z] for z in u[x]]
+            y = s[x]
+            if t != u[y]:
+                uinv = level.uinv[y]
+                h, j = _sift(levels, [uinv[z] for z in t], i + 1)
+                if j < len(levels) or h != identity:
+                    return h, j
+    return None
+
+
+def _schreier_sims(perms: Sequence[list[int]], degree: int,
+                   known: int) -> list[_Level]:
+    """A stabilizer chain of the group the permutations generate.
+
+    Each permutation is sifted through the chain built so far and dropped if
+    it sifts to the identity; otherwise its residue joins the chain and every
+    untested Schreier generator, at every level, is sifted until none is left.
+    The product of the orbit lengths is always a lower bound on the order, so
+    the chain is returned as soon as it reaches ``known``, an upper bound.
+    """
+    identity = list(range(degree))
+    levels: list[_Level] = []
+
+    def reached():
+        size = 1
+        for level in levels:
+            size *= len(level.orbit)
+        return size >= known
+
+    for x in perms:
+        h, i = _sift(levels, x, 0)
+        if i == len(levels) and h == identity:
+            continue
+        _add_strong_generator(levels, h, 0, i, identity)
+        if reached():
+            return levels
+        while i >= 0:
+            found = _schreier_residue(levels, i, identity)
+            if found is None:
+                i -= 1
+                continue
+            h, j = found
+            _add_strong_generator(levels, h, i + 1, j, identity)
+            if reached():
+                return levels
+            i = j
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +330,6 @@ def _quotient_generators(base, cycles, p, qd, walk_matrix):
 def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
                            p: int = 2, *, cycles: int = 200, maxlen: int = 60,
                            seed: int = 0, minus: bool = False,
-                           budget: int = 10_000_000,
                            include_arrow_cycles: bool = True) -> ClosureResult:
     """Harvest cycles at the base vertex and close their matrices mod p."""
     walks = random_directed_cycles(rc, count=cycles, maxlen=maxlen, seed=seed)
@@ -221,7 +340,7 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
         gens, form = minus_generators_modp(base, walks, p)
     else:
         gens, form = plus_generators_modp(base, walks, p)
-    return modp_closure(gens, p, form, budget)
+    return modp_closure(gens, p, form)
 
 
 def _admissible(base: GeneralizedPermutation, rc: RauzyClass, walk: str) -> bool:

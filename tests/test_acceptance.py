@@ -5,14 +5,15 @@ lines; every expected value here is exact (integer identities), no
 tolerances are involved anywhere.
 """
 
+import math
 import random
 
 import pytest
 
 from rvq import linalg
 from rvq.components import (GENUS2_WITNESSES, identify_component, sigma_hyp,
-                            table1, table1_rows, tau_sym, tau_zorich,
-                            verify_extension_table)
+                            sigma_zorich, table1, table1_rows, tau_sym,
+                            tau_zorich, verify_extension_table)
 from rvq.errors import MoveUndefined, ReverseArrowMissing
 from rvq.extensions import (extend_arrow, split_even_zero, split_singularity,
                             witness_from)
@@ -242,21 +243,20 @@ def test_criterion_6_double_cover():
 
 
 def test_criterion_7_mod2_indices():
-    budget = 10_000_000
     torus = parse_gp("1 2 / 2 1")
     res = rauzy_veech_group_modp(torus, load_or_enumerate(torus), 2,
-                                 cycles=24, seed=1, budget=budget)
+                                 cycles=24, seed=1)
     assert res.order == sp_order(1, 2) and res.index == 1
 
     odd = tau_zorich(3)
     res_odd = rauzy_veech_group_modp(odd, load_or_enumerate(odd), 2,
-                                     cycles=120, seed=1, budget=budget)
+                                     cycles=120, seed=1)
     assert res_odd.order == 51840
     assert res_odd.index == 28 == sp_order(3, 2) // 51840
 
     h2 = tau_sym(4)
     res_h2 = rauzy_veech_group_modp(h2, load_or_enumerate(h2), 2,
-                                    cycles=60, seed=1, budget=budget)
+                                    cycles=60, seed=1)
     assert 6 % res_h2.index == 0
     report(7, "mod-2 indices: torus 1, H(4)^odd 28, H(2) %d (divides 6)"
            % res_h2.index)
@@ -362,3 +362,25 @@ def test_criterion_9_monoid_shadow():
         done += 1
     report(9, "directed and mixed mod-2 closures agree; 100 mixed cycles "
               "decompose into directed cycles with exact matrix identity")
+
+
+def test_criterion_10_genus4_mod2_images():
+    # the images predicted by the classification of Rauzy-Veech groups: the
+    # orthogonal group of the spin quadratic form, O^-(8, F_2) for odd and
+    # O^+(8, F_2) for even spin, of index 2^(g-1) (2^g -+ 1) in Sp(8, F_2),
+    # and S_9 for the hyperelliptic component
+    total = sp_order(4, 2)
+    odd, even, hyp = tau_zorich(4), sigma_zorich(4), tau_sym(8)
+    res = rauzy_veech_group_modp(odd, load_or_enumerate(odd), 2,
+                                 cycles=40, seed=1)
+    assert res.index == 120 == 2 ** 3 * (2 ** 4 - 1)
+    assert res.order * 120 == total
+    res = rauzy_veech_group_modp(even, load_or_enumerate(even), 2,
+                                 cycles=40, seed=1)
+    assert res.index == 136 == 2 ** 3 * (2 ** 4 + 1)
+    assert res.order * 136 == total
+    res = rauzy_veech_group_modp(hyp, load_or_enumerate(hyp), 2,
+                                 cycles=40, seed=1)
+    assert res.order == 362_880 == math.factorial(9)
+    report(10, "genus-4 mod-2 images: H(6)^odd index 120, H(6)^even "
+               "index 136, H(6)^hyp order 9!")

@@ -86,6 +86,22 @@ def test_group(capsys):
     assert code == 0 and rec["order"] == 6 and rec["index"] == 1
 
 
+def test_group_budget_limits_only_the_class(capsys):
+    # the class has 7 vertices; the image, S_5, has 120 elements
+    code, out, _ = run(capsys, "--json", "group", "1 2 3 4 / 4 3 2 1",
+                       "--mod", "2", "--budget", "100")
+    rec = json.loads(out)
+    assert code == 0 and rec["order"] == 120 and rec["index"] == 6
+    assert rec["base_length"] >= 1
+
+
+def test_group_human_line(capsys):
+    code, out, _ = run(capsys, "group", "1 2 3 4 / 4 3 2 1", "--mod", "3")
+    assert code == 0 and out == (
+        "mod-3 closure: order 51840, index 1 in Sp(4, F_3) "
+        "[197 generators from 200 cycles, maxlen 60, seed 0]\n")
+
+
 def test_verify_table_subset(capsys):
     code, out, _ = run(capsys, "verify-table", "--rows", "1-2")
     assert code == 0
@@ -142,5 +158,20 @@ def test_bad_argument_is_one_line_usage_error(capsys, argv):
 ])
 def test_unsuspendable_input_refused(capsys, command, gp, reason):
     code, out, err = run(capsys, command, gp)
+    assert code == 1 and out == ""
+    assert err.startswith("NotSuspendable:") and reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "{gp}", "--singularity", "1", "--orders", "3,3"],
+    ["search", "--from", "{gp}", "--target-stratum", "6,-1,-1"],
+], ids=["extend", "search"])
+@pytest.mark.parametrize("gp, reason", [
+    ("1 2 / 2 1 3 3", "no duplicate letter in top row"),
+    ("1 2 / 1 2", "reducible"),
+], ids=["convention", "reducible"])
+def test_extend_and_search_refuse_unsuspendable_input(capsys, argv, gp,
+                                                       reason):
+    code, out, err = run(capsys, *(a.format(gp=gp) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("NotSuspendable:") and reason in err

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from rvq import groups
-from rvq.components import tau_sym
-from rvq.errors import MoveUndefined, NonSymplecticGenerator, NotOmegaPreserving
+from rvq import groups, linalg
+from rvq.components import tau_sym, tau_zorich
+from rvq.errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
+                        NonSymplecticGenerator, NotOmegaPreserving)
 from rvq.gp import parse_gp
 from rvq.groups import (arrow_cycles, decomposition_product,
                         directed_decomposition, find_gamma_star,
@@ -16,6 +17,93 @@ from rvq.induction import enumerate_class, load_or_enumerate
 from rvq.linalg import identity
 
 TORUS = parse_gp("1 2 / 2 1")
+
+
+# ---------------------------------------------------------------------------
+# oracle: the breadth-first closure that modp_closure used before it became
+# Schreier-Sims. It stores every element, so it only runs on small images.
+# ---------------------------------------------------------------------------
+
+def _vec_mat_mod(v, m, p):
+    n = len(m[0])
+    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) % p
+                 for j in range(n))
+
+
+def _bfs_closure(generators, p, form, budget=10_000_000):
+    """Order of the subgroup of Sp(form, F_p) the generators span.
+
+    ``form`` must be non-degenerate mod p (pass the halved minus form for the
+    double-cover case). The closure is a plain breadth-first multiplication
+    sweep; a finite monoid of invertible matrices is already a group, so
+    multiplying by the generators only is enough.
+    """
+    n = len(form)
+    if n % 2:
+        raise ValueError("form must have even size")
+    g = n // 2
+    fp = linalg.mat_mod(form, p)
+    if linalg.det(form) % p == 0:
+        raise NonSymplecticGenerator("form is degenerate mod %d" % p)
+
+    gens = []
+    seen_g = set()
+    for mat in generators:
+        mg = linalg.mat_mod(mat, p)
+        if linalg.mat_mod(
+                linalg.mul(linalg.mul(mg, fp), linalg.transpose(mg)), p) != fp:
+            raise NonSymplecticGenerator("generator does not preserve the form")
+        if mg not in seen_g:
+            seen_g.add(mg)
+            gens.append(mg)
+
+    identity = linalg.mat_mod(linalg.identity(n), p)
+    seen = {identity}
+
+    def close(active):
+        # closure under right multiplication; restart from everything known
+        tables = {id(gen): {} for gen in active}
+        frontier = list(seen)
+        while frontier:
+            new = []
+            for mat in frontier:
+                for gen in active:
+                    table = tables[id(gen)]
+                    rows = []
+                    for row in mat:
+                        out = table.get(row)
+                        if out is None:
+                            out = _vec_mat_mod(row, gen, p)
+                            table[row] = out
+                        rows.append(out)
+                    prod = tuple(rows)
+                    if prod not in seen:
+                        if len(seen) >= budget:
+                            raise BudgetExceeded(
+                                "closure budget of %d elements hit" % budget)
+                        seen.add(prod)
+                        new.append(prod)
+            frontier = new
+
+    # absorb generators a few at a time: ones already inside cost nothing
+    active: list = []
+    pending = list(gens)
+    while True:
+        missing = [gmat for gmat in pending if gmat not in seen]
+        if not missing:
+            break
+        take = missing[:6]
+        pending = [gmat for gmat in missing if gmat not in take]
+        active += take
+        close(active)
+
+    order = len(seen)
+    total = sp_order(g, p)
+    if total % order:
+        raise NonDividingOrder(
+            "order %d does not divide |Sp(%d, F_%d)| = %d"
+            % (order, 2 * g, p, total))
+    return order
 
 
 def test_sp_order_values():
@@ -161,3 +249,35 @@ def test_directed_vs_mixed_closures_agree():
         g2, _ = plus_generators_modp(base, directed + mixed, 2)
         assert modp_closure(g1, 2, form).order == \
             modp_closure(g2, 2, form).order
+
+
+BFS_BUDGET = 60_000
+
+
+@pytest.mark.parametrize("base, p", [
+    (TORUS, 2), (TORUS, 3), (TORUS, 5),
+    (tau_sym(4), 2), (tau_sym(4), 3), (tau_sym(4), 5),
+    (tau_sym(5), 2), (tau_sym(5), 3),
+    (tau_sym(6), 2), (tau_zorich(3), 2),
+], ids=["torus-2", "torus-3", "torus-5", "H(2)-2", "H(2)-3", "H(2)-5",
+        "H(1,1)-2", "H(1,1)-3", "H(4)hyp-2", "H(4)odd-2"])
+def test_schreier_sims_matches_bfs(base, p):
+    rc = load_or_enumerate(base)
+    walks = arrow_cycles(rc, cap=80) + random_directed_cycles(
+        rc, count=40, maxlen=30, seed=3)
+    gens, form = plus_generators_modp(base, walks, p)
+    total = sp_order(len(form) // 2, p)
+    rng = random.Random(p)
+    compared = 0
+    for size in (1, 2, 2, 3, len(gens)):
+        subset = rng.sample(gens, min(size, len(gens)))
+        res = modp_closure(subset, p, form)
+        assert res.order * res.index == total
+        if res.order > BFS_BUDGET:
+            # too large to store: the oracle must still outgrow a small budget
+            with pytest.raises(BudgetExceeded):
+                _bfs_closure(subset, p, form, budget=2_000)
+            continue
+        assert res.order == _bfs_closure(subset, p, form, budget=BFS_BUDGET)
+        compared += 1
+    assert compared >= 2
