@@ -42,6 +42,17 @@ def _suspendable_gp_arg(text):
     return gp
 
 
+def _positive_int_arg(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            "expected a positive integer, got %r" % text)
+    return n
+
+
 def _walk_arg(text):
     bad = sorted(set(text) - set("tbTB"))
     if bad:
@@ -242,7 +253,7 @@ def cmd_search(args):
 
 
 def cmd_identify(args):
-    gp = _gp_arg(args.gp)
+    gp = _suspendable_gp_arg(args.gp)
     label = components.identify_component(gp, budget=args.budget)
     _emit(args, {"gp": gp.encode(), "component": label}, label)
     return 0 if label != components.UNKNOWN else 1
@@ -296,7 +307,7 @@ def _common_flags(parser, suppress=False):
     parser.add_argument("--json", action="store_true",
                         **({"default": d} if suppress else {}),
                         help="machine output as JSON lines")
-    parser.add_argument("--budget", type=int,
+    parser.add_argument("--budget", type=_positive_int_arg,
                         default=d if suppress else induction.DEFAULT_BUDGET,
                         help="vertex budget for class enumerations (for "
                              "search: extension candidates examined)")
@@ -358,9 +369,9 @@ def main(argv=None):
     p.add_argument("--target-stratum", required=True, type=_orders_arg,
                    help="comma-separated orders, e.g. 6,-1,-1")
     p.add_argument("--nonhyp", action="store_true")
-    p.add_argument("--vertices", type=int, default=16,
+    p.add_argument("--vertices", type=_positive_int_arg, default=16,
                    help="class vertices to scan")
-    p.add_argument("--max-results", type=int, default=4)
+    p.add_argument("--max-results", type=_positive_int_arg, default=4)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("identify", parents=[common], help="name the connected component")
@@ -371,8 +382,8 @@ def main(argv=None):
     p.add_argument("gp")
     p.add_argument("--mod", type=_prime_arg, default=2)
     p.add_argument("--minus", action="store_true")
-    p.add_argument("--cycles", type=int, default=200)
-    p.add_argument("--maxlen", type=int, default=60)
+    p.add_argument("--cycles", type=_positive_int_arg, default=200)
+    p.add_argument("--maxlen", type=_positive_int_arg, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_group)
 

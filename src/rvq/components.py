@@ -1,24 +1,24 @@
-"""Canonical representatives, hyperellipticity detection, and component
-identification by Rauzy class membership.
+"""Canonical representatives, hyperellipticity detection, component
+identification and the check of the extension table.
 
-Identification is certificate-style: a permutation gets a component label
-only when its relabeled normal form is found inside the enumerated class of
-a trusted representative (families fixed here, plus representatives derived
-from them by genus-preserving splits). A non-match stays "unknown".
+Abelian components are named by the Kontsevich-Zorich invariants: the
+stratum, hyperellipticity (membership in the small Rauzy class of tau_sym)
+and the spin parity.  Quadratic components have no such invariant here, so
+a quadratic permutation is named only when its normal form is found in the
+enumerated class of a trusted representative; otherwise it stays "unknown".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Optional
 
 from .errors import (CriterionInapplicable, OutOfRange, RVQError,
                      UnknownLabel)
-from .extensions import _all_single_insertions
 from .gp import GeneralizedPermutation, erase_letters, is_irreducible, parse_gp
-from .induction import load_or_enumerate
-from .strata import stratum_signature
+from .induction import RauzyClass, load_or_enumerate
+from .strata import StratumSignature, spin_parity, stratum_signature
 
 UNKNOWN = "unknown"
 
@@ -198,57 +198,31 @@ def hyperelliptic_test(gp: GeneralizedPermutation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# identification registry
+# identification
 # ---------------------------------------------------------------------------
 
-def _derived_genuine_reps(base: GeneralizedPermutation,
-                          orders: tuple[int, ...],
-                          limit: int = 8) -> list[GeneralizedPermutation]:
-    """Genuine one-letter extensions of ``base`` hitting the target orders."""
-    reps = []
-    seen = set()
-    for w in _all_single_insertions(base):
-        pi = w.extended
-        if not pi.is_genuine or not is_irreducible(pi):
-            continue
-        sig = stratum_signature(pi, cross_check=False)
-        if sig.orders != orders:
-            continue
-        key = pi.reduced().encode()
-        if key in seen:
-            continue
-        seen.add(key)
-        reps.append(pi)
-        if len(reps) >= limit:
-            break
-    return reps
+@lru_cache(maxsize=8)
+def _hyperelliptic_class(d: int, budget: int) -> RauzyClass:
+    """The reduced class of tau_sym(d): the hyperelliptic component of
+    H(2g-2) (d = 2g) or H(g-1,g-1) (d = 2g+1), 2^(d-1) - 1 vertices."""
+    return load_or_enumerate(tau_sym(d), limit=budget, reduced_labels=True)
 
 
-@cache
-def _abelian_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
-    """Quadratic-order signature -> [(component label, representatives)]."""
-    reg: dict[tuple[int, ...], list[tuple[str, list]]] = {
-        (0,): [("H(0)", [GeneralizedPermutation(("1", "2"), ("2", "1"))])],
-        (4,): [("H(2)", [tau_sym(4)])],
-        (2, 2): [("H(1,1)", [tau_sym(5)])],
-        (8,): [("H(4)^hyp", [tau_sym(6)]), ("H(4)^odd", [tau_zorich(3)])],
-        (4, 4): [("H(2,2)^hyp", [tau_sym(7)])],
-        (12,): [("H(6)^hyp", [tau_sym(8)]), ("H(6)^odd", [tau_zorich(4)]),
-                ("H(6)^even", [sigma_zorich(4)])],
-    }
-    # H(3,1) is connected; derive representatives (the stratum has two
-    # marked-degree Rauzy classes, so keep several)
-    h31 = (_derived_genuine_reps(tau_zorich(3), (6, 2))
-           + _derived_genuine_reps(tau_sym(6), (6, 2)))
-    reg[(6, 2)] = [("H(3,1)", h31)]
-    # H(3,3) splits into hyperelliptic and one other component; everything
-    # with the right orders outside the hyperelliptic class is non-hyp
-    hyp_class = load_or_enumerate(tau_sym(9), reduced_labels=True)
-    nonhyp = [pi for pi in _derived_genuine_reps(tau_zorich(4), (6, 6))
-              if pi.reduced() not in hyp_class]
-    reg[(6, 6)] = [("H(3,3)^hyp", [tau_sym(9)]),
-                   ("H(3,3)^nonhyp", nonhyp)]
-    return reg
+def _abelian_component(gp: GeneralizedPermutation, sig: StratumSignature,
+                       budget: int) -> str:
+    """Kontsevich-Zorich: hyperellipticity and spin parity tell apart the
+    components of an abelian stratum without marked points."""
+    orders, g = sig.abelian_orders(), sig.genus
+    name = sig.abelian_str()
+    if 0 in orders:
+        return name if orders == (0,) else UNKNOWN
+    hyp_capable = g >= 3 and orders in ((2 * g - 2,), (g - 1, g - 1))
+    if hyp_capable and gp.reduced() in _hyperelliptic_class(len(gp.top),
+                                                            budget):
+        return name + "^hyp"
+    if g >= 3 and all(o % 2 == 0 for o in orders):
+        return name + ("^odd" if spin_parity(gp) else "^even")
+    return name + "^nonhyp" if hyp_capable else name
 
 
 @cache
@@ -280,21 +254,24 @@ def _quadratic_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
 
 def identify_component(gp: GeneralizedPermutation,
                        budget: int = 2_000_000) -> str:
-    """Name the connected component by reduced-class membership.
+    """Name the connected component of an irreducible permutation.
 
-    A positive answer is a certificate (the normal form was found in the
-    class of a trusted representative); "unknown" only means the stratum or
-    class is not cached.
+    A genuine permutation is named from invariants: its stratum, then in
+    H(2g-2) and H(g-1,g-1) with g >= 3 hyperellipticity (membership in the
+    class of tau_sym), then, when g >= 3 and every zero has even order, the
+    spin parity.  H(0) is named; other strata with marked points are
+    "unknown".  A quadratic permutation is named only when its normal form
+    lies in the class of a trusted representative (the sigma_hyp family and
+    the genus-2/3 witnesses), and is "unknown" otherwise.  ``budget`` bounds
+    every class enumeration.
     """
     if not is_irreducible(gp):
         return UNKNOWN
     sig = stratum_signature(gp, cross_check=False)
-    registry = _abelian_registry() if gp.is_genuine else _quadratic_registry()
-    entries = registry.get(sig.orders)
-    if not entries:
-        return UNKNOWN
+    if gp.is_genuine:
+        return _abelian_component(gp, sig, budget)
     reduced = gp.reduced()
-    for label, reps in entries:
+    for label, reps in _quadratic_registry().get(sig.orders, ()):
         for rep in reps:
             rc = load_or_enumerate(rep, limit=budget, reduced_labels=True)
             if reduced in rc:
@@ -338,7 +315,7 @@ def _nested_erasure_ok(gp: GeneralizedPermutation) -> bool:
             if (is_simple_extension(gp, mid) == first
                     and is_simple_extension(mid, tau) == second):
                 return True
-        except Exception:
+        except RVQError:
             continue
     return False
 

@@ -90,7 +90,8 @@ class NonDividingOrder(RVQError):
 
 
 class CriterionInapplicable(RVQError):
-    """The hyperellipticity criterion's precondition does not hold."""
+    """A criterion's precondition does not hold (hyperellipticity, spin
+    parity)."""
 
 
 class UnknownLabel(RVQError):

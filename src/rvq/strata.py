@@ -2,7 +2,9 @@
 
 Each orbit of the turning bijection collects the polygon vertices glued to
 one conical point; the order of that singularity is the orbit size (ignoring
-the two distinguished endpoint positions) minus two.
+the two distinguished endpoint positions) minus two.  The spin parity, which
+splits abelian strata whose zeros all have even order, is read off from the
+intersection form mod 2.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import homology, linalg
-from .errors import InconsistentGenus
+from .errors import CriterionInapplicable, InconsistentGenus
 from .gp import GeneralizedPermutation
 
 
@@ -99,3 +101,50 @@ def stratum_signature(gp: GeneralizedPermutation,
                 "rank %d of the intersection form does not match genus %d"
                 % (r, genus))
     return StratumSignature(tuple(orders), genus)
+
+
+def spin_parity(gp: GeneralizedPermutation) -> int:
+    """Parity of the spin structure (0 even, 1 odd) of a genuine permutation
+    whose zeros all have even order.
+
+    It is the Arf invariant of the quadratic form q on H_1(S; F_2) with
+    q(c_x) = 1 on the curve of every letter x and
+    q(u + v) = q(u) + q(v) + Omega(u, v) mod 2 (Zorich 2008): a symplectic
+    basis a_i, b_i is split off the letter vectors one pair at a time, and
+    the parity is the sum of q(a_i) q(b_i) mod 2.
+    """
+    if not gp.is_genuine or any(o % 2 for o in stratum_signature(
+            gp, cross_check=False).abelian_orders()):
+        raise CriterionInapplicable(
+            "spin parity needs a genuine permutation with even-order zeros")
+    # row i of the form mod 2 as a bit mask over the letters
+    rows = [sum(1 << j for j, x in enumerate(row) if x % 2)
+            for row in homology.intersection_form(gp)]
+
+    def pair(u, v):
+        w = 0
+        for i, row in enumerate(rows):
+            if u >> i & 1:
+                w ^= row
+        return bin(w & v).count("1") & 1
+
+    def q(u):
+        value = seen = 0
+        for i in range(len(rows)):
+            if u >> i & 1:
+                value ^= 1 ^ pair(seen, 1 << i)
+                seen |= 1 << i
+        return value
+
+    pool = [1 << i for i in range(len(rows))]
+    parity = 0
+    while pool:
+        a = pool.pop()
+        b = next((v for v in pool if pair(a, v)), None)
+        if b is None:
+            continue  # a lies in the kernel of the form
+        pool.remove(b)
+        parity ^= q(a) & q(b)
+        pool = [v ^ (a if pair(v, b) else 0) ^ (b if pair(v, a) else 0)
+                for v in pool]
+    return parity

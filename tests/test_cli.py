@@ -75,8 +75,16 @@ def test_identify(capsys):
 
 
 def test_identify_unknown(capsys):
+    # H(0,0): marked points other than H(0) are not named
+    code, out, _ = run(capsys, "identify", "0 1 2 / 2 1 0")
+    assert code == 1 and out.strip() == "unknown"
+
+
+def test_identify_by_invariants(capsys):
     code, out, _ = run(capsys, "identify", "0 1 2 3 4 5 6 7 / 4 3 2 7 6 5 1 0")
-    assert code == 1
+    assert code == 0 and out.strip() == "H(2,1,1)"
+    code, out, _ = run(capsys, "identify", "0 1 2 3 5 6 8 9 / 6 5 3 2 9 8 1 0")
+    assert code == 0 and out.strip() == "H(6)^even"
 
 
 def test_group(capsys):
@@ -141,6 +149,14 @@ def test_usage_error_exit_code():
     ["group", "1 2 / 2 1", "--mod", "4"],
     ["extend", "1 2 3 A A 4 / 4 3 B B 2 1", "--singularity", "1",
      "--orders", "3"],
+    ["group", "1 2 3 4 / 4 3 2 1", "--cycles", "-3"],
+    ["search", "--from", "1 2 3 4 / 4 3 2 1", "--target-stratum", "6,-1,-1",
+     "--max-results", "-1"],
+    ["class", "1 2 / 2 1", "--budget", "-1"],
+    ["--budget", "0", "identify", "1 2 / 2 1"],
+    ["group", "1 2 / 2 1", "--maxlen", "x"],
+    ["search", "--from", "1 2 3 4 / 4 3 2 1", "--target-stratum", "6,-1,-1",
+     "--vertices", "0"],
 ])
 def test_bad_argument_is_one_line_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -150,7 +166,7 @@ def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert len(err.splitlines()) == 1 and "error: argument --" in err
 
 
-@pytest.mark.parametrize("command", ["stratum", "cover"])
+@pytest.mark.parametrize("command", ["stratum", "cover", "identify"])
 @pytest.mark.parametrize("gp, reason", [
     ("1 2 / 2 1 3 3", "no duplicate letter in top row"),   # Q(1,-1) is empty
     ("1 2 / 1 2", "reducible"),

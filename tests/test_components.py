@@ -1,3 +1,6 @@
+import random
+from functools import cache
+
 import pytest
 
 from rvq.components import (UNKNOWN, canonical_rep, hyperelliptic_test,
@@ -5,8 +8,10 @@ from rvq.components import (UNKNOWN, canonical_rep, hyperelliptic_test,
                             table1, table1_rows, tau_sym, tau_zorich,
                             verify_extension_table)
 from rvq.errors import CriterionInapplicable, OutOfRange, UnknownLabel
-from rvq.gp import erase_letters, is_irreducible, parse_gp
-from rvq.induction import apply_arrow, enumerate_class
+from rvq.extensions import _all_single_insertions
+from rvq.gp import (GeneralizedPermutation, erase_letters, is_irreducible,
+                    parse_gp)
+from rvq.induction import apply_arrow, enumerate_class, load_or_enumerate
 from rvq.strata import stratum_signature
 
 
@@ -90,10 +95,26 @@ def test_identify_erased_table_rows():
 
 
 def test_identify_unknown_stratum():
-    # valid but uncached stratum: H(2,1,1)
-    gp = parse_gp("0 1 2 3 4 5 6 7 / 4 3 2 7 6 5 1 0")
-    if is_irreducible(gp):
-        assert identify_component(gp) == UNKNOWN
+    # marked points other than H(0) are not named: H(0,0)
+    gp = parse_gp("0 1 2 / 2 1 0")
+    assert is_irreducible(gp)
+    assert identify_component(gp) == UNKNOWN
+
+
+@pytest.mark.parametrize("text, label", [
+    ("0 1 2 3 4 5 6 7 / 4 3 2 7 6 5 1 0", "H(2,1,1)"),
+    ("0 1 2 3 4 5 6 / 3 2 4 6 1 0 5", "H(2,2)^odd"),
+    ("0 1 2 3 4 5 6 7 8 / 8 5 4 3 7 1 0 2 6", "H(4,2)^even"),
+    ("0 1 2 3 4 5 6 7 8 / 6 8 3 0 5 2 1 7 4", "H(4,2)^odd"),
+    ("0 1 2 3 4 5 6 7 8 / 7 6 8 3 0 2 5 1 4", "H(5,1)"),
+    ("0 1 2 3 4 5 6 7 8 / 2 1 8 5 4 7 0 3 6", "H(1,1,1,1)"),
+])
+def test_identify_strata_outside_the_old_registry(text, label):
+    # a Rauzy class lies in one component, so the label is constant on
+    # the first 300 vertices the enumeration reaches
+    rc = enumerate_class(parse_gp(text), limit=300, reduced_labels=True,
+                         allow_truncated=True)
+    assert {identify_component(v) for v in rc.vertices} == {label}
 
 
 def test_identify_constant_on_class():
@@ -131,3 +152,120 @@ def test_table_rows_metadata():
     starts = {r.start for r in rows}
     assert starts == {"H(4)^hyp", "H(4)^odd", "H(3,1)", "H(6)^even",
                       "H(6)^odd", "H(3,3)^nonhyp"}
+
+
+# ---------------------------------------------------------------------------
+# oracle: identification by membership in the classes of trusted and derived
+# representatives, as rvq.components did it before the invariants
+# ---------------------------------------------------------------------------
+
+def _derived_genuine_reps(base: GeneralizedPermutation,
+                          orders: tuple[int, ...],
+                          limit: int = 8) -> list[GeneralizedPermutation]:
+    """Genuine one-letter extensions of ``base`` hitting the target orders."""
+    reps = []
+    seen = set()
+    for w in _all_single_insertions(base):
+        pi = w.extended
+        if not pi.is_genuine or not is_irreducible(pi):
+            continue
+        sig = stratum_signature(pi, cross_check=False)
+        if sig.orders != orders:
+            continue
+        key = pi.reduced().encode()
+        if key in seen:
+            continue
+        seen.add(key)
+        reps.append(pi)
+        if len(reps) >= limit:
+            break
+    return reps
+
+
+@cache
+def _abelian_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
+    """Quadratic-order signature -> [(component label, representatives)]."""
+    reg: dict[tuple[int, ...], list[tuple[str, list]]] = {
+        (0,): [("H(0)", [GeneralizedPermutation(("1", "2"), ("2", "1"))])],
+        (4,): [("H(2)", [tau_sym(4)])],
+        (2, 2): [("H(1,1)", [tau_sym(5)])],
+        (8,): [("H(4)^hyp", [tau_sym(6)]), ("H(4)^odd", [tau_zorich(3)])],
+        (4, 4): [("H(2,2)^hyp", [tau_sym(7)])],
+        (12,): [("H(6)^hyp", [tau_sym(8)]), ("H(6)^odd", [tau_zorich(4)]),
+                ("H(6)^even", [sigma_zorich(4)])],
+    }
+    # H(3,1) is connected; derive representatives (the stratum has two
+    # marked-degree Rauzy classes, so keep several)
+    h31 = (_derived_genuine_reps(tau_zorich(3), (6, 2))
+           + _derived_genuine_reps(tau_sym(6), (6, 2)))
+    reg[(6, 2)] = [("H(3,1)", h31)]
+    # H(3,3) splits into hyperelliptic and one other component; everything
+    # with the right orders outside the hyperelliptic class is non-hyp
+    hyp_class = load_or_enumerate(tau_sym(9), reduced_labels=True)
+    nonhyp = [pi for pi in _derived_genuine_reps(tau_zorich(4), (6, 6))
+              if pi.reduced() not in hyp_class]
+    reg[(6, 6)] = [("H(3,3)^hyp", [tau_sym(9)]),
+                   ("H(3,3)^nonhyp", nonhyp)]
+    return reg
+
+
+def _registry_classes():
+    """(label, reduced class) for every distinct class the registry holds."""
+    classes = []
+    for entries in _abelian_registry().values():
+        for label, reps in entries:
+            for rep in reps:
+                if any(rep.reduced() in rc for _, rc in classes):
+                    continue
+                classes.append(
+                    (label, enumerate_class(rep, reduced_labels=True)))
+    return classes
+
+
+def test_identify_matches_registry_oracle():
+    classes = _registry_classes()
+    sizes = {}
+    for label, rc in classes:
+        sizes[label] = sizes.get(label, 0) + len(rc)
+    assert sizes == {
+        "H(0)": 1, "H(2)": 7, "H(1,1)": 15, "H(4)^hyp": 31, "H(4)^odd": 134,
+        "H(2,2)^hyp": 63, "H(6)^hyp": 127, "H(6)^odd": 5209,
+        "H(6)^even": 2327, "H(3,1)": 770, "H(3,3)^hyp": 255,
+        "H(3,3)^nonhyp": 15568}
+    rng = random.Random(20171106)
+    for label, rc in classes:
+        vertices = rc.vertices if len(rc) < 1000 \
+            else rng.sample(rc.vertices, 300)
+        for v in vertices:
+            assert identify_component(v) == label, (label, v.encode())
+
+
+def _random_genuine(rng, d):
+    letters = [str(i) for i in range(d)]
+    bottom = letters[:]
+    rng.shuffle(bottom)
+    return GeneralizedPermutation(tuple(letters), tuple(bottom))
+
+
+def test_identify_genus3_has_no_even_component():
+    # Kontsevich-Zorich: the genus-3 components are H(4)^hyp/odd,
+    # H(2,2)^hyp/odd and the connected H(3,1), H(2,1,1), H(1,1,1,1)
+    allowed = {"H(4)^hyp", "H(4)^odd", "H(2,2)^hyp", "H(2,2)^odd", "H(3,1)",
+               "H(2,1,1)", "H(1,1,1,1)"}
+    rng = random.Random(3)
+    seen = set()
+    for d in (6, 7):
+        for _ in range(600):
+            gp = _random_genuine(rng, d)
+            if not is_irreducible(gp):
+                continue
+            sig = stratum_signature(gp, cross_check=False)
+            label = identify_component(gp)
+            assert not label.endswith("^even"), gp.encode()
+            if sig.genus == 3 and not sig.marked_points:
+                assert label in allowed, (gp.encode(), label)
+                seen.add(label)
+            elif sig.marked_points:
+                assert label == UNKNOWN
+    assert {"H(4)^hyp", "H(4)^odd", "H(2,2)^odd", "H(3,1)"} <= seen
+

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from conftest import normal_forms, random_gp
+from rvq.components import sigma_hyp, sigma_zorich, tau_sym, tau_zorich
+from rvq.errors import CriterionInapplicable
 from rvq.gp import GeneralizedPermutation, is_irreducible, parse_gp
 from rvq.induction import apply_arrow, defined_moves, enumerate_class
-from rvq.strata import (StratumSignature, orbit_order, stratum_signature,
-                        turning_map, turning_orbits)
+from rvq.strata import (StratumSignature, orbit_order, spin_parity,
+                        stratum_signature, turning_map, turning_orbits)
 
 
 def test_torus_single_orbit():
@@ -116,3 +118,28 @@ def test_no_irreducible_strict_in_empty_strata():
                 assert orders not in empty, gp.encode()
                 checked += 1
     assert checked == 1662
+
+
+def test_spin_parity_of_hyperelliptic_components():
+    # Kontsevich-Zorich: floor((g + 1) / 2) mod 2 on H(2g-2)^hyp and on
+    # H(g-1,g-1)^hyp with g odd
+    checked = 0
+    for d in range(4, 16):
+        sig = stratum_signature(tau_sym(d))
+        if any(o % 2 for o in sig.abelian_orders()):
+            continue
+        assert spin_parity(tau_sym(d)) == (sig.genus + 1) // 2 % 2, d
+        checked += 1
+    assert checked == 9
+
+
+def test_spin_parity_of_zorich_representatives():
+    assert [spin_parity(tau_zorich(g)) for g in range(3, 8)] == [1] * 5
+    assert [spin_parity(sigma_zorich(g)) for g in range(4, 8)] == [0] * 4
+
+
+@pytest.mark.parametrize("gp", [tau_sym(5), tau_sym(9), sigma_hyp(2, 1)],
+                         ids=["H(1,1)", "H(3,3)", "strict"])
+def test_spin_parity_needs_even_abelian_zeros(gp):
+    with pytest.raises(CriterionInapplicable):
+        spin_parity(gp)
