@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import components, cover, extensions, groups, homology, induction, strata
-from .errors import NotSuspendable, RVQError
+from .errors import CriterionInapplicable, NotSuspendable, RVQError
 from .gp import is_irreducible, parse_gp, validate
 
 
@@ -146,8 +146,7 @@ def cmd_stratum(args):
 def cmd_class(args):
     gp = _gp_arg(args.gp)
     rc = induction.load_or_enumerate(gp, limit=args.budget,
-                                     reduced_labels=args.reduced,
-                                     use_cache=not args.no_cache)
+                                     reduced_labels=args.reduced)
     rec = {"base": rc.base.encode(), "vertices": len(rc),
            "arrows": rc.arrow_count(), "complete": rc.complete,
            "reduced": rc.reduced_labels}
@@ -260,9 +259,12 @@ def cmd_identify(args):
 
 
 def cmd_group(args):
-    gp = _gp_arg(args.gp)
-    rc = induction.load_or_enumerate(gp, limit=args.budget,
-                                     use_cache=not args.no_cache)
+    gp = _suspendable_gp_arg(args.gp)
+    if args.minus and not cover.cover_stratum(gp).minus_eligible:
+        raise CriterionInapplicable(
+            "%s: the minus group needs exactly two singularities of odd "
+            "order" % gp.encode())
+    rc = induction.load_or_enumerate(gp, limit=args.budget)
     res = groups.rauzy_veech_group_modp(
         gp, rc, args.mod, cycles=args.cycles, maxlen=args.maxlen,
         seed=args.seed, minus=args.minus)
@@ -316,7 +318,8 @@ def _common_flags(parser, suppress=False):
                         help="class cache directory (default ./.rvq-cache)")
     parser.add_argument("--no-cache", action="store_true",
                         **({"default": d} if suppress else {}),
-                        help="skip the on-disk class cache")
+                        help="neither read nor write the on-disk class "
+                             "cache")
 
 
 def main(argv=None):
@@ -392,13 +395,21 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify_table)
 
     args = top.parse_args(argv)
-    if args.cache_dir:
+    saved = os.environ.get(induction.CACHE_ENV)
+    if args.no_cache:
+        os.environ[induction.CACHE_ENV] = ""  # the cache's off switch
+    elif args.cache_dir:
         os.environ[induction.CACHE_ENV] = args.cache_dir
     try:
         return args.func(args)
     except RVQError as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         return 1
+    finally:
+        if saved is None:
+            os.environ.pop(induction.CACHE_ENV, None)
+        else:
+            os.environ[induction.CACHE_ENV] = saved
 
 
 if __name__ == "__main__":

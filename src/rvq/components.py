@@ -18,7 +18,7 @@ from .errors import (CriterionInapplicable, OutOfRange, RVQError,
                      UnknownLabel)
 from .gp import GeneralizedPermutation, erase_letters, is_irreducible, parse_gp
 from .induction import RauzyClass, load_or_enumerate
-from .strata import StratumSignature, spin_parity, stratum_signature
+from .strata import StratumSignature, _arf_invariant, stratum_signature
 
 UNKNOWN = "unknown"
 
@@ -221,7 +221,7 @@ def _abelian_component(gp: GeneralizedPermutation, sig: StratumSignature,
                                                             budget):
         return name + "^hyp"
     if g >= 3 and all(o % 2 == 0 for o in orders):
-        return name + ("^odd" if spin_parity(gp) else "^even")
+        return name + ("^odd" if _arf_invariant(gp) else "^even")
     return name + "^nonhyp" if hyp_capable else name
 
 

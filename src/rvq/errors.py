@@ -91,7 +91,7 @@ class NonDividingOrder(RVQError):
 
 class CriterionInapplicable(RVQError):
     """A criterion's precondition does not hold (hyperellipticity, spin
-    parity)."""
+    parity, minus eligibility)."""
 
 
 class UnknownLabel(RVQError):

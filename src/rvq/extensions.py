@@ -168,14 +168,13 @@ def _find_orbit(gp: GeneralizedPermutation, at) -> tuple[int, ...]:
 
 
 def split_singularity(tau: GeneralizedPermutation, at, m11: int,
-                      *, prefer_row: Optional[str] = None,
-                      restrict_row: Optional[str] = None,
+                      *, restrict_row: Optional[str] = None,
                       require_same_row: bool = False) -> SplitResult:
     """Split the conical point selected by ``at`` into orders (m11, m1-m11).
 
     ``at`` is a raw position (or the orbit tuple) selecting a turning orbit.
     The insertion anchor is scanned over the orbit, top-row anchors first;
-    ``prefer_row``/``require_same_row`` pin the construction variant used by
+    ``restrict_row``/``require_same_row`` pin the construction variant used by
     the even-order corollary. The output's orbit partition is remeasured, so
     a successful return is certified.
     """
@@ -191,17 +190,14 @@ def split_singularity(tau: GeneralizedPermutation, at, m11: int,
         raise NotSplittable("splitting off a marked point is not supported")
     if m11 == -1 and m12 != -1:
         # the pole must be carved out by the consecutive-pair case
-        return _split_swapped(tau, orbit, m11, m12, prefer_row, restrict_row,
+        return _split_swapped(tau, orbit, m11, m12, restrict_row,
                               require_same_row)
 
-    return _split_scan(tau, orbit, m11, m12, prefer_row, restrict_row,
-                       require_same_row)
+    return _split_scan(tau, orbit, m11, m12, restrict_row, require_same_row)
 
 
-def _split_swapped(tau, orbit, m11, m12, prefer_row, restrict_row,
-                   require_same_row):
-    res = _split_scan(tau, orbit, m12, m11, prefer_row, restrict_row,
-                      require_same_row)
+def _split_swapped(tau, orbit, m11, m12, restrict_row, require_same_row):
+    res = _split_scan(tau, orbit, m12, m11, restrict_row, require_same_row)
     return SplitResult(witness=res.witness, orders=(m11, m12),
                        orbit_reps=(res.orbit_reps[1], res.orbit_reps[0]))
 
@@ -265,16 +261,10 @@ def _transposed_candidates(tau, m1, m11, m12, require_same_row):
                 slots=tuple(sorted((flip[r], k) for r, k in w.slots)))
 
 
-def _split_scan(tau, orbit, m11, m12, prefer_row, restrict_row,
-                require_same_row):
+def _split_scan(tau, orbit, m11, m12, restrict_row, require_same_row):
     old_orbits = [frozenset(o) for o in turning_orbits(tau)
                   if set(o) != set(orbit)]
-    if restrict_row is not None:
-        rows = [restrict_row]
-    else:
-        rows = ['top', 'bottom']
-        if prefer_row == 'bottom':
-            rows.reverse()
+    rows = [restrict_row] if restrict_row is not None else ['top', 'bottom']
 
     for rowname in rows:
         if rowname == 'top':

@@ -18,7 +18,7 @@ from . import linalg
 from .errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
                      NonSymplecticGenerator)
 from .gp import GeneralizedPermutation
-from .homology import (QuotientData, kz_minus_walk, kz_walk, minus_form,
+from .homology import (kz_minus_walk, kz_walk, minus_form,
                        quotient_action, quotient_data)
 from .induction import RauzyClass, TOP, BOTTOM
 from .linalg import Matrix
@@ -259,6 +259,7 @@ def random_directed_cycles(rc: RauzyClass, *, count: int = 200,
                            maxlen: int = 60, seed: int = 0) -> list[str]:
     """Random forward walks from the base closed up through the return tree."""
     rng = random.Random(seed)
+    arrows_out: dict[int, list[tuple[str, int]]] = {}
     cycles = []
     seen = set()
     for _ in range(count * 4):
@@ -266,14 +267,11 @@ def random_directed_cycles(rc: RauzyClass, *, count: int = 200,
             break
         cur = 0
         steps = []
-        length = rng.randint(1, max(1, maxlen - len(rc.path_to_base(0))))
-        for _ in range(length):
-            options = []
-            if rc.t_target[cur] is not None:
-                options.append((TOP, rc.t_target[cur]))
-            if rc.b_target[cur] is not None:
-                options.append((BOTTOM, rc.b_target[cur]))
-            kind, cur = rng.choice(options)
+        for _ in range(rng.randint(1, max(1, maxlen))):
+            if cur not in arrows_out:
+                arrows_out[cur] = [(kind, j) for kind in (TOP, BOTTOM)
+                                   if (j := rc.step(cur, kind)) is not None]
+            kind, cur = rng.choice(arrows_out[cur])
             steps.append(kind)
         walk = "".join(steps) + rc.path_to_base(cur)
         if walk and walk not in seen and len(walk) <= maxlen:
@@ -294,11 +292,9 @@ def arrow_cycles(rc: RauzyClass, *, cap: Optional[int] = None) -> list[str]:
 
 
 def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
-                         p: int, data: Optional[QuotientData] = None
-                         ) -> tuple[list[Matrix], Matrix]:
+                         p: int) -> tuple[list[Matrix], Matrix]:
     """Reduce cycle matrices to the quotient and mod p; returns (gens, form)."""
-    qd = data if data is not None else quotient_data(base)
-    return _quotient_generators(base, cycles, p, qd, kz_walk)
+    return _quotient_generators(base, cycles, p, quotient_data(base), kz_walk)
 
 
 def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
@@ -329,12 +325,11 @@ def _quotient_generators(base, cycles, p, qd, walk_matrix):
 
 def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
                            p: int = 2, *, cycles: int = 200, maxlen: int = 60,
-                           seed: int = 0, minus: bool = False,
-                           include_arrow_cycles: bool = True) -> ClosureResult:
+                           seed: int = 0, minus: bool = False) -> ClosureResult:
     """Harvest cycles at the base vertex and close their matrices mod p."""
-    walks = random_directed_cycles(rc, count=cycles, maxlen=maxlen, seed=seed)
-    if include_arrow_cycles:
-        walks = arrow_cycles(rc, cap=4 * cycles) + walks
+    walks = (arrow_cycles(rc, cap=4 * cycles)
+             + random_directed_cycles(rc, count=cycles, maxlen=maxlen,
+                                      seed=seed))
     if minus:
         walks = [w for w in walks if _admissible(base, rc, w)]
         gens, form = minus_generators_modp(base, walks, p)
@@ -345,15 +340,9 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
 
 def _admissible(base: GeneralizedPermutation, rc: RauzyClass, walk: str) -> bool:
     """No type-changing arrow anywhere along the walk."""
-    cur = rc.index_of(base)
-    for step in walk:
-        tgt = rc.t_target[cur] if step == TOP else rc.b_target[cur]
-        if tgt is None:
-            return False
-        if len(rc.vertices[tgt].top) != len(rc.vertices[cur].top):
-            return False
-        cur = tgt
-    return True
+    verts = rc.trajectory(walk, rc.index_of(base))
+    return None not in verts and len(
+        {len(rc.vertices[i].top) for i in verts}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +366,9 @@ def k_completeness(base: GeneralizedPermutation, walk: str) -> int:
 def _has_border(rc: RauzyClass, walk: str) -> bool:
     """A proper prefix that is also a suffix, as walks based at the base."""
     n = len(walk)
-    verts = [0]
-    cur = 0
-    for step in walk:
-        cur = rc.t_target[cur] if step == TOP else rc.b_target[cur]
-        verts.append(cur)
-    for size in range(1, n):
-        if walk[:size] == walk[n - size:] and verts[n - size] == 0:
-            return True
-    return False
+    verts = rc.trajectory(walk)
+    return any(walk[:size] == walk[n - size:] and verts[n - size] == 0
+               for size in range(1, n))
 
 
 def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass, k: int,
@@ -394,12 +377,8 @@ def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass, k: int,
     from collections import deque
 
     def arrows_out(i):
-        out = []
-        if rc.t_target[i] is not None:
-            out.append((TOP, rc.t_target[i], rc.t_winner[i]))
-        if rc.b_target[i] is not None:
-            out.append((BOTTOM, rc.b_target[i], rc.b_winner[i]))
-        return out
+        return [(kind, j, rc.table[kind][1][i]) for kind in (TOP, BOTTOM)
+                if (j := rc.step(i, kind)) is not None]
 
     def path_to_win(start, letter):
         # BFS for the nearest arrow won by `letter`
@@ -421,15 +400,11 @@ def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass, k: int,
     steps_left = budget
     while min(wins.values()) < k:
         letter = min((x for x in wins if wins[x] < k), key=str)
-        segment, cur = path_to_win(cur, letter)
+        segment, end = path_to_win(cur, letter)
         walk += segment
-        # recount wins along the appended segment
-        wins = {x: 0 for x in base.alphabet}
-        probe = 0
-        for step in walk:
-            winner = rc.t_winner[probe] if step == TOP else rc.b_winner[probe]
-            probe = rc.t_target[probe] if step == TOP else rc.b_target[probe]
-            wins[winner] += 1
+        for step, i in zip(segment, rc.trajectory(segment, cur)):
+            wins[rc.table[step][1][i]] += 1
+        cur = end
         steps_left -= 1
         if steps_left <= 0:
             raise BudgetExceeded("no k-complete cycle within budget")
@@ -464,21 +439,10 @@ def directed_decomposition(base: GeneralizedPermutation, rc: RauzyClass,
     signed product of the piece matrices reproduces the walk matrix exactly
     (asserted by the caller's tests).
     """
-    # vertex trajectory
-    verts = [rc.index_of(base)]
-    assert verts[0] is not None, "walk must start inside the class"
-    cur = verts[0]
-    dirs = []
-    for step in walk:
-        if step in (TOP, BOTTOM):
-            cur = (rc.t_target if step == TOP else rc.b_target)[cur]
-            assert cur is not None, "walk leaves the class"
-            dirs.append(+1)
-        else:
-            rev = rc.reverse_table(step.lower())
-            cur = rev[cur]
-            dirs.append(-1)
-        verts.append(cur)
+    start = rc.index_of(base)
+    assert start is not None, "walk must start inside the class"
+    verts = rc.trajectory(walk, start)
+    assert None not in verts, "walk leaves the class"
     assert verts[-1] == verts[0], "decomposition needs a closed walk"
     if verts[0] != 0:
         raise ValueError("walk must be based at the class base vertex")
@@ -488,10 +452,10 @@ def directed_decomposition(base: GeneralizedPermutation, rc: RauzyClass,
     n = len(walk)
     while i < n:
         j = i
-        while j < n and dirs[j] == dirs[i]:
+        while j < n and walk[j].islower() == walk[i].islower():
             j += 1
         seg = walk[i:j]
-        if dirs[i] > 0:
+        if walk[i].islower():
             cycle = (rc.path_from_base(verts[i]) + seg
                      + rc.path_to_base(verts[j]))
             pieces.append(DecompositionPiece(cycle=cycle, sign=+1))

@@ -167,114 +167,119 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class RauzyClass:
+    """A Rauzy class: its vertices and one arrow table.
+
+    ``table[kind]`` is the pair (targets, winners) of the kind's arrows:
+    entry i is the index of the vertex the arrow from vertex i leads to and
+    the letter that wins it, both None where vertex i has no such arrow.
+    """
+
     base: GeneralizedPermutation
     vertices: tuple[GeneralizedPermutation, ...]
-    t_target: tuple[Optional[int], ...]
-    b_target: tuple[Optional[int], ...]
-    t_winner: tuple[Optional[str], ...]
-    b_winner: tuple[Optional[str], ...]
+    table: dict[str, tuple[tuple[Optional[int], ...],
+                           tuple[Optional[str], ...]]]
     complete: bool
     reduced_labels: bool = False
 
     def __len__(self):
         return len(self.vertices)
 
+    def _memo(self, key: str, build):
+        """Data derived from the table (index, trees, reverse maps), built on
+        first use and kept with the class."""
+        memo = self.__dict__.setdefault('_memos', {})
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]
+
     def index_of(self, gp: GeneralizedPermutation) -> Optional[int]:
         key = gp.reduced().encode() if self.reduced_labels else gp.encode()
-        return self._index().get(key)
+        return self._memo('index', lambda: {
+            v.encode(): i for i, v in enumerate(self.vertices)}).get(key)
 
     def __contains__(self, gp: GeneralizedPermutation) -> bool:
         return self.index_of(gp) is not None
 
-    def _index(self) -> dict[str, int]:
-        cached = getattr(self, '_index_cache', None)
-        if cached is None:
-            cached = {v.encode(): i for i, v in enumerate(self.vertices)}
-            object.__setattr__(self, '_index_cache', cached)
-        return cached
+    def step(self, i: int, move: str) -> Optional[int]:
+        """The vertex reached from vertex i by the arrow ``move``: a forward
+        arrow for 't' or 'b', one of that kind traversed backwards for 'T'
+        or 'B'; None when there is no such arrow."""
+        forward = self.table.get(move)
+        if forward is not None:
+            return forward[0][i]
+        return self._memo(move, lambda: self._reverse(move.lower())).get(i)
+
+    def _reverse(self, kind: str) -> dict[int, int]:
+        targets = self.table[kind][0]
+        rev = {j: i for i, j in enumerate(targets) if j is not None}
+        assert len(rev) == len(targets) - targets.count(None), \
+            "two %s-arrows into one vertex" % kind
+        return rev
+
+    def trajectory(self, walk: str, start: int = 0) -> list[Optional[int]]:
+        """The vertices a walk from vertex ``start`` visits, ``start`` first.
+        The list ends in None at the first step that has no arrow."""
+        verts: list[Optional[int]] = [start]
+        for move in walk:
+            verts.append(self.step(verts[-1], move))
+            if verts[-1] is None:
+                break
+        return verts
 
     def arrows(self) -> Iterator[tuple[int, str, int, str]]:
         """Yield (source index, kind, target index, winner)."""
         for i in range(len(self.vertices)):
-            if self.t_target[i] is not None:
-                yield i, TOP, self.t_target[i], self.t_winner[i]
-            if self.b_target[i] is not None:
-                yield i, BOTTOM, self.b_target[i], self.b_winner[i]
+            for kind, (targets, winners) in self.table.items():
+                if targets[i] is not None:
+                    yield i, kind, targets[i], winners[i]
 
     def arrow_count(self) -> int:
-        return sum(1 for _ in self.arrows())
+        return sum(len(targets) - targets.count(None)
+                   for targets, _ in self.table.values())
 
     # -- trees for cycle construction -----------------------------------
 
-    def out_tree(self) -> list[Optional[tuple[int, str]]]:
-        """BFS tree of arrows away from the base: entry i is (parent, kind)."""
-        cached = getattr(self, '_out_tree', None)
-        if cached is not None:
-            return cached
-        parent: list[Optional[tuple[int, str]]] = [None] * len(self.vertices)
+    def _tree(self, moves: str) -> list[Optional[tuple[int, str]]]:
+        """Breadth-first tree from the base along ``moves``: entry j is the
+        vertex j was reached from and the kind of the arrow between them.
+
+        Arrows are taken in ``arrows()`` order: by source index, t before b.
+        Forward arrows all leave the vertex at hand, so only reversed ones
+        need sorting.
+        """
+        tree: list[Optional[tuple[int, str]]] = [None] * len(self.vertices)
         seen = {0}
         queue = deque([0])
         while queue:
             i = queue.popleft()
-            for tgt, kind in ((self.t_target[i], TOP), (self.b_target[i], BOTTOM)):
-                if tgt is not None and tgt not in seen:
-                    seen.add(tgt)
-                    parent[tgt] = (i, kind)
-                    queue.append(tgt)
-        object.__setattr__(self, '_out_tree', parent)
-        return parent
+            found = [(j, move.lower()) for move in moves
+                     if (j := self.step(i, move)) is not None]
+            if moves.isupper():
+                found.sort(key=lambda entry: entry[0])
+            for j, kind in found:
+                if j not in seen:
+                    seen.add(j)
+                    tree[j] = (i, kind)
+                    queue.append(j)
+        return tree
 
-    def in_tree(self) -> list[Optional[tuple[int, str]]]:
-        """BFS tree of arrows towards the base: entry i is (next vertex, kind)."""
-        cached = getattr(self, '_in_tree', None)
-        if cached is not None:
-            return cached
-        pred: dict[int, list[tuple[int, str]]] = {}
-        for i, kind, j, _ in self.arrows():
-            pred.setdefault(j, []).append((i, kind))
-        nxt: list[Optional[tuple[int, str]]] = [None] * len(self.vertices)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            j = queue.popleft()
-            for i, kind in pred.get(j, ()):
-                if i not in seen:
-                    seen.add(i)
-                    nxt[i] = (j, kind)
-                    queue.append(i)
-        object.__setattr__(self, '_in_tree', nxt)
-        return nxt
+    def _tree_path(self, moves: str, idx: int) -> list[str]:
+        """The kinds of the tree arrows from vertex idx back to the base."""
+        tree = self._memo(moves, lambda: self._tree(moves))
+        steps = []
+        while idx != 0:
+            entry = tree[idx]
+            assert entry is not None, \
+                "vertex %d is not connected to the base by %s" % (idx, moves)
+            idx, kind = entry
+            steps.append(kind)
+        return steps
 
     def path_from_base(self, idx: int) -> str:
-        tree = self.out_tree()
-        steps = []
-        while idx != 0:
-            entry = tree[idx]
-            assert entry is not None, "class is not connected from base"
-            idx, kind = entry[0], entry[1]
-            steps.append(kind)
-        return "".join(reversed(steps))
+        return "".join(reversed(self._tree_path("tb", idx)))
 
     def path_to_base(self, idx: int) -> str:
-        tree = self.in_tree()
-        steps = []
-        while idx != 0:
-            entry = tree[idx]
-            assert entry is not None, "base unreachable (class not strongly connected?)"
-            steps.append(entry[1])
-            idx = entry[0]
-        return "".join(steps)
-
-    def reverse_table(self, kind: str) -> dict[int, int]:
-        """target index -> source index for the given kind (unique per kind)."""
-        table: dict[int, int] = {}
-        targets = self.t_target if kind == TOP else self.b_target
-        for i, j in enumerate(targets):
-            if j is None:
-                continue
-            assert j not in table, "two %s-arrows into one vertex" % kind
-            table[j] = i
-        return table
+        return "".join(self._tree_path("TB", idx))
 
     # -- persistence ------------------------------------------------------
 
@@ -288,12 +293,10 @@ class RauzyClass:
             "arrows": self.arrow_count(),
         }
         lines = [json.dumps(header)]
+        (tt, tw), (bt, bw) = self.table[TOP], self.table[BOTTOM]
         for i, v in enumerate(self.vertices):
-            lines.append(json.dumps({
-                "gp": v.encode(),
-                "t": self.t_target[i], "b": self.b_target[i],
-                "tw": self.t_winner[i], "bw": self.b_winner[i],
-            }))
+            lines.append(json.dumps({"gp": v.encode(), "t": tt[i], "b": bt[i],
+                                     "tw": tw[i], "bw": bw[i]}))
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -304,28 +307,27 @@ class RauzyClass:
             raise ValueError("unsupported class cache format: %r"
                              % header.get("format"))
         verts, tt, bt, tw, bw = [], [], [], [], []
-        arrows = 0
         for ln in lines[1:]:
             rec = json.loads(ln)
             verts.append(parse_gp(rec["gp"]))
-            t, b = rec["t"], rec["b"]
-            tt.append(t)
-            bt.append(b)
+            tt.append(rec["t"])
+            bt.append(rec["b"])
             tw.append(rec["tw"])
             bw.append(rec["bw"])
-            arrows += (t is not None) + (b is not None)
-        if (len(verts), arrows) != (header["vertices"], header["arrows"]):
-            raise ValueError(
-                "class cache holds %d vertices and %d arrows, its header "
-                "says %r and %r" % (len(verts), arrows, header["vertices"],
-                                    header["arrows"]))
-        return RauzyClass(
+        rc = RauzyClass(
             base=parse_gp(header["base"]),
             vertices=tuple(verts),
-            t_target=tuple(tt), b_target=tuple(bt),
-            t_winner=tuple(tw), b_winner=tuple(bw),
+            table={TOP: (tuple(tt), tuple(tw)),
+                   BOTTOM: (tuple(bt), tuple(bw))},
             complete=header["complete"],
             reduced_labels=header.get("reduced_labels", False))
+        if (len(rc), rc.arrow_count()) != (header["vertices"],
+                                           header["arrows"]):
+            raise ValueError(
+                "class cache holds %d vertices and %d arrows, its header "
+                "says %r and %r" % (len(rc), rc.arrow_count(),
+                                    header["vertices"], header["arrows"]))
+        return rc
 
 
 def enumerate_class(seed: GeneralizedPermutation,
@@ -349,42 +351,29 @@ def enumerate_class(seed: GeneralizedPermutation,
     base = seed.reduced() if reduced_labels else seed
     vertices = [base]
     index = {base.encode(): 0}
-    tt: list[Optional[int]] = []
-    bt: list[Optional[int]] = []
-    tw: list[Optional[str]] = []
-    bw: list[Optional[str]] = []
-    i = 0
+    table: dict[str, tuple[list, list]] = {TOP: ([], []), BOTTOM: ([], [])}
     truncated = False
-    while i < len(vertices):
-        gp = vertices[i]
-        row: dict[str, tuple[Optional[int], Optional[str]]] = {}
-        for kind in (TOP, BOTTOM):
+    for gp in vertices:  # the list grows while it is scanned
+        for kind, (targets, winners) in table.items():
             try:
                 arrow = apply_arrow(gp, kind)
             except MoveUndefined:
-                row[kind] = (None, None)
+                targets.append(None)
+                winners.append(None)
                 continue
             target = arrow.target.reduced() if reduced_labels else arrow.target
             key = target.encode()
             j = index.get(key)
-            if j is None:
-                if len(vertices) >= limit:
-                    truncated = True
-                    row[kind] = (None, None)
-                    continue
-                j = len(vertices)
-                index[key] = j
+            if j is None and len(vertices) < limit:
+                j = index[key] = len(vertices)
                 vertices.append(target)
-            row[kind] = (j, arrow.winner)
-        tt.append(row[TOP][0])
-        bt.append(row[BOTTOM][0])
-        tw.append(row[TOP][1])
-        bw.append(row[BOTTOM][1])
-        i += 1
+            truncated |= j is None
+            targets.append(j)
+            winners.append(None if j is None else arrow.winner)
 
     rc = RauzyClass(base=base, vertices=tuple(vertices),
-                    t_target=tuple(tt), b_target=tuple(bt),
-                    t_winner=tuple(tw), b_winner=tuple(bw),
+                    table={kind: (tuple(targets), tuple(winners))
+                           for kind, (targets, winners) in table.items()},
                     complete=not truncated, reduced_labels=reduced_labels)
     if truncated and not allow_truncated:
         raise BudgetExceeded("class budget of %d vertices hit" % limit,
@@ -397,6 +386,8 @@ def enumerate_class(seed: GeneralizedPermutation,
 # ---------------------------------------------------------------------------
 
 def cache_dir() -> str:
+    """The class cache directory; an empty ``RVQ_CACHE_DIR`` turns the cache
+    off."""
     return os.environ.get(CACHE_ENV, os.path.join(".", ".rvq-cache"))
 
 
@@ -408,17 +399,19 @@ def _cache_path(seed: GeneralizedPermutation, reduced_labels: bool) -> str:
 
 def load_or_enumerate(seed: GeneralizedPermutation,
                       limit: int = DEFAULT_BUDGET,
-                      *, reduced_labels: bool = False,
-                      use_cache: bool = True) -> RauzyClass:
+                      *, reduced_labels: bool = False) -> RauzyClass:
     """The class of ``seed`` from the on-disk cache, else enumerated and
-    stored there.
+    stored there; with the cache off (see :func:`cache_dir`) always
+    enumerated.
 
     A cache file that is unreadable, truncated, incomplete or holds another
     class is a miss and is rebuilt.  Writers go through a unique temporary
     file and an atomic rename, so concurrent writers cannot interleave.
     """
+    if not cache_dir():
+        return enumerate_class(seed, limit, reduced_labels=reduced_labels)
     path = _cache_path(seed, reduced_labels)
-    if use_cache and os.path.exists(path):
+    if os.path.exists(path):
         try:
             with open(path) as fh:
                 rc = RauzyClass.from_jsonl(fh.read())
@@ -429,16 +422,15 @@ def load_or_enumerate(seed: GeneralizedPermutation,
         if rc is not None and rc.complete and rc.base == base:
             return rc
     rc = enumerate_class(seed, limit, reduced_labels=reduced_labels)
-    if use_cache:
-        os.makedirs(cache_dir(), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir())
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(rc.to_jsonl())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    os.makedirs(cache_dir(), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir())
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(rc.to_jsonl())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return rc
 
 

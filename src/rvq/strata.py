@@ -117,6 +117,11 @@ def spin_parity(gp: GeneralizedPermutation) -> int:
             gp, cross_check=False).abelian_orders()):
         raise CriterionInapplicable(
             "spin parity needs a genuine permutation with even-order zeros")
+    return _arf_invariant(gp)
+
+
+def _arf_invariant(gp: GeneralizedPermutation) -> int:
+    """:func:`spin_parity` without its check on the stratum."""
     # row i of the form mod 2 as a bit mask over the letters
     rows = [sum(1 << j for j, x in enumerate(row) if x % 2)
             for row in homology.intersection_form(gp)]

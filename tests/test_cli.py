@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from rvq import components
 from rvq.cli import main
 
 
@@ -191,3 +193,38 @@ def test_extend_and_search_refuse_unsuspendable_input(capsys, argv, gp,
     code, out, err = run(capsys, *(a.format(gp=gp) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("NotSuspendable:") and reason in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["identify", "0 1 2 3 4 5 / 5 4 3 2 1 0"],
+    ["verify-table", "--rows", "7"],
+    ["class", "1 2 3 4 / 4 3 2 1"],
+    ["group", "1 2 3 4 / 4 3 2 1", "--cycles", "4"],
+], ids=["identify", "verify-table", "class", "group"])
+def test_no_cache_writes_no_class_file(capsys, tmp_path, monkeypatch, argv):
+    components._hyperelliptic_class.cache_clear()
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path / "unused"))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, _, _ = run(capsys, "--no-cache", "--cache-dir", str(cache), *argv)
+    assert code == 0
+    assert list(cache.iterdir()) == [] and not (tmp_path / "unused").exists()
+
+
+def test_group_minus_refuses_ineligible_stratum(capsys, tmp_path):
+    # Q(1,1,1,1): four odd singularities; its class has 957,600 vertices
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "group",
+                         "0 A 1 2 A 3 4 / 4 3 B 2 1 B 0", "--minus",
+                         "--cycles", "20")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("CriterionInapplicable:") and "odd" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_group_minus_on_eligible_stratum(capsys):
+    # Q(2,-1,-1): exactly two odd singularities
+    code, out, _ = run(capsys, "--json", "group", "0 A A 1 / 1 B B 0",
+                       "--minus", "--cycles", "20")
+    assert code == 0 and json.loads(out)["minus"] is True

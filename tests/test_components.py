@@ -3,6 +3,7 @@ from functools import cache
 
 import pytest
 
+from rvq import components, strata
 from rvq.components import (UNKNOWN, canonical_rep, hyperelliptic_test,
                             identify_component, sigma_hyp, sigma_zorich,
                             table1, table1_rows, tau_sym, tau_zorich,
@@ -269,3 +270,16 @@ def test_identify_genus3_has_no_even_component():
                 assert label == UNKNOWN
     assert {"H(4)^hyp", "H(4)^odd", "H(2,2)^odd", "H(3,1)"} <= seen
 
+
+
+def test_identify_computes_the_stratum_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stratum_signature(*args, **kwargs)
+
+    monkeypatch.setattr(components, "stratum_signature", counted)
+    monkeypatch.setattr(strata, "stratum_signature", counted)
+    assert identify_component(tau_zorich(4)) == "H(6)^odd"
+    assert len(calls) == 1

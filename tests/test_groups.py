@@ -204,19 +204,9 @@ def test_decomposition_torus_tB():
 def _random_mixed_cycle(rc, rng, max_steps=14):
     cur = 0
     walk = ""
-    rt = rc.reverse_table('t')
-    rb = rc.reverse_table('b')
     for _ in range(rng.randint(1, max_steps)):
-        ops = []
-        if rc.t_target[cur] is not None:
-            ops.append(('t', rc.t_target[cur]))
-        if rc.b_target[cur] is not None:
-            ops.append(('b', rc.b_target[cur]))
-        if cur in rt:
-            ops.append(('T', rt[cur]))
-        if cur in rb:
-            ops.append(('B', rb[cur]))
-        op, cur = rng.choice(ops)
+        op, cur = rng.choice([(move, j) for move in "tbTB"
+                              if (j := rc.step(cur, move)) is not None])
         walk += op
     return walk + rc.path_to_base(cur)
 

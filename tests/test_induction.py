@@ -1,14 +1,18 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import random_gp, small_gps
+from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, ReducibleSeed,
                         ReverseArrowMissing)
 from rvq.gp import is_irreducible, parse_gp
-from rvq.induction import (RauzyClass, apply_arrow, defined_moves,
-                           enumerate_class, export_graph, invert_arrow,
-                           load_or_enumerate, resolve_walk, walk_end)
+from rvq.groups import arrow_cycles, random_directed_cycles
+from rvq.induction import (RauzyClass, _cache_path, apply_arrow,
+                           defined_moves, enumerate_class, export_graph,
+                           invert_arrow, load_or_enumerate, resolve_walk,
+                           walk_end)
 
 
 # -- literal position-formula implementation, used as an independent oracle --
@@ -242,7 +246,7 @@ def test_invert_arrow_missing():
 def test_torus_class():
     rc = enumerate_class(parse_gp("1 2 / 2 1"))
     assert len(rc) == 1 and rc.arrow_count() == 2
-    assert rc.t_target == (0,) and rc.b_target == (0,)
+    assert rc.step(0, 't') == 0 and rc.step(0, 'b') == 0
 
 
 def _closure_by_dfs(seed):
@@ -280,9 +284,9 @@ def test_class_invariants_small():
         # strong connectivity: every vertex reaches the base going forward
         for i in range(len(rc)):
             assert rc.path_to_base(i) is not None
-        # reverse tables are single-valued
-        rc.reverse_table('t')
-        rc.reverse_table('b')
+        # reversed arrows are single-valued
+        rc.step(0, 'T')
+        rc.step(0, 'B')
 
 
 def test_reducible_seed_rejected():
@@ -364,3 +368,126 @@ def test_reduced_enumeration_quotient():
     rc = enumerate_class(seed, reduced_labels=True)
     relabeled = parse_gp("3 1 4 2 / 2 4 1 3")  # same shape, shuffled names
     assert relabeled.reduced() in rc
+
+
+# -- oracle: the breadth-first trees of the per-kind tables, read only
+# through rc.arrows() --
+
+def _oracle_paths(rc):
+    succ, pred = {}, {}
+    for i, kind, j, _ in rc.arrows():
+        succ.setdefault(i, []).append((j, kind))
+        pred.setdefault(j, []).append((i, kind))
+
+    def bfs(neighbours):
+        tree = [None] * len(rc)
+        seen = {0}
+        queue = [0]
+        for i in queue:
+            for j, kind in neighbours.get(i, ()):
+                if j not in seen:
+                    seen.add(j)
+                    tree[j] = (i, kind)
+                    queue.append(j)
+        return tree
+
+    out_tree, in_tree = bfs(succ), bfs(pred)
+
+    def from_base(idx):
+        steps = []
+        while idx != 0:
+            idx, kind = out_tree[idx]
+            steps.append(kind)
+        return "".join(reversed(steps))
+
+    def to_base(idx):
+        steps = []
+        while idx != 0:
+            idx, kind = in_tree[idx]
+            steps.append(kind)
+        return "".join(steps)
+
+    return from_base, to_base
+
+
+def _digest(walks):
+    return hashlib.sha1("\n".join(walks).encode()).hexdigest()[:16]
+
+
+# pinned class sizes and digests of arrow_cycles(rc) and
+# random_directed_cycles(rc, seed=7): the harvested cycles, and with them
+# every group line, depend on the order of the tree searches
+@pytest.mark.parametrize("seed, reduced, size, arrow_digest, random_digest", [
+    (parse_gp("1 2 / 2 1"), False, 1, "ed2795f6e612e40a", "9841a717ff37a13d"),
+    (tau_sym(4), False, 7, "3c2ae2d6bcdb6509", "87b3b9c9cef73a0d"),
+    (tau_sym(5), False, 15, "6887a9f4f24f7dd5", "fa2004b43af5f3b6"),
+    (tau_sym(6), False, 31, "abf710feded7ea2f", "9f18ab6be2b5d4b2"),
+    (tau_sym(7), False, 63, "f3a81f244f6e546a", "59da5f921f5bcf67"),
+    (tau_zorich(3), False, 134, "66b24ebb72b894a3", "c5a939a37a89ea8f"),
+    (parse_gp("0 A A 1 / 1 B B 0"), False, 516, "00682de53b11fd9e",
+     "178bfbbdeac27376"),
+    (tau_zorich(4), True, 5209, "cdc4348ae15f12a3", "03f5d17da72a37a7"),
+], ids=["torus", "sym4", "sym5", "sym6", "sym7", "zorich3", "Q(2,-1,-1)",
+        "zorich4-reduced"])
+def test_arrow_table_matches_oracle(seed, reduced, size, arrow_digest,
+                                    random_digest):
+    rc = enumerate_class(seed, reduced_labels=reduced)
+    assert len(rc) == size
+    from_base, to_base = _oracle_paths(rc)
+    for i, v in enumerate(rc.vertices):
+        assert rc.path_from_base(i) == from_base(i)
+        assert rc.path_to_base(i) == to_base(i)
+        for kind in ("t", "b"):
+            try:
+                target = apply_arrow(v, kind).target
+            except MoveUndefined:
+                assert rc.step(i, kind) is None
+            else:
+                want = target.reduced() if reduced else target
+                assert rc.vertices[rc.step(i, kind)] == want
+            try:
+                source = rc.index_of(invert_arrow(v, kind).source)
+            except ReverseArrowMissing:
+                source = None
+            assert rc.step(i, kind.upper()) == source
+    assert _digest(arrow_cycles(rc)) == arrow_digest
+    assert _digest(random_directed_cycles(rc, seed=7)) == random_digest
+
+
+def test_trajectory_stops_where_an_arrow_is_missing():
+    rc = enumerate_class(parse_gp("0 A A 1 / 1 B B 0"))
+    missing = next((i, kind) for i in range(len(rc)) for kind in "tbTB"
+                   if rc.step(i, kind) is None)
+    walk = rc.path_from_base(missing[0]) + missing[1] + "t"
+    verts = rc.trajectory(walk)
+    assert len(verts) == len(walk) and verts[-1] is None
+    assert rc.trajectory("") == [0]
+
+
+# a class file of format 1, pinned: cache files already on disk must load
+FORMAT_1_JSONL = (
+    '{"format": 1, "base": "1 2 3 4 / 4 3 2 1", "complete": true, '
+    '"reduced_labels": false, "vertices": 7, "arrows": 14}\n'
+    '{"gp": "1 2 3 4 / 4 3 2 1", "t": 1, "b": 2, "tw": "4", "bw": "1"}\n'
+    '{"gp": "1 2 3 4 / 4 1 3 2", "t": 3, "b": 4, "tw": "4", "bw": "2"}\n'
+    '{"gp": "1 4 2 3 / 4 3 2 1", "t": 5, "b": 6, "tw": "3", "bw": "1"}\n'
+    '{"gp": "1 2 3 4 / 4 2 1 3", "t": 0, "b": 3, "tw": "4", "bw": "3"}\n'
+    '{"gp": "1 2 4 3 / 4 1 3 2", "t": 4, "b": 1, "tw": "3", "bw": "2"}\n'
+    '{"gp": "1 4 2 3 / 4 3 1 2", "t": 2, "b": 5, "tw": "3", "bw": "2"}\n'
+    '{"gp": "1 3 4 2 / 4 3 2 1", "t": 6, "b": 0, "tw": "2", "bw": "1"}\n')
+
+
+def test_class_file_format_unchanged(tmp_path, monkeypatch):
+    seed = parse_gp("1 2 3 4 / 4 3 2 1")
+    rc = enumerate_class(seed)
+    assert rc.to_jsonl() == FORMAT_1_JSONL
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+    with open(_cache_path(seed, False), "w") as fh:
+        fh.write(FORMAT_1_JSONL)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the cached file was not used")
+
+    monkeypatch.setattr("rvq.induction.enumerate_class", no_enumeration)
+    loaded = load_or_enumerate(seed)
+    assert loaded == rc and loaded.to_jsonl() == FORMAT_1_JSONL
