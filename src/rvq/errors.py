@@ -40,6 +40,12 @@ class ReverseArrowMissing(RVQError):
     """No arrow of the requested kind enters this vertex."""
 
 
+class OpenWalk(RVQError):
+    """A walk that must close up in a Rauzy class does not: it starts outside
+    the class, leaves it or ends away from its start, or no tree path joins
+    its vertex to the base (a truncated class)."""
+
+
 class IllegalPosition(RVQError):
     """A letter insertion violates the simple-extension position rules."""
 
@@ -50,10 +56,6 @@ class AlphabetMismatch(RVQError):
 
 class NotSplittable(RVQError):
     """The chosen singularity cannot be split as requested."""
-
-
-class OrbitTooSmall(RVQError):
-    """Internal consistency failure while splitting a singularity."""
 
 
 class ParityError(RVQError):

@@ -1,10 +1,12 @@
-"""Single-letter extensions, constructive singularity splitting, and the
+"""Single-letter extensions, certified singularity splitting, and the
 induced map from arrows at the small permutation to walks at the big one.
 
 An extension inserts one fresh letter twice, never at the end of a row and
 with at most one copy at a row start; erasing the letter recovers the base.
-Splitting walks the turning orbit of a chosen conical point and inserts the
-fresh pair so the orbit severs into two orbits of prescribed sizes.
+Splitting a conical point tries the legal insertions in a fixed order and
+returns the first one certified by its turning orbits: the chosen orbit has
+severed into two orbits of the prescribed orders, every other orbit is
+unchanged, and the result is irreducible.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (AlphabetMismatch, BudgetExceeded, CaseUnmatched,
                      IllegalPosition, MoveUndefined, NotSplittable,
-                     OrbitTooSmall, ParityError)
+                     ParityError)
 from .gp import GeneralizedPermutation, erase_letters, is_irreducible
 from .induction import Arrow, apply_arrow
 from .strata import orbit_order, turning_orbits
@@ -167,17 +169,24 @@ def _find_orbit(gp: GeneralizedPermutation, at) -> tuple[int, ...]:
     raise NotSplittable("position %r outside 1..l+m" % (at,))
 
 
-def split_singularity(tau: GeneralizedPermutation, at, m11: int,
-                      *, restrict_row: Optional[str] = None,
-                      require_same_row: bool = False) -> SplitResult:
+def split_singularity(tau: GeneralizedPermutation, at,
+                      m11: int) -> SplitResult:
     """Split the conical point selected by ``at`` into orders (m11, m1-m11).
 
     ``at`` is a raw position (or the orbit tuple) selecting a turning orbit.
-    The insertion anchor is scanned over the orbit, top-row anchors first;
-    ``restrict_row``/``require_same_row`` pin the construction variant used by
-    the even-order corollary. The output's orbit partition is remeasured, so
-    a successful return is certified.
+    Every legal single insertion is tried in the order of
+    ``_all_single_insertions``. The first one is returned whose turning
+    orbits show the chosen orbit severed into orbits of orders m11 and
+    m1-m11, with every other orbit unchanged, and whose result is
+    irreducible. That certificate is what makes the answer correct; no
+    candidate is constructed from the orbit.
     """
+    return _split(tau, at, m11)
+
+
+def _split(tau, at, m11, row=None):
+    """``split_singularity``, restricted to insertions with both copies in
+    ``row`` when it is given."""
     orbit = _find_orbit(tau, at)
     m1 = orbit_order(tau, orbit)
     torus_case = tau.is_genuine and tau.d == 2 and m1 == 0
@@ -188,120 +197,20 @@ def split_singularity(tau: GeneralizedPermutation, at, m11: int,
         raise NotSplittable("parts must be >= -1")
     if m11 == 0 or m12 == 0:
         raise NotSplittable("splitting off a marked point is not supported")
-    if m11 == -1 and m12 != -1:
-        # the pole must be carved out by the consecutive-pair case
-        return _split_swapped(tau, orbit, m11, m12, restrict_row,
-                              require_same_row)
 
-    return _split_scan(tau, orbit, m11, m12, restrict_row, require_same_row)
-
-
-def _split_swapped(tau, orbit, m11, m12, restrict_row, require_same_row):
-    res = _split_scan(tau, orbit, m12, m11, restrict_row, require_same_row)
-    return SplitResult(witness=res.witness, orders=(m11, m12),
-                       orbit_reps=(res.orbit_reps[1], res.orbit_reps[0]))
-
-
-def _top_anchor_candidates(gp, orbit, m11, m12, require_same_row):
-    """Insertion witnesses from anchors in the top row of ``gp``.
-
-    Walks the filtered orbit cyclically; the element 1 + m11 steps past the
-    anchor decides between the same-row and the straddling shape.
-    """
-    ell, m = gp.ell, gp.m
-    filtered = [k for k in orbit if k not in {1, ell + m}]
-    n = len(filtered)
-    if n != 2 + m11 + m12:
-        raise OrbitTooSmall("orbit size %d does not match order" % n)
-    letter = fresh_letter(gp.alphabet)
-    for a in range(n):
-        j = filtered[a]
-        if not 2 <= j <= ell:
-            continue
-        f_b = filtered[(a + 1 + m11) % n]
-        same_row = f_b <= ell
-        if require_same_row and not same_row:
-            continue
-        if same_row:
-            i = f_b
-            if (i == j) != (m12 == -1):
-                continue
-            slots = _same_row_slots(gp, 'top', i, j)
-        else:
-            f_a = filtered[(a + 2 + m11) % n]
-            if f_a == j:
-                continue
-            i = gp.sigma(f_a)
-            if i <= ell:
-                continue  # splice through an endpoint broke the shape
-            slots = _straddle_slots(gp, i, j)
-        try:
-            yield insert_letter(gp, letter, slots[0], slots[1])
-        except IllegalPosition:
-            continue
-
-
-def _transposed_candidates(tau, m1, m11, m12, require_same_row):
-    """Anchor in the bottom row: run the construction on the transpose.
-
-    The flip does not act position-by-position on turning orbits (bottom
-    sides are tracked by their other endpoint), so every same-order orbit of
-    the transpose is tried; certification against the original orbit rejects
-    wrong picks.
-    """
-    rho = tau.transpose()
-    for rho_orbit in turning_orbits(rho):
-        if orbit_order(rho, rho_orbit) != m1:
-            continue
-        for w in _top_anchor_candidates(rho, rho_orbit, m11, m12,
-                                        require_same_row):
-            flip = {'top': 'bottom', 'bottom': 'top'}
-            yield ExtensionWitness(
-                base=tau, extended=w.extended.transpose(), letter=w.letter,
-                slots=tuple(sorted((flip[r], k) for r, k in w.slots)))
-
-
-def _split_scan(tau, orbit, m11, m12, restrict_row, require_same_row):
     old_orbits = [frozenset(o) for o in turning_orbits(tau)
                   if set(o) != set(orbit)]
-    rows = [restrict_row] if restrict_row is not None else ['top', 'bottom']
-
-    for rowname in rows:
-        if rowname == 'top':
-            candidates = _top_anchor_candidates(tau, orbit, m11, m12,
-                                                require_same_row)
-        else:
-            candidates = _transposed_candidates(tau, m11 + m12, m11, m12,
-                                                require_same_row)
-        for witness in candidates:
-            result = _certify_split(tau, witness, orbit, old_orbits,
-                                    m11, m12)
-            if result is not None:
-                return result
-    raise NotSplittable("no insertion anchor realizes the (%d, %d) split"
+    for witness in _all_single_insertions(tau, row):
+        result = _certify_split(tau, witness, old_orbits, m11, m12)
+        if result is not None:
+            return result
+    raise NotSplittable("no single insertion realizes the (%d, %d) split"
                         % (m11, m12))
 
 
-def _same_row_slots(tau, rowname, i, j):
-    off = 0 if rowname == 'top' else tau.ell
-    if i == j:
-        return (rowname, j - off), (rowname, j - off + 1)
-    lo, hi = sorted((i - off, j - off))
-    return (rowname, lo), (rowname, hi + 1)
-
-
-def _straddle_slots(tau, i, j):
-    pos = []
-    for p in (i, j):
-        if p <= tau.ell:
-            pos.append(('top', p))
-        else:
-            pos.append(('bottom', p - tau.ell))
-    return tuple(pos)
-
-
-def _certify_split(tau, witness, orbit, old_orbits, m11, m12):
-    """Verify the orbit partition changed exactly as requested."""
+def _certify_split(tau, witness, old_orbits, m11, m12):
+    """The split when the orbit partition changed exactly as requested and
+    the result is irreducible, else None."""
     pi = witness.extended
     pmap = _letter_position_map(tau, pi, witness.letter)
     expected_old = {frozenset(pmap[p] for p in o) for o in old_orbits}
@@ -310,23 +219,22 @@ def _certify_split(tau, witness, orbit, old_orbits, m11, m12):
     if len(fresh) != 2:
         return None
     sizes = sorted(orbit_order(pi, o) for o in fresh)
-    if sizes != sorted((m11, m12)):
+    if sizes != sorted((m11, m12)) or not is_irreducible(pi):
         return None
-    if orbit_order(pi, fresh[0]) == m11:
-        rep_a, rep_b = fresh[0][0], fresh[1][0]
-    else:
-        rep_a, rep_b = fresh[1][0], fresh[0][0]
+    if orbit_order(pi, fresh[0]) != m11:
+        fresh.reverse()
     return SplitResult(witness=witness, orders=(m11, m12),
-                       orbit_reps=(rep_a, rep_b))
+                       orbit_reps=(fresh[0][0], fresh[1][0]))
 
 
 def split_even_zero(tau: GeneralizedPermutation, at,
                     m11: int, m12: int, m13: int) -> GeneralizedPermutation:
     """Split an even conical point of a genuine permutation three ways.
 
-    The first insertion duplicates a letter in the top row, the second in the
-    bottom row, so the result carries duplicates in both rows. m11 and m12
-    must be odd; the sum must equal the (even) order of the chosen point.
+    Two certified splits as in ``split_singularity``: the first insertion
+    puts both copies of its letter in the top row, the second in the bottom
+    row, so the result carries duplicates in both rows. m11 and m12 must be
+    odd; the sum must equal the (even) order of the chosen point.
     """
     if not tau.is_genuine:
         raise NotSplittable("base must be a genuine permutation")
@@ -340,11 +248,9 @@ def split_even_zero(tau: GeneralizedPermutation, at,
     if m11 + m12 + m13 != q:
         raise NotSplittable("parts must sum to the order %d" % q)
 
-    first = split_singularity(tau, orbit, m11,
-                              restrict_row='top', require_same_row=True)
-    rest_rep = first.orbit_reps[1]
-    second = split_singularity(first.witness.extended, rest_rep, m12,
-                               restrict_row='bottom', require_same_row=True)
+    first = _split(tau, orbit, m11, row='top')
+    second = _split(first.witness.extended, first.orbit_reps[1], m12,
+                    row='bottom')
     out = second.witness.extended
     assert out.satisfies_convention(), "result must carry duplicates in both rows"
     return out
@@ -416,11 +322,13 @@ def extend_walk(witness: ExtensionWitness,
 # witness search
 # ---------------------------------------------------------------------------
 
-def _all_single_insertions(tau: GeneralizedPermutation):
+def _all_single_insertions(tau: GeneralizedPermutation,
+                           row: Optional[str] = None):
+    """Every legal insertion of a fresh letter, with both copies in ``row``
+    when it is given."""
     letter = fresh_letter(tau.alphabet)
-    ell, m = tau.ell, tau.m
-    slots = ([('top', k) for k in range(1, ell + 1)]
-             + [('bottom', k) for k in range(1, m + 1)])
+    slots = [(r, k) for r, n in (('top', tau.ell), ('bottom', tau.m))
+             if row in (None, r) for k in range(1, n + 1)]
     for a in range(len(slots)):
         for b in range(a, len(slots)):
             ra, ka = slots[a]

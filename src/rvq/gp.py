@@ -341,9 +341,6 @@ Complex = tuple[Fraction, Fraction]
 def _as_fraction_pair(z) -> Complex:
     if isinstance(z, tuple):
         return Fraction(z[0]), Fraction(z[1])
-    if isinstance(z, complex):
-        return Fraction(z.real).limit_denominator(10**9), \
-            Fraction(z.imag).limit_denominator(10**9)
     return Fraction(z), Fraction(0)
 
 

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
-                     NonSymplecticGenerator)
+                     NonSymplecticGenerator, OpenWalk)
 from .gp import GeneralizedPermutation
-from .homology import (kz_minus_walk, kz_walk, minus_form,
+from .homology import (DuplicateWinner, kz_minus_walk, kz_walk, minus_form,
                        quotient_action, quotient_data)
 from .induction import RauzyClass, TOP, BOTTOM
 from .linalg import Matrix
@@ -299,7 +299,8 @@ def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
 
 def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
                           p: int) -> tuple[list[Matrix], Matrix]:
-    """Minus-side analogue; the halved form is returned for mod-p use."""
+    """Minus-side analogue, skipping walks with a duplicate-letter winner;
+    the halved form is returned for mod-p use."""
     tb = base.both_rows_letters()
     full = minus_form(base, tb)
     halved = tuple(tuple(x // 2 for x in row) for row in full)
@@ -313,8 +314,12 @@ def _quotient_generators(base, cycles, p, qd, walk_matrix):
     gens = []
     seen = set()
     for walk in cycles:
-        mat, end = walk_matrix(base, walk)
-        assert end == base, "cycle does not close up"
+        try:
+            mat, end = walk_matrix(base, walk)
+        except DuplicateWinner:
+            continue  # a minus walk through a type-changing arrow
+        if end != base:
+            raise OpenWalk("cycle %r does not close up" % walk)
         red, _ = quotient_action(base, mat, data=qd)
         key = linalg.mat_mod(red, p)
         if key not in seen:
@@ -331,18 +336,10 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
              + random_directed_cycles(rc, count=cycles, maxlen=maxlen,
                                       seed=seed))
     if minus:
-        walks = [w for w in walks if _admissible(base, rc, w)]
         gens, form = minus_generators_modp(base, walks, p)
     else:
         gens, form = plus_generators_modp(base, walks, p)
     return modp_closure(gens, p, form)
-
-
-def _admissible(base: GeneralizedPermutation, rc: RauzyClass, walk: str) -> bool:
-    """No type-changing arrow anywhere along the walk."""
-    verts = rc.trajectory(walk, rc.index_of(base))
-    return None not in verts and len(
-        {len(rc.vertices[i].top) for i in verts}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +437,13 @@ def directed_decomposition(base: GeneralizedPermutation, rc: RauzyClass,
     (asserted by the caller's tests).
     """
     start = rc.index_of(base)
-    assert start is not None, "walk must start inside the class"
+    if start is None:
+        raise OpenWalk("walk must start inside the class")
     verts = rc.trajectory(walk, start)
-    assert None not in verts, "walk leaves the class"
-    assert verts[-1] == verts[0], "decomposition needs a closed walk"
+    if None in verts:
+        raise OpenWalk("walk leaves the class")
+    if verts[-1] != verts[0]:
+        raise OpenWalk("decomposition needs a closed walk")
     if verts[0] != 0:
         raise ValueError("walk must be based at the class base vertex")
 
@@ -474,7 +474,8 @@ def decomposition_product(base: GeneralizedPermutation,
     mat = linalg.identity(len(base.alphabet))
     for piece in pieces:
         m, end = kz_walk(base, piece.cycle)
-        assert end == base
+        if end != base:
+            raise OpenWalk("piece %r does not close up" % piece.cycle)
         if piece.sign < 0:
             m = linalg.invert_integer(m)
         mat = linalg.mul(m, mat)

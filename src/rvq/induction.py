@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import (BudgetExceeded, MoveUndefined, ReducibleSeed,
+from .errors import (BudgetExceeded, MoveUndefined, OpenWalk, ReducibleSeed,
                      ReverseArrowMissing, RVQError)
 from .gp import GeneralizedPermutation, is_irreducible, parse_gp
 
@@ -269,8 +269,9 @@ class RauzyClass:
         steps = []
         while idx != 0:
             entry = tree[idx]
-            assert entry is not None, \
-                "vertex %d is not connected to the base by %s" % (idx, moves)
+            if entry is None:
+                raise OpenWalk("vertex %d is not connected to the base by %s"
+                               % (idx, moves))
             idx, kind = entry
             steps.append(kind)
         return steps

@@ -1,12 +1,14 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import random_gp
+from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (AlphabetMismatch, CaseUnmatched, IllegalPosition,
-                        NotSplittable, ParityError)
+                        NotSplittable, ParityError, RVQError)
 from rvq.extensions import (ExtensionWitness, extend_arrow, extend_walk,
-                            insert_letter, is_simple_extension,
+                            fresh_letter, insert_letter, is_simple_extension,
                             search_extensions, split_even_zero,
                             split_singularity, witness_from)
 from rvq.gp import erase_letters, is_irreducible, parse_gp
@@ -110,6 +112,78 @@ def test_split_conservation_random():
         assert list(out_sig.orders) == expected
         assert out_sig.genus == in_sig.genus
         count += 1
+
+
+def _wander(seeds, rng, steps):
+    """Each seed and the vertices of a random forward walk from it."""
+    out = []
+    for gp in seeds:
+        out.append(gp)
+        for _ in range(steps):
+            gp = apply_arrow(gp, rng.choice(defined_moves(gp))).target
+            out.append(gp)
+    return out
+
+
+def _split_cases():
+    """(base, orbit, parts) of a seeded pool: every orbit and every first
+    part of strict and genuine bases for single splits, and every orbit and
+    pair of first parts of genuine bases for double splits."""
+    rng = random.Random(89)
+    seeds = [WITNESS, parse_gp("0 A 1 2 A 3 / 3 B 2 1 B 0"), tau_zorich(3),
+             parse_gp("1 2 A A 3 4 5 / 5 B B 4 3 2 1"), parse_gp("1 2 / 2 1")]
+    for gp in _wander(seeds, rng, 15):
+        for orbit in turning_orbits(gp):
+            m1 = orbit_order(gp, orbit)
+            for m11 in range(-1, m1 + 2):
+                yield gp, orbit, (m11,)
+    seeds = [T4, tau_sym(5), tau_zorich(3), parse_gp("1 2 / 2 1")]
+    for gp in _wander(seeds, rng, 8):
+        for orbit in turning_orbits(gp):
+            q = orbit_order(gp, orbit)
+            for m11 in range(-1, q + 2):
+                for m12 in range(-1, q + 2 - m11, 2):
+                    yield gp, orbit, (m11, m12, q - m11 - m12)
+
+
+def _split_outcome(tau, orbit, parts):
+    """The orders of the split's stratum, or the class of the error raised;
+    a returned permutation is checked to be a certified simple extension."""
+    try:
+        if len(parts) == 1:
+            res = split_singularity(tau, orbit, parts[0])
+            out = res.witness.extended
+            assert is_simple_extension(out, tau) == res.witness.letter
+            parts = res.orders
+        else:
+            out = split_even_zero(tau, orbit, *parts)
+            first = fresh_letter(tau.alphabet)
+            second = fresh_letter(tau.alphabet + (first,))
+            mid = erase_letters(out, {second})
+            assert is_simple_extension(mid, tau) == first
+            assert is_simple_extension(out, mid) == second
+            assert out.satisfies_convention()
+    except RVQError as exc:
+        return type(exc).__name__
+    assert is_irreducible(out), out.encode()
+    sig, base = stratum_signature(out), stratum_signature(tau)
+    want = list(base.orders)
+    want.remove(orbit_order(tau, orbit))
+    assert sorted(sig.orders) == sorted(want + list(parts))
+    assert sig.genus == base.genus
+    return ",".join(map(str, sig.orders))
+
+
+def test_split_outcomes_pinned():
+    # the outcome of every case, the resulting orders or the error class, is
+    # pinned from the orbit-walking construction the certified search replaced
+    cases = list(_split_cases())
+    outcomes = [_split_outcome(*case) for case in cases]
+    failed = sum(o.isalpha() for o in outcomes)
+    assert (len(outcomes) - failed, failed) == (780, 899)
+    text = "\n".join("%s|%s|%s %s" % (tau.encode(), orbit[0], parts, o)
+                     for (tau, orbit, parts), o in zip(cases, outcomes))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4fd1f5dd9a990436"
 
 
 def test_split_rejects_marked_point_parts():

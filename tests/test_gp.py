@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import normal_forms, random_gp
+from conftest import normal_forms, random_gp, small_gps
 from rvq.components import table1
 from rvq.errors import (EmptyRow, LetterCountError, MalformedText,
                         MoveUndefined, ReverseArrowMissing)
@@ -207,6 +207,15 @@ def test_suspension_checks():
     assert ("total",) in check_suspension(strict, unbalanced)
 
 
+def test_suspension_values_are_exact():
+    zeta = SuspensionDatum.of({"1": (Fraction(1, 3), -2), "2": 5})
+    assert zeta["1"] == (Fraction(1, 3), Fraction(-2))
+    assert zeta["2"] == (Fraction(5), Fraction(0))
+    # a float complex would have to be rounded, so it is refused
+    with pytest.raises(TypeError):
+        SuspensionDatum.of({"1": complex(1, 1), "2": (1, -1)})
+
+
 @functools.lru_cache(maxsize=None)
 def _solve_strict(rows, eq):
     """A rational y with r.y > 0 for every r in ``rows`` and eq.y = 0, or None.
@@ -315,6 +324,20 @@ def test_suspension_iff_irreducible_small():
                 assert check_suspension(gp, datum) == [], gp.encode()
             checked += 1
     assert checked == 5532
+    # d = 5 exhaustively, up to relabeling
+    checked = 0
+    for gp in small_gps():
+        if gp.d != 5:
+            continue
+        widths_ok, datum = _exact_suspension(gp)
+        assert widths_ok == gp.satisfies_convention(), gp.encode()
+        if not widths_ok:
+            continue
+        assert (datum is not None) == is_irreducible(gp), gp.encode()
+        if datum is not None:
+            assert check_suspension(gp, datum) == [], gp.encode()
+        checked += 1
+    assert checked == 2955
     rng = random.Random(7)
     for _ in range(300):
         gp = random_gp(rng, rng.randint(5, 6), convention=True)

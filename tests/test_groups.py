@@ -3,16 +3,17 @@ import random
 import pytest
 
 from rvq import groups, linalg
-from rvq.components import tau_sym, tau_zorich
+from rvq.components import sigma_hyp, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
-                        NonSymplecticGenerator, NotOmegaPreserving)
+                        NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from rvq.gp import parse_gp
-from rvq.groups import (arrow_cycles, decomposition_product,
-                        directed_decomposition, find_gamma_star,
-                        k_completeness, minus_generators_modp, modp_closure,
-                        plus_generators_modp, random_directed_cycles,
-                        rauzy_veech_group_modp, sp_order)
-from rvq.homology import kz_walk
+from rvq.groups import (DecompositionPiece, arrow_cycles,
+                        decomposition_product, directed_decomposition,
+                        find_gamma_star, k_completeness, minus_generators_modp,
+                        modp_closure, plus_generators_modp,
+                        random_directed_cycles, rauzy_veech_group_modp,
+                        sp_order)
+from rvq.homology import DuplicateWinner, kz_minus_walk, kz_walk
 from rvq.induction import enumerate_class, load_or_enumerate
 from rvq.linalg import identity
 
@@ -141,6 +142,58 @@ def test_minus_generators_check_the_form(monkeypatch):
                         lambda gp, walk, order=None: (bad, gp))
     with pytest.raises(NotOmegaPreserving):
         minus_generators_modp(base, ["t"], 2)
+
+
+def _admissible(base, rc, walk):
+    """No type-changing arrow anywhere along the walk: the filter that picked
+    the minus walks from the class before they were skipped at their first
+    duplicate winner. Kept as the oracle."""
+    verts = rc.trajectory(walk, rc.index_of(base))
+    return None not in verts and len(
+        {len(rc.vertices[i].top) for i in verts}) == 1
+
+
+@pytest.mark.parametrize("base", [parse_gp("0 A A 1 / 1 B B 0"),
+                                  sigma_hyp(2, 0)], ids=["0AA1", "hyp-2-0"])
+def test_minus_walks_skipped_at_a_duplicate_winner_match_the_class_filter(
+        base):
+    rc = load_or_enumerate(base)
+    walks = arrow_cycles(rc, cap=800) + random_directed_cycles(rc, seed=0)
+    kept = [w for w in walks if _admissible(base, rc, w)]
+    assert 0 < len(kept) < len(walks)
+
+    def survives(walk):
+        try:
+            kz_minus_walk(base, walk, order=base.both_rows_letters())
+        except DuplicateWinner:
+            return False
+        return True
+
+    assert [w for w in walks if survives(w)] == kept
+    assert minus_generators_modp(base, walks, 2) \
+        == minus_generators_modp(base, kept, 2)
+
+
+def test_decomposition_refuses_walks_that_do_not_close_in_the_class():
+    rc = load_or_enumerate(tau_sym(4))
+    with pytest.raises(OpenWalk):
+        directed_decomposition(tau_sym(4), rc, "t")  # does not close up
+    with pytest.raises(OpenWalk):
+        directed_decomposition(TORUS, rc, "tb")  # starts outside the class
+    part = enumerate_class(tau_sym(4), limit=5, allow_truncated=True)
+    assert part.trajectory("bt")[-1] is None
+    with pytest.raises(OpenWalk):
+        directed_decomposition(tau_sym(4), part, "bt")  # leaves the class
+
+
+def test_quotient_generators_refuse_an_open_cycle():
+    with pytest.raises(OpenWalk):
+        plus_generators_modp(tau_sym(4), ["t"], 2)
+
+
+def test_decomposition_product_refuses_an_open_piece():
+    with pytest.raises(OpenWalk):
+        decomposition_product(tau_sym(4), [DecompositionPiece("t", 1)])
 
 
 def test_non_symplectic_generator_rejected():

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_gp, small_gps
 from rvq.components import tau_sym, tau_zorich
-from rvq.errors import (BudgetExceeded, MoveUndefined, ReducibleSeed,
-                        ReverseArrowMissing)
+from rvq.errors import (BudgetExceeded, MoveUndefined, OpenWalk,
+                        ReducibleSeed, ReverseArrowMissing)
 from rvq.gp import is_irreducible, parse_gp
 from rvq.groups import arrow_cycles, random_directed_cycles
 from rvq.induction import (RauzyClass, _cache_path, apply_arrow,
@@ -304,6 +304,14 @@ def test_budget():
     assert partial is not None and not partial.complete
     truncated = enumerate_class(seed, limit=4, allow_truncated=True)
     assert len(truncated) == 4 and not truncated.complete
+
+
+def test_tree_path_refuses_a_vertex_cut_off_from_the_base():
+    # vertex 2 of this truncated class has no stored arrow back to the base
+    part = enumerate_class(tau_sym(4), limit=5, allow_truncated=True)
+    assert part.path_to_base(1) == "tt"
+    with pytest.raises(OpenWalk):
+        part.path_to_base(2)
 
 
 def test_export_graph():
