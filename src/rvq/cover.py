@@ -40,16 +40,17 @@ def to_perm_involution(gp: GeneralizedPermutation) -> PermWithInvolution:
 
     Signs satisfy sign(position) = 1 - sign(twin position); the first copy of
     each letter in position order gets sign 0. Raises ConventionViolated when
-    the table fails the left/right involution condition (equivalently, a
-    strict permutation lacks a duplicate in one row).
+    the permutation violates the both-rows convention: the letter signs of a
+    strict permutation lacking a duplicate in one row collapse to one side
+    of the star.
     """
+    if not gp.satisfies_convention():
+        raise ConventionViolated(
+            "letter signs collapse to one side: %s" % gp.encode())
     ell, m = gp.ell, gp.m
-    sigma = gp.sigma_table()
     eps: dict[int, int] = {}
-    for p in range(1, ell + m + 1):
-        if p not in eps:
-            eps[p] = 0
-            eps[sigma[p]] = 1
+    for i, j in gp.pairs.values():
+        eps[i], eps[j] = 0, 1
 
     entries = []
     for p in range(ell + m, ell, -1):
@@ -57,20 +58,7 @@ def to_perm_involution(gp: GeneralizedPermutation) -> PermWithInvolution:
     entries.append(STAR)
     for p in range(1, ell + 1):
         entries.append((gp.letter(p), eps[p]))
-    table = PermWithInvolution(entries=tuple(entries), star_index=m)
-
-    def iota(pair):
-        return (pair[0], 1 - pair[1])
-
-    if gp.is_strict:
-        # for genuine permutations the two sides are sign mirrors by design;
-        # the containment test is the strict-case convention check
-        left = table.left_letters()
-        right = table.right_letters()
-        if {iota(e) for e in left} <= right or {iota(e) for e in right} <= left:
-            raise ConventionViolated(
-                "letter signs collapse to one side: %s" % gp.encode())
-    return table
+    return PermWithInvolution(entries=tuple(entries), star_index=m)
 
 
 @dataclass(frozen=True)

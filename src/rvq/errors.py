@@ -51,7 +51,8 @@ class IllegalPosition(RVQError):
 
 
 class AlphabetMismatch(RVQError):
-    """Two permutations do not differ by exactly one letter."""
+    """Two permutations do not differ by exactly one letter, or a letter
+    order does not list the letters it must index."""
 
 
 class NotSplittable(RVQError):

@@ -83,15 +83,15 @@ def insert_letter(tau: GeneralizedPermutation, letter: str,
 def is_simple_extension(pi: GeneralizedPermutation,
                         tau: GeneralizedPermutation) -> Optional[str]:
     """The inserted letter when ``pi`` extends ``tau`` legally, else None."""
-    extra = set(pi.alphabet) - set(tau.alphabet)
-    if len(extra) != 1 or set(tau.alphabet) - set(pi.alphabet):
+    extra = pi.pairs.keys() - tau.pairs.keys()
+    if len(extra) != 1 or tau.pairs.keys() - pi.pairs.keys():
         raise AlphabetMismatch("alphabets must differ by exactly one letter")
     letter = extra.pop()
     if erase_letters(pi, {letter}) != tau:
         return None
     if pi.top[-1] == letter or pi.bottom[-1] == letter:
         return None
-    i, j = pi.positions(letter)
+    i, j = pi.pairs[letter]
     at_start = sum(1 for p in (i, j) if p == 1 or p == pi.ell + 1)
     if at_start == 2:
         return None
@@ -104,12 +104,8 @@ def witness_from(pi: GeneralizedPermutation,
     if letter is None:
         raise IllegalPosition("%s is not a simple extension of %s"
                               % (pi.encode(), tau.encode()))
-    slots = []
-    for p in pi.positions(letter):
-        if p <= pi.ell:
-            slots.append(('top', p))
-        else:
-            slots.append(('bottom', p - pi.ell))
+    slots = [('top', p) if p <= pi.ell else ('bottom', p - pi.ell)
+             for p in pi.pairs[letter]]
     return ExtensionWitness(base=tau, extended=pi, letter=letter,
                             slots=(tuple(slots[0]), tuple(slots[1])))
 
@@ -134,24 +130,6 @@ class SplitResult:
     witness: ExtensionWitness
     orders: tuple[int, int]           # (m11, m12)
     orbit_reps: tuple[int, int]       # a position inside each new orbit
-
-
-def _letter_position_map(old: GeneralizedPermutation,
-                         new: GeneralizedPermutation,
-                         letter: str) -> dict[int, int]:
-    """Map old raw positions to new raw positions across one fresh insertion."""
-    mapping = {}
-    for row_old, row_new, off_old, off_new in (
-            (old.top, new.top, 0, 0),
-            (old.bottom, new.bottom, old.ell, new.ell)):
-        k = 0
-        for idx, x in enumerate(row_new):
-            if x == letter:
-                continue
-            mapping[off_old + k + 1] = off_new + idx + 1
-            k += 1
-        assert k == len(row_old)
-    return mapping
 
 
 def _find_orbit(gp: GeneralizedPermutation, at) -> tuple[int, ...]:
@@ -212,7 +190,9 @@ def _certify_split(tau, witness, old_orbits, m11, m12):
     """The split when the orbit partition changed exactly as requested and
     the result is irreducible, else None."""
     pi = witness.extended
-    pmap = _letter_position_map(tau, pi, witness.letter)
+    # each old position moves to where its letter's copy sits in pi
+    pmap = {p: q for x, old in tau.pairs.items()
+            for p, q in zip(old, pi.pairs[x])}
     expected_old = {frozenset(pmap[p] for p in o) for o in old_orbits}
     new_orbits = turning_orbits(pi)
     fresh = [o for o in new_orbits if frozenset(o) not in expected_old]

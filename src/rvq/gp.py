@@ -17,10 +17,12 @@ from .errors import EmptyRow, LetterCountError, MalformedText
 Letter = str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneralizedPermutation:
     top: tuple[Letter, ...]
     bottom: tuple[Letter, ...]
+    _pairs: Optional[dict[Letter, tuple[int, int]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.top or not self.bottom:
@@ -62,56 +64,53 @@ class GeneralizedPermutation:
             return self.bottom[pos - self.ell - 1]
         raise IndexError(pos)
 
-    def position_table(self) -> dict[Letter, tuple[int, int]]:
-        """Every letter's two 1-based positions (i, j), i < j, in one pass.
-
-        Built on each call rather than stored, so that large classes of
-        permutations do not each carry a table.
-        """
-        return letter_positions(self.top + self.bottom)
+    @property
+    def pairs(self) -> dict[Letter, tuple[int, int]]:
+        """Every letter's two 1-based positions (i, j), i < j, in order of
+        first appearance: the one letter table the position, involution and
+        duplicate queries read.  Built on first use and kept; moves,
+        relabelings and class enumeration never ask for it."""
+        table = self._pairs
+        if table is None:
+            table = letter_positions(self.top + self.bottom)
+            object.__setattr__(self, '_pairs', table)
+        return table
 
     def positions(self, x: Letter) -> tuple[int, int]:
         """The two 1-based positions (i, j) of a letter, i < j."""
-        row = self.top + self.bottom
         try:
-            i = row.index(x)
-            return i + 1, row.index(x, i + 1) + 1
-        except ValueError:
+            return self.pairs[x]
+        except KeyError:
             raise LetterCountError(
                 "letter %r not in permutation" % (x,)) from None
 
     def sigma(self, pos: int) -> int:
         """The fixed-point-free involution pairing the two copies of a letter."""
-        i, j = self.positions(self.letter(pos))
+        i, j = self.pairs[self.letter(pos)]
         return j if pos == i else i
-
-    def sigma_table(self) -> dict[int, int]:
-        """:meth:`sigma` on every position, from one pass over the rows."""
-        table = {}
-        for i, j in self.position_table().values():
-            table[i] = j
-            table[j] = i
-        return table
 
     # -- classification --------------------------------------------------
 
+    def _letters_with_top_copies(self, k: int) -> tuple[Letter, ...]:
+        """Letters with k copies in the top row, in alphabet order."""
+        ell = self.ell
+        return tuple(x for x, (i, j) in self.pairs.items()
+                     if (i <= ell) + (j <= ell) == k)
+
     def duplicates_top(self) -> tuple[Letter, ...]:
-        return tuple(sorted({x for x in self.top if self.top.count(x) == 2}))
+        return tuple(sorted(self._letters_with_top_copies(2)))
 
     def duplicates_bottom(self) -> tuple[Letter, ...]:
-        return tuple(sorted({x for x in self.bottom
-                             if self.bottom.count(x) == 2}))
+        return tuple(sorted(self._letters_with_top_copies(0)))
 
     def both_rows_letters(self) -> tuple[Letter, ...]:
         """A_tb: letters with one occurrence in each row, in alphabet order."""
-        tops = set(self.top)
-        bots = set(self.bottom)
-        return tuple(x for x in self.alphabet if x in tops and x in bots)
+        return self._letters_with_top_copies(1)
 
     @property
     def is_genuine(self) -> bool:
         """True when there are no duplicate letters (classical permutation)."""
-        return not self.duplicates_top() and not self.duplicates_bottom()
+        return len(self.both_rows_letters()) == self.d
 
     @property
     def is_strict(self) -> bool:
@@ -119,9 +118,7 @@ class GeneralizedPermutation:
 
     def satisfies_convention(self) -> bool:
         """Duplicate letters in both rows (vacuous for genuine permutations)."""
-        if self.is_genuine:
-            return True
-        return bool(self.duplicates_top()) and bool(self.duplicates_bottom())
+        return bool(self.duplicates_top()) == bool(self.duplicates_bottom())
 
     # -- encoding ---------------------------------------------------------
 
@@ -147,14 +144,12 @@ class GeneralizedPermutation:
 
 def letter_positions(word: Sequence[Letter]) -> dict[Letter, tuple[int, int]]:
     """The two 1-based positions (i, j), i < j, of each letter of ``word``
-    (the rows read top row first), without building a permutation."""
-    first: dict[Letter, int] = {}
-    table: dict[Letter, tuple[int, int]] = {}
+    (the rows read top row first), in order of first appearance, without
+    building a permutation.  Every letter must occur exactly twice."""
+    table: dict = {}
     for p, x in enumerate(word, 1):
-        if x in first:
-            table[x] = (first[x], p)
-        else:
-            first[x] = p
+        # a letter's first position until its second one is seen
+        table[x] = (table[x], p) if x in table else p
     return table
 
 
@@ -252,7 +247,7 @@ def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
     use the classical prefix criterion in :func:`is_irreducible`.
     """
     ell, m = gp.ell, gp.m
-    index = {x: k for k, x in enumerate(gp.alphabet)}
+    index = {x: k for k, x in enumerate(gp.pairs)}
     tpref, tsuf = _corner_masks(gp.top, index)
     bpref, bsuf = _corner_masks(gp.bottom, index)
 

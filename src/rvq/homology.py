@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import MoveUndefined, NotOmegaPreserving
+from .errors import AlphabetMismatch, MoveUndefined, NotOmegaPreserving
 from .gp import GeneralizedPermutation, letter_positions
 from .induction import Arrow, resolve_walk
 from .linalg import Matrix
@@ -64,7 +64,7 @@ def minus_form(gp: GeneralizedPermutation,
                order: Optional[Sequence[str]] = None) -> Matrix:
     """The +-2/0 alternating form on the letters occurring in both rows."""
     order = tuple(order) if order is not None else gp.both_rows_letters()
-    pos = gp.position_table()
+    pos = gp.pairs
 
     def entry(a, b):
         ia, ja = pos[a]
@@ -161,9 +161,13 @@ def kz_minus_walk(base: GeneralizedPermutation, walk: str,
     The minus factor is Id + E_lw on the both-rows letters when the loser is
     one of them and Id otherwise; the arrow must keep the type.  The
     both-rows letter set is constant along admissible walks, so the index
-    set is pinned at the base vertex.
+    set is pinned at the base vertex; an ``order`` that is not that set
+    raises AlphabetMismatch.
     """
     order = tuple(order) if order is not None else base.both_rows_letters()
+    if sorted(order) != sorted(base.both_rows_letters()):
+        raise AlphabetMismatch("order %r is not the base's both-rows letters"
+                               % (order,))
     steps = resolve_walk(base, walk)
     mat = [list(row) for row in linalg.identity(len(order))]
     cur = base
@@ -175,7 +179,6 @@ def kz_minus_walk(base: GeneralizedPermutation, walk: str,
             _factor(mat, order.index(arrow.loser), order.index(arrow.winner),
                     False, direction < 0)
         cur = arrow.target if direction > 0 else arrow.source
-        assert set(cur.both_rows_letters()) == set(order)
     return tuple(tuple(row) for row in mat), cur
 
 

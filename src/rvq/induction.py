@@ -315,6 +315,12 @@ class RauzyClass:
             bt.append(rec["b"])
             tw.append(rec["tw"])
             bw.append(rec["bw"])
+        n = len(verts)
+        for j, w in zip(tt + bt, tw + bw):
+            if not (w is None if j is None else
+                    type(j) is int and 0 <= j < n and w is not None):
+                raise ValueError("class cache arrow to %r won by %r among "
+                                 "%d vertices" % (j, w, n))
         rc = RauzyClass(
             base=parse_gp(header["base"]),
             vertices=tuple(verts),

@@ -19,7 +19,9 @@ from .gp import GeneralizedPermutation
 def turning_map(gp: GeneralizedPermutation) -> dict[int, int]:
     """The bijection s on positions 1..l+m describing one clockwise turn."""
     ell, m = gp.ell, gp.m
-    sigma = gp.sigma_table()
+    sigma = {}
+    for i, j in gp.pairs.values():
+        sigma[i], sigma[j] = j, i
     s = {}
     for k in range(2, ell + 1):
         s[k] = sigma[k - 1]

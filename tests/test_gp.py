@@ -9,12 +9,14 @@ import pytest
 
 from conftest import normal_forms, random_gp, small_gps
 from rvq.components import table1
-from rvq.errors import (EmptyRow, LetterCountError, MalformedText,
-                        MoveUndefined, ReverseArrowMissing)
+from rvq.cover import STAR, to_perm_involution
+from rvq.errors import (ConventionViolated, EmptyRow, LetterCountError,
+                        MalformedText, MoveUndefined, ReverseArrowMissing)
 from rvq.gp import (Decomposition, GeneralizedPermutation, SuspensionDatum,
                     _corner_masks, check_suspension, erase_letters,
                     find_reduction, is_irreducible, parse_gp, validate)
 from rvq.induction import apply_arrow, invert_arrow
+from rvq.strata import turning_map
 
 
 def test_parse_torus():
@@ -54,6 +56,92 @@ def test_positions_and_sigma():
     for p in range(1, 13):
         assert gp.sigma(p) != p
         assert gp.letter(gp.sigma(p)) == gp.letter(p)
+
+
+# -- oracle: the row rescans that each letter query used to make --
+
+def _oracle_positions(gp, x):
+    row = gp.top + gp.bottom
+    i = row.index(x)
+    return i + 1, row.index(x, i + 1) + 1
+
+
+def _oracle_duplicates(row):
+    return tuple(sorted({x for x in row if row.count(x) == 2}))
+
+
+def _oracle_both_rows_letters(gp):
+    tops, bots = set(gp.top), set(gp.bottom)
+    return tuple(x for x in gp.alphabet if x in tops and x in bots)
+
+
+def _oracle_sigma_table(gp):
+    table = {}
+    for x in gp.alphabet:
+        i, j = _oracle_positions(gp, x)
+        table[i], table[j] = j, i
+    return table
+
+
+def _oracle_turning_map(gp, sigma):
+    ell, m = gp.ell, gp.m
+    s = {k: sigma[k - 1] for k in range(2, ell + 1)}
+    s[1] = sigma[ell + 1]
+    s.update((k, sigma[k + 1]) for k in range(ell + 1, ell + m))
+    s[ell + m] = sigma[ell]
+    return s
+
+
+def _oracle_perm_involution(gp, sigma, strict):
+    """The signed one-line table's entries, and whether its left/right
+    containment test rejects it."""
+    ell, m = gp.ell, gp.m
+    eps = {}
+    for p in range(1, ell + m + 1):
+        if p not in eps:
+            eps[p], eps[sigma[p]] = 0, 1
+    entries = ([(gp.letter(p), eps[p]) for p in range(ell + m, ell, -1)]
+               + [STAR] + [(gp.letter(p), eps[p]) for p in range(1, ell + 1)])
+    left, right = set(entries[:m]), set(entries[m + 1:])
+
+    def flipped(side):
+        return {(x, 1 - s) for x, s in side}
+
+    collapses = strict and (flipped(left) <= right or flipped(right) <= left)
+    return tuple(entries), collapses
+
+
+def test_letter_table_matches_the_rescans():
+    # normal forms list their letters in sorted order; the relabeled copy
+    # lists them in reverse, so first appearance and sorting differ
+    reverse = {str(k): str(9 - k) for k in range(10)}
+    checked = 0
+    for base in small_gps():
+        for gp in (base, base.relabel(reverse)):
+            positions = {x: _oracle_positions(gp, x) for x in gp.alphabet}
+            assert list(gp.pairs.items()) == list(positions.items())
+            assert all(gp.positions(x) == positions[x] for x in positions)
+            sigma = _oracle_sigma_table(gp)
+            assert {p: gp.sigma(p) for p in sigma} == sigma
+            top = _oracle_duplicates(gp.top)
+            bottom = _oracle_duplicates(gp.bottom)
+            assert (gp.duplicates_top(), gp.duplicates_bottom()) == (top, bottom)
+            assert gp.both_rows_letters() == _oracle_both_rows_letters(gp)
+            genuine = not top and not bottom
+            assert gp.is_genuine == genuine and gp.is_strict != genuine
+            assert gp.satisfies_convention() == (genuine or bool(top and bottom))
+            assert turning_map(gp) == _oracle_turning_map(gp, sigma)
+            entries, collapses = _oracle_perm_involution(gp, sigma,
+                                                         not genuine)
+            if collapses:
+                with pytest.raises(ConventionViolated):
+                    to_perm_involution(gp)
+            else:
+                assert to_perm_involution(gp).entries == entries
+            checked += 1
+    assert checked == 2 * 9324
+    with pytest.raises(LetterCountError):
+        parse_gp("1 2 / 2 1").positions("3")
 
 
 def test_validate_reports():

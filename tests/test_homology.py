@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_gp, small_gps
 from rvq import linalg
-from rvq.errors import MoveUndefined, NotOmegaPreserving
+from rvq.errors import AlphabetMismatch, MoveUndefined, NotOmegaPreserving
 from rvq.gp import parse_gp
 from rvq.homology import (DuplicateWinner, intersection_form, kz_minus_walk,
                           kz_plus, kz_plus_inverse, kz_walk, minus_form,
@@ -224,6 +224,17 @@ def test_minus_walk_rejects_duplicate_winner():
     gp = parse_gp("1 2 A A / B B 2 1")  # top move has winner A
     with pytest.raises(DuplicateWinner):
         kz_minus_walk(gp, "t")
+
+
+def test_minus_walk_refuses_an_order_off_the_both_rows_letters():
+    # the order must list the base's both-rows letters 0 and 1, each once;
+    # the full alphabet used to give a 4x4 matrix under python -O
+    base = parse_gp("0 A A 1 / 1 B B 0")
+    for order in (base.alphabet, ("0",), ("0", "0", "1"), ("0", "A")):
+        with pytest.raises(AlphabetMismatch):
+            kz_minus_walk(base, "t", order=order)
+    mat, _ = kz_minus_walk(base, "t", order=("1", "0"))
+    assert len(mat) == 2
 
 
 def test_fixed_point_loop_has_no_cocycle():

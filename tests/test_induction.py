@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import random_gp, small_gps
 from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, OpenWalk,
                         ReducibleSeed, ReverseArrowMissing)
+from rvq import induction
 from rvq.gp import is_irreducible, parse_gp
 from rvq.groups import arrow_cycles, random_directed_cycles
 from rvq.induction import (RauzyClass, _cache_path, apply_arrow,
@@ -334,12 +336,23 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert '"complete": true' in header and '"base"' in header
 
 
+def _set_field(text, line, field, value):
+    """The class file ``text`` with one field of one of its lines replaced."""
+    lines = text.splitlines()
+    rec = json.loads(lines[line])
+    rec[field] = value
+    lines[line] = json.dumps(rec)
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda text, other: text[:-10],                               # mid-line
     lambda text, other: "\n".join(text.splitlines()[:5]) + "\n",  # at a line
     lambda text, other: "",
     lambda text, other: other,                        # another class's file
-], ids=["byte-truncated", "line-truncated", "empty", "wrong-base"])
+    lambda text, other: _set_field(text, 1, "t", 99),  # 15 vertices
+], ids=["byte-truncated", "line-truncated", "empty", "wrong-base",
+        "out-of-range-target"])
 def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
     seed = parse_gp("1 2 3 4 5 / 5 4 3 2 1")
@@ -351,6 +364,40 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     assert len(rc) == 15 and rc.complete and rc.to_jsonl() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     assert path.read_text() == good
+
+
+@pytest.mark.parametrize("field, value, has_arrow", [
+    ("t", -1, True), ("t", 516, True), ("t", "1", True), ("t", 1.0, True),
+    ("t", True, True), ("tw", None, True), ("bw", "0", False),
+], ids=["negative", "past-end", "str", "float", "bool", "missing-winner",
+        "stray-winner"])
+def test_class_file_with_a_bad_arrow_is_refused(field, value, has_arrow):
+    rc = enumerate_class(parse_gp("0 A A 1 / 1 B B 0"))  # 516 vertices
+    text = rc.to_jsonl()
+    assert RauzyClass.from_jsonl(text).to_jsonl() == text
+    targets = rc.table[field[0]][0]
+    i = next(i for i, j in enumerate(targets) if (j is not None) == has_arrow)
+    with pytest.raises(ValueError):
+        RauzyClass.from_jsonl(_set_field(text, i + 1, field, value))
+
+
+def test_class_vertices_carry_no_letter_table(tmp_path, monkeypatch):
+    # a letter table on each of table1(1)'s 307,336 vertices would add about
+    # 220 MB to its enumeration, so neither enumerating nor reading a class
+    # back from the cache may build one
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+    seed = tau_sym(6)
+    fresh = enumerate_class(seed, reduced_labels=True)
+    written = load_or_enumerate(seed, reduced_labels=True)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the class should come from the cache file")
+
+    monkeypatch.setattr(induction, "enumerate_class", no_enumeration)
+    read = load_or_enumerate(seed, reduced_labels=True)
+    for rc in (fresh, written, read):
+        assert len(rc) == 31
+        assert all(v._pairs is None for v in rc.vertices)
 
 
 def test_jsonl_format_fields():
