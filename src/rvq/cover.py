@@ -84,7 +84,7 @@ class CoverStratum:
         return s
 
 
-def cover_stratum(gp_or_sig, cross_check: bool = True) -> CoverStratum:
+def cover_stratum(gp_or_sig) -> CoverStratum:
     """Stratum of the orientation double cover plus its genus.
 
     Odd orders 2k-1 contribute one zero of order 2k; even orders 2k
@@ -93,7 +93,7 @@ def cover_stratum(gp_or_sig, cross_check: bool = True) -> CoverStratum:
     cover order sum.
     """
     if isinstance(gp_or_sig, GeneralizedPermutation):
-        sig = stratum_signature(gp_or_sig, cross_check=cross_check)
+        sig = stratum_signature(gp_or_sig)
     else:
         sig = gp_or_sig
     cover_orders: list[int] = []

@@ -29,7 +29,6 @@ class ExtensionWitness:
     base: GeneralizedPermutation
     extended: GeneralizedPermutation
     letter: str
-    slots: tuple[RowSlot, RowSlot]
 
     @property
     def convention_ok(self) -> bool:
@@ -50,7 +49,6 @@ def insert_letter(tau: GeneralizedPermutation, letter: str,
     """Insert ``letter`` at the two result slots; checks the position rules."""
     if letter in tau.alphabet:
         raise IllegalPosition("letter %r already present" % (letter,))
-    slots = sorted([pos_a, pos_b])
     rows = {'top': list(tau.top), 'bottom': list(tau.bottom)}
     by_row: dict[str, list[int]] = {'top': [], 'bottom': []}
     for row, k in (pos_a, pos_b):
@@ -76,8 +74,7 @@ def insert_letter(tau: GeneralizedPermutation, letter: str,
         raise IllegalPosition("both copies at row starts")
 
     extended = GeneralizedPermutation(new_rows['top'], new_rows['bottom'])
-    return ExtensionWitness(base=tau, extended=extended, letter=letter,
-                            slots=(tuple(slots[0]), tuple(slots[1])))
+    return ExtensionWitness(base=tau, extended=extended, letter=letter)
 
 
 def is_simple_extension(pi: GeneralizedPermutation,
@@ -104,10 +101,7 @@ def witness_from(pi: GeneralizedPermutation,
     if letter is None:
         raise IllegalPosition("%s is not a simple extension of %s"
                               % (pi.encode(), tau.encode()))
-    slots = [('top', p) if p <= pi.ell else ('bottom', p - pi.ell)
-             for p in pi.pairs[letter]]
-    return ExtensionWitness(base=tau, extended=pi, letter=letter,
-                            slots=(tuple(slots[0]), tuple(slots[1])))
+    return ExtensionWitness(base=tau, extended=pi, letter=letter)
 
 
 def fresh_letter(taken: Iterable[str]) -> str:

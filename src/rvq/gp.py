@@ -176,10 +176,6 @@ class ValidityReport:
     convention_ok: bool
     violations: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def validate(gp: GeneralizedPermutation) -> ValidityReport:
     """Classify ``gp`` and report violations of the both-rows convention."""
@@ -246,10 +242,16 @@ def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
     Only meaningful for strict generalized permutations; genuine permutations
     use the classical prefix criterion in :func:`is_irreducible`.
     """
-    ell, m = gp.ell, gp.m
-    index = {x: k for k, x in enumerate(gp.pairs)}
-    tpref, tsuf = _corner_masks(gp.top, index)
-    bpref, bsuf = _corner_masks(gp.bottom, index)
+    return _find_reduction(gp.top, gp.bottom)
+
+
+def _find_reduction(top: tuple[Letter, ...],
+                    bottom: tuple[Letter, ...]) -> Optional[Decomposition]:
+    """:func:`find_reduction` on the rows of a valid permutation."""
+    ell, m = len(top), len(bottom)
+    index = {x: k for k, x in enumerate(dict.fromkeys(top + bottom))}
+    tpref, tsuf = _corner_masks(top, index)
+    bpref, bsuf = _corner_masks(bottom, index)
 
     def mask_set(mask):
         return frozenset(x for x, k in index.items() if mask >> k & 1)
@@ -295,16 +297,15 @@ def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
 
 @lru_cache(maxsize=1 << 16)
 def _is_irreducible_cached(top, bottom):
-    gp = GeneralizedPermutation(top, bottom)
-    if gp.is_genuine:
+    if set(top) == set(bottom):  # genuine: the prefix criterion
         seen_top, seen_bot = set(), set()
-        for k in range(gp.d - 1):
-            seen_top.add(gp.top[k])
-            seen_bot.add(gp.bottom[k])
+        for x, y in zip(top[:-1], bottom):
+            seen_top.add(x)
+            seen_bot.add(y)
             if seen_top == seen_bot:
                 return False
         return True
-    return find_reduction(gp) is None
+    return _find_reduction(top, bottom) is None
 
 
 def is_irreducible(gp: GeneralizedPermutation) -> bool:

@@ -346,6 +346,10 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
 # completeness and decomposition
 # ---------------------------------------------------------------------------
 
+# win-seeking segments find_gamma_star may walk before it gives up
+_GAMMA_STAR_SEGMENTS = 10_000
+
+
 def k_completeness(base: GeneralizedPermutation, walk: str) -> int:
     """Minimum number of wins over all letters along a directed walk."""
     wins = {x: 0 for x in base.alphabet}
@@ -368,8 +372,8 @@ def _has_border(rc: RauzyClass, walk: str) -> bool:
                for size in range(1, n))
 
 
-def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass, k: int,
-                    *, budget: int = 10_000) -> str:
+def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass,
+                    k: int) -> str:
     """A k-complete directed cycle at the base with no nontrivial self-overlap."""
     from collections import deque
 
@@ -394,7 +398,7 @@ def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass, k: int,
     wins = {x: 0 for x in base.alphabet}
     cur = 0
     walk = ""
-    steps_left = budget
+    steps_left = _GAMMA_STAR_SEGMENTS
     while min(wins.values()) < k:
         letter = min((x for x in wins if wins[x] < k), key=str)
         segment, end = path_to_win(cur, letter)

@@ -126,17 +126,17 @@ def kz_plus_inverse(arrow: Arrow, order: Optional[Sequence[str]] = None) -> Matr
     return _plus_matrix(arrow, order, True)
 
 
-def kz_walk(base: GeneralizedPermutation, walk: str,
-            order: Optional[Sequence[str]] = None
-            ) -> tuple[Matrix, GeneralizedPermutation]:
+def kz_walk(base: GeneralizedPermutation,
+            walk: str) -> tuple[Matrix, GeneralizedPermutation]:
     """Ordered product of arrow matrices along a walk; also returns the end.
 
-    The product is taken last step first, so for a cycle the result maps the
-    end basis back through the walk; reversed steps contribute inverses.
+    Rows and columns follow ``base.alphabet``.  The product is taken last
+    step first, so for a cycle the result maps the end basis back through
+    the walk; reversed steps contribute inverses.
     Every factor is elementary, so the product is accumulated by O(d) row
     updates rather than full multiplications.
     """
-    order = tuple(order) if order is not None else base.alphabet
+    order = base.alphabet
     steps = resolve_walk(base, walk)
     mat = [list(row) for row in linalg.identity(len(order))]
     cur = base
@@ -208,8 +208,8 @@ def quotient_data(gp: GeneralizedPermutation,
     order = tuple(order) if order is not None else gp.alphabet
     omega = form if form is not None else intersection_form(gp, order)
     h, u = linalg.hermite_with_transform(omega)
-    nonzero = [i for i, row in enumerate(h) if not linalg.is_zero_row(row)]
-    zero = [i for i, row in enumerate(h) if linalg.is_zero_row(row)]
+    nonzero = [i for i, row in enumerate(h) if any(row)]
+    zero = [i for i, row in enumerate(h) if not any(row)]
     if not zero:
         # trivial kernel: the quotient is the whole space in its own basis
         basis = linalg.identity(len(omega))
@@ -227,7 +227,6 @@ def quotient_data(gp: GeneralizedPermutation,
 
 
 def quotient_action(gp: GeneralizedPermutation, matrix: Matrix,
-                    order: Optional[Sequence[str]] = None,
                     data: Optional[QuotientData] = None
                     ) -> tuple[Matrix, Matrix]:
     """Push a form-preserving matrix down to the quotient by ker of the form.
@@ -236,7 +235,7 @@ def quotient_action(gp: GeneralizedPermutation, matrix: Matrix,
     Returns the induced 2g x 2g matrix together with the chosen basis rows.
     Raises NotOmegaPreserving when conjugation does not fix the form.
     """
-    qd = data if data is not None else quotient_data(gp, order)
+    qd = data if data is not None else quotient_data(gp)
     omega = qd.form
     if linalg.mul(linalg.mul(matrix, omega), linalg.transpose(matrix)) != omega:
         raise NotOmegaPreserving("matrix does not preserve the form")

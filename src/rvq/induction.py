@@ -124,8 +124,8 @@ def invert_arrow(gp: GeneralizedPermutation, kind: str, *,
     return arrow
 
 
-def resolve_walk(base: GeneralizedPermutation, walk: str,
-                 *, require_irreducible: bool = True) -> list[tuple[Arrow, int]]:
+def resolve_walk(base: GeneralizedPermutation,
+                 walk: str) -> list[tuple[Arrow, int]]:
     """Resolve a walk string over {t, b, T, B} into (arrow, direction) pairs.
 
     Lowercase letters are forward moves; uppercase letters traverse the
@@ -139,8 +139,7 @@ def resolve_walk(base: GeneralizedPermutation, walk: str,
             out.append((arrow, +1))
             cur = arrow.target
         elif step in ('T', 'B'):
-            arrow = invert_arrow(cur, step.lower(),
-                                 require_irreducible=require_irreducible)
+            arrow = invert_arrow(cur, step.lower())
             out.append((arrow, -1))
             cur = arrow.source
         else:
@@ -321,6 +320,11 @@ class RauzyClass:
                     type(j) is int and 0 <= j < n and w is not None):
                 raise ValueError("class cache arrow to %r won by %r among "
                                  "%d vertices" % (j, w, n))
+        for kind, targets in ((TOP, tt), (BOTTOM, bt)):
+            hit = [j for j in targets if j is not None]
+            if len(set(hit)) != len(hit):
+                raise ValueError("class cache has two %r-arrows into one "
+                                 "vertex" % kind)
         rc = RauzyClass(
             base=parse_gp(header["base"]),
             vertices=tuple(verts),

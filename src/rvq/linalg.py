@@ -5,8 +5,6 @@ Matrices are tuples of tuples of ints; vectors are tuples of ints.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
@@ -58,61 +56,6 @@ def det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def rank(a: Matrix) -> int:
-    """Rank over the rationals, by fraction-free elimination."""
-    if not a:
-        return 0
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, rows):
-            if m[i][c]:
-                f = Fraction(m[i][c], m[r][c])
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def invert(a: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse over the rationals (raises ZeroDivisionError if singular)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def invert_integer(a: Matrix) -> Matrix:
-    """Inverse of an integer matrix whose inverse is integral."""
-    inv = invert(a)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("inverse is not integral")
-            irow.append(int(x))
-        out.append(tuple(irow))
-    return tuple(out)
-
-
 def hermite_with_transform(a: Matrix) -> tuple[Matrix, Matrix]:
     """Row Hermite-style reduction: returns (H, U) with U unimodular, H = U a.
 
@@ -154,5 +97,33 @@ def hermite_with_transform(a: Matrix) -> tuple[Matrix, Matrix]:
     return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
 
 
-def is_zero_row(row) -> bool:
-    return all(x == 0 for x in row)
+def rank(a: Matrix) -> int:
+    """Rank over the rationals: the number of nonzero echelon rows."""
+    h, _ = hermite_with_transform(a)
+    return sum(1 for row in h if any(row))
+
+
+def invert_integer(a: Matrix) -> Matrix:
+    """Inverse of an integer matrix whose inverse is integral.
+
+    The echelon form H = U a of an invertible square matrix is upper
+    triangular with a positive diagonal, and the inverse is integral exactly
+    when that diagonal is all ones; clearing H above the diagonal with the
+    same row operations on U then leaves U = a^-1.  Raises ZeroDivisionError
+    if ``a`` is singular and ValueError if its inverse is not integral.
+    """
+    h, u = hermite_with_transform(a)
+    u = list(u)
+    n = len(h)
+    if any(h[c][c] == 0 for c in range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    if any(h[c][c] != 1 for c in range(n)):
+        raise ValueError("inverse is not integral")
+    # once the columns right of c are cleared, row c of H is e_c, so
+    # clearing column c changes no other entry of H
+    for c in range(n - 1, 0, -1):
+        for i in range(c):
+            q = h[i][c]
+            if q:
+                u[i] = tuple(x - q * y for x, y in zip(u[i], u[c]))
+    return tuple(u)

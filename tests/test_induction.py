@@ -351,8 +351,9 @@ def _set_field(text, line, field, value):
     lambda text, other: "",
     lambda text, other: other,                        # another class's file
     lambda text, other: _set_field(text, 1, "t", 99),  # 15 vertices
+    lambda text, other: _set_field(text, 4, "t", 0),   # vertex 3: 7 -> 0
 ], ids=["byte-truncated", "line-truncated", "empty", "wrong-base",
-        "out-of-range-target"])
+        "out-of-range-target", "duplicate-target"])
 def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
     seed = parse_gp("1 2 3 4 5 / 5 4 3 2 1")
