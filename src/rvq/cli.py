@@ -1,16 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success / affirmative, 1 semantic negative (invalid input
-data, reducible, unknown, failed verification), 2 usage errors. Machine
-output is JSON-lines under --json; identical invocations print identical
-bytes.
+data, reducible, unknown, failed verification) or an unusable file path,
+2 usage errors. Machine output is JSON-lines under --json; identical
+invocations print identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -82,7 +81,7 @@ def _prime_arg(text):
         p = int(text)
     except ValueError:
         p = 0
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if not groups.is_prime(p):
         raise argparse.ArgumentTypeError("%r is not a prime" % text)
     return p
 
@@ -402,7 +401,7 @@ def main(argv=None):
         os.environ[induction.CACHE_ENV] = args.cache_dir
     try:
         return args.func(args)
-    except RVQError as exc:
+    except (RVQError, OSError) as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         return 1
     finally:

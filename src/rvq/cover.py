@@ -1,64 +1,16 @@
-"""Orientation double cover: sign tables and cover stratum bookkeeping.
+"""Orientation double cover: cover stratum bookkeeping.
 
-The cover is handled combinatorially: letters are doubled with a sign bit,
-odd orders lift to single zeros of the next even order and even orders to
-two zeros of half the order; the cover genus follows from the order sum.
+The cover is handled combinatorially: odd orders lift to single zeros of
+the next even order and even orders to two zeros of half the order; the
+cover genus follows from the order sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import ConventionViolated
 from .gp import GeneralizedPermutation
 from .strata import StratumSignature, stratum_signature
-
-STAR = '*'
-
-
-@dataclass(frozen=True)
-class PermWithInvolution:
-    """One-line table over letter-sign pairs with a separator entry.
-
-    The involution flips the sign bit; signs are normalized so the first
-    occurrence of each letter in reading order (bottom row reversed, then the
-    star, then the top row) could be recovered from the underlying rows.
-    """
-    entries: tuple  # tuple of (letter, sign) pairs and the star
-    star_index: int
-
-    def left_letters(self) -> set:
-        return {e for e in self.entries[:self.star_index]}
-
-    def right_letters(self) -> set:
-        return {e for e in self.entries[self.star_index + 1:]}
-
-
-def to_perm_involution(gp: GeneralizedPermutation) -> PermWithInvolution:
-    """Encode the permutation as a signed one-line table.
-
-    Signs satisfy sign(position) = 1 - sign(twin position); the first copy of
-    each letter in position order gets sign 0. Raises ConventionViolated when
-    the permutation violates the both-rows convention: the letter signs of a
-    strict permutation lacking a duplicate in one row collapse to one side
-    of the star.
-    """
-    if not gp.satisfies_convention():
-        raise ConventionViolated(
-            "letter signs collapse to one side: %s" % gp.encode())
-    ell, m = gp.ell, gp.m
-    eps: dict[int, int] = {}
-    for i, j in gp.pairs.values():
-        eps[i], eps[j] = 0, 1
-
-    entries = []
-    for p in range(ell + m, ell, -1):
-        entries.append((gp.letter(p), eps[p]))
-    entries.append(STAR)
-    for p in range(1, ell + 1):
-        entries.append((gp.letter(p), eps[p]))
-    return PermWithInvolution(entries=tuple(entries), star_index=m)
 
 
 @dataclass(frozen=True)

@@ -72,10 +72,6 @@ class NotSuspendable(RVQError):
     convention or is reducible, so it names no (non-empty) stratum."""
 
 
-class ConventionViolated(RVQError):
-    """A strict generalized permutation lacks a duplicate in one of the rows."""
-
-
 class InconsistentGenus(RVQError):
     """Genus from singularity orders disagrees with homology rank (bug trap)."""
 

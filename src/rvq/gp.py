@@ -8,7 +8,6 @@ the usual formulas. All values are immutable; operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -325,71 +324,3 @@ def erase_letters(gp: GeneralizedPermutation,
     if not top or not bottom:
         raise EmptyRow("erasing %s would empty a row" % sorted(drop))
     return GeneralizedPermutation(top, bottom)
-
-
-# ---------------------------------------------------------------------------
-# suspension data
-# ---------------------------------------------------------------------------
-
-Complex = tuple[Fraction, Fraction]
-
-
-def _as_fraction_pair(z) -> Complex:
-    if isinstance(z, tuple):
-        return Fraction(z[0]), Fraction(z[1])
-    return Fraction(z), Fraction(0)
-
-
-@dataclass(frozen=True)
-class SuspensionDatum:
-    """Exact complex length data, one value per letter.
-
-    Values are pairs (real, imaginary) of Fractions so strict inequalities
-    at boundaries are decided exactly.
-    """
-    values: Mapping[Letter, Complex] = field(default_factory=dict)
-
-    @staticmethod
-    def of(mapping) -> "SuspensionDatum":
-        return SuspensionDatum(
-            {x: _as_fraction_pair(z) for x, z in mapping.items()})
-
-    def __getitem__(self, x: Letter) -> Complex:
-        return self.values[x]
-
-
-def check_suspension(gp: GeneralizedPermutation,
-                     zeta: SuspensionDatum) -> list[tuple]:
-    """Return the list of violated suspension conditions (empty when valid).
-
-    Checks, with exact rational arithmetic: positivity of every width,
-    positive top prefix heights, negative bottom prefix heights, and equality
-    of the two row totals.
-    """
-    violations: list[tuple] = []
-    for x in gp.alphabet:
-        if x not in zeta.values:
-            violations.append(('missing', x))
-    if violations:
-        return violations
-
-    for x in gp.alphabet:
-        if zeta[x][0] <= 0:
-            violations.append(('positivity', x))
-
-    h = Fraction(0)
-    for i in range(gp.ell - 1):
-        h += zeta[gp.top[i]][1]
-        if h <= 0:
-            violations.append(('top_prefix', i + 1))
-    h = Fraction(0)
-    for i in range(gp.m - 1):
-        h += zeta[gp.bottom[i]][1]
-        if h >= 0:
-            violations.append(('bottom_prefix', i + 1))
-
-    top_total = [sum(zeta[x][k] for x in gp.top) for k in (0, 1)]
-    bot_total = [sum(zeta[x][k] for x in gp.bottom) for k in (0, 1)]
-    if top_total != bot_total:
-        violations.append(('total',))
-    return violations

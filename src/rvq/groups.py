@@ -1,6 +1,5 @@
-"""Mod-p images of the groups generated along induction cycles, plus walk
-machinery: completeness counts, self-overlap-free complete cycles, and
-decomposition of mixed cycles into directed ones.
+"""Mod-p images of the groups generated along induction cycles, and the
+harvest of those cycles.
 
 A mod-p image is computed by deterministic Schreier-Sims on the permutation
 action of the generators on the nonzero row vectors of F_p^n. Its order is
@@ -10,13 +9,13 @@ the quotient is reported as the mod-p index.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
-                     NonSymplecticGenerator, OpenWalk)
+from .errors import NonDividingOrder, NonSymplecticGenerator, OpenWalk
 from .gp import GeneralizedPermutation
 from .homology import (DuplicateWinner, kz_minus_walk, kz_walk, minus_form,
                        quotient_action, quotient_data)
@@ -24,10 +23,23 @@ from .induction import RauzyClass, TOP, BOTTOM
 from .linalg import Matrix
 
 
+def is_prime(n: int) -> bool:
+    """Whether n is a prime, by trial division: the moduli this module and
+    the CLI accept."""
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError("modulus must be a prime, got %r" % (p,))
+
+
 def sp_order(g: int, p: int) -> int:
-    """Order of the symplectic group of rank g over the field with p elements."""
+    """Order of the symplectic group of rank g over the field with p
+    elements; raises ValueError unless p is a prime."""
     if g < 1:
         raise ValueError("genus must be >= 1")
+    _require_prime(p)
     n = p ** (g * g)
     for i in range(1, g + 1):
         n *= p ** (2 * i) - 1
@@ -59,8 +71,10 @@ def modp_closure(generators: Sequence[Matrix], p: int,
     double-cover case). The order is exact: deterministic Schreier-Sims on
     the action of the generators on the p^n - 1 nonzero row vectors of
     F_p^n, which is faithful. No group element is stored; only the
-    stabilizer chain with its transversals.
+    stabilizer chain with its transversals. Raises ValueError unless p is a
+    prime.
     """
+    _require_prime(p)
     n = len(form)
     if n % 2:
         raise ValueError("form must have even size")
@@ -301,16 +315,15 @@ def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
                           p: int) -> tuple[list[Matrix], Matrix]:
     """Minus-side analogue, skipping walks with a duplicate-letter winner;
     the halved form is returned for mod-p use."""
-    tb = base.both_rows_letters()
-    full = minus_form(base, tb)
-    halved = tuple(tuple(x // 2 for x in row) for row in full)
-    qd = quotient_data(base, order=tb, form=halved)
-    return _quotient_generators(base, cycles, p, qd,
-                                lambda b, w: kz_minus_walk(b, w, order=tb))
+    halved = tuple(tuple(x // 2 for x in row) for row in minus_form(base))
+    return _quotient_generators(base, cycles, p,
+                                quotient_data(base, form=halved),
+                                kz_minus_walk)
 
 
 def _quotient_generators(base, cycles, p, qd, walk_matrix):
     """Cycle matrices pushed to the quotient of ``qd``, distinct mod p."""
+    _require_prime(p)
     gens = []
     seen = set()
     for walk in cycles:
@@ -340,147 +353,3 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
     else:
         gens, form = plus_generators_modp(base, walks, p)
     return modp_closure(gens, p, form)
-
-
-# ---------------------------------------------------------------------------
-# completeness and decomposition
-# ---------------------------------------------------------------------------
-
-# win-seeking segments find_gamma_star may walk before it gives up
-_GAMMA_STAR_SEGMENTS = 10_000
-
-
-def k_completeness(base: GeneralizedPermutation, walk: str) -> int:
-    """Minimum number of wins over all letters along a directed walk."""
-    wins = {x: 0 for x in base.alphabet}
-    cur = base
-    from .induction import apply_arrow
-    for step in walk:
-        if step not in (TOP, BOTTOM):
-            raise MoveUndefined("completeness is for directed walks only")
-        arrow = apply_arrow(cur, step)
-        wins[arrow.winner] += 1
-        cur = arrow.target
-    return min(wins.values())
-
-
-def _has_border(rc: RauzyClass, walk: str) -> bool:
-    """A proper prefix that is also a suffix, as walks based at the base."""
-    n = len(walk)
-    verts = rc.trajectory(walk)
-    return any(walk[:size] == walk[n - size:] and verts[n - size] == 0
-               for size in range(1, n))
-
-
-def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass,
-                    k: int) -> str:
-    """A k-complete directed cycle at the base with no nontrivial self-overlap."""
-    from collections import deque
-
-    def arrows_out(i):
-        return [(kind, j, rc.table[kind][1][i]) for kind in (TOP, BOTTOM)
-                if (j := rc.step(i, kind)) is not None]
-
-    def path_to_win(start, letter):
-        # BFS for the nearest arrow won by `letter`
-        seen = {start}
-        queue = deque([(start, "")])
-        while queue:
-            i, path = queue.popleft()
-            for kind, j, winner in arrows_out(i):
-                if winner == letter:
-                    return path + kind, j
-                if j not in seen:
-                    seen.add(j)
-                    queue.append((j, path + kind))
-        raise MoveUndefined("letter %r never wins (class truncated?)" % letter)
-
-    wins = {x: 0 for x in base.alphabet}
-    cur = 0
-    walk = ""
-    steps_left = _GAMMA_STAR_SEGMENTS
-    while min(wins.values()) < k:
-        letter = min((x for x in wins if wins[x] < k), key=str)
-        segment, end = path_to_win(cur, letter)
-        walk += segment
-        for step, i in zip(segment, rc.trajectory(segment, cur)):
-            wins[rc.table[step][1][i]] += 1
-        cur = end
-        steps_left -= 1
-        if steps_left <= 0:
-            raise BudgetExceeded("no k-complete cycle within budget")
-    walk += rc.path_to_base(cur)
-
-    attempts = 0
-    candidate = walk
-    while _has_border(rc, candidate):
-        attempts += 1
-        if attempts > 50:
-            raise BudgetExceeded("could not remove self-overlap")
-        extra = random_directed_cycles(rc, count=attempts, maxlen=20,
-                                       seed=1000 + attempts)
-        if not extra:
-            raise BudgetExceeded("no auxiliary cycles available")
-        candidate = walk + extra[-1]
-    return candidate
-
-
-@dataclass(frozen=True)
-class DecompositionPiece:
-    cycle: str
-    sign: int  # +1: the cycle matrix, -1: its inverse
-
-
-def directed_decomposition(base: GeneralizedPermutation, rc: RauzyClass,
-                           walk: str) -> list[DecompositionPiece]:
-    """Split a mixed cycle into directed base cycles with alternating signs.
-
-    Consecutive runs of forward/backward steps become directed cycles closed
-    up through fixed spanning trees; shared connector paths cancel, so the
-    signed product of the piece matrices reproduces the walk matrix exactly
-    (asserted by the caller's tests).
-    """
-    start = rc.index_of(base)
-    if start is None:
-        raise OpenWalk("walk must start inside the class")
-    verts = rc.trajectory(walk, start)
-    if None in verts:
-        raise OpenWalk("walk leaves the class")
-    if verts[-1] != verts[0]:
-        raise OpenWalk("decomposition needs a closed walk")
-    if verts[0] != 0:
-        raise ValueError("walk must be based at the class base vertex")
-
-    pieces: list[DecompositionPiece] = []
-    i = 0
-    n = len(walk)
-    while i < n:
-        j = i
-        while j < n and walk[j].islower() == walk[i].islower():
-            j += 1
-        seg = walk[i:j]
-        if walk[i].islower():
-            cycle = (rc.path_from_base(verts[i]) + seg
-                     + rc.path_to_base(verts[j]))
-            pieces.append(DecompositionPiece(cycle=cycle, sign=+1))
-        else:
-            directed = seg[::-1].lower()
-            cycle = (rc.path_from_base(verts[j]) + directed
-                     + rc.path_to_base(verts[i]))
-            pieces.append(DecompositionPiece(cycle=cycle, sign=-1))
-        i = j
-    return pieces
-
-
-def decomposition_product(base: GeneralizedPermutation,
-                          pieces: Sequence[DecompositionPiece]) -> Matrix:
-    """Signed product of the piece matrices, last piece leftmost."""
-    mat = linalg.identity(len(base.alphabet))
-    for piece in pieces:
-        m, end = kz_walk(base, piece.cycle)
-        if end != base:
-            raise OpenWalk("piece %r does not close up" % piece.cycle)
-        if piece.sign < 0:
-            m = linalg.invert_integer(m)
-        mat = linalg.mul(m, mat)
-    return mat

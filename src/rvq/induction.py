@@ -73,17 +73,6 @@ def apply_arrow(gp: GeneralizedPermutation, kind: str) -> Arrow:
                  GeneralizedPermutation(top, bottom), change)
 
 
-def defined_moves(gp: GeneralizedPermutation) -> tuple[str, ...]:
-    kinds = []
-    for kind in (TOP, BOTTOM):
-        try:
-            apply_arrow(gp, kind)
-        except MoveUndefined:
-            continue
-        kinds.append(kind)
-    return tuple(kinds)
-
-
 def invert_arrow(gp: GeneralizedPermutation, kind: str, *,
                  require_irreducible: bool = True) -> Arrow:
     """Return the unique arrow of the given kind pointing into ``gp``.
@@ -145,14 +134,6 @@ def resolve_walk(base: GeneralizedPermutation,
         else:
             raise ValueError("walk steps must be one of t, b, T, B: %r" % step)
     return out
-
-
-def walk_end(base: GeneralizedPermutation, walk: str) -> GeneralizedPermutation:
-    steps = resolve_walk(base, walk)
-    if not steps:
-        return base
-    arrow, direction = steps[-1]
-    return arrow.target if direction > 0 else arrow.source
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,6 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
                  for row in a)
 
 
-def vec_mat(v: Vector, a: Matrix) -> Vector:
-    """Row vector times matrix."""
-    n = len(a[0])
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) for j in range(n))
-
-
 def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 

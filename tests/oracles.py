@@ -1,0 +1,303 @@
+"""Oracles and proof devices that the tests check the library against.
+
+No command and no library module uses these; the tests import them the way
+they import ``conftest``:
+
+* ``defined_moves``: the induction moves that exist at a vertex;
+* exact rational suspension data and their check, the oracle for
+  "irreducible and convention implies suspendable";
+* the signed one-line table of the orientation double cover;
+* k-completeness, self-overlap-free k-complete cycles, and the decomposition
+  of mixed cycles into directed ones (criterion 9).
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Mapping, Sequence
+
+from rvq import linalg
+from rvq.errors import BudgetExceeded, MoveUndefined, OpenWalk, RVQError
+from rvq.gp import GeneralizedPermutation, Letter
+from rvq.groups import random_directed_cycles
+from rvq.homology import kz_walk
+from rvq.induction import BOTTOM, TOP, RauzyClass, apply_arrow
+from rvq.linalg import Matrix
+
+
+def defined_moves(gp: GeneralizedPermutation) -> tuple[str, ...]:
+    kinds = []
+    for kind in (TOP, BOTTOM):
+        try:
+            apply_arrow(gp, kind)
+        except MoveUndefined:
+            continue
+        kinds.append(kind)
+    return tuple(kinds)
+
+
+# ---------------------------------------------------------------------------
+# suspension data
+# ---------------------------------------------------------------------------
+
+Complex = tuple[Fraction, Fraction]
+
+
+def _as_fraction_pair(z) -> Complex:
+    if isinstance(z, tuple):
+        return Fraction(z[0]), Fraction(z[1])
+    return Fraction(z), Fraction(0)
+
+
+@dataclass(frozen=True)
+class SuspensionDatum:
+    """Exact complex length data, one value per letter.
+
+    Values are pairs (real, imaginary) of Fractions so strict inequalities
+    at boundaries are decided exactly.
+    """
+    values: Mapping[Letter, Complex] = field(default_factory=dict)
+
+    @staticmethod
+    def of(mapping) -> "SuspensionDatum":
+        return SuspensionDatum(
+            {x: _as_fraction_pair(z) for x, z in mapping.items()})
+
+    def __getitem__(self, x: Letter) -> Complex:
+        return self.values[x]
+
+
+def check_suspension(gp: GeneralizedPermutation,
+                     zeta: SuspensionDatum) -> list[tuple]:
+    """Return the list of violated suspension conditions (empty when valid).
+
+    Checks, with exact rational arithmetic: positivity of every width,
+    positive top prefix heights, negative bottom prefix heights, and equality
+    of the two row totals.
+    """
+    violations: list[tuple] = []
+    for x in gp.alphabet:
+        if x not in zeta.values:
+            violations.append(('missing', x))
+    if violations:
+        return violations
+
+    for x in gp.alphabet:
+        if zeta[x][0] <= 0:
+            violations.append(('positivity', x))
+
+    h = Fraction(0)
+    for i in range(gp.ell - 1):
+        h += zeta[gp.top[i]][1]
+        if h <= 0:
+            violations.append(('top_prefix', i + 1))
+    h = Fraction(0)
+    for i in range(gp.m - 1):
+        h += zeta[gp.bottom[i]][1]
+        if h >= 0:
+            violations.append(('bottom_prefix', i + 1))
+
+    top_total = [sum(zeta[x][k] for x in gp.top) for k in (0, 1)]
+    bot_total = [sum(zeta[x][k] for x in gp.bottom) for k in (0, 1)]
+    if top_total != bot_total:
+        violations.append(('total',))
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# the signed one-line table of the double cover
+# ---------------------------------------------------------------------------
+
+STAR = '*'
+
+
+class ConventionViolated(RVQError):
+    """A strict generalized permutation lacks a duplicate in one of the rows."""
+
+
+@dataclass(frozen=True)
+class PermWithInvolution:
+    """One-line table over letter-sign pairs with a separator entry.
+
+    The involution flips the sign bit; signs are normalized so the first
+    occurrence of each letter in reading order (bottom row reversed, then the
+    star, then the top row) could be recovered from the underlying rows.
+    """
+    entries: tuple  # tuple of (letter, sign) pairs and the star
+    star_index: int
+
+    def left_letters(self) -> set:
+        return {e for e in self.entries[:self.star_index]}
+
+    def right_letters(self) -> set:
+        return {e for e in self.entries[self.star_index + 1:]}
+
+
+def to_perm_involution(gp: GeneralizedPermutation) -> PermWithInvolution:
+    """Encode the permutation as a signed one-line table.
+
+    Signs satisfy sign(position) = 1 - sign(twin position); the first copy of
+    each letter in position order gets sign 0. Raises ConventionViolated when
+    the permutation violates the both-rows convention: the letter signs of a
+    strict permutation lacking a duplicate in one row collapse to one side
+    of the star.
+    """
+    if not gp.satisfies_convention():
+        raise ConventionViolated(
+            "letter signs collapse to one side: %s" % gp.encode())
+    ell, m = gp.ell, gp.m
+    eps: dict[int, int] = {}
+    for i, j in gp.pairs.values():
+        eps[i], eps[j] = 0, 1
+
+    entries = []
+    for p in range(ell + m, ell, -1):
+        entries.append((gp.letter(p), eps[p]))
+    entries.append(STAR)
+    for p in range(1, ell + 1):
+        entries.append((gp.letter(p), eps[p]))
+    return PermWithInvolution(entries=tuple(entries), star_index=m)
+
+
+# ---------------------------------------------------------------------------
+# completeness and decomposition
+# ---------------------------------------------------------------------------
+
+# win-seeking segments find_gamma_star may walk before it gives up
+_GAMMA_STAR_SEGMENTS = 10_000
+
+
+def k_completeness(base: GeneralizedPermutation, walk: str) -> int:
+    """Minimum number of wins over all letters along a directed walk."""
+    wins = {x: 0 for x in base.alphabet}
+    cur = base
+    for step in walk:
+        if step not in (TOP, BOTTOM):
+            raise MoveUndefined("completeness is for directed walks only")
+        arrow = apply_arrow(cur, step)
+        wins[arrow.winner] += 1
+        cur = arrow.target
+    return min(wins.values())
+
+
+def _has_border(rc: RauzyClass, walk: str) -> bool:
+    """A proper prefix that is also a suffix, as walks based at the base."""
+    n = len(walk)
+    verts = rc.trajectory(walk)
+    return any(walk[:size] == walk[n - size:] and verts[n - size] == 0
+               for size in range(1, n))
+
+
+def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass,
+                    k: int) -> str:
+    """A k-complete directed cycle at the base with no nontrivial self-overlap."""
+
+    def arrows_out(i):
+        return [(kind, j, rc.table[kind][1][i]) for kind in (TOP, BOTTOM)
+                if (j := rc.step(i, kind)) is not None]
+
+    def path_to_win(start, letter):
+        # BFS for the nearest arrow won by `letter`
+        seen = {start}
+        queue = deque([(start, "")])
+        while queue:
+            i, path = queue.popleft()
+            for kind, j, winner in arrows_out(i):
+                if winner == letter:
+                    return path + kind, j
+                if j not in seen:
+                    seen.add(j)
+                    queue.append((j, path + kind))
+        raise MoveUndefined("letter %r never wins (class truncated?)" % letter)
+
+    wins = {x: 0 for x in base.alphabet}
+    cur = 0
+    walk = ""
+    steps_left = _GAMMA_STAR_SEGMENTS
+    while min(wins.values()) < k:
+        letter = min((x for x in wins if wins[x] < k), key=str)
+        segment, end = path_to_win(cur, letter)
+        walk += segment
+        for step, i in zip(segment, rc.trajectory(segment, cur)):
+            wins[rc.table[step][1][i]] += 1
+        cur = end
+        steps_left -= 1
+        if steps_left <= 0:
+            raise BudgetExceeded("no k-complete cycle within budget")
+    walk += rc.path_to_base(cur)
+
+    attempts = 0
+    candidate = walk
+    while _has_border(rc, candidate):
+        attempts += 1
+        if attempts > 50:
+            raise BudgetExceeded("could not remove self-overlap")
+        extra = random_directed_cycles(rc, count=attempts, maxlen=20,
+                                       seed=1000 + attempts)
+        if not extra:
+            raise BudgetExceeded("no auxiliary cycles available")
+        candidate = walk + extra[-1]
+    return candidate
+
+
+@dataclass(frozen=True)
+class DecompositionPiece:
+    cycle: str
+    sign: int  # +1: the cycle matrix, -1: its inverse
+
+
+def directed_decomposition(base: GeneralizedPermutation, rc: RauzyClass,
+                           walk: str) -> list[DecompositionPiece]:
+    """Split a mixed cycle into directed base cycles with alternating signs.
+
+    Consecutive runs of forward/backward steps become directed cycles closed
+    up through fixed spanning trees; shared connector paths cancel, so the
+    signed product of the piece matrices reproduces the walk matrix exactly
+    (asserted by the caller's tests).
+    """
+    start = rc.index_of(base)
+    if start is None:
+        raise OpenWalk("walk must start inside the class")
+    verts = rc.trajectory(walk, start)
+    if None in verts:
+        raise OpenWalk("walk leaves the class")
+    if verts[-1] != verts[0]:
+        raise OpenWalk("decomposition needs a closed walk")
+    if verts[0] != 0:
+        raise ValueError("walk must be based at the class base vertex")
+
+    pieces: list[DecompositionPiece] = []
+    i = 0
+    n = len(walk)
+    while i < n:
+        j = i
+        while j < n and walk[j].islower() == walk[i].islower():
+            j += 1
+        seg = walk[i:j]
+        if walk[i].islower():
+            cycle = (rc.path_from_base(verts[i]) + seg
+                     + rc.path_to_base(verts[j]))
+            pieces.append(DecompositionPiece(cycle=cycle, sign=+1))
+        else:
+            directed = seg[::-1].lower()
+            cycle = (rc.path_from_base(verts[j]) + directed
+                     + rc.path_to_base(verts[i]))
+            pieces.append(DecompositionPiece(cycle=cycle, sign=-1))
+        i = j
+    return pieces
+
+
+def decomposition_product(base: GeneralizedPermutation,
+                          pieces: Sequence[DecompositionPiece]) -> Matrix:
+    """Signed product of the piece matrices, last piece leftmost."""
+    mat = linalg.identity(len(base.alphabet))
+    for piece in pieces:
+        m, end = kz_walk(base, piece.cycle)
+        if end != base:
+            raise OpenWalk("piece %r does not close up" % piece.cycle)
+        if piece.sign < 0:
+            m = linalg.invert_integer(m)
+        mat = linalg.mul(m, mat)
+    return mat

@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 import time
 
 import pytest
@@ -209,6 +211,53 @@ def test_no_cache_writes_no_class_file(capsys, tmp_path, monkeypatch, argv):
     code, _, _ = run(capsys, "--no-cache", "--cache-dir", str(cache), *argv)
     assert code == 0
     assert list(cache.iterdir()) == [] and not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--cache-dir", "{file}", "class", "1 2 / 2 1"], "FileExistsError"),
+    (["--cache-dir", "{file}/sub", "identify", "0 1 2 3 5 6 / 3 2 6 5 1 0"],
+     "NotADirectoryError"),
+    (["class", "1 2 / 2 1", "--dot", "{tmp}/missing/x.dot"],
+     "FileNotFoundError"),
+    (["class", "1 2 / 2 1", "--dot", "{tmp}"], "IsADirectoryError"),
+], ids=["cache-dir-is-a-file", "cache-dir-under-a-file", "dot-dir-missing",
+        "dot-is-a-directory"])
+def test_unusable_path_is_one_line_error(capsys, tmp_path, argv, error):
+    components._hyperelliptic_class.cache_clear()
+    file = tmp_path / "file"
+    file.write_text("")
+    code, _, err = run(capsys, *(a.format(file=file, tmp=tmp_path)
+                                 for a in argv))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(error + ": ")
+
+
+def _readme_commands():
+    """The argument lists of the ``rvq`` lines of README's command-line
+    block, comments dropped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("rvq ")]
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path / "cache"))
+    commands = _readme_commands()
+    assert len(commands) == 12
+    printed = {}
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == (1 if argv[0] == "validate" else 0), argv
+        printed[argv[0]] = printed.get(argv[0], "") + out + err
+    assert printed["stratum"] == "Q(6,-1,-1) genus=2\n"
+    assert printed["validate"].startswith("LetterCountError: ")
+    assert printed["identify"] == "H(4)^odd\n"
+    lines = printed["verify-table"].splitlines()
+    assert len(lines) == 12 and all(ln.endswith(": PASS") for ln in lines)
+    assert (tmp_path / "out.dot").read_text().startswith("digraph rauzy {")
 
 
 def test_group_minus_refuses_ineligible_stratum(capsys, tmp_path):

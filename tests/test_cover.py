@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import random_gp
-from rvq.cover import STAR, cover_stratum, to_perm_involution
-from rvq.errors import ConventionViolated
+from oracles import STAR, ConventionViolated, to_perm_involution
+from rvq.cover import cover_stratum
 from rvq.gp import parse_gp
 from rvq.strata import stratum_signature
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import random_gp
+from oracles import defined_moves
 from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (AlphabetMismatch, CaseUnmatched, IllegalPosition,
                         NotSplittable, ParityError, RVQError)
@@ -12,7 +13,7 @@ from rvq.extensions import (ExtensionWitness, extend_arrow, extend_walk,
                             search_extensions, split_even_zero,
                             split_singularity, witness_from)
 from rvq.gp import erase_letters, is_irreducible, parse_gp
-from rvq.induction import apply_arrow, defined_moves
+from rvq.induction import apply_arrow
 from rvq.strata import orbit_order, stratum_signature, turning_orbits
 
 T4 = parse_gp("1 2 3 4 / 4 3 2 1")

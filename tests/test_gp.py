@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import normal_forms, random_gp, small_gps
+from oracles import (STAR, ConventionViolated, SuspensionDatum,
+                     check_suspension, to_perm_involution)
 from rvq.components import table1
-from rvq.cover import STAR, to_perm_involution
-from rvq.errors import (ConventionViolated, EmptyRow, LetterCountError,
-                        MalformedText, MoveUndefined, ReverseArrowMissing)
-from rvq.gp import (Decomposition, GeneralizedPermutation, SuspensionDatum,
-                    _corner_masks, check_suspension, erase_letters,
-                    find_reduction, is_irreducible, parse_gp, validate)
+from rvq.errors import (EmptyRow, LetterCountError, MalformedText,
+                        MoveUndefined, ReverseArrowMissing)
+from rvq.gp import (Decomposition, GeneralizedPermutation, _corner_masks,
+                    erase_letters, find_reduction, is_irreducible, parse_gp,
+                    validate)
 from rvq.induction import apply_arrow, invert_arrow
 from rvq.strata import turning_map
 

@@ -2,17 +2,16 @@ import random
 
 import pytest
 
+from oracles import (DecompositionPiece, decomposition_product,
+                     directed_decomposition, find_gamma_star, k_completeness)
 from rvq import groups, linalg
 from rvq.components import sigma_hyp, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
                         NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from rvq.gp import parse_gp
-from rvq.groups import (DecompositionPiece, arrow_cycles,
-                        decomposition_product, directed_decomposition,
-                        find_gamma_star, k_completeness, minus_generators_modp,
-                        modp_closure, plus_generators_modp,
-                        random_directed_cycles, rauzy_veech_group_modp,
-                        sp_order)
+from rvq.groups import (arrow_cycles, minus_generators_modp, modp_closure,
+                        plus_generators_modp, random_directed_cycles,
+                        rauzy_veech_group_modp, sp_order)
 from rvq.homology import DuplicateWinner, kz_minus_walk, kz_walk
 from rvq.induction import enumerate_class, load_or_enumerate
 from rvq.linalg import identity
@@ -112,6 +111,17 @@ def test_sp_order_values():
     assert sp_order(2, 2) == 720
     assert sp_order(3, 2) == 1451520
     assert sp_order(1, 3) == 3 * (9 - 1)
+
+
+@pytest.mark.parametrize("p", [4, 6, 0, 1, -3])
+def test_non_prime_modulus_refused(p):
+    rc = load_or_enumerate(tau_sym(4))
+    with pytest.raises(ValueError, match="prime"):
+        rauzy_veech_group_modp(tau_sym(4), rc, p, cycles=8)
+    with pytest.raises(ValueError, match="prime"):
+        sp_order(2, p)
+    with pytest.raises(ValueError, match="prime"):
+        modp_closure([identity(2)], p, ((0, 1), (-1, 0)))
 
 
 def test_torus_closure_full():

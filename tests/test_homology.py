@@ -3,13 +3,14 @@ import random
 import pytest
 
 from conftest import random_gp, small_gps
+from oracles import defined_moves
 from rvq import linalg
 from rvq.errors import AlphabetMismatch, MoveUndefined, NotOmegaPreserving
 from rvq.gp import parse_gp
 from rvq.homology import (DuplicateWinner, intersection_form, kz_minus_walk,
                           kz_plus, kz_plus_inverse, kz_walk, minus_form,
                           quotient_action, quotient_data)
-from rvq.induction import apply_arrow, defined_moves
+from rvq.induction import apply_arrow
 from rvq.linalg import identity, mul, rank, transpose
 from rvq.strata import stratum_signature
 

@@ -5,16 +5,17 @@ import random
 import pytest
 
 from conftest import random_gp, small_gps
+from oracles import defined_moves
 from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, OpenWalk,
                         ReducibleSeed, ReverseArrowMissing)
 from rvq import induction
 from rvq.gp import is_irreducible, parse_gp
 from rvq.groups import arrow_cycles, random_directed_cycles
+from rvq.homology import kz_walk
 from rvq.induction import (RauzyClass, _cache_path, apply_arrow,
-                           defined_moves, enumerate_class, export_graph,
-                           invert_arrow, load_or_enumerate, resolve_walk,
-                           walk_end)
+                           enumerate_class, export_graph, invert_arrow,
+                           load_or_enumerate, resolve_walk)
 
 
 # -- literal position-formula implementation, used as an independent oracle --
@@ -416,7 +417,7 @@ def test_resolve_walk_and_end():
     torus = parse_gp("1 2 / 2 1")
     steps = resolve_walk(torus, "tbTB")
     assert [d for _, d in steps] == [1, 1, -1, -1]
-    assert walk_end(torus, "tb") == torus
+    assert kz_walk(torus, "tb")[1] == torus
 
 
 def test_reduced_enumeration_quotient():

@@ -6,7 +6,7 @@ from conftest import normal_forms, random_gp
 from rvq.components import sigma_hyp, sigma_zorich, tau_sym, tau_zorich
 from rvq.errors import CriterionInapplicable
 from rvq.gp import GeneralizedPermutation, is_irreducible, parse_gp
-from rvq.induction import apply_arrow, defined_moves, enumerate_class
+from rvq.induction import enumerate_class
 from rvq.strata import (StratumSignature, orbit_order, spin_parity,
                         stratum_signature, turning_map, turning_orbits)
 
