@@ -271,12 +271,18 @@ def cmd_group(args):
            "index": res.index, "genus": res.genus,
            "generators": res.generators_used,
            "base_length": res.base_length, "cycles": args.cycles,
-           "maxlen": args.maxlen, "seed": args.seed, "minus": args.minus}
+           "maxlen": args.maxlen, "seed": args.seed, "minus": args.minus,
+           "exact": res.exact}
+    if res.exact:
+        harvest = "exact: %d generators from one cycle per arrow" % (
+            res.generators_used,)
+    else:
+        harvest = ("lower bound: %d generators from %d cycles, maxlen %d, "
+                   "seed %d" % (res.generators_used, args.cycles, args.maxlen,
+                                args.seed))
     _emit(args, rec,
-          "mod-%d closure: order %d, index %d in Sp(%d, F_%d) "
-          "[%d generators from %d cycles, maxlen %d, seed %d]"
-          % (res.p, res.order, res.index, 2 * res.genus, res.p,
-             res.generators_used, args.cycles, args.maxlen, args.seed))
+          "mod-%d closure: order %d, index %d in Sp(%d, F_%d) [%s]"
+          % (res.p, res.order, res.index, 2 * res.genus, res.p, harvest))
     return 0
 
 
@@ -384,7 +390,9 @@ def main(argv=None):
     p.add_argument("gp")
     p.add_argument("--mod", type=_prime_arg, default=2)
     p.add_argument("--minus", action="store_true")
-    p.add_argument("--cycles", type=_positive_int_arg, default=200)
+    p.add_argument("--cycles", type=_positive_int_arg, default=200,
+                   help="one cycle per arrow for at most 4*N arrows; N random "
+                   "cycles only beyond that, or with --minus")
     p.add_argument("--maxlen", type=_positive_int_arg, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_group)

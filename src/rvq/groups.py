@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import linalg
 from .errors import NonDividingOrder, NonSymplecticGenerator, OpenWalk
 from .gp import GeneralizedPermutation
-from .homology import (DuplicateWinner, kz_minus_walk, kz_walk, minus_form,
+from .homology import (DuplicateWinner, QuotientData, _factor, _times_factor,
+                       kz_minus_walk, kz_walk, minus_form, plus_factor,
                        quotient_action, quotient_data)
-from .induction import RauzyClass, TOP, BOTTOM
+from .induction import RauzyClass, TOP, BOTTOM, apply_arrow
 from .linalg import Matrix
 
 
@@ -53,7 +55,9 @@ def sp_order(g: int, p: int) -> int:
 @dataclass(frozen=True)
 class ClosureResult:
     """The mod-p image; ``base_length`` is the number of base points of its
-    stabilizer chain on the nonzero vectors."""
+    stabilizer chain on the nonzero vectors.  ``exact`` is set when the
+    order is that of the whole image of the plus Rauzy-Veech group, not
+    only a lower bound on it (see :func:`rauzy_veech_group_modp`)."""
 
     order: int
     index: int
@@ -61,6 +65,7 @@ class ClosureResult:
     p: int
     generators_used: int
     base_length: int
+    exact: bool = False
 
 
 def modp_closure(generators: Sequence[Matrix], p: int,
@@ -297,35 +302,75 @@ def random_directed_cycles(rc: RauzyClass, *, count: int = 200,
 def arrow_cycles(rc: RauzyClass, *, cap: Optional[int] = None) -> list[str]:
     """One base cycle through every arrow: out-tree path, the arrow, in-tree
     path home. These generate everything the directed cycles can reach."""
-    cycles = []
-    for i, kind, j, _ in rc.arrows():
-        cycles.append(rc.path_from_base(i) + kind + rc.path_to_base(j))
-        if cap is not None and len(cycles) >= cap:
-            break
-    return cycles
+    return [rc.path_from_base(i) + kind + rc.path_to_base(j)
+            for i, kind, j, _ in islice(rc.arrows(), cap)]
 
 
-def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
-                         p: int) -> tuple[list[Matrix], Matrix]:
-    """Reduce cycle matrices to the quotient and mod p; returns (gens, form)."""
-    return _quotient_generators(base, cycles, p, quotient_data(base), kz_walk)
+def arrow_cycle_matrices(rc: RauzyClass, *, cap: Optional[int] = None
+                         ) -> list[Matrix]:
+    """The plus matrices of ``arrow_cycles(rc, cap=cap)``, in that order:
+    each equals ``kz_walk(rc.vertices[0], cycle)[0]``, but no cycle is
+    walked.
+
+    The cycle through the arrow i -> j with factor F is Y_j·F·X_i, where X_i
+    is the matrix of the out-tree path to i and Y_j that of the in-tree path
+    from j home.  The prefixes are built on first use, for the vertices the
+    cycles visit, one factor per tree arrow: X_child = F·X_parent is one row
+    operation and Y_j = Y_i·F one column operation.  Each arrow used is
+    applied once to its source vertex and gives its factor; a target that
+    is not the vertex the table names raises OpenWalk.  Letters are indexed
+    by the base's alphabet, so a class with reduced labels is refused with
+    ValueError.
+    """
+    if rc.reduced_labels:
+        raise ValueError("cycle matrices need a class with labeled vertices")
+    order = rc.vertices[0].alphabet
+    factors: dict[tuple[int, str], tuple[int, int, bool]] = {}
+
+    def factor(i, kind, j):
+        if (i, kind) not in factors:
+            arrow = apply_arrow(rc.vertices[i], kind)
+            if arrow.target != rc.vertices[j]:
+                raise OpenWalk("the class's %s-arrow from vertex %d does not "
+                               "lead to vertex %d" % (kind, i, j))
+            factors[i, kind] = plus_factor(arrow, order)
+        return factors[i, kind]
+
+    ident = [list(row) for row in linalg.identity(len(order))]
+    prefixes = {"tb": {0: ident}, "TB": {0: ident}}
+
+    def prefix(moves, idx):
+        tree, known = rc.tree(moves), prefixes[moves]
+        path = []
+        while idx not in known:
+            path.append(idx)
+            if tree[idx] is None:
+                raise OpenWalk("vertex %d is not connected to the base by %s"
+                               % (idx, moves))
+            idx = tree[idx][0]
+        mat = known[idx]
+        for child in reversed(path):
+            parent, kind = tree[child]
+            if moves == "tb":
+                mat = list(mat)  # rows are replaced, never changed in place
+                _factor(mat, *factor(parent, kind, child), False)
+            else:
+                mat = _times_factor(mat, *factor(child, kind, parent))
+            known[child] = mat
+        return mat
+
+    mats = []
+    for i, kind, j, _ in islice(rc.arrows(), cap):
+        mat = list(prefix("tb", i))
+        _factor(mat, *factor(i, kind, j), False)
+        mats.append(linalg.mul(prefix("TB", j), mat))
+    return mats
 
 
-def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
-                          p: int) -> tuple[list[Matrix], Matrix]:
-    """Minus-side analogue, skipping walks with a duplicate-letter winner;
-    the halved form is returned for mod-p use."""
-    halved = tuple(tuple(x // 2 for x in row) for row in minus_form(base))
-    return _quotient_generators(base, cycles, p,
-                                quotient_data(base, form=halved),
-                                kz_minus_walk)
-
-
-def _quotient_generators(base, cycles, p, qd, walk_matrix):
-    """Cycle matrices pushed to the quotient of ``qd``, distinct mod p."""
-    _require_prime(p)
-    gens = []
-    seen = set()
+def _walk_matrices(base: GeneralizedPermutation, cycles: Sequence[str],
+                   walk_matrix) -> Iterator[Matrix]:
+    """The matrices of the cycles that ``walk_matrix`` admits, each checked
+    to close up at the base."""
     for walk in cycles:
         try:
             mat, end = walk_matrix(base, walk)
@@ -333,6 +378,34 @@ def _quotient_generators(base, cycles, p, qd, walk_matrix):
             continue  # a minus walk through a type-changing arrow
         if end != base:
             raise OpenWalk("cycle %r does not close up" % walk)
+        yield mat
+
+
+def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
+                         p: int) -> tuple[list[Matrix], Matrix]:
+    """Reduce cycle matrices to the quotient and mod p; returns (gens, form)."""
+    return _quotient_generators(base, _walk_matrices(base, cycles, kz_walk),
+                                p, quotient_data(base))
+
+
+def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
+                          p: int) -> tuple[list[Matrix], Matrix]:
+    """Minus-side analogue, skipping walks with a duplicate-letter winner;
+    the halved form is returned for mod-p use."""
+    halved = tuple(tuple(x // 2 for x in row) for row in minus_form(base))
+    return _quotient_generators(
+        base, _walk_matrices(base, cycles, kz_minus_walk), p,
+        quotient_data(base, form=halved))
+
+
+def _quotient_generators(base: GeneralizedPermutation, mats: Iterable[Matrix],
+                         p: int, qd: QuotientData
+                         ) -> tuple[list[Matrix], Matrix]:
+    """Cycle matrices pushed to the quotient of ``qd``, distinct mod p."""
+    _require_prime(p)
+    gens = []
+    seen = set()
+    for mat in mats:
         red, _ = quotient_action(base, mat, data=qd)
         key = linalg.mat_mod(red, p)
         if key not in seen:
@@ -344,12 +417,36 @@ def _quotient_generators(base, cycles, p, qd, walk_matrix):
 def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
                            p: int = 2, *, cycles: int = 200, maxlen: int = 60,
                            seed: int = 0, minus: bool = False) -> ClosureResult:
-    """Harvest cycles at the base vertex and close their matrices mod p."""
-    walks = (arrow_cycles(rc, cap=4 * cycles)
-             + random_directed_cycles(rc, count=cycles, maxlen=maxlen,
-                                      seed=seed))
+    """Harvest cycles at the base vertex of the labeled class ``rc`` and
+    close their matrices mod p.
+
+    The harvest is one cycle per arrow, for at most ``4 * cycles`` arrows.
+    On the plus side, when that covers every arrow, these cycles generate
+    the whole plus Rauzy-Veech group: every closed walk at the base is a
+    product of them and their inverses.  Then nothing else is walked, and
+    on a complete class the result is ``exact``.  Otherwise (a larger class,
+    or the minus side, which skips the cycles through a duplicate winner)
+    ``cycles`` random directed cycles of length at most ``maxlen``, drawn
+    from ``seed``, are added, and the order is a lower bound.  A class with
+    reduced labels, or ``cycles`` below 1, raises ValueError, and one whose
+    table disagrees with the moves raises OpenWalk.
+    """
+    if cycles < 1:
+        raise ValueError("cycles must be at least 1, got %r" % (cycles,))
+    if rc.reduced_labels:
+        raise ValueError("the group needs the labeled class of the base, "
+                         "not one with reduced labels")
+    if rc.vertices[0] != base:
+        raise OpenWalk("%s is not the base of the class" % base.encode())
+    covered = rc.arrow_count() <= 4 * cycles
+    walks = [] if covered and not minus else random_directed_cycles(
+        rc, count=cycles, maxlen=maxlen, seed=seed)
     if minus:
-        gens, form = minus_generators_modp(base, walks, p)
+        gens, form = minus_generators_modp(
+            base, arrow_cycles(rc, cap=4 * cycles) + walks, p)
     else:
-        gens, form = plus_generators_modp(base, walks, p)
-    return modp_closure(gens, p, form)
+        mats = (arrow_cycle_matrices(rc, cap=4 * cycles)
+                + list(_walk_matrices(base, walks, kz_walk)))
+        gens, form = _quotient_generators(base, mats, p, quotient_data(base))
+    res = modp_closure(gens, p, form)
+    return replace(res, exact=covered and rc.complete and not minus)

@@ -104,13 +104,36 @@ def _factor(mat: list[list[int]], li: int, wi: int, reflection: bool,
         mat[li] = [a + b for a, b in zip(mat[li], mat[wi])]
 
 
+def _times_factor(mat: Sequence[Sequence[int]], li: int, wi: int,
+                  reflection: bool) -> list[list[int]]:
+    """The rows ``mat`` right-multiplied by one cocycle factor of
+    :func:`_factor`: the column operation that adds column ``li`` to column
+    ``wi``, or for the reflection subtracts it there and negates it."""
+    out = []
+    for row in mat:
+        row = list(row)
+        if reflection:
+            row[wi] -= row[li]
+            row[li] = -row[li]
+        else:
+            row[wi] += row[li]
+        out.append(row)
+    return out
+
+
+def plus_factor(arrow: Arrow, order: Sequence[str]) -> tuple[int, int, bool]:
+    """The arrow's plus factor as :func:`_factor` takes it: the loser's and
+    the winner's index in ``order`` and whether the factor is the
+    reflection (loser and winner do not pair at the source vertex)."""
+    li, wi = order.index(arrow.loser), order.index(arrow.winner)
+    return li, wi, intersection_form(arrow.source, order)[li][wi] == 0
+
+
 def _plus_matrix(arrow: Arrow, order: Optional[Sequence[str]],
                  inverse: bool) -> Matrix:
     order = tuple(order) if order is not None else arrow.source.alphabet
-    omega = intersection_form(arrow.source, order)
-    li, wi = order.index(arrow.loser), order.index(arrow.winner)
     mat = [list(row) for row in linalg.identity(len(order))]
-    _factor(mat, li, wi, omega[li][wi] == 0, inverse)
+    _factor(mat, *plus_factor(arrow, order), inverse)
     return tuple(tuple(row) for row in mat)
 
 
@@ -141,10 +164,7 @@ def kz_walk(base: GeneralizedPermutation,
     mat = [list(row) for row in linalg.identity(len(order))]
     cur = base
     for arrow, direction in steps:
-        omega = intersection_form(arrow.source, order)
-        li = order.index(arrow.loser)
-        wi = order.index(arrow.winner)
-        _factor(mat, li, wi, omega[li][wi] == 0, direction < 0)
+        _factor(mat, *plus_factor(arrow, order), direction < 0)
         cur = arrow.target if direction > 0 else arrow.source
     return tuple(tuple(row) for row in mat), cur
 

@@ -243,9 +243,15 @@ class RauzyClass:
                     queue.append(j)
         return tree
 
+    def tree(self, moves: str) -> list[Optional[tuple[int, str]]]:
+        """The out-tree (``moves`` "tb") or the in-tree ("TB") of the base,
+        as :meth:`_tree` describes it; built on first use and kept.  In the
+        in-tree the arrow of entry j = (i, kind) leads from j to i."""
+        return self._memo(moves, lambda: self._tree(moves))
+
     def _tree_path(self, moves: str, idx: int) -> list[str]:
         """The kinds of the tree arrows from vertex idx back to the base."""
-        tree = self._memo(moves, lambda: self._tree(moves))
+        tree = self.tree(moves)
         steps = []
         while idx != 0:
             entry = tree[idx]
@@ -413,8 +419,9 @@ def load_or_enumerate(seed: GeneralizedPermutation,
         base = seed.reduced() if reduced_labels else seed
         if rc is not None and rc.complete and rc.base == base:
             return rc
-    rc = enumerate_class(seed, limit, reduced_labels=reduced_labels)
+    # an unusable directory fails here, before the enumeration
     os.makedirs(cache_dir(), exist_ok=True)
+    rc = enumerate_class(seed, limit, reduced_labels=reduced_labels)
     fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir())
     try:
         with os.fdopen(fd, "w") as fh:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rvq import components
+from rvq import components, induction
 from rvq.cli import main
 
 
@@ -111,7 +111,7 @@ def test_group_human_line(capsys):
     code, out, _ = run(capsys, "group", "1 2 3 4 / 4 3 2 1", "--mod", "3")
     assert code == 0 and out == (
         "mod-3 closure: order 51840, index 1 in Sp(4, F_3) "
-        "[197 generators from 200 cycles, maxlen 60, seed 0]\n")
+        "[exact: 8 generators from one cycle per arrow]\n")
 
 
 def test_verify_table_subset(capsys):
@@ -230,6 +230,20 @@ def test_unusable_path_is_one_line_error(capsys, tmp_path, argv, error):
                                  for a in argv))
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith(error + ": ")
+
+
+def test_unusable_cache_dir_is_refused_before_enumerating(
+        capsys, tmp_path, monkeypatch):
+    def enumerate_class(*args, **kwargs):
+        raise AssertionError("enumerated before the cache directory was made")
+
+    monkeypatch.setattr(induction, "enumerate_class", enumerate_class)
+    file = tmp_path / "file"
+    file.write_text("")
+    code, out, err = run(capsys, "--cache-dir", str(file), "class",
+                         "0 1 2 3 4 5 6 7 8 / 8 7 5 4 3 2 6 1 0")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("FileExistsError: ")
 
 
 def _readme_commands():

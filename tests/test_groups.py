@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import pytest
@@ -9,11 +11,12 @@ from rvq.components import sigma_hyp, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
                         NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from rvq.gp import parse_gp
-from rvq.groups import (arrow_cycles, minus_generators_modp, modp_closure,
+from rvq.groups import (arrow_cycle_matrices, arrow_cycles,
+                        minus_generators_modp, modp_closure,
                         plus_generators_modp, random_directed_cycles,
                         rauzy_veech_group_modp, sp_order)
 from rvq.homology import DuplicateWinner, kz_minus_walk, kz_walk
-from rvq.induction import enumerate_class, load_or_enumerate
+from rvq.induction import RauzyClass, enumerate_class, load_or_enumerate
 from rvq.linalg import identity
 
 TORUS = parse_gp("1 2 / 2 1")
@@ -334,3 +337,141 @@ def test_schreier_sims_matches_bfs(base, p):
         assert res.order == _bfs_closure(subset, p, form, budget=BFS_BUDGET)
         compared += 1
     assert compared >= 2
+
+
+# ---------------------------------------------------------------------------
+# one cycle per arrow: matrices from tree prefixes, and exact orders
+# ---------------------------------------------------------------------------
+
+QUADRATIC = parse_gp("0 A A 1 / 1 B B 0")
+
+
+@pytest.mark.parametrize("base", [
+    TORUS, tau_sym(4), tau_sym(5), tau_sym(6), tau_zorich(3), QUADRATIC,
+], ids=["torus", "H(2)", "H(1,1)", "H(4)hyp", "H(4)odd", "Q(2,-1,-1)"])
+def test_arrow_cycle_matrices_equal_the_walked_matrices(base):
+    rc = load_or_enumerate(base)
+    walks = arrow_cycles(rc)
+    mats = arrow_cycle_matrices(rc)
+    assert len(mats) == len(walks) == rc.arrow_count()
+    for walk, mat in zip(walks, mats):
+        assert mat == kz_walk(base, walk)[0], walk
+
+
+def test_capped_arrow_cycle_matrices_equal_the_walked_matrices():
+    rc = load_or_enumerate(tau_zorich(3))
+    cap = 40
+    assert rc.arrow_count() > cap
+    walks = arrow_cycles(rc, cap=cap)
+    mats = arrow_cycle_matrices(rc, cap=cap)
+    assert len(mats) == len(walks) == cap
+    assert mats == [kz_walk(tau_zorich(3), walk)[0] for walk in walks]
+
+
+# the seven cases of the group benchmark and their known orders
+BENCH_CASES = [
+    (tau_sym(2), 2, 6), (tau_sym(4), 2, 120), (tau_sym(4), 3, 51_840),
+    (tau_sym(5), 2, 720), (tau_sym(5), 3, 51_840), (tau_sym(6), 2, 5_040),
+    (tau_zorich(3), 2, 51_840),
+]
+BENCH_IDS = ["torus-2", "H(2)-2", "H(2)-3", "H(1,1)-2", "H(1,1)-3",
+             "H(4)hyp-2", "H(4)odd-2"]
+
+
+@pytest.mark.parametrize("base, p, order", BENCH_CASES, ids=BENCH_IDS)
+def test_arrow_cycles_give_the_order_of_the_full_harvest(base, p, order):
+    rc = load_or_enumerate(base)
+    res = rauzy_veech_group_modp(base, rc, p)
+    assert res.exact and res.order == order
+    for seed in (0, 1, 2):
+        # arrow cycles and random ones, all walked: the harvest before the
+        # random cycles were skipped on a covered class
+        walks = arrow_cycles(rc, cap=800) + random_directed_cycles(rc,
+                                                                   seed=seed)
+        gens, form = plus_generators_modp(base, walks, p)
+        assert modp_closure(gens, p, form).order == res.order
+    for seed in (0, 1, 2):
+        for maxlen in (10, 60):
+            assert rauzy_veech_group_modp(base, rc, p, seed=seed,
+                                          maxlen=maxlen) == res
+
+
+def _spy_on_random_cycles(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return random_directed_cycles(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "random_directed_cycles", spy)
+    return calls
+
+
+def test_random_cycles_are_walked_when_the_arrows_are_not_covered(
+        monkeypatch):
+    base = tau_sym(5)
+    rc = load_or_enumerate(base)
+    assert rc.arrow_count() > 4 * 5
+    calls = _spy_on_random_cycles(monkeypatch)
+    res = rauzy_veech_group_modp(base, rc, 3, cycles=5, maxlen=30, seed=4)
+    assert calls == [{"count": 5, "maxlen": 30, "seed": 4}] and not res.exact
+    walks = arrow_cycles(rc, cap=20) + random_directed_cycles(
+        rc, count=5, maxlen=30, seed=4)
+    gens, form = plus_generators_modp(base, walks, 3)
+    assert res == modp_closure(gens, 3, form)
+
+
+def test_random_cycles_are_walked_on_the_minus_side(monkeypatch):
+    rc = load_or_enumerate(QUADRATIC)
+    assert rc.arrow_count() == 4 * 204
+    calls = _spy_on_random_cycles(monkeypatch)
+    res = rauzy_veech_group_modp(QUADRATIC, rc, 3, cycles=204, minus=True)
+    assert len(calls) == 1 and not res.exact and res.order == 24
+    assert rauzy_veech_group_modp(QUADRATIC, rc, 3, cycles=204).exact
+    assert len(calls) == 1
+
+
+def test_an_incomplete_class_gives_a_lower_bound():
+    base = tau_sym(4)
+    rc = load_or_enumerate(base)
+    res = rauzy_veech_group_modp(base, dataclasses.replace(rc, complete=False),
+                                 2)
+    assert res.order == 120 and not res.exact
+    part = enumerate_class(base, limit=6, allow_truncated=True)
+    with pytest.raises(OpenWalk):  # vertex 2 has no way home in the part
+        rauzy_veech_group_modp(base, part, 2)
+
+
+def _swap_t_arrows(rc, a, b):
+    """The class's cache text with the t-arrows (targets and winners) of
+    vertices a and b swapped: every target stays distinct and in range."""
+    lines = rc.to_jsonl().splitlines()
+    recs = [json.loads(ln) for ln in lines[1:]]
+    assert None not in (recs[a]["t"], recs[b]["t"])
+    for key in ("t", "tw"):
+        recs[a][key], recs[b][key] = recs[b][key], recs[a][key]
+    return "\n".join(lines[:1] + [json.dumps(rec) for rec in recs]) + "\n"
+
+
+def test_a_class_table_that_lies_is_refused():
+    base = tau_sym(5)
+    # both trees still reach every vertex, so only the moves show the lie
+    lying = RauzyClass.from_jsonl(_swap_t_arrows(enumerate_class(base), 0, 2))
+    with pytest.raises(OpenWalk, match="does not lead to vertex"):
+        rauzy_veech_group_modp(base, lying, 2)
+    with pytest.raises(OpenWalk, match="does not lead to vertex"):
+        arrow_cycle_matrices(lying)
+
+
+def test_the_group_needs_the_labeled_class_at_its_base():
+    base = tau_sym(5)
+    reduced = enumerate_class(base, reduced_labels=True)
+    with pytest.raises(ValueError, match="labeled"):
+        rauzy_veech_group_modp(base, reduced, 2)
+    with pytest.raises(ValueError, match="labeled"):
+        arrow_cycle_matrices(reduced)
+    rc = load_or_enumerate(base)
+    with pytest.raises(OpenWalk):
+        rauzy_veech_group_modp(rc.vertices[1], rc, 2)
+    with pytest.raises(ValueError, match="cycles"):
+        rauzy_veech_group_modp(base, rc, 2, cycles=0)
