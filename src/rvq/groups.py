@@ -13,14 +13,13 @@ import math
 import random
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .errors import NonDividingOrder, NonSymplecticGenerator, OpenWalk
 from .gp import GeneralizedPermutation
-from .homology import (DuplicateWinner, QuotientData, _factor, _times_factor,
-                       kz_minus_walk, kz_walk, minus_form, plus_factor,
-                       quotient_action, quotient_data)
+from .homology import (QuotientData, _factor, minus_factor, minus_form,
+                       plus_factor, quotient_action, quotient_data)
 from .induction import RauzyClass, TOP, BOTTOM, apply_arrow
 from .linalg import Matrix
 
@@ -306,96 +305,60 @@ def arrow_cycles(rc: RauzyClass, *, cap: Optional[int] = None) -> list[str]:
             for i, kind, j, _ in islice(rc.arrows(), cap)]
 
 
-def arrow_cycle_matrices(rc: RauzyClass, *, cap: Optional[int] = None
-                         ) -> list[Matrix]:
-    """The plus matrices of ``arrow_cycles(rc, cap=cap)``, in that order:
-    each equals ``kz_walk(rc.vertices[0], cycle)[0]``, but no cycle is
-    walked.
+def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
+                   minus: bool = False) -> list[Matrix]:
+    """The plus matrices of closed forward walks at vertex 0 of the labeled
+    class ``rc``, each equal to ``kz_walk(rc.vertices[0], walk)[0]``, or
+    with ``minus`` the minus matrices of ``kz_minus_walk``.
 
-    The cycle through the arrow i -> j with factor F is Y_j·F·X_i, where X_i
-    is the matrix of the out-tree path to i and Y_j that of the in-tree path
-    from j home.  The prefixes are built on first use, for the vertices the
-    cycles visit, one factor per tree arrow: X_child = F·X_parent is one row
-    operation and Y_j = Y_i·F one column operation.  Each arrow used is
-    applied once to its source vertex and gives its factor; a target that
-    is not the vertex the table names raises OpenWalk.  Letters are indexed
-    by the base's alphabet, so a class with reduced labels is refused with
-    ValueError.
+    Each walk of 't' and 'b' steps is followed on the class's arrow table,
+    one row operation per step.  An arrow's factor is computed once, by
+    applying its move to its source vertex; a target that is not the vertex
+    the table names raises OpenWalk, as does a walk that leaves the class
+    or does not end at vertex 0.  A minus walk through an arrow with no
+    minus factor (see :func:`minus_factor`) is skipped.  Letters are indexed
+    by the base's alphabet, or its both-rows letters, so a class with
+    reduced labels is refused with ValueError.
     """
     if rc.reduced_labels:
         raise ValueError("cycle matrices need a class with labeled vertices")
-    order = rc.vertices[0].alphabet
-    factors: dict[tuple[int, str], tuple[int, int, bool]] = {}
+    base = rc.vertices[0]
+    order = base.both_rows_letters() if minus else base.alphabet
+    arrows: dict[tuple[int, str], tuple[int, Optional[tuple]]] = {}
 
-    def factor(i, kind, j):
-        if (i, kind) not in factors:
+    def follow(i, kind, walk):
+        if (i, kind) not in arrows:
+            if kind not in (TOP, BOTTOM):
+                raise ValueError("cycle %r has the step %r, not a forward "
+                                 "arrow" % (walk, kind))
+            j = rc.step(i, kind)
+            if j is None:
+                raise OpenWalk("cycle %r leaves the class at vertex %d"
+                               % (walk, i))
             arrow = apply_arrow(rc.vertices[i], kind)
             if arrow.target != rc.vertices[j]:
                 raise OpenWalk("the class's %s-arrow from vertex %d does not "
                                "lead to vertex %d" % (kind, i, j))
-            factors[i, kind] = plus_factor(arrow, order)
-        return factors[i, kind]
+            arrows[i, kind] = j, (minus_factor if minus else plus_factor)(
+                arrow, order)
+        return arrows[i, kind]
 
-    ident = [list(row) for row in linalg.identity(len(order))]
-    prefixes = {"tb": {0: ident}, "TB": {0: ident}}
-
-    def prefix(moves, idx):
-        tree, known = rc.tree(moves), prefixes[moves]
-        path = []
-        while idx not in known:
-            path.append(idx)
-            if tree[idx] is None:
-                raise OpenWalk("vertex %d is not connected to the base by %s"
-                               % (idx, moves))
-            idx = tree[idx][0]
-        mat = known[idx]
-        for child in reversed(path):
-            parent, kind = tree[child]
-            if moves == "tb":
-                mat = list(mat)  # rows are replaced, never changed in place
-                _factor(mat, *factor(parent, kind, child), False)
-            else:
-                mat = _times_factor(mat, *factor(child, kind, parent))
-            known[child] = mat
-        return mat
-
+    ident = linalg.identity(len(order))
     mats = []
-    for i, kind, j, _ in islice(rc.arrows(), cap):
-        mat = list(prefix("tb", i))
-        _factor(mat, *factor(i, kind, j), False)
-        mats.append(linalg.mul(prefix("TB", j), mat))
-    return mats
-
-
-def _walk_matrices(base: GeneralizedPermutation, cycles: Sequence[str],
-                   walk_matrix) -> Iterator[Matrix]:
-    """The matrices of the cycles that ``walk_matrix`` admits, each checked
-    to close up at the base."""
-    for walk in cycles:
-        try:
-            mat, end = walk_matrix(base, walk)
-        except DuplicateWinner:
-            continue  # a minus walk through a type-changing arrow
-        if end != base:
+    for walk in walks:
+        mat = [list(row) for row in ident]
+        i, admissible = 0, True
+        for kind in walk:
+            i, factor = follow(i, kind, walk)
+            if factor is None:
+                admissible = False
+            elif admissible and factor:
+                _factor(mat, *factor, False)
+        if i != 0:
             raise OpenWalk("cycle %r does not close up" % walk)
-        yield mat
-
-
-def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
-                         p: int) -> tuple[list[Matrix], Matrix]:
-    """Reduce cycle matrices to the quotient and mod p; returns (gens, form)."""
-    return _quotient_generators(base, _walk_matrices(base, cycles, kz_walk),
-                                p, quotient_data(base))
-
-
-def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
-                          p: int) -> tuple[list[Matrix], Matrix]:
-    """Minus-side analogue, skipping walks with a duplicate-letter winner;
-    the halved form is returned for mod-p use."""
-    halved = tuple(tuple(x // 2 for x in row) for row in minus_form(base))
-    return _quotient_generators(
-        base, _walk_matrices(base, cycles, kz_minus_walk), p,
-        quotient_data(base, form=halved))
+        if admissible:
+            mats.append(tuple(tuple(row) for row in mat))
+    return mats
 
 
 def _quotient_generators(base: GeneralizedPermutation, mats: Iterable[Matrix],
@@ -423,30 +386,28 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
     The harvest is one cycle per arrow, for at most ``4 * cycles`` arrows.
     On the plus side, when that covers every arrow, these cycles generate
     the whole plus Rauzy-Veech group: every closed walk at the base is a
-    product of them and their inverses.  Then nothing else is walked, and
-    on a complete class the result is ``exact``.  Otherwise (a larger class,
-    or the minus side, which skips the cycles through a duplicate winner)
-    ``cycles`` random directed cycles of length at most ``maxlen``, drawn
-    from ``seed``, are added, and the order is a lower bound.  A class with
-    reduced labels, or ``cycles`` below 1, raises ValueError, and one whose
-    table disagrees with the moves raises OpenWalk.
+    product of them and their inverses.  Then nothing else is harvested,
+    and on a complete class the result is ``exact``.  Otherwise (a larger
+    class, or the minus side, which skips the cycles through a duplicate
+    winner) ``cycles`` random directed cycles of length at most ``maxlen``,
+    drawn from ``seed``, are added, and the order is a lower bound.  The
+    matrices come from :func:`cycle_matrices`.  A class with reduced
+    labels, or ``cycles`` below 1, raises ValueError, and one whose table
+    disagrees with the moves raises OpenWalk.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1, got %r" % (cycles,))
-    if rc.reduced_labels:
-        raise ValueError("the group needs the labeled class of the base, "
-                         "not one with reduced labels")
     if rc.vertices[0] != base:
         raise OpenWalk("%s is not the base of the class" % base.encode())
     covered = rc.arrow_count() <= 4 * cycles
-    walks = [] if covered and not minus else random_directed_cycles(
-        rc, count=cycles, maxlen=maxlen, seed=seed)
-    if minus:
-        gens, form = minus_generators_modp(
-            base, arrow_cycles(rc, cap=4 * cycles) + walks, p)
-    else:
-        mats = (arrow_cycle_matrices(rc, cap=4 * cycles)
-                + list(_walk_matrices(base, walks, kz_walk)))
-        gens, form = _quotient_generators(base, mats, p, quotient_data(base))
+    walks = arrow_cycles(rc, cap=4 * cycles)
+    if minus or not covered:
+        walks += random_directed_cycles(rc, count=cycles, maxlen=maxlen,
+                                        seed=seed)
+    halved = (tuple(tuple(x // 2 for x in row) for row in minus_form(base))
+              if minus else None)
+    gens, form = _quotient_generators(
+        base, cycle_matrices(rc, walks, minus=minus), p,
+        quotient_data(base, form=halved))
     res = modp_closure(gens, p, form)
     return replace(res, exact=covered and rc.complete and not minus)

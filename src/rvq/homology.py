@@ -104,23 +104,6 @@ def _factor(mat: list[list[int]], li: int, wi: int, reflection: bool,
         mat[li] = [a + b for a, b in zip(mat[li], mat[wi])]
 
 
-def _times_factor(mat: Sequence[Sequence[int]], li: int, wi: int,
-                  reflection: bool) -> list[list[int]]:
-    """The rows ``mat`` right-multiplied by one cocycle factor of
-    :func:`_factor`: the column operation that adds column ``li`` to column
-    ``wi``, or for the reflection subtracts it there and negates it."""
-    out = []
-    for row in mat:
-        row = list(row)
-        if reflection:
-            row[wi] -= row[li]
-            row[li] = -row[li]
-        else:
-            row[wi] += row[li]
-        out.append(row)
-    return out
-
-
 def plus_factor(arrow: Arrow, order: Sequence[str]) -> tuple[int, int, bool]:
     """The arrow's plus factor as :func:`_factor` takes it: the loser's and
     the winner's index in ``order`` and whether the factor is the
@@ -173,16 +156,27 @@ class DuplicateWinner(MoveUndefined):
     """An arrow whose winner is a duplicate letter is not admissible here."""
 
 
+def minus_factor(arrow: Arrow, order: Sequence[str]) -> Optional[tuple]:
+    """The arrow's minus factor on the both-rows letters ``order``, as
+    :func:`_factor` takes it: Id + E_lw, or ``()`` for the identity when the
+    loser is a duplicate letter.  An arrow whose winner is a duplicate
+    letter, or that changes the type, is not admissible: None."""
+    if arrow.winner not in order or arrow.type_change:
+        return None
+    if arrow.loser not in order:
+        return ()
+    return order.index(arrow.loser), order.index(arrow.winner), False
+
+
 def kz_minus_walk(base: GeneralizedPermutation, walk: str,
                   order: Optional[Sequence[str]] = None
                   ) -> tuple[Matrix, GeneralizedPermutation]:
-    """Product of minus matrices along a walk with no duplicate-letter winner.
+    """Product of minus matrices along a walk of admissible arrows (see
+    :func:`minus_factor`); another arrow raises DuplicateWinner.
 
-    The minus factor is Id + E_lw on the both-rows letters when the loser is
-    one of them and Id otherwise; the arrow must keep the type.  The
-    both-rows letter set is constant along admissible walks, so the index
-    set is pinned at the base vertex; an ``order`` that is not that set
-    raises AlphabetMismatch.
+    The both-rows letter set is constant along admissible walks, so the
+    index set is pinned at the base vertex; an ``order`` that is not that
+    set raises AlphabetMismatch.
     """
     order = tuple(order) if order is not None else base.both_rows_letters()
     if sorted(order) != sorted(base.both_rows_letters()):
@@ -192,12 +186,12 @@ def kz_minus_walk(base: GeneralizedPermutation, walk: str,
     mat = [list(row) for row in linalg.identity(len(order))]
     cur = base
     for arrow, direction in steps:
-        if arrow.winner not in order or arrow.type_change:
+        factor = minus_factor(arrow, order)
+        if factor is None:
             raise DuplicateWinner(
                 "winner %r is a duplicate letter" % (arrow.winner,))
-        if arrow.loser in order:
-            _factor(mat, order.index(arrow.loser), order.index(arrow.winner),
-                    False, direction < 0)
+        if factor:
+            _factor(mat, *factor, direction < 0)
         cur = arrow.target if direction > 0 else arrow.source
     return tuple(tuple(row) for row in mat), cur
 

@@ -243,15 +243,9 @@ class RauzyClass:
                     queue.append(j)
         return tree
 
-    def tree(self, moves: str) -> list[Optional[tuple[int, str]]]:
-        """The out-tree (``moves`` "tb") or the in-tree ("TB") of the base,
-        as :meth:`_tree` describes it; built on first use and kept.  In the
-        in-tree the arrow of entry j = (i, kind) leads from j to i."""
-        return self._memo(moves, lambda: self._tree(moves))
-
     def _tree_path(self, moves: str, idx: int) -> list[str]:
         """The kinds of the tree arrows from vertex idx back to the base."""
-        tree = self.tree(moves)
+        tree = self._memo(moves, lambda: self._tree(moves))
         steps = []
         while idx != 0:
             entry = tree[idx]

@@ -8,7 +8,9 @@ they import ``conftest``:
   "irreducible and convention implies suspendable";
 * the signed one-line table of the orientation double cover;
 * k-completeness, self-overlap-free k-complete cycles, and the decomposition
-  of mixed cycles into directed ones (criterion 9).
+  of mixed cycles into directed ones (criterion 9);
+* the plus and minus generators of cycles walked from the base with
+  ``kz_walk`` and ``kz_minus_walk``, the oracle for ``groups.cycle_matrices``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from rvq import linalg
 from rvq.errors import BudgetExceeded, MoveUndefined, OpenWalk, RVQError
 from rvq.gp import GeneralizedPermutation, Letter
-from rvq.groups import random_directed_cycles
-from rvq.homology import kz_walk
+from rvq.groups import _quotient_generators, random_directed_cycles
+from rvq.homology import (DuplicateWinner, kz_minus_walk, kz_walk, minus_form,
+                          quotient_data)
 from rvq.induction import BOTTOM, TOP, RauzyClass, apply_arrow
 from rvq.linalg import Matrix
 
@@ -301,3 +304,38 @@ def decomposition_product(base: GeneralizedPermutation,
             m = linalg.invert_integer(m)
         mat = linalg.mul(m, mat)
     return mat
+
+
+# ---------------------------------------------------------------------------
+# walked cycle generators
+# ---------------------------------------------------------------------------
+
+def _walk_matrices(base: GeneralizedPermutation, cycles: Sequence[str],
+                   walk_matrix) -> Iterator[Matrix]:
+    """The matrices of the cycles that ``walk_matrix`` admits, each checked
+    to close up at the base."""
+    for walk in cycles:
+        try:
+            mat, end = walk_matrix(base, walk)
+        except DuplicateWinner:
+            continue  # a minus walk through a type-changing arrow
+        if end != base:
+            raise OpenWalk("cycle %r does not close up" % walk)
+        yield mat
+
+
+def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
+                         p: int) -> tuple[list[Matrix], Matrix]:
+    """Reduce cycle matrices to the quotient and mod p; returns (gens, form)."""
+    return _quotient_generators(base, _walk_matrices(base, cycles, kz_walk),
+                                p, quotient_data(base))
+
+
+def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
+                          p: int) -> tuple[list[Matrix], Matrix]:
+    """Minus-side analogue, skipping walks with a duplicate-letter winner;
+    the halved form is returned for mod-p use."""
+    halved = tuple(tuple(x // 2 for x in row) for row in minus_form(base))
+    return _quotient_generators(
+        base, _walk_matrices(base, cycles, kz_minus_walk), p,
+        quotient_data(base, form=halved))

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from oracles import (decomposition_product, defined_moves,
-                     directed_decomposition)
+                     directed_decomposition, plus_generators_modp)
 from rvq.components import (GENUS2_WITNESSES, identify_component, sigma_hyp,
                             sigma_zorich, table1, table1_rows, tau_sym,
                             tau_zorich, verify_extension_table)
@@ -19,9 +19,8 @@ from rvq.errors import MoveUndefined, ReverseArrowMissing
 from rvq.extensions import (extend_arrow, split_even_zero, split_singularity,
                             witness_from)
 from rvq.gp import erase_letters, parse_gp
-from rvq.groups import (arrow_cycles, modp_closure, plus_generators_modp,
-                        random_directed_cycles, rauzy_veech_group_modp,
-                        sp_order)
+from rvq.groups import (arrow_cycles, modp_closure, random_directed_cycles,
+                        rauzy_veech_group_modp, sp_order)
 from rvq.homology import (intersection_form, kz_minus_walk, kz_plus_inverse,
                           kz_walk, minus_form)
 from rvq.induction import apply_arrow, invert_arrow, load_or_enumerate

@@ -4,17 +4,18 @@ import random
 
 import pytest
 
+import oracles
 from oracles import (DecompositionPiece, decomposition_product,
-                     directed_decomposition, find_gamma_star, k_completeness)
+                     directed_decomposition, find_gamma_star, k_completeness,
+                     minus_generators_modp, plus_generators_modp)
 from rvq import groups, linalg
 from rvq.components import sigma_hyp, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
                         NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from rvq.gp import parse_gp
-from rvq.groups import (arrow_cycle_matrices, arrow_cycles,
-                        minus_generators_modp, modp_closure,
-                        plus_generators_modp, random_directed_cycles,
-                        rauzy_veech_group_modp, sp_order)
+from rvq.groups import (arrow_cycles, cycle_matrices, modp_closure,
+                        random_directed_cycles, rauzy_veech_group_modp,
+                        sp_order)
 from rvq.homology import DuplicateWinner, kz_minus_walk, kz_walk
 from rvq.induction import RauzyClass, enumerate_class, load_or_enumerate
 from rvq.linalg import identity
@@ -151,7 +152,7 @@ def test_minus_closure_genus_one(p, order):
 def test_minus_generators_check_the_form(monkeypatch):
     base = parse_gp("0 A A 1 / 1 B B 0")
     bad = ((1, 1), (0, 2))  # det 2: cannot preserve a non-degenerate form
-    monkeypatch.setattr(groups, "kz_minus_walk",
+    monkeypatch.setattr(oracles, "kz_minus_walk",
                         lambda gp, walk, order=None: (bad, gp))
     with pytest.raises(NotOmegaPreserving):
         minus_generators_modp(base, ["t"], 2)
@@ -352,7 +353,7 @@ QUADRATIC = parse_gp("0 A A 1 / 1 B B 0")
 def test_arrow_cycle_matrices_equal_the_walked_matrices(base):
     rc = load_or_enumerate(base)
     walks = arrow_cycles(rc)
-    mats = arrow_cycle_matrices(rc)
+    mats = cycle_matrices(rc, walks)
     assert len(mats) == len(walks) == rc.arrow_count()
     for walk, mat in zip(walks, mats):
         assert mat == kz_walk(base, walk)[0], walk
@@ -363,9 +364,31 @@ def test_capped_arrow_cycle_matrices_equal_the_walked_matrices():
     cap = 40
     assert rc.arrow_count() > cap
     walks = arrow_cycles(rc, cap=cap)
-    mats = arrow_cycle_matrices(rc, cap=cap)
+    mats = cycle_matrices(rc, walks)
     assert len(mats) == len(walks) == cap
     assert mats == [kz_walk(tau_zorich(3), walk)[0] for walk in walks]
+
+
+@pytest.mark.parametrize("base", [QUADRATIC, sigma_hyp(2, 0)],
+                         ids=["0AA1", "hyp-2-0"])
+def test_minus_cycle_matrices_equal_the_walked_matrices(base):
+    rc = load_or_enumerate(base)
+    walks = arrow_cycles(rc) + random_directed_cycles(rc, seed=0)
+    kept = [w for w in walks if _admissible(base, rc, w)]
+    assert 0 < len(kept) < len(walks)
+    assert cycle_matrices(rc, walks, minus=True) == [
+        kz_minus_walk(base, walk)[0] for walk in kept]
+
+
+def test_cycle_matrices_refuse_a_walk_that_is_not_a_forward_cycle():
+    rc = load_or_enumerate(tau_sym(4))
+    with pytest.raises(ValueError, match="not a forward arrow"):
+        cycle_matrices(rc, ["tT"])
+    with pytest.raises(OpenWalk, match="does not close up"):
+        cycle_matrices(rc, ["t"])
+    part = enumerate_class(tau_sym(4), limit=5, allow_truncated=True)
+    with pytest.raises(OpenWalk, match="leaves the class"):
+        cycle_matrices(part, ["bt"])
 
 
 # the seven cases of the group benchmark and their known orders
@@ -405,6 +428,21 @@ def _spy_on_random_cycles(monkeypatch):
 
     monkeypatch.setattr(groups, "random_directed_cycles", spy)
     return calls
+
+
+@pytest.mark.parametrize("base, p, order, index", [
+    (QUADRATIC, 2, 6, 1), (QUADRATIC, 3, 24, 1), (QUADRATIC, 5, 120, 1),
+    (sigma_hyp(2, 1), 2, 120, 6), (sigma_hyp(2, 1), 3, 51_840, 1),
+], ids=["0AA1-2", "0AA1-3", "0AA1-5", "hyp-2-1-2", "hyp-2-1-3"])
+def test_minus_group_equals_the_closure_of_the_walked_harvest(base, p, order,
+                                                              index):
+    rc = load_or_enumerate(base)
+    res = rauzy_veech_group_modp(base, rc, p, minus=True)
+    assert (res.order, res.index) == (order, index)
+    # the default harvest, every cycle walked from the base
+    walks = arrow_cycles(rc, cap=800) + random_directed_cycles(rc, seed=0)
+    gens, form = minus_generators_modp(base, walks, p)
+    assert res == modp_closure(gens, p, form)
 
 
 def test_random_cycles_are_walked_when_the_arrows_are_not_covered(
@@ -460,7 +498,14 @@ def test_a_class_table_that_lies_is_refused():
     with pytest.raises(OpenWalk, match="does not lead to vertex"):
         rauzy_veech_group_modp(base, lying, 2)
     with pytest.raises(OpenWalk, match="does not lead to vertex"):
-        arrow_cycle_matrices(lying)
+        cycle_matrices(lying, arrow_cycles(lying))
+
+
+def test_a_class_table_that_lies_is_refused_on_the_minus_side():
+    lying = RauzyClass.from_jsonl(
+        _swap_t_arrows(enumerate_class(QUADRATIC), 0, 2))
+    with pytest.raises(OpenWalk, match="does not lead to vertex"):
+        rauzy_veech_group_modp(QUADRATIC, lying, 2, minus=True)
 
 
 def test_the_group_needs_the_labeled_class_at_its_base():
@@ -469,7 +514,7 @@ def test_the_group_needs_the_labeled_class_at_its_base():
     with pytest.raises(ValueError, match="labeled"):
         rauzy_veech_group_modp(base, reduced, 2)
     with pytest.raises(ValueError, match="labeled"):
-        arrow_cycle_matrices(reduced)
+        cycle_matrices(reduced, arrow_cycles(reduced))
     rc = load_or_enumerate(base)
     with pytest.raises(OpenWalk):
         rauzy_veech_group_modp(rc.vertices[1], rc, 2)
