@@ -16,7 +16,8 @@ from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .errors import NonDividingOrder, NonSymplecticGenerator, OpenWalk
+from .errors import (NonDividingOrder, NonSymplecticGenerator,
+                     NotOmegaPreserving, OpenWalk)
 from .gp import GeneralizedPermutation
 from .homology import (QuotientData, _factor, minus_factor, minus_form,
                        plus_factor, quotient_action, quotient_data)
@@ -91,10 +92,10 @@ def modp_closure(generators: Sequence[Matrix], p: int,
     seen_g = set()
     for mat in generators:
         mg = linalg.mat_mod(mat, p)
-        if linalg.mat_mod(
-                linalg.mul(linalg.mul(mg, fp), linalg.transpose(mg)), p) != fp:
-            raise NonSymplecticGenerator("generator does not preserve the form")
         if mg not in seen_g:
+            if not linalg.preserves_form(mg, fp, p):
+                raise NonSymplecticGenerator(
+                    "generator does not preserve the form")
             seen_g.add(mg)
             gens.append(mg)
 
@@ -364,15 +365,25 @@ def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
 def _quotient_generators(base: GeneralizedPermutation, mats: Iterable[Matrix],
                          p: int, qd: QuotientData
                          ) -> tuple[list[Matrix], Matrix]:
-    """Cycle matrices pushed to the quotient of ``qd``, distinct mod p."""
+    """Cycle matrices pushed to the quotient of ``qd``, distinct mod p.
+
+    Each is checked exactly, but only one new mod p is pushed down: the
+    basis change is integral, so the result mod p depends on it mod p only.
+    """
     _require_prime(p)
     gens = []
-    seen = set()
+    seen, kept = set(), set()
     for mat in mats:
+        key = linalg.mat_mod(mat, p)
+        if key in seen:
+            if not linalg.preserves_form(mat, qd.form):
+                raise NotOmegaPreserving("matrix does not preserve the form")
+            continue
+        seen.add(key)
         red, _ = quotient_action(base, mat, data=qd)
         key = linalg.mat_mod(red, p)
-        if key not in seen:
-            seen.add(key)
+        if key not in kept:
+            kept.add(key)
             gens.append(red)
     return gens, qd.reduced_form
 

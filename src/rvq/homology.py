@@ -246,18 +246,19 @@ def quotient_action(gp: GeneralizedPermutation, matrix: Matrix,
     """Push a form-preserving matrix down to the quotient by ker of the form.
 
     The form is ``data.form``, by default the intersection form of ``gp``.
-    Returns the induced 2g x 2g matrix together with the chosen basis rows.
-    Raises NotOmegaPreserving when conjugation does not fix the form.
+    Returns the induced 2g x 2g matrix together with the chosen basis rows;
+    when the basis is the standard one that is the matrix itself.  Raises
+    NotOmegaPreserving when the matrix does not fix the form or the kernel.
     """
     qd = data if data is not None else quotient_data(gp)
-    omega = qd.form
-    if linalg.mul(linalg.mul(matrix, omega), linalg.transpose(matrix)) != omega:
+    if not linalg.preserves_form(matrix, qd.form):
         raise NotOmegaPreserving("matrix does not preserve the form")
+    if qd.unimodular == linalg.identity(len(matrix)):
+        return matrix, qd.basis
     conj = linalg.mul(linalg.mul(qd.unimodular, matrix), qd.inverse)
     r = len(qd.basis)
-    # the kernel is invariant, so its rows cannot leak into quotient coords
-    for i in range(r, len(conj)):
-        for j in range(r):
-            assert conj[i][j] == 0, "kernel is not invariant"
+    # an invariant kernel's rows cannot leak into quotient coordinates
+    if any(row[j] for row in conj[r:] for j in range(r)):
+        raise NotOmegaPreserving("kernel is not invariant")
     reduced = tuple(tuple(conj[i][j] for j in range(r)) for i in range(r))
     return reduced, qd.basis

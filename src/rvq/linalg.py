@@ -5,6 +5,9 @@ Matrices are tuples of tuples of ints; vectors are tuples of ints.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
@@ -15,8 +18,35 @@ def identity(n: int) -> Matrix:
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in bt)
                  for row in a)
+
+
+@functools.lru_cache(maxsize=64)
+def _is_alternating(form: Matrix, p: int) -> bool:
+    """Zero diagonal and formᵀ = -form, mod p when p is nonzero; kept per
+    form, since a caller checks many matrices against the same one."""
+    off = (lambda x: x % p) if p else bool
+    return not any(off(row[i]) or any(off(x + y) for x, y in zip(row, col))
+                   for i, (row, col) in enumerate(zip(form, zip(*form))))
+
+
+def preserves_form(m: Matrix, form: Matrix, p: int = 0) -> bool:
+    """Whether m·form·mᵀ = form, or with a prime p, whether they agree mod p.
+
+    ``form`` must be alternating: zero diagonal and formᵀ = -form (mod p
+    when p is given), else ValueError.  Then m·form·mᵀ is alternating too,
+    so its strict upper triangle decides the equality, and only that
+    triangle of the second product is formed.
+    """
+    if not _is_alternating(form, p):
+        raise ValueError("form is not alternating")
+    n = len(form)
+    off = (lambda x: x % p) if p else bool
+    mf = mul(m, form)
+    return len(m) == n and not any(
+        off(sum(map(operator.mul, mf[i], m[j])) - form[i][j])
+        for i in range(n) for j in range(i + 1, n))
 
 
 def transpose(a: Matrix) -> Matrix:

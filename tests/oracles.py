@@ -10,7 +10,9 @@ they import ``conftest``:
 * k-completeness, self-overlap-free k-complete cycles, and the decomposition
   of mixed cycles into directed ones (criterion 9);
 * the plus and minus generators of cycles walked from the base with
-  ``kz_walk`` and ``kz_minus_walk``, the oracle for ``groups.cycle_matrices``.
+  ``kz_walk`` and ``kz_minus_walk``, each checked by the full product
+  M·Ω·Mᵀ and conjugated into the quotient basis: the oracle for
+  ``groups.cycle_matrices`` and ``groups._quotient_generators``.
 """
 
 from __future__ import annotations
@@ -18,14 +20,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from rvq import linalg
-from rvq.errors import BudgetExceeded, MoveUndefined, OpenWalk, RVQError
+from rvq.errors import (BudgetExceeded, MoveUndefined, NotOmegaPreserving,
+                        OpenWalk, RVQError)
 from rvq.gp import GeneralizedPermutation, Letter
-from rvq.groups import _quotient_generators, random_directed_cycles
-from rvq.homology import (DuplicateWinner, kz_minus_walk, kz_walk, minus_form,
-                          quotient_data)
+from rvq.groups import random_directed_cycles
+from rvq.homology import (DuplicateWinner, QuotientData, kz_minus_walk,
+                          kz_walk, minus_form, quotient_data)
 from rvq.induction import BOTTOM, TOP, RauzyClass, apply_arrow
 from rvq.linalg import Matrix
 
@@ -324,11 +327,32 @@ def _walk_matrices(base: GeneralizedPermutation, cycles: Sequence[str],
         yield mat
 
 
+def _quotient_generators(mats: Iterable[Matrix], p: int, qd: QuotientData
+                         ) -> tuple[list[Matrix], Matrix]:
+    """Every matrix checked by the full product M·Ω·Mᵀ = Ω and conjugated
+    by the quotient basis, U·M·U⁻¹; the blocks on the quotient, distinct mod
+    p, with the reduced form."""
+    omega, r = qd.form, len(qd.basis)
+    gens, seen = [], set()
+    for mat in mats:
+        if linalg.mul(linalg.mul(mat, omega), linalg.transpose(mat)) != omega:
+            raise NotOmegaPreserving("matrix does not preserve the form")
+        conj = linalg.mul(linalg.mul(qd.unimodular, mat), qd.inverse)
+        if any(conj[i][j] for i in range(r, len(conj)) for j in range(r)):
+            raise NotOmegaPreserving("kernel is not invariant")
+        red = tuple(tuple(conj[i][j] for j in range(r)) for i in range(r))
+        key = linalg.mat_mod(red, p)
+        if key not in seen:
+            seen.add(key)
+            gens.append(red)
+    return gens, qd.reduced_form
+
+
 def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
                          p: int) -> tuple[list[Matrix], Matrix]:
     """Reduce cycle matrices to the quotient and mod p; returns (gens, form)."""
-    return _quotient_generators(base, _walk_matrices(base, cycles, kz_walk),
-                                p, quotient_data(base))
+    return _quotient_generators(_walk_matrices(base, cycles, kz_walk), p,
+                                quotient_data(base))
 
 
 def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
@@ -336,6 +360,5 @@ def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
     """Minus-side analogue, skipping walks with a duplicate-letter winner;
     the halved form is returned for mod-p use."""
     halved = tuple(tuple(x // 2 for x in row) for row in minus_form(base))
-    return _quotient_generators(
-        base, _walk_matrices(base, cycles, kz_minus_walk), p,
-        quotient_data(base, form=halved))
+    return _quotient_generators(_walk_matrices(base, cycles, kz_minus_walk),
+                                p, quotient_data(base, form=halved))

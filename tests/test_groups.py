@@ -16,7 +16,8 @@ from rvq.gp import parse_gp
 from rvq.groups import (arrow_cycles, cycle_matrices, modp_closure,
                         random_directed_cycles, rauzy_veech_group_modp,
                         sp_order)
-from rvq.homology import DuplicateWinner, kz_minus_walk, kz_walk
+from rvq.homology import (DuplicateWinner, kz_minus_walk, kz_walk,
+                          quotient_data)
 from rvq.induction import RauzyClass, enumerate_class, load_or_enumerate
 from rvq.linalg import identity
 
@@ -208,6 +209,36 @@ def test_quotient_generators_refuse_an_open_cycle():
 def test_decomposition_product_refuses_an_open_piece():
     with pytest.raises(OpenWalk):
         decomposition_product(tau_sym(4), [DecompositionPiece("t", 1)])
+
+
+def test_quotient_generators_keep_one_of_two_cycles_equal_on_the_quotient():
+    # t fixes the form and acts as the identity on the quotient by its
+    # kernel, but not on Z^5 mod 2: t·M is new mod 2, its push-down is not
+    base = tau_sym(5)
+    qd = quotient_data(base)
+    r = len(qd.basis)
+    shear = [list(row) for row in identity(len(qd.form))]
+    shear[0][r] = 1
+    t = linalg.mul(linalg.mul(qd.inverse, shear), qd.unimodular)
+    rc = load_or_enumerate(base)
+    mat = cycle_matrices(rc, arrow_cycles(rc, cap=1))[0]
+    mats = [mat, linalg.mul(t, mat)]
+    assert linalg.mat_mod(mats[0], 2) != linalg.mat_mod(mats[1], 2)
+    gens, form = groups._quotient_generators(base, mats, 2, qd)
+    assert len(gens) == 1
+    assert (gens, form) == oracles._quotient_generators(mats, 2, qd)
+
+
+def test_non_symplectic_generator_rejected_after_a_duplicate():
+    # the form is checked once per generator distinct mod 3; a bad one after
+    # a repeated good one is still checked
+    form = ((0, 1), (-1, 0))
+    good, bad = ((1, 1), (0, 1)), ((1, 0), (0, 2))
+    assert modp_closure([good, good, ((4, 1), (3, 1))], 3, form).order == 3
+    with pytest.raises(NonSymplecticGenerator):
+        modp_closure([good, good, bad], 3, form)
+    with pytest.raises(NonSymplecticGenerator):
+        modp_closure([good, ((4, 1), (0, 1)), bad, good], 3, form)
 
 
 def test_non_symplectic_generator_rejected():
@@ -430,10 +461,14 @@ def _spy_on_random_cycles(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("base, p, order, index", [
+MINUS_CASES = [
     (QUADRATIC, 2, 6, 1), (QUADRATIC, 3, 24, 1), (QUADRATIC, 5, 120, 1),
     (sigma_hyp(2, 1), 2, 120, 6), (sigma_hyp(2, 1), 3, 51_840, 1),
-], ids=["0AA1-2", "0AA1-3", "0AA1-5", "hyp-2-1-2", "hyp-2-1-3"])
+]
+MINUS_IDS = ["0AA1-2", "0AA1-3", "0AA1-5", "hyp-2-1-2", "hyp-2-1-3"]
+
+
+@pytest.mark.parametrize("base, p, order, index", MINUS_CASES, ids=MINUS_IDS)
 def test_minus_group_equals_the_closure_of_the_walked_harvest(base, p, order,
                                                               index):
     rc = load_or_enumerate(base)
@@ -443,6 +478,54 @@ def test_minus_group_equals_the_closure_of_the_walked_harvest(base, p, order,
     walks = arrow_cycles(rc, cap=800) + random_directed_cycles(rc, seed=0)
     gens, form = minus_generators_modp(base, walks, p)
     assert res == modp_closure(gens, p, form)
+
+
+@pytest.mark.parametrize("base, p, minus", [
+    (base, p, False) for base, p, _ in BENCH_CASES] + [
+    (base, p, True) for base, p, _, _ in MINUS_CASES],
+    ids=BENCH_IDS + ["minus-" + i for i in MINUS_IDS])
+def test_generators_equal_the_full_product_oracle(monkeypatch, base, p,
+                                                  minus):
+    # the generators the default harvest hands to the closure, against every
+    # cycle walked, checked by M·Ω·Mᵀ and conjugated into the quotient basis
+    closure = groups.modp_closure
+    handed = []
+
+    def spy(gens, q, form):
+        handed.append((gens, form))
+        return closure(gens, q, form)
+
+    monkeypatch.setattr(groups, "modp_closure", spy)
+    rc = load_or_enumerate(base)
+    res = rauzy_veech_group_modp(base, rc, p, minus=minus)
+    walks = arrow_cycles(rc, cap=800)
+    if minus:
+        walks += random_directed_cycles(rc, seed=0)
+    want = (minus_generators_modp if minus else plus_generators_modp)(
+        base, walks, p)
+    assert handed == [want]
+    gens, form = want
+    assert dataclasses.replace(res, exact=False) == closure(gens, p, form)
+
+
+@pytest.mark.parametrize("base", [tau_sym(4), tau_sym(5)],
+                         ids=["H(2)", "H(1,1)"])
+def test_quotient_generators_check_every_cycle_exactly(base):
+    # M + p·E is M mod p but does not preserve the form over the integers:
+    # skipping the repeat mod p must not skip its exact check
+    p = 3
+    rc = load_or_enumerate(base)
+    mat = cycle_matrices(rc, arrow_cycles(rc, cap=1))[0]
+    bad = tuple(tuple(x + p * (i == j == 0) for j, x in enumerate(row))
+                for i, row in enumerate(mat))
+    qd = quotient_data(base)
+    assert linalg.mat_mod(bad, p) == linalg.mat_mod(mat, p)
+    assert linalg.mul(linalg.mul(bad, qd.form),
+                      linalg.transpose(bad)) != qd.form
+    gens, _ = groups._quotient_generators(base, [mat, mat], p, qd)
+    assert len(gens) == 1
+    with pytest.raises(NotOmegaPreserving):
+        groups._quotient_generators(base, [mat, bad], p, qd)
 
 
 def test_random_cycles_are_walked_when_the_arrows_are_not_covered(

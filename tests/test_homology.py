@@ -7,9 +7,9 @@ from oracles import defined_moves
 from rvq import linalg
 from rvq.errors import AlphabetMismatch, MoveUndefined, NotOmegaPreserving
 from rvq.gp import parse_gp
-from rvq.homology import (DuplicateWinner, intersection_form, kz_minus_walk,
-                          kz_plus, kz_plus_inverse, kz_walk, minus_form,
-                          quotient_action, quotient_data)
+from rvq.homology import (DuplicateWinner, QuotientData, intersection_form,
+                          kz_minus_walk, kz_plus, kz_plus_inverse, kz_walk,
+                          minus_form, quotient_action, quotient_data)
 from rvq.induction import apply_arrow
 from rvq.linalg import identity, mul, rank, transpose
 from rvq.strata import stratum_signature
@@ -151,6 +151,21 @@ def test_quotient_rejects_non_preserving():
     bad = tuple(tuple(2 if i == j else 0 for j in range(6)) for i in range(6))
     with pytest.raises(NotOmegaPreserving):
         quotient_action(WITNESS, bad)
+
+
+def test_quotient_refuses_a_kernel_that_is_not_invariant():
+    # basis and kernel swapped: e_1 is no kernel vector of this form, and the
+    # form-preserving m moves it off its own line
+    form = ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
+    basis, kernel = ((0, 1, 0), (0, 0, 1)), ((1, 0, 0),)
+    uni = basis + kernel
+    qd = QuotientData(form=form, basis=basis, kernel=kernel, unimodular=uni,
+                      inverse=linalg.invert_integer(uni),
+                      reduced_form=((0, 0), (0, 0)))
+    m = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert mul(mul(m, form), transpose(m)) == form
+    with pytest.raises(NotOmegaPreserving, match="kernel is not invariant"):
+        quotient_action(TORUS, m, data=qd)
 
 
 def _short_cycles(base, want=2, depth=14):

@@ -1,6 +1,7 @@
-"""`rank` and `invert_integer` against Fraction Gauss-Jordan elimination.
+"""`rank` and `invert_integer` against Fraction Gauss-Jordan elimination,
+and `mul` and `preserves_form` against triple-loop products.
 
-The oracle is the rational elimination the library used before both were
+The elimination oracle is the rational one the library used before both were
 read off `hermite_with_transform`; it is kept here, exceptions included.
 """
 import random
@@ -13,8 +14,9 @@ from rvq import linalg
 from rvq.components import table1
 from rvq.errors import MoveUndefined, ReverseArrowMissing
 from rvq.gp import parse_gp
+from rvq.groups import arrow_cycles
 from rvq.homology import intersection_form, kz_walk
-from rvq.induction import apply_arrow, invert_arrow
+from rvq.induction import apply_arrow, enumerate_class, invert_arrow
 
 WALK_BASES = (parse_gp("1 2 / 2 1"), parse_gp("1 2 3 4 / 4 3 2 1"),
               parse_gp("1 2 3 A A 4 / 4 3 B B 2 1"), table1(1), table1(7))
@@ -166,3 +168,79 @@ def test_random_square_matrices():
 def test_empty_matrix():
     assert linalg.rank(()) == _fraction_rank(()) == 0
     assert linalg.invert_integer(()) == _fraction_invert_integer(()) == ()
+
+
+def _loop_mul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _loop_preserves(m, form, p=0):
+    """m·form·mᵀ == form entry by entry, over Z or mod p."""
+    mt = tuple(zip(*m))
+    full = _loop_mul(_loop_mul(m, form), mt)
+    return all((x - y) % p == 0 if p else x == y
+               for row, frow in zip(full, form) for x, y in zip(row, frow))
+
+
+def test_mul_equals_the_triple_loop():
+    rng = random.Random(5)
+    for rows, inner, cols in [(1, 6, 1), (6, 1, 6), (1, 1, 1), (1, 5, 3),
+                              (4, 3, 1)] + [tuple(rng.randint(1, 7)
+                                                  for _ in range(3))
+                                            for _ in range(40)]:
+        a = _random_matrix(rng, rows, inner, -9, 9)
+        b = _random_matrix(rng, inner, cols, -9, 9)
+        assert linalg.mul(a, b) == _loop_mul(a, b), (a, b)
+
+
+@pytest.mark.parametrize("base", [
+    parse_gp("1 2 / 2 1"), parse_gp("1 2 3 4 / 4 3 2 1"),
+    parse_gp("1 2 3 4 5 / 5 4 3 2 1"), parse_gp("0 A A 1 / 1 B B 0")],
+    ids=["torus", "H(2)", "H(1,1)", "0AA1"])
+def test_preserves_form_equals_the_full_product(base):
+    # closed-walk matrices preserve the form; a bump by ±1 or ±2 mostly does
+    # not, and a bump by p·E is invisible mod p only
+    form = intersection_form(base)
+    n = len(form)
+    rng = random.Random(n)
+
+    def bump(mat, step):
+        i, j = rng.randrange(n), rng.randrange(n)
+        return tuple(tuple(x + step * (r == i and c == j)
+                           for c, x in enumerate(row))
+                     for r, row in enumerate(mat))
+
+    caught = {0: 0, 2: 0, 3: 0, 5: 0}
+    for walk in arrow_cycles(enumerate_class(base), cap=30):
+        mat, end = kz_walk(base, walk)
+        assert end == base
+        bumped = bump(mat, rng.choice((-2, -1, 1, 2)))
+        for q in (0, 2, 3, 5):
+            assert linalg.preserves_form(mat, form, q)
+            assert _loop_preserves(mat, form, q)
+            want = _loop_preserves(bumped, form, q)
+            assert linalg.preserves_form(bumped, form, q) == want, bumped
+        caught[0] += not _loop_preserves(bumped, form)
+        for p in (2, 3, 5):
+            bumped = bump(mat, p)
+            assert linalg.preserves_form(bumped, form, p)
+            want = _loop_preserves(bumped, form)
+            assert linalg.preserves_form(bumped, form) == want, bumped
+            caught[p] += not want
+    assert all(caught.values()), caught
+
+
+def test_preserves_form_refuses_a_form_that_is_not_alternating():
+    m = linalg.identity(2)
+    for p in (0, 2, 3, 5):
+        with pytest.raises(ValueError, match="not alternating"):
+            linalg.preserves_form(m, ((1, 1), (-1, 0)), p)
+    symmetric = ((0, 1), (1, 0))
+    for p in (0, 3):
+        with pytest.raises(ValueError, match="not alternating"):
+            linalg.preserves_form(m, symmetric, p)
+    # alternating mod 2
+    assert linalg.preserves_form(m, symmetric, 2)
+    assert linalg.preserves_form(((1, 1), (0, 1)), symmetric, 2)
+    assert not linalg.preserves_form(((1, 0), (0, 0)), symmetric, 2)
