@@ -14,7 +14,8 @@ import os
 import sys
 
 from . import components, cover, extensions, groups, homology, induction, strata
-from .errors import CriterionInapplicable, NotSuspendable, RVQError
+from .errors import (CriterionInapplicable, NotSplittable, NotSuspendable,
+                     RVQError)
 from .gp import is_irreducible, parse_gp, validate
 
 
@@ -29,9 +30,8 @@ def _gp_arg(text):
     return parse_gp(text)
 
 
-def _suspendable_gp_arg(text):
-    """A permutation that admits a suspension datum, so its stratum exists."""
-    gp = parse_gp(text)
+def _suspendable(gp):
+    """``gp`` when it admits a suspension datum, so its stratum exists."""
     report = validate(gp)
     if report.violations:
         raise NotSuspendable("%s: %s" % (gp.encode(),
@@ -130,7 +130,7 @@ def cmd_validate(args):
 
 
 def cmd_stratum(args):
-    gp = _suspendable_gp_arg(args.gp)
+    gp = _suspendable(parse_gp(args.gp))
     sig = strata.stratum_signature(gp)
     rec = {"gp": gp.encode(), "orders": list(sig.orders), "genus": sig.genus,
            "genuine": gp.is_genuine}
@@ -178,7 +178,7 @@ def cmd_cocycle(args):
 
 
 def cmd_cover(args):
-    gp = _suspendable_gp_arg(args.gp)
+    gp = _suspendable(parse_gp(args.gp))
     cs = cover.cover_stratum(gp)
     rec = {"gp": gp.encode(), "cover_orders": list(cs.orders),
            "cover_genus": cs.genus, "marked_points": cs.marked_points,
@@ -189,13 +189,17 @@ def cmd_cover(args):
 
 
 def cmd_extend(args):
-    gp = _suspendable_gp_arg(args.gp)
+    gp = _suspendable(parse_gp(args.gp))
     orders = args.orders
     if len(orders) == 2:
         res = extensions.split_singularity(gp, args.singularity, orders[0])
-        out = res.witness.extended
+        if res.orders != orders:
+            raise NotSplittable("parts must sum to the order %d"
+                                % sum(res.orders))
+        out = _suspendable(res.witness.extended)
     else:
-        out = extensions.split_even_zero(gp, args.singularity, *orders)
+        out = _suspendable(
+            extensions.split_even_zero(gp, args.singularity, *orders))
     sig = strata.stratum_signature(out)
     rec = {"gp": gp.encode(), "extended": out.encode(),
            "orders": list(sig.orders), "genus": sig.genus}
@@ -204,7 +208,7 @@ def cmd_extend(args):
 
 
 def cmd_search(args):
-    gp = _suspendable_gp_arg(args.gp)
+    gp = _suspendable(parse_gp(args.gp))
     target = tuple(sorted(args.target_stratum, reverse=True))
     rc = induction.enumerate_class(gp, limit=args.vertices,
                                    allow_truncated=True)
@@ -251,14 +255,14 @@ def cmd_search(args):
 
 
 def cmd_identify(args):
-    gp = _suspendable_gp_arg(args.gp)
+    gp = _suspendable(parse_gp(args.gp))
     label = components.identify_component(gp, budget=args.budget)
     _emit(args, {"gp": gp.encode(), "component": label}, label)
     return 0 if label != components.UNKNOWN else 1
 
 
 def cmd_group(args):
-    gp = _suspendable_gp_arg(args.gp)
+    gp = _suspendable(parse_gp(args.gp))
     if args.minus and not cover.cover_stratum(gp).minus_eligible:
         raise CriterionInapplicable(
             "%s: the minus group needs exactly two singularities of odd "

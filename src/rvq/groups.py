@@ -276,7 +276,9 @@ def _schreier_sims(perms: Sequence[list[int]], degree: int,
 
 def random_directed_cycles(rc: RauzyClass, *, count: int = 200,
                            maxlen: int = 60, seed: int = 0) -> list[str]:
-    """Random forward walks from the base closed up through the return tree."""
+    """Random forward walks from the base closed up through the return tree.
+    A walk that reaches a vertex with no arrow inside the class (on a
+    truncated class) ends there."""
     rng = random.Random(seed)
     arrows_out: dict[int, list[tuple[str, int]]] = {}
     cycles = []
@@ -290,6 +292,8 @@ def random_directed_cycles(rc: RauzyClass, *, count: int = 200,
             if cur not in arrows_out:
                 arrows_out[cur] = [(kind, j) for kind in (TOP, BOTTOM)
                                    if (j := rc.step(cur, kind)) is not None]
+            if not arrows_out[cur]:
+                break
             kind, cur = rng.choice(arrows_out[cur])
             steps.append(kind)
         walk = "".join(steps) + rc.path_to_base(cur)

@@ -142,24 +142,27 @@ def resolve_walk(base: GeneralizedPermutation,
 
 CACHE_ENV = "RVQ_CACHE_DIR"
 DEFAULT_BUDGET = 10_000_000
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class RauzyClass:
-    """A Rauzy class: its vertices and one arrow table.
+    """A Rauzy class: its vertices, base first, and one arrow table.
 
-    ``table[kind]`` is the pair (targets, winners) of the kind's arrows:
-    entry i is the index of the vertex the arrow from vertex i leads to and
-    the letter that wins it, both None where vertex i has no such arrow.
+    ``table[kind]`` holds the targets of the kind's arrows: entry i is the
+    index of the vertex the arrow from vertex i leads to, None where vertex i
+    has no such arrow.  An arrow's winner is not stored; it is the last
+    letter of the acting row of its source.
     """
 
-    base: GeneralizedPermutation
     vertices: tuple[GeneralizedPermutation, ...]
-    table: dict[str, tuple[tuple[Optional[int], ...],
-                           tuple[Optional[str], ...]]]
+    table: dict[str, tuple[Optional[int], ...]]
     complete: bool
     reduced_labels: bool = False
+
+    @property
+    def base(self) -> GeneralizedPermutation:
+        return self.vertices[0]
 
     def __len__(self):
         return len(self.vertices)
@@ -186,11 +189,11 @@ class RauzyClass:
         or 'B'; None when there is no such arrow."""
         forward = self.table.get(move)
         if forward is not None:
-            return forward[0][i]
+            return forward[i]
         return self._memo(move, lambda: self._reverse(move.lower())).get(i)
 
     def _reverse(self, kind: str) -> dict[int, int]:
-        targets = self.table[kind][0]
+        targets = self.table[kind]
         rev = {j: i for i, j in enumerate(targets) if j is not None}
         assert len(rev) == len(targets) - targets.count(None), \
             "two %s-arrows into one vertex" % kind
@@ -208,14 +211,15 @@ class RauzyClass:
 
     def arrows(self) -> Iterator[tuple[int, str, int, str]]:
         """Yield (source index, kind, target index, winner)."""
-        for i in range(len(self.vertices)):
-            for kind, (targets, winners) in self.table.items():
+        for i, v in enumerate(self.vertices):
+            for kind, targets in self.table.items():
                 if targets[i] is not None:
-                    yield i, kind, targets[i], winners[i]
+                    yield (i, kind, targets[i],
+                           (v.top if kind == TOP else v.bottom)[-1])
 
     def arrow_count(self) -> int:
         return sum(len(targets) - targets.count(None)
-                   for targets, _ in self.table.values())
+                   for targets in self.table.values())
 
     # -- trees for cycle construction -----------------------------------
 
@@ -265,61 +269,42 @@ class RauzyClass:
     # -- persistence ------------------------------------------------------
 
     def to_jsonl(self) -> str:
-        header = {
+        """The class as one JSON record on one line: the two flags, the
+        vertices (base first) and each kind's column of targets."""
+        return json.dumps({
             "format": _FORMAT_VERSION,
-            "base": self.base.encode(),
             "complete": self.complete,
             "reduced_labels": self.reduced_labels,
-            "vertices": len(self.vertices),
-            "arrows": self.arrow_count(),
-        }
-        lines = [json.dumps(header)]
-        (tt, tw), (bt, bw) = self.table[TOP], self.table[BOTTOM]
-        for i, v in enumerate(self.vertices):
-            lines.append(json.dumps({"gp": v.encode(), "t": tt[i], "b": bt[i],
-                                     "tw": tw[i], "bw": bw[i]}))
-        return "\n".join(lines) + "\n"
+            "vertices": [v.encode() for v in self.vertices],
+            TOP: self.table[TOP],
+            BOTTOM: self.table[BOTTOM],
+        }) + "\n"
 
     @staticmethod
     def from_jsonl(text: str) -> "RauzyClass":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = json.loads(lines[0])
-        if header.get("format") != _FORMAT_VERSION:
+        rec = json.loads(text)
+        if rec.get("format") != _FORMAT_VERSION:
             raise ValueError("unsupported class cache format: %r"
-                             % header.get("format"))
-        verts, tt, bt, tw, bw = [], [], [], [], []
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            verts.append(parse_gp(rec["gp"]))
-            tt.append(rec["t"])
-            bt.append(rec["b"])
-            tw.append(rec["tw"])
-            bw.append(rec["bw"])
+                             % rec.get("format"))
+        flags = rec["complete"], rec["reduced_labels"]
+        if not all(type(flag) is bool for flag in flags):
+            raise ValueError("class cache flags %r are not booleans"
+                             % (flags,))
+        verts = tuple(parse_gp(code) for code in rec["vertices"])
         n = len(verts)
-        for j, w in zip(tt + bt, tw + bw):
-            if not (w is None if j is None else
-                    type(j) is int and 0 <= j < n and w is not None):
-                raise ValueError("class cache arrow to %r won by %r among "
-                                 "%d vertices" % (j, w, n))
-        for kind, targets in ((TOP, tt), (BOTTOM, bt)):
+        if not n:
+            raise ValueError("class cache holds no vertices")
+        table = {kind: tuple(rec[kind]) for kind in (TOP, BOTTOM)}
+        for kind, targets in table.items():
             hit = [j for j in targets if j is not None]
+            if len(targets) != n or not all(
+                    type(j) is int and 0 <= j < n for j in hit):
+                raise ValueError("class cache %r column is not one target "
+                                 "in 0..%d or null per vertex" % (kind, n - 1))
             if len(set(hit)) != len(hit):
                 raise ValueError("class cache has two %r-arrows into one "
                                  "vertex" % kind)
-        rc = RauzyClass(
-            base=parse_gp(header["base"]),
-            vertices=tuple(verts),
-            table={TOP: (tuple(tt), tuple(tw)),
-                   BOTTOM: (tuple(bt), tuple(bw))},
-            complete=header["complete"],
-            reduced_labels=header.get("reduced_labels", False))
-        if (len(rc), rc.arrow_count()) != (header["vertices"],
-                                           header["arrows"]):
-            raise ValueError(
-                "class cache holds %d vertices and %d arrows, its header "
-                "says %r and %r" % (len(rc), rc.arrow_count(),
-                                    header["vertices"], header["arrows"]))
-        return rc
+        return RauzyClass(verts, table, *flags)
 
 
 def enumerate_class(seed: GeneralizedPermutation,
@@ -343,17 +328,16 @@ def enumerate_class(seed: GeneralizedPermutation,
     base = seed.reduced() if reduced_labels else seed
     vertices = [base]
     index = {base.encode(): 0}
-    table: dict[str, tuple[list, list]] = {TOP: ([], []), BOTTOM: ([], [])}
+    table: dict[str, list] = {TOP: [], BOTTOM: []}
     truncated = False
     for gp in vertices:  # the list grows while it is scanned
-        for kind, (targets, winners) in table.items():
+        for kind, targets in table.items():
             try:
-                arrow = apply_arrow(gp, kind)
+                target = apply_arrow(gp, kind).target
             except MoveUndefined:
                 targets.append(None)
-                winners.append(None)
                 continue
-            target = arrow.target.reduced() if reduced_labels else arrow.target
+            target = target.reduced() if reduced_labels else target
             key = target.encode()
             j = index.get(key)
             if j is None and len(vertices) < limit:
@@ -361,11 +345,9 @@ def enumerate_class(seed: GeneralizedPermutation,
                 vertices.append(target)
             truncated |= j is None
             targets.append(j)
-            winners.append(None if j is None else arrow.winner)
 
-    rc = RauzyClass(base=base, vertices=tuple(vertices),
-                    table={kind: (tuple(targets), tuple(winners))
-                           for kind, (targets, winners) in table.items()},
+    rc = RauzyClass(tuple(vertices),
+                    {kind: tuple(targets) for kind, targets in table.items()},
                     complete=not truncated, reduced_labels=reduced_labels)
     if truncated and not allow_truncated:
         raise BudgetExceeded("class budget of %d vertices hit" % limit,
@@ -396,9 +378,10 @@ def load_or_enumerate(seed: GeneralizedPermutation,
     stored there; with the cache off (see :func:`cache_dir`) always
     enumerated.
 
-    A cache file that is unreadable, truncated, incomplete or holds another
-    class is a miss and is rebuilt.  Writers go through a unique temporary
-    file and an atomic rename, so concurrent writers cannot interleave.
+    A cache file that is unreadable, truncated, of another format, incomplete
+    or holds another class is a miss and is rebuilt.  Writers go through a
+    unique temporary file and an atomic rename, so concurrent writers cannot
+    interleave.
     """
     if not cache_dir():
         return enumerate_class(seed, limit, reduced_labels=reduced_labels)
@@ -411,7 +394,8 @@ def load_or_enumerate(seed: GeneralizedPermutation,
                 RVQError):
             rc = None
         base = seed.reduced() if reduced_labels else seed
-        if rc is not None and rc.complete and rc.base == base:
+        if (rc is not None and rc.complete and rc.base == base
+                and rc.reduced_labels == reduced_labels):
             return rc
     # an unusable directory fails here, before the enumeration
     os.makedirs(cache_dir(), exist_ok=True)

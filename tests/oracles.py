@@ -200,8 +200,11 @@ def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass,
                     k: int) -> str:
     """A k-complete directed cycle at the base with no nontrivial self-overlap."""
 
+    def winner(i, kind):
+        return apply_arrow(rc.vertices[i], kind).winner
+
     def arrows_out(i):
-        return [(kind, j, rc.table[kind][1][i]) for kind in (TOP, BOTTOM)
+        return [(kind, j, winner(i, kind)) for kind in (TOP, BOTTOM)
                 if (j := rc.step(i, kind)) is not None]
 
     def path_to_win(start, letter):
@@ -227,7 +230,7 @@ def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass,
         segment, end = path_to_win(cur, letter)
         walk += segment
         for step, i in zip(segment, rc.trajectory(segment, cur)):
-            wins[rc.table[step][1][i]] += 1
+            wins[winner(i, step)] += 1
         cur = end
         steps_left -= 1
         if steps_left <= 0:

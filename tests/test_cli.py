@@ -73,6 +73,18 @@ def test_extend(capsys):
     assert rec["orders"] == [3, 3, -1, -1]
 
 
+@pytest.mark.parametrize("gp, orders, error", [
+    ("1 2 3 A A 4 / 4 3 B B 2 1", "3,5", "NotSplittable: parts must sum"),
+    ("1 2 3 A A 4 / 4 3 B B 2 1", "3,-40", "NotSplittable: parts must sum"),
+    ("1 2 / 2 1", "1,-1", "NotSuspendable: 1 A A 2 / 2 1: no duplicate"),
+], ids=["sum-too-big", "sum-too-small", "one-row-result"])
+def test_extend_refuses_a_split_that_is_not_asked_or_has_no_stratum(
+        capsys, gp, orders, error):
+    code, out, err = run(capsys, "extend", gp, "--singularity", "1",
+                         "--orders", orders)
+    assert code == 1 and out == "" and err.startswith(error)
+
+
 def test_identify(capsys):
     code, out, _ = run(capsys, "identify", "0 1 2 3 / 3 2 1 0")
     assert code == 0 and out.strip() == "H(2)"

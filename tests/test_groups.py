@@ -564,14 +564,13 @@ def test_an_incomplete_class_gives_a_lower_bound():
 
 
 def _swap_t_arrows(rc, a, b):
-    """The class's cache text with the t-arrows (targets and winners) of
-    vertices a and b swapped: every target stays distinct and in range."""
-    lines = rc.to_jsonl().splitlines()
-    recs = [json.loads(ln) for ln in lines[1:]]
-    assert None not in (recs[a]["t"], recs[b]["t"])
-    for key in ("t", "tw"):
-        recs[a][key], recs[b][key] = recs[b][key], recs[a][key]
-    return "\n".join(lines[:1] + [json.dumps(rec) for rec in recs]) + "\n"
+    """The class's cache text with the t-arrow targets of vertices a and b
+    swapped: every target stays distinct and in range."""
+    rec = json.loads(rc.to_jsonl())
+    targets = rec["t"]
+    assert None not in (targets[a], targets[b])
+    targets[a], targets[b] = targets[b], targets[a]
+    return json.dumps(rec) + "\n"
 
 
 def test_a_class_table_that_lies_is_refused():
@@ -589,6 +588,18 @@ def test_a_class_table_that_lies_is_refused_on_the_minus_side():
         _swap_t_arrows(enumerate_class(QUADRATIC), 0, 2))
     with pytest.raises(OpenWalk, match="does not lead to vertex"):
         rauzy_veech_group_modp(QUADRATIC, lying, 2, minus=True)
+
+
+@pytest.mark.parametrize("limit", [28, 39])
+def test_a_walk_into_a_dead_end_of_a_truncated_class_is_open(limit):
+    # the class of the witness cut at these budgets holds a vertex whose
+    # arrows all leave it, which a random walk reaches
+    base = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
+    part = enumerate_class(base, limit=limit, allow_truncated=True)
+    assert any(part.trajectory("t", i)[-1] is part.trajectory("b", i)[-1]
+               is None for i in range(len(part)))
+    with pytest.raises(OpenWalk, match="not connected to the base"):
+        rauzy_veech_group_modp(base, part, 2, cycles=1)
 
 
 def test_the_group_needs_the_labeled_class_at_its_base():

@@ -317,7 +317,52 @@ def test_tree_path_refuses_a_vertex_cut_off_from_the_base():
         part.path_to_base(2)
 
 
+# the DOT text of the class of 1 2 3 4 / 4 3 2 1, pinned from the class
+# table that stored each arrow's winner
+DOT_1234 = """digraph rauzy {
+  label="base=1 2 3 4 / 4 3 2 1 vertices=7";
+  v0 [label="1 2 3 4 / 4 3 2 1"];
+  v1 [label="1 2 3 4 / 4 1 3 2"];
+  v2 [label="1 4 2 3 / 4 3 2 1"];
+  v3 [label="1 2 3 4 / 4 2 1 3"];
+  v4 [label="1 2 4 3 / 4 1 3 2"];
+  v5 [label="1 4 2 3 / 4 3 1 2"];
+  v6 [label="1 3 4 2 / 4 3 2 1"];
+  v0 -> v1 [label="t:4"];
+  v0 -> v2 [label="b:1"];
+  v1 -> v3 [label="t:4"];
+  v1 -> v4 [label="b:2"];
+  v2 -> v5 [label="t:3"];
+  v2 -> v6 [label="b:1"];
+  v3 -> v0 [label="t:4"];
+  v3 -> v3 [label="b:3"];
+  v4 -> v4 [label="t:3"];
+  v4 -> v1 [label="b:2"];
+  v5 -> v2 [label="t:3"];
+  v5 -> v5 [label="b:2"];
+  v6 -> v6 [label="t:2"];
+  v6 -> v0 [label="b:1"];
+}
+"""
+
+
+@pytest.mark.parametrize("seed, reduced", [
+    (tau_sym(5), False),
+    (parse_gp("0 A A 1 / 1 B B 0"), False),
+    (tau_zorich(3), True),
+], ids=["sym5", "Q(2,-1,-1)", "zorich3-reduced"])
+def test_arrow_winners_are_the_moves_winners(seed, reduced):
+    rc = enumerate_class(seed, reduced_labels=reduced)
+    arrows = list(rc.arrows())
+    assert len(arrows) == rc.arrow_count() > 0
+    for i, kind, j, winner in arrows:
+        assert winner == apply_arrow(rc.vertices[i], kind).winner
+        assert rc.step(i, kind) == j
+
+
 def test_export_graph():
+    assert export_graph(enumerate_class(parse_gp("1 2 3 4 / 4 3 2 1"))) \
+        == DOT_1234
     rc = enumerate_class(parse_gp("1 2 / 2 1"))
     dot = export_graph(rc)
     assert dot.count("->") == 2 and "t:2" in dot and "b:1" in dot
@@ -333,28 +378,55 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     rc1 = load_or_enumerate(seed)
     rc2 = load_or_enumerate(seed)
     assert rc1.to_jsonl() == rc2.to_jsonl()
-    header = rc1.to_jsonl().splitlines()[0]
-    assert '"complete": true' in header and '"base"' in header
+    [line] = rc1.to_jsonl().splitlines()
+    assert '"complete": true' in line and '"base"' not in line
 
 
-def _set_field(text, line, field, value):
-    """The class file ``text`` with one field of one of its lines replaced."""
-    lines = text.splitlines()
-    rec = json.loads(lines[line])
-    rec[field] = value
-    lines[line] = json.dumps(rec)
-    return "\n".join(lines) + "\n"
+@pytest.mark.parametrize("seed, reduced, limit", [
+    (tau_sym(5), False, None),
+    (tau_zorich(3), True, None),
+    (parse_gp("0 A A 1 / 1 B B 0"), False, 40),
+], ids=["labeled", "reduced", "truncated"])
+def test_class_file_roundtrip(seed, reduced, limit):
+    rc = enumerate_class(seed, limit or induction.DEFAULT_BUDGET,
+                         reduced_labels=reduced, allow_truncated=True)
+    assert rc.complete == (limit is None)
+    assert RauzyClass.from_jsonl(rc.to_jsonl()) == rc
+
+
+def _set_field(text, field, value, i=None):
+    """The class file ``text`` with one field, or entry i of a column,
+    replaced."""
+    rec = json.loads(text)
+    if i is None:
+        rec[field] = value
+    else:
+        rec[field][i] = value
+    return json.dumps(rec) + "\n"
 
 
 @pytest.mark.parametrize("corrupt", [
     lambda text, other: text[:-10],                               # mid-line
-    lambda text, other: "\n".join(text.splitlines()[:5]) + "\n",  # at a line
+    lambda text, other: text[:text.index(', "t"')] + "}\n",  # at a field
     lambda text, other: "",
     lambda text, other: other,                        # another class's file
-    lambda text, other: _set_field(text, 1, "t", 99),  # 15 vertices
-    lambda text, other: _set_field(text, 4, "t", 0),   # vertex 3: 7 -> 0
+    lambda text, other: _set_field(text, "t", 99, 0),  # 15 vertices
+    lambda text, other: _set_field(text, "t", 0, 3),   # vertex 3: 7 -> 0
+    lambda text, other: _set_field(text, "b", json.loads(text)["b"][:-1]),
+    lambda text, other: _set_field(text, "vertices", []),
+    lambda text, other: _set_field(text, "complete", "no"),
+    lambda text, other: _set_field(text, "complete", 1),
+    lambda text, other: _set_field(text, "complete", None),
+    lambda text, other: _set_field(text, "reduced_labels", "no"),
+    lambda text, other: _set_field(text, "reduced_labels", 0),
+    lambda text, other: _set_field(text, "reduced_labels", None),
+    lambda text, other: _set_field(text, "reduced_labels", True),
+    lambda text, other: _set_field(text, "format", 1),
 ], ids=["byte-truncated", "line-truncated", "empty", "wrong-base",
-        "out-of-range-target", "duplicate-target"])
+        "out-of-range-target", "duplicate-target", "short-column",
+        "no-vertices", "complete-str", "complete-int", "complete-null",
+        "reduced-str", "reduced-int", "reduced-null", "reduced-flag-wrong",
+        "format-1"])
 def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
     seed = parse_gp("1 2 3 4 5 / 5 4 3 2 1")
@@ -368,19 +440,23 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     assert path.read_text() == good
 
 
-@pytest.mark.parametrize("field, value, has_arrow", [
-    ("t", -1, True), ("t", 516, True), ("t", "1", True), ("t", 1.0, True),
-    ("t", True, True), ("tw", None, True), ("bw", "0", False),
-], ids=["negative", "past-end", "str", "float", "bool", "missing-winner",
-        "stray-winner"])
-def test_class_file_with_a_bad_arrow_is_refused(field, value, has_arrow):
+@pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "null"])
+@pytest.mark.parametrize("field", ["complete", "reduced_labels"])
+def test_class_file_flags_must_be_booleans(field, value):
+    text = enumerate_class(tau_sym(4)).to_jsonl()
+    with pytest.raises(ValueError, match="booleans"):
+        RauzyClass.from_jsonl(_set_field(text, field, value))
+
+
+@pytest.mark.parametrize("value", [-1, 516, "1", 1.0, True],
+                         ids=["negative", "past-end", "str", "float", "bool"])
+def test_class_file_with_a_bad_arrow_is_refused(value):
     rc = enumerate_class(parse_gp("0 A A 1 / 1 B B 0"))  # 516 vertices
     text = rc.to_jsonl()
     assert RauzyClass.from_jsonl(text).to_jsonl() == text
-    targets = rc.table[field[0]][0]
-    i = next(i for i, j in enumerate(targets) if (j is not None) == has_arrow)
+    i = next(i for i, j in enumerate(rc.table["t"]) if j is not None)
     with pytest.raises(ValueError):
-        RauzyClass.from_jsonl(_set_field(text, i + 1, field, value))
+        RauzyClass.from_jsonl(_set_field(text, "t", value, i))
 
 
 def test_class_vertices_carry_no_letter_table(tmp_path, monkeypatch):
@@ -404,12 +480,11 @@ def test_class_vertices_carry_no_letter_table(tmp_path, monkeypatch):
 
 def test_jsonl_format_fields():
     rc = enumerate_class(parse_gp("1 2 / 2 1"))
-    lines = rc.to_jsonl().splitlines()
-    import json
-    header = json.loads(lines[0])
-    assert set(header) >= {"format", "base", "complete", "vertices", "arrows"}
-    rec = json.loads(lines[1])
-    assert set(rec) == {"gp", "t", "b", "tw", "bw"}
+    [line] = rc.to_jsonl().splitlines()
+    rec = json.loads(line)
+    assert list(rec) == ["format", "complete", "reduced_labels", "vertices",
+                         "t", "b"]
+    assert rec["format"] == 2 and rec["vertices"] == [rc.base.encode()]
     assert RauzyClass.from_jsonl(rc.to_jsonl()).vertices == rc.vertices
 
 
@@ -521,7 +596,16 @@ def test_trajectory_stops_where_an_arrow_is_missing():
     assert rc.trajectory("") == [0]
 
 
-# a class file of format 1, pinned: cache files already on disk must load
+# the class file of 1 2 3 4 / 4 3 2 1 in format 2, pinned
+FORMAT_2_JSONL = (
+    '{"format": 2, "complete": true, "reduced_labels": false, "vertices": '
+    '["1 2 3 4 / 4 3 2 1", "1 2 3 4 / 4 1 3 2", "1 4 2 3 / 4 3 2 1", '
+    '"1 2 3 4 / 4 2 1 3", "1 2 4 3 / 4 1 3 2", "1 4 2 3 / 4 3 1 2", '
+    '"1 3 4 2 / 4 3 2 1"], "t": [1, 3, 5, 0, 4, 2, 6], '
+    '"b": [2, 4, 6, 3, 1, 5, 0]}\n')
+
+# the same class in format 1, which stored the base twice and each arrow's
+# winner: a file of that format is rebuilt
 FORMAT_1_JSONL = (
     '{"format": 1, "base": "1 2 3 4 / 4 3 2 1", "complete": true, '
     '"reduced_labels": false, "vertices": 7, "arrows": 14}\n'
@@ -537,14 +621,18 @@ FORMAT_1_JSONL = (
 def test_class_file_format_unchanged(tmp_path, monkeypatch):
     seed = parse_gp("1 2 3 4 / 4 3 2 1")
     rc = enumerate_class(seed)
-    assert rc.to_jsonl() == FORMAT_1_JSONL
+    assert rc.to_jsonl() == FORMAT_2_JSONL
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
-    with open(_cache_path(seed, False), "w") as fh:
+    path = _cache_path(seed, False)
+    with open(path, "w") as fh:
         fh.write(FORMAT_1_JSONL)
+    assert load_or_enumerate(seed) == rc
+    with open(path) as fh:
+        assert fh.read() == FORMAT_2_JSONL
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("the cached file was not used")
 
     monkeypatch.setattr("rvq.induction.enumerate_class", no_enumeration)
     loaded = load_or_enumerate(seed)
-    assert loaded == rc and loaded.to_jsonl() == FORMAT_1_JSONL
+    assert loaded == rc and loaded.to_jsonl() == FORMAT_2_JSONL
