@@ -267,7 +267,8 @@ def cmd_group(args):
         raise CriterionInapplicable(
             "%s: the minus group needs exactly two singularities of odd "
             "order" % gp.encode())
-    rc = induction.load_or_enumerate(gp, limit=args.budget)
+    rc = (groups.admissible_component(gp, limit=args.budget) if args.minus
+          else induction.load_or_enumerate(gp, limit=args.budget))
     res = groups.rauzy_veech_group_modp(
         gp, rc, args.mod, cycles=args.cycles, maxlen=args.maxlen,
         seed=args.seed, minus=args.minus)
@@ -278,8 +279,8 @@ def cmd_group(args):
            "maxlen": args.maxlen, "seed": args.seed, "minus": args.minus,
            "exact": res.exact}
     if res.exact:
-        harvest = "exact: %d generators from one cycle per arrow" % (
-            res.generators_used,)
+        harvest = "exact: %d generators from one cycle per %sarrow" % (
+            res.generators_used, "admissible " if args.minus else "")
     else:
         harvest = ("lower bound: %d generators from %d cycles, maxlen %d, "
                    "seed %d" % (res.generators_used, args.cycles, args.maxlen,
@@ -396,7 +397,7 @@ def main(argv=None):
     p.add_argument("--minus", action="store_true")
     p.add_argument("--cycles", type=_positive_int_arg, default=200,
                    help="one cycle per arrow for at most 4*N arrows; N random "
-                   "cycles only beyond that, or with --minus")
+                   "cycles only beyond that")
     p.add_argument("--maxlen", type=_positive_int_arg, default=60)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_group)

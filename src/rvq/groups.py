@@ -16,12 +16,13 @@ from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .errors import (NonDividingOrder, NonSymplecticGenerator,
-                     NotOmegaPreserving, OpenWalk)
+from .errors import (CriterionInapplicable, NonDividingOrder,
+                     NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from .gp import GeneralizedPermutation
-from .homology import (QuotientData, _factor, minus_factor, minus_form,
-                       plus_factor, quotient_action, quotient_data)
-from .induction import RauzyClass, TOP, BOTTOM, apply_arrow
+from .homology import (DuplicateWinner, QuotientData, _factor, minus_factor,
+                       minus_form, plus_factor, quotient_action, quotient_data)
+from .induction import (DEFAULT_BUDGET, RauzyClass, TOP, BOTTOM, apply_arrow,
+                        enumerate_class)
 from .linalg import Matrix
 
 
@@ -56,8 +57,8 @@ def sp_order(g: int, p: int) -> int:
 class ClosureResult:
     """The mod-p image; ``base_length`` is the number of base points of its
     stabilizer chain on the nonzero vectors.  ``exact`` is set when the
-    order is that of the whole image of the plus Rauzy-Veech group, not
-    only a lower bound on it (see :func:`rauzy_veech_group_modp`)."""
+    order is that of the image of the group of all closed walks at the base,
+    not a lower bound (see :func:`rauzy_veech_group_modp`)."""
 
     order: int
     index: int
@@ -310,26 +311,38 @@ def arrow_cycles(rc: RauzyClass, *, cap: Optional[int] = None) -> list[str]:
             for i, kind, j, _ in islice(rc.arrows(), cap)]
 
 
+def admissible_component(base: GeneralizedPermutation,
+                         limit: int = DEFAULT_BUDGET) -> RauzyClass:
+    """The vertices that admissible arrows (those with a :func:`minus_factor`)
+    reach from ``base``, with only those arrows: every closed admissible
+    walk at the base stays inside.  Past ``limit`` vertices it raises
+    BudgetExceeded."""
+    def admissible(gp, kind):
+        arrow = apply_arrow(gp, kind)
+        if minus_factor(arrow, base.both_rows_letters()) is None:
+            raise DuplicateWinner("the arrow has no minus factor")
+        return arrow
+
+    return enumerate_class(base, limit, arrow=admissible)
+
+
 def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
                    minus: bool = False) -> list[Matrix]:
-    """The plus matrices of closed forward walks at vertex 0 of the labeled
-    class ``rc``, each equal to ``kz_walk(rc.vertices[0], walk)[0]``, or
-    with ``minus`` the minus matrices of ``kz_minus_walk``.
+    """The matrices of closed forward walks at vertex 0 of the labeled class
+    ``rc``: those of ``kz_walk``, or with ``minus`` of ``kz_minus_walk``.
 
     Each walk of 't' and 'b' steps is followed on the class's arrow table,
-    one row operation per step.  An arrow's factor is computed once, by
-    applying its move to its source vertex; a target that is not the vertex
-    the table names raises OpenWalk, as does a walk that leaves the class
-    or does not end at vertex 0.  A minus walk through an arrow with no
-    minus factor (see :func:`minus_factor`) is skipped.  Letters are indexed
-    by the base's alphabet, or its both-rows letters, so a class with
-    reduced labels is refused with ValueError.
+    one row operation per step, with each arrow's factor computed once from
+    its move.  A target other than the one the table names, and a walk that
+    leaves the class or does not end at vertex 0, raise OpenWalk; a minus
+    walk through an arrow with no :func:`minus_factor` raises
+    DuplicateWinner; a class with reduced labels raises ValueError.
     """
     if rc.reduced_labels:
         raise ValueError("cycle matrices need a class with labeled vertices")
     base = rc.vertices[0]
     order = base.both_rows_letters() if minus else base.alphabet
-    arrows: dict[tuple[int, str], tuple[int, Optional[tuple]]] = {}
+    arrows: dict[tuple[int, str], tuple[int, tuple]] = {}
 
     def follow(i, kind, walk):
         if (i, kind) not in arrows:
@@ -344,25 +357,25 @@ def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
             if arrow.target != rc.vertices[j]:
                 raise OpenWalk("the class's %s-arrow from vertex %d does not "
                                "lead to vertex %d" % (kind, i, j))
-            arrows[i, kind] = j, (minus_factor if minus else plus_factor)(
-                arrow, order)
+            factor = (minus_factor if minus else plus_factor)(arrow, order)
+            if factor is None:
+                raise DuplicateWinner("cycle %r: the %s-arrow from vertex %d "
+                                      "has no minus factor" % (walk, kind, i))
+            arrows[i, kind] = j, factor
         return arrows[i, kind]
 
     ident = linalg.identity(len(order))
     mats = []
     for walk in walks:
         mat = [list(row) for row in ident]
-        i, admissible = 0, True
+        i = 0
         for kind in walk:
             i, factor = follow(i, kind, walk)
-            if factor is None:
-                admissible = False
-            elif admissible and factor:
+            if factor:
                 _factor(mat, *factor, False)
         if i != 0:
             raise OpenWalk("cycle %r does not close up" % walk)
-        if admissible:
-            mats.append(tuple(tuple(row) for row in mat))
+        mats.append(tuple(tuple(row) for row in mat))
     return mats
 
 
@@ -399,30 +412,33 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
     close their matrices mod p.
 
     The harvest is one cycle per arrow, for at most ``4 * cycles`` arrows.
-    On the plus side, when that covers every arrow, these cycles generate
-    the whole plus Rauzy-Veech group: every closed walk at the base is a
-    product of them and their inverses.  Then nothing else is harvested,
-    and on a complete class the result is ``exact``.  Otherwise (a larger
-    class, or the minus side, which skips the cycles through a duplicate
-    winner) ``cycles`` random directed cycles of length at most ``maxlen``,
-    drawn from ``seed``, are added, and the order is a lower bound.  The
-    matrices come from :func:`cycle_matrices`.  A class with reduced
-    labels, or ``cycles`` below 1, raises ValueError, and one whose table
-    disagrees with the moves raises OpenWalk.
+    When that covers every arrow, these cycles generate the group of all
+    closed walks at the base: every such walk is a product of them and their
+    inverses.  Then nothing else is harvested, and on a complete class the
+    result is ``exact``.  Otherwise ``cycles`` random directed cycles of
+    length at most ``maxlen``, drawn from ``seed``, are added, and the order
+    is a lower bound.  With ``minus``, ``rc`` is the
+    :func:`admissible_component`, and the result is the image of the group
+    of admissible closed walks at the base on the halved minus form: a
+    subgroup of the minus Rauzy-Veech group, so its finite index gives the
+    latter's.  Bad input raises as :func:`cycle_matrices` does, ``cycles``
+    below 1 ValueError, and genus 0 CriterionInapplicable.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1, got %r" % (cycles,))
     if rc.vertices[0] != base:
         raise OpenWalk("%s is not the base of the class" % base.encode())
-    covered = rc.arrow_count() <= 4 * cycles
-    walks = arrow_cycles(rc, cap=4 * cycles)
-    if minus or not covered:
-        walks += random_directed_cycles(rc, count=cycles, maxlen=maxlen,
-                                        seed=seed)
     halved = (tuple(tuple(x // 2 for x in row) for row in minus_form(base))
               if minus else None)
+    qd = quotient_data(base, form=halved)
+    if not qd.reduced_form:
+        raise CriterionInapplicable("%s has genus 0: no group" % base.encode())
+    covered = rc.arrow_count() <= 4 * cycles
+    walks = arrow_cycles(rc, cap=4 * cycles)
+    if not covered:
+        walks += random_directed_cycles(rc, count=cycles, maxlen=maxlen,
+                                        seed=seed)
     gens, form = _quotient_generators(
-        base, cycle_matrices(rc, walks, minus=minus), p,
-        quotient_data(base, form=halved))
+        base, cycle_matrices(rc, walks, minus=minus), p, qd)
     res = modp_closure(gens, p, form)
-    return replace(res, exact=covered and rc.complete and not minus)
+    return replace(res, exact=covered and rc.complete)

@@ -310,13 +310,15 @@ class RauzyClass:
 def enumerate_class(seed: GeneralizedPermutation,
                     limit: int = DEFAULT_BUDGET,
                     *, reduced_labels: bool = False,
-                    allow_truncated: bool = False) -> RauzyClass:
+                    allow_truncated: bool = False,
+                    arrow=None) -> RauzyClass:
     """Breadth-first closure of ``seed`` under both induction moves.
 
     With ``reduced_labels`` every vertex is stored in relabeled normal form
     (letters renamed by first appearance, top row first); since the moves
     commute with relabeling this enumerates the quotient graph, which is what
-    component identification compares against.
+    component identification compares against.  ``arrow``, if given,
+    replaces :func:`apply_arrow`, to enumerate the closure under fewer arrows.
     """
     if not is_irreducible(seed):
         raise ReducibleSeed("seed is reducible: %s" % seed.encode())
@@ -326,6 +328,7 @@ def enumerate_class(seed: GeneralizedPermutation,
             % seed.encode())
 
     base = seed.reduced() if reduced_labels else seed
+    arrow = arrow or apply_arrow  # at call time, so a wrapper on it counts
     vertices = [base]
     index = {base.encode(): 0}
     table: dict[str, list] = {TOP: [], BOTTOM: []}
@@ -333,7 +336,7 @@ def enumerate_class(seed: GeneralizedPermutation,
     for gp in vertices:  # the list grows while it is scanned
         for kind, targets in table.items():
             try:
-                target = apply_arrow(gp, kind).target
+                target = arrow(gp, kind).target
             except MoveUndefined:
                 targets.append(None)
                 continue

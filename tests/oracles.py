@@ -12,7 +12,10 @@ they import ``conftest``:
 * the plus and minus generators of cycles walked from the base with
   ``kz_walk`` and ``kz_minus_walk``, each checked by the full product
   M·Ω·Mᵀ and conjugated into the quotient basis: the oracle for
-  ``groups.cycle_matrices`` and ``groups._quotient_generators``.
+  ``groups.cycle_matrices`` and ``groups._quotient_generators``;
+* the minus generators harvested from the labeled class, the route
+  ``group --minus`` took before it walked the admissible component: the
+  oracle for ``groups.admissible_component``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from rvq import linalg
 from rvq.errors import (BudgetExceeded, MoveUndefined, NotOmegaPreserving,
                         OpenWalk, RVQError)
 from rvq.gp import GeneralizedPermutation, Letter
-from rvq.groups import random_directed_cycles
+from rvq.groups import arrow_cycles, random_directed_cycles
 from rvq.homology import (DuplicateWinner, QuotientData, kz_minus_walk,
                           kz_walk, minus_form, quotient_data)
 from rvq.induction import BOTTOM, TOP, RauzyClass, apply_arrow
@@ -365,3 +368,17 @@ def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
     halved = tuple(tuple(x // 2 for x in row) for row in minus_form(base))
     return _quotient_generators(_walk_matrices(base, cycles, kz_minus_walk),
                                 p, quotient_data(base, form=halved))
+
+
+def labeled_class_minus_generators_modp(base: GeneralizedPermutation,
+                                        rc: RauzyClass, p: int, *,
+                                        cycles: int = 200, maxlen: int = 60,
+                                        seed: int = 0
+                                        ) -> tuple[list[Matrix], Matrix]:
+    """The minus generators of the labeled class ``rc`` of ``base``: one
+    cycle per arrow for at most ``4 * cycles`` arrows, always with
+    ``cycles`` random directed cycles, of which only the admissible walks
+    are kept."""
+    walks = arrow_cycles(rc, cap=4 * cycles) + random_directed_cycles(
+        rc, count=cycles, maxlen=maxlen, seed=seed)
+    return minus_generators_modp(base, walks, p)

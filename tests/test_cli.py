@@ -272,7 +272,7 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path / "cache"))
     commands = _readme_commands()
-    assert len(commands) == 12
+    assert len(commands) == 13
     printed = {}
     for argv in commands:
         code, out, err = run(capsys, *argv)
@@ -281,6 +281,9 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     assert printed["stratum"] == "Q(6,-1,-1) genus=2\n"
     assert printed["validate"].startswith("LetterCountError: ")
     assert printed["identify"] == "H(4)^odd\n"
+    assert printed["group"].endswith(
+        "mod-2 closure: order 120, index 6 in Sp(4, F_2) "
+        "[exact: 8 generators from one cycle per admissible arrow]\n")
     lines = printed["verify-table"].splitlines()
     assert len(lines) == 12 and all(ln.endswith(": PASS") for ln in lines)
     assert (tmp_path / "out.dot").read_text().startswith("digraph rauzy {")
@@ -303,3 +306,24 @@ def test_group_minus_on_eligible_stratum(capsys):
     code, out, _ = run(capsys, "--json", "group", "0 A A 1 / 1 B B 0",
                        "--minus", "--cycles", "20")
     assert code == 0 and json.loads(out)["minus"] is True
+
+
+def test_group_minus_walks_the_admissible_component(capsys, tmp_path):
+    # the labeled class of this base has 1,739,520 vertices; its admissible
+    # component has 19, and no class file is written
+    start = time.perf_counter()
+    for p, index in [(2, 6), (3, 1)]:
+        code, out, _ = run(capsys, "--json", "--cache-dir", str(tmp_path),
+                           "group", "1 2 3 A A 4 / 4 3 B B 2 1", "--minus",
+                           "--mod", str(p))
+        rec = json.loads(out)
+        assert code == 0 and rec["exact"] and rec["index"] == index
+    assert time.perf_counter() - start < 5
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("gp", ["2 2 B / B 1 1", "0 0 1 / 1 2 2"])
+def test_group_refuses_genus_zero(capsys, gp):
+    code, out, err = run(capsys, "group", gp)
+    assert code == 1 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("CriterionInapplicable:") and "genus 0" in err

@@ -7,18 +7,21 @@ import pytest
 import oracles
 from oracles import (DecompositionPiece, decomposition_product,
                      directed_decomposition, find_gamma_star, k_completeness,
+                     labeled_class_minus_generators_modp,
                      minus_generators_modp, plus_generators_modp)
 from rvq import groups, linalg
-from rvq.components import sigma_hyp, tau_sym, tau_zorich
+from rvq.components import sigma_hyp, table1, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
-                        NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
+                        NonSymplecticGenerator, NotOmegaPreserving, OpenWalk,
+                        ReverseArrowMissing)
 from rvq.gp import parse_gp
-from rvq.groups import (arrow_cycles, cycle_matrices, modp_closure,
-                        random_directed_cycles, rauzy_veech_group_modp,
-                        sp_order)
+from rvq.groups import (admissible_component, arrow_cycles, cycle_matrices,
+                        modp_closure, random_directed_cycles,
+                        rauzy_veech_group_modp, sp_order)
 from rvq.homology import (DuplicateWinner, kz_minus_walk, kz_walk,
-                          quotient_data)
-from rvq.induction import RauzyClass, enumerate_class, load_or_enumerate
+                          minus_factor, quotient_data)
+from rvq.induction import (RauzyClass, apply_arrow, enumerate_class,
+                           invert_arrow, load_or_enumerate)
 from rvq.linalg import identity
 
 TORUS = parse_gp("1 2 / 2 1")
@@ -145,9 +148,10 @@ def test_torus_closure_mod3():
 def test_minus_closure_genus_one(p, order):
     # the halved minus form of this base has rank 2: the image is SL(2, F_p)
     base = parse_gp("0 A A 1 / 1 B B 0")
-    rc = enumerate_class(base)
+    rc = admissible_component(base)
     res = rauzy_veech_group_modp(base, rc, p, cycles=40, seed=1, minus=True)
     assert res.genus == 1 and res.order == order == sp_order(1, p)
+    assert res.exact
 
 
 def test_minus_generators_check_the_form(monkeypatch):
@@ -403,12 +407,23 @@ def test_capped_arrow_cycle_matrices_equal_the_walked_matrices():
 @pytest.mark.parametrize("base", [QUADRATIC, sigma_hyp(2, 0)],
                          ids=["0AA1", "hyp-2-0"])
 def test_minus_cycle_matrices_equal_the_walked_matrices(base):
+    # on the labeled class: the admissible walks give their walked matrices,
+    # and any other walk is refused, not skipped
     rc = load_or_enumerate(base)
     walks = arrow_cycles(rc) + random_directed_cycles(rc, seed=0)
     kept = [w for w in walks if _admissible(base, rc, w)]
     assert 0 < len(kept) < len(walks)
-    assert cycle_matrices(rc, walks, minus=True) == [
+    assert cycle_matrices(rc, kept, minus=True) == [
         kz_minus_walk(base, walk)[0] for walk in kept]
+    for walk in walks:
+        if walk not in kept:
+            with pytest.raises(DuplicateWinner, match="no minus factor"):
+                cycle_matrices(rc, kept[:1] + [walk], minus=True)
+    # on the admissible component every walk is admissible
+    comp = admissible_component(base)
+    walks = arrow_cycles(comp) + random_directed_cycles(comp, seed=0)
+    assert cycle_matrices(comp, walks, minus=True) == [
+        kz_minus_walk(base, walk)[0] for walk in walks]
 
 
 def test_cycle_matrices_refuse_a_walk_that_is_not_a_forward_cycle():
@@ -471,13 +486,81 @@ MINUS_IDS = ["0AA1-2", "0AA1-3", "0AA1-5", "hyp-2-1-2", "hyp-2-1-3"]
 @pytest.mark.parametrize("base, p, order, index", MINUS_CASES, ids=MINUS_IDS)
 def test_minus_group_equals_the_closure_of_the_walked_harvest(base, p, order,
                                                               index):
-    rc = load_or_enumerate(base)
+    rc = admissible_component(base)
     res = rauzy_veech_group_modp(base, rc, p, minus=True)
-    assert (res.order, res.index) == (order, index)
+    assert (res.order, res.index) == (order, index) and res.exact
     # the default harvest, every cycle walked from the base
-    walks = arrow_cycles(rc, cap=800) + random_directed_cycles(rc, seed=0)
-    gens, form = minus_generators_modp(base, walks, p)
-    assert res == modp_closure(gens, p, form)
+    gens, form = minus_generators_modp(base, arrow_cycles(rc, cap=800), p)
+    assert res == dataclasses.replace(modp_closure(gens, p, form), exact=True)
+
+
+WITNESS = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
+
+# the minus cases and two more bases whose labeled classes (2,040 and
+# 124,920 vertices) the oracle route still enumerates
+ORACLE_CASES = [(base, p) for base, p, _, _ in MINUS_CASES] + [
+    (sigma_hyp(2, 0), 2), (sigma_hyp(2, 0), 3), (sigma_hyp(0, 3), 2)]
+ORACLE_IDS = MINUS_IDS + ["hyp-2-0-2", "hyp-2-0-3", "hyp-0-3-2"]
+
+
+@pytest.mark.parametrize("base, p", ORACLE_CASES, ids=ORACLE_IDS)
+def test_minus_group_of_the_component_equals_the_labeled_class_route(base,
+                                                                     p):
+    res = rauzy_veech_group_modp(base, admissible_component(base), p,
+                                 minus=True)
+    gens, form = labeled_class_minus_generators_modp(
+        base, load_or_enumerate(base), p)
+    assert res.exact and res.order == modp_closure(gens, p, form).order
+
+
+def _backward_admissible_closure(base):
+    """The vertices from which admissible arrows lead to ``base``, found with
+    ``invert_arrow``."""
+    order = base.both_rows_letters()
+    seen, todo = {base}, [base]
+    while todo:
+        gp = todo.pop()
+        for kind in "tb":
+            try:
+                arrow = invert_arrow(gp, kind)
+            except ReverseArrowMissing:
+                continue
+            if (minus_factor(arrow, order) is not None
+                    and arrow.source not in seen):
+                seen.add(arrow.source)
+                todo.append(arrow.source)
+    return seen
+
+
+@pytest.mark.parametrize("base", [QUADRATIC, sigma_hyp(2, 0), sigma_hyp(2, 1),
+                                  sigma_hyp(0, 3), WITNESS],
+                         ids=["0AA1", "hyp-2-0", "hyp-2-1", "hyp-0-3",
+                              "witness"])
+def test_admissible_component_is_closed_both_ways(base):
+    rc = admissible_component(base)
+    assert rc.complete and not rc.reduced_labels
+    assert set(rc.vertices) == _backward_admissible_closure(base)
+    order = base.both_rows_letters()
+    for i, kind, j, _ in rc.arrows():
+        arrow = apply_arrow(rc.vertices[i], kind)
+        assert arrow.target == rc.vertices[j]
+        assert minus_factor(arrow, order) is not None
+    with pytest.raises(BudgetExceeded):
+        admissible_component(base, limit=len(rc) - 1)
+
+
+@pytest.mark.parametrize("base, p, cycles, order, index", [
+    (WITNESS, 2, 200, 120, 6), (WITNESS, 3, 200, 51_840, 1),
+    (table1(1), 2, 200, 5_040, 288), (table1(2), 2, 200, 51_840, 28),
+    (table1(7), 2, 1600, 348_364_800, 136),
+], ids=["witness-2", "witness-3", "row1-2", "row2-2", "row7-2"])
+def test_exact_minus_indices(base, p, cycles, order, index):
+    rc = admissible_component(base)
+    res = rauzy_veech_group_modp(base, rc, p, cycles=cycles, minus=True)
+    assert res.exact and (res.order, res.index) == (order, index)
+    if cycles > 200:  # the default harvest does not cover the component
+        assert rc.arrow_count() > 4 * 200
+        assert not rauzy_veech_group_modp(base, rc, p, minus=True).exact
 
 
 @pytest.mark.parametrize("base, p, minus", [
@@ -496,13 +579,10 @@ def test_generators_equal_the_full_product_oracle(monkeypatch, base, p,
         return closure(gens, q, form)
 
     monkeypatch.setattr(groups, "modp_closure", spy)
-    rc = load_or_enumerate(base)
+    rc = admissible_component(base) if minus else load_or_enumerate(base)
     res = rauzy_veech_group_modp(base, rc, p, minus=minus)
-    walks = arrow_cycles(rc, cap=800)
-    if minus:
-        walks += random_directed_cycles(rc, seed=0)
     want = (minus_generators_modp if minus else plus_generators_modp)(
-        base, walks, p)
+        base, arrow_cycles(rc, cap=800), p)
     assert handed == [want]
     gens, form = want
     assert dataclasses.replace(res, exact=False) == closure(gens, p, form)
@@ -543,13 +623,18 @@ def test_random_cycles_are_walked_when_the_arrows_are_not_covered(
 
 
 def test_random_cycles_are_walked_on_the_minus_side(monkeypatch):
-    rc = load_or_enumerate(QUADRATIC)
-    assert rc.arrow_count() == 4 * 204
+    # as on the plus side: only when the component has more than 4·cycles
+    # arrows
+    rc = admissible_component(QUADRATIC)
+    assert rc.arrow_count() == 6
     calls = _spy_on_random_cycles(monkeypatch)
-    res = rauzy_veech_group_modp(QUADRATIC, rc, 3, cycles=204, minus=True)
-    assert len(calls) == 1 and not res.exact and res.order == 24
-    assert rauzy_veech_group_modp(QUADRATIC, rc, 3, cycles=204).exact
-    assert len(calls) == 1
+    res = rauzy_veech_group_modp(QUADRATIC, rc, 3, cycles=1, minus=True)
+    assert calls == [{"count": 1, "maxlen": 60, "seed": 0}] and not res.exact
+    walks = arrow_cycles(rc, cap=4) + random_directed_cycles(rc, count=1)
+    gens, form = minus_generators_modp(QUADRATIC, walks, 3)
+    assert res == modp_closure(gens, 3, form)
+    res = rauzy_veech_group_modp(QUADRATIC, rc, 3, cycles=2, minus=True)
+    assert len(calls) == 1 and res.exact and res.order == 24
 
 
 def test_an_incomplete_class_gives_a_lower_bound():
@@ -584,10 +669,12 @@ def test_a_class_table_that_lies_is_refused():
 
 
 def test_a_class_table_that_lies_is_refused_on_the_minus_side():
+    # every swap in the 5-vertex component of QUADRATIC cuts a vertex off
+    base = sigma_hyp(2, 1)
     lying = RauzyClass.from_jsonl(
-        _swap_t_arrows(enumerate_class(QUADRATIC), 0, 2))
+        _swap_t_arrows(admissible_component(base), 0, 4))
     with pytest.raises(OpenWalk, match="does not lead to vertex"):
-        rauzy_veech_group_modp(QUADRATIC, lying, 2, minus=True)
+        rauzy_veech_group_modp(base, lying, 2, minus=True)
 
 
 @pytest.mark.parametrize("limit", [28, 39])
