@@ -313,13 +313,14 @@ def arrow_cycles(rc: RauzyClass, *, cap: Optional[int] = None) -> list[str]:
 
 def admissible_component(base: GeneralizedPermutation,
                          limit: int = DEFAULT_BUDGET) -> RauzyClass:
-    """The vertices that admissible arrows (those with a :func:`minus_factor`)
-    reach from ``base``, with only those arrows: every closed admissible
-    walk at the base stays inside.  Past ``limit`` vertices it raises
-    BudgetExceeded."""
+    """The closure of ``base`` under the arrows with a :func:`minus_factor`,
+    which holds every closed admissible walk at the base.  Past ``limit``
+    vertices it raises BudgetExceeded."""
+    order = base.both_rows_letters()
+
     def admissible(gp, kind):
         arrow = apply_arrow(gp, kind)
-        if minus_factor(arrow, base.both_rows_letters()) is None:
+        if minus_factor(arrow, order) is None:
             raise DuplicateWinner("the arrow has no minus factor")
         return arrow
 
@@ -328,8 +329,9 @@ def admissible_component(base: GeneralizedPermutation,
 
 def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
                    minus: bool = False) -> list[Matrix]:
-    """The matrices of closed forward walks at vertex 0 of the labeled class
-    ``rc``: those of ``kz_walk``, or with ``minus`` of ``kz_minus_walk``.
+    """The matrices of closed forward walks at vertex 0 of ``rc``: those of
+    ``kz_walk`` on a labeled class, or with ``minus`` those of
+    ``kz_minus_walk`` on the base's :func:`admissible_component`.
 
     Each walk of 't' and 'b' steps is followed on the class's arrow table,
     one row operation per step, with each arrow's factor computed once from
@@ -440,5 +442,4 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
                                         seed=seed)
     gens, form = _quotient_generators(
         base, cycle_matrices(rc, walks, minus=minus), p, qd)
-    res = modp_closure(gens, p, form)
-    return replace(res, exact=covered and rc.complete)
+    return replace(modp_closure(gens, p, form), exact=covered and rc.complete)

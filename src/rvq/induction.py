@@ -310,8 +310,7 @@ class RauzyClass:
 def enumerate_class(seed: GeneralizedPermutation,
                     limit: int = DEFAULT_BUDGET,
                     *, reduced_labels: bool = False,
-                    allow_truncated: bool = False,
-                    arrow=None) -> RauzyClass:
+                    allow_truncated: bool = False, arrow=None) -> RauzyClass:
     """Breadth-first closure of ``seed`` under both induction moves.
 
     With ``reduced_labels`` every vertex is stored in relabeled normal form

@@ -622,6 +622,14 @@ def test_random_cycles_are_walked_when_the_arrows_are_not_covered(
     assert res == modp_closure(gens, 3, form)
 
 
+def test_a_class_with_exactly_four_arrows_per_cycle_is_covered(monkeypatch):
+    rc = load_or_enumerate(QUADRATIC)
+    assert rc.arrow_count() == 4 * 204
+    calls = _spy_on_random_cycles(monkeypatch)
+    assert rauzy_veech_group_modp(QUADRATIC, rc, 3, cycles=204).exact
+    assert not calls
+
+
 def test_random_cycles_are_walked_on_the_minus_side(monkeypatch):
     # as on the plus side: only when the component has more than 4·cycles
     # arrows
