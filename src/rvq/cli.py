@@ -163,12 +163,8 @@ def cmd_class(args):
 
 def cmd_cocycle(args):
     gp = _gp_arg(args.gp)
-    if args.minus:
-        mat, end = homology.kz_minus_walk(gp, args.walk)
-        letters = gp.both_rows_letters()
-    else:
-        mat, end = homology.kz_walk(gp, args.walk)
-        letters = gp.alphabet
+    mat, end = homology.kz_walk(gp, args.walk, minus=args.minus)
+    letters = homology.letters(gp, args.minus)
     rec = {"gp": gp.encode(), "walk": args.walk, "letters": list(letters),
            "matrix": [list(r) for r in mat], "end": end.encode()}
     rows = "\n".join(" ".join(str(x) for x in row) for row in mat)
@@ -196,10 +192,9 @@ def cmd_extend(args):
         if res.orders != orders:
             raise NotSplittable("parts must sum to the order %d"
                                 % sum(res.orders))
-        out = _suspendable(res.witness.extended)
+        out = res.witness.extended
     else:
-        out = _suspendable(
-            extensions.split_even_zero(gp, args.singularity, *orders))
+        out = extensions.split_even_zero(gp, args.singularity, *orders)
     sig = strata.stratum_signature(out)
     rec = {"gp": gp.encode(), "extended": out.encode(),
            "orders": list(sig.orders), "genus": sig.genus}

@@ -6,7 +6,8 @@ with at most one copy at a row start; erasing the letter recovers the base.
 Splitting a conical point tries the legal insertions in a fixed order and
 returns the first one certified by its turning orbits: the chosen orbit has
 severed into two orbits of the prescribed orders, every other orbit is
-unchanged, and the result is irreducible.
+unchanged, and the result is irreducible and keeps the both-rows convention,
+so it has a stratum.
 """
 
 from __future__ import annotations
@@ -150,15 +151,16 @@ def split_singularity(tau: GeneralizedPermutation, at,
     ``_all_single_insertions``. The first one is returned whose turning
     orbits show the chosen orbit severed into orbits of orders m11 and
     m1-m11, with every other orbit unchanged, and whose result is
-    irreducible. That certificate is what makes the answer correct; no
-    candidate is constructed from the orbit.
+    irreducible and satisfies the convention. That certificate is what makes
+    the answer correct; no candidate is constructed from the orbit.
     """
     return _split(tau, at, m11)
 
 
 def _split(tau, at, m11, row=None):
     """``split_singularity``, restricted to insertions with both copies in
-    ``row`` when it is given."""
+    ``row`` when it is given.  The top-row half of :func:`split_even_zero`
+    is intermediate by design, so its result need not keep the convention."""
     orbit = _find_orbit(tau, at)
     m1 = orbit_order(tau, orbit)
     torus_case = tau.is_genuine and tau.d == 2 and m1 == 0
@@ -173,17 +175,21 @@ def _split(tau, at, m11, row=None):
     old_orbits = [frozenset(o) for o in turning_orbits(tau)
                   if set(o) != set(orbit)]
     for witness in _all_single_insertions(tau, row):
-        result = _certify_split(tau, witness, old_orbits, m11, m12)
+        result = _certify_split(tau, witness, old_orbits, m11, m12,
+                                convention=row != 'top')
         if result is not None:
             return result
     raise NotSplittable("no single insertion realizes the (%d, %d) split"
                         % (m11, m12))
 
 
-def _certify_split(tau, witness, old_orbits, m11, m12):
+def _certify_split(tau, witness, old_orbits, m11, m12, convention):
     """The split when the orbit partition changed exactly as requested and
-    the result is irreducible, else None."""
+    the result is irreducible and, if ``convention``, satisfies the
+    convention; else None."""
     pi = witness.extended
+    if convention and not pi.satisfies_convention():
+        return None
     # each old position moves to where its letter's copy sits in pi
     pmap = {p: q for x, old in tau.pairs.items()
             for p, q in zip(old, pi.pairs[x])}
@@ -207,8 +213,9 @@ def split_even_zero(tau: GeneralizedPermutation, at,
 
     Two certified splits as in ``split_singularity``: the first insertion
     puts both copies of its letter in the top row, the second in the bottom
-    row, so the result carries duplicates in both rows. m11 and m12 must be
-    odd; the sum must equal the (even) order of the chosen point.
+    row, and only the second is certified to keep the convention, so the
+    result carries duplicates in both rows. m11 and m12 must be odd; the sum
+    must equal the (even) order of the chosen point.
     """
     if not tau.is_genuine:
         raise NotSplittable("base must be a genuine permutation")
@@ -225,9 +232,7 @@ def split_even_zero(tau: GeneralizedPermutation, at,
     first = _split(tau, orbit, m11, row='top')
     second = _split(first.witness.extended, first.orbit_reps[1], m12,
                     row='bottom')
-    out = second.witness.extended
-    assert out.satisfies_convention(), "result must carry duplicates in both rows"
-    return out
+    return second.witness.extended
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from . import linalg
 from .errors import (CriterionInapplicable, NonDividingOrder,
                      NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from .gp import GeneralizedPermutation
-from .homology import (DuplicateWinner, QuotientData, _factor, minus_factor,
-                       minus_form, plus_factor, quotient_action, quotient_data)
+from .homology import (QuotientData, _factor, arrow_factor, letters,
+                       quotient_action, quotient_data)
 from .induction import (DEFAULT_BUDGET, RauzyClass, TOP, BOTTOM, apply_arrow,
                         enumerate_class)
 from .linalg import Matrix
@@ -313,15 +313,14 @@ def arrow_cycles(rc: RauzyClass, *, cap: Optional[int] = None) -> list[str]:
 
 def admissible_component(base: GeneralizedPermutation,
                          limit: int = DEFAULT_BUDGET) -> RauzyClass:
-    """The closure of ``base`` under the arrows with a :func:`minus_factor`,
-    which holds every closed admissible walk at the base.  Past ``limit``
-    vertices it raises BudgetExceeded."""
-    order = base.both_rows_letters()
+    """The closure of ``base`` under the arrows with a minus factor (see
+    :func:`~rvq.homology.arrow_factor`), which holds every closed admissible
+    walk at the base.  Past ``limit`` vertices it raises BudgetExceeded."""
+    order = letters(base, minus=True)
 
     def admissible(gp, kind):
         arrow = apply_arrow(gp, kind)
-        if minus_factor(arrow, order) is None:
-            raise DuplicateWinner("the arrow has no minus factor")
+        arrow_factor(arrow, order, minus=True)
         return arrow
 
     return enumerate_class(base, limit, arrow=admissible)
@@ -331,19 +330,19 @@ def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
                    minus: bool = False) -> list[Matrix]:
     """The matrices of closed forward walks at vertex 0 of ``rc``: those of
     ``kz_walk`` on a labeled class, or with ``minus`` those of
-    ``kz_minus_walk`` on the base's :func:`admissible_component`.
+    ``kz_walk(..., minus=True)`` on the base's :func:`admissible_component`.
 
     Each walk of 't' and 'b' steps is followed on the class's arrow table,
     one row operation per step, with each arrow's factor computed once from
     its move.  A target other than the one the table names, and a walk that
     leaves the class or does not end at vertex 0, raise OpenWalk; a minus
-    walk through an arrow with no :func:`minus_factor` raises
-    DuplicateWinner; a class with reduced labels raises ValueError.
+    walk through an arrow with no minus factor raises DuplicateWinner; a
+    class with reduced labels raises ValueError.
     """
     if rc.reduced_labels:
         raise ValueError("cycle matrices need a class with labeled vertices")
     base = rc.vertices[0]
-    order = base.both_rows_letters() if minus else base.alphabet
+    order = letters(base, minus)
     arrows: dict[tuple[int, str], tuple[int, tuple]] = {}
 
     def follow(i, kind, walk):
@@ -359,11 +358,7 @@ def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
             if arrow.target != rc.vertices[j]:
                 raise OpenWalk("the class's %s-arrow from vertex %d does not "
                                "lead to vertex %d" % (kind, i, j))
-            factor = (minus_factor if minus else plus_factor)(arrow, order)
-            if factor is None:
-                raise DuplicateWinner("cycle %r: the %s-arrow from vertex %d "
-                                      "has no minus factor" % (walk, kind, i))
-            arrows[i, kind] = j, factor
+            arrows[i, kind] = j, arrow_factor(arrow, order, minus)
         return arrows[i, kind]
 
     ident = linalg.identity(len(order))
@@ -381,9 +376,8 @@ def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
     return mats
 
 
-def _quotient_generators(base: GeneralizedPermutation, mats: Iterable[Matrix],
-                         p: int, qd: QuotientData
-                         ) -> tuple[list[Matrix], Matrix]:
+def _quotient_generators(mats: Iterable[Matrix], p: int,
+                         qd: QuotientData) -> list[Matrix]:
     """Cycle matrices pushed to the quotient of ``qd``, distinct mod p.
 
     Each is checked exactly, but only one new mod p is pushed down: the
@@ -399,12 +393,12 @@ def _quotient_generators(base: GeneralizedPermutation, mats: Iterable[Matrix],
                 raise NotOmegaPreserving("matrix does not preserve the form")
             continue
         seen.add(key)
-        red, _ = quotient_action(base, mat, data=qd)
+        red, _ = quotient_action(None, mat, data=qd)
         key = linalg.mat_mod(red, p)
         if key not in kept:
             kept.add(key)
             gens.append(red)
-    return gens, qd.reduced_form
+    return gens
 
 
 def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
@@ -430,9 +424,7 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
         raise ValueError("cycles must be at least 1, got %r" % (cycles,))
     if rc.vertices[0] != base:
         raise OpenWalk("%s is not the base of the class" % base.encode())
-    halved = (tuple(tuple(x // 2 for x in row) for row in minus_form(base))
-              if minus else None)
-    qd = quotient_data(base, form=halved)
+    qd = quotient_data(base, minus=minus)
     if not qd.reduced_form:
         raise CriterionInapplicable("%s has genus 0: no group" % base.encode())
     covered = rc.arrow_count() <= 4 * cycles
@@ -440,6 +432,6 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
     if not covered:
         walks += random_directed_cycles(rc, count=cycles, maxlen=maxlen,
                                         seed=seed)
-    gens, form = _quotient_generators(
-        base, cycle_matrices(rc, walks, minus=minus), p, qd)
-    return replace(modp_closure(gens, p, form), exact=covered and rc.complete)
+    gens = _quotient_generators(cycle_matrices(rc, walks, minus=minus), p, qd)
+    return replace(modp_closure(gens, p, qd.reduced_form),
+                   exact=covered and rc.complete)

@@ -1,8 +1,9 @@
 """Intersection forms and transition matrices of the induction in homology.
 
 All matrices act on row vectors and are indexed by an explicit letter order
-(the base vertex's alphabet by default).  Entries are exact Python integers;
-they grow exponentially in walk length, so no fixed-width arithmetic is used.
+(the base vertex's :func:`letters` by default).  Entries are exact Python
+integers; they grow exponentially in walk length, so no fixed-width
+arithmetic is used.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import AlphabetMismatch, MoveUndefined, NotOmegaPreserving
+from .errors import MoveUndefined, NotOmegaPreserving
 from .gp import GeneralizedPermutation, letter_positions
 from .induction import Arrow, resolve_walk
 from .linalg import Matrix
@@ -104,92 +105,55 @@ def _factor(mat: list[list[int]], li: int, wi: int, reflection: bool,
         mat[li] = [a + b for a, b in zip(mat[li], mat[wi])]
 
 
-def plus_factor(arrow: Arrow, order: Sequence[str]) -> tuple[int, int, bool]:
-    """The arrow's plus factor as :func:`_factor` takes it: the loser's and
-    the winner's index in ``order`` and whether the factor is the
-    reflection (loser and winner do not pair at the source vertex)."""
-    li, wi = order.index(arrow.loser), order.index(arrow.winner)
-    return li, wi, intersection_form(arrow.source, order)[li][wi] == 0
-
-
-def _plus_matrix(arrow: Arrow, order: Optional[Sequence[str]],
-                 inverse: bool) -> Matrix:
-    order = tuple(order) if order is not None else arrow.source.alphabet
-    mat = [list(row) for row in linalg.identity(len(order))]
-    _factor(mat, *plus_factor(arrow, order), inverse)
-    return tuple(tuple(row) for row in mat)
-
-
-def kz_plus(arrow: Arrow, order: Optional[Sequence[str]] = None) -> Matrix:
-    """Transition matrix of one arrow, evaluated at the source vertex: Id+E
-    when loser and winner pair non-trivially, the reflection otherwise."""
-    return _plus_matrix(arrow, order, False)
-
-
-def kz_plus_inverse(arrow: Arrow, order: Optional[Sequence[str]] = None) -> Matrix:
-    """Closed-form inverse: Id+E inverts to Id-E; the reflection case is an
-    involution."""
-    return _plus_matrix(arrow, order, True)
-
-
-def kz_walk(base: GeneralizedPermutation,
-            walk: str) -> tuple[Matrix, GeneralizedPermutation]:
-    """Ordered product of arrow matrices along a walk; also returns the end.
-
-    Rows and columns follow ``base.alphabet``.  The product is taken last
-    step first, so for a cycle the result maps the end basis back through
-    the walk; reversed steps contribute inverses.
-    Every factor is elementary, so the product is accumulated by O(d) row
-    updates rather than full multiplications.
-    """
-    order = base.alphabet
-    steps = resolve_walk(base, walk)
-    mat = [list(row) for row in linalg.identity(len(order))]
-    cur = base
-    for arrow, direction in steps:
-        _factor(mat, *plus_factor(arrow, order), direction < 0)
-        cur = arrow.target if direction > 0 else arrow.source
-    return tuple(tuple(row) for row in mat), cur
-
-
 class DuplicateWinner(MoveUndefined):
-    """An arrow whose winner is a duplicate letter is not admissible here."""
+    """An arrow with no minus factor: its winner is a duplicate letter, or it
+    changes the type."""
 
 
-def minus_factor(arrow: Arrow, order: Sequence[str]) -> Optional[tuple]:
-    """The arrow's minus factor on the both-rows letters ``order``, as
-    :func:`_factor` takes it: Id + E_lw, or ``()`` for the identity when the
-    loser is a duplicate letter.  An arrow whose winner is a duplicate
-    letter, or that changes the type, is not admissible: None."""
+def letters(gp: GeneralizedPermutation,
+            minus: bool = False) -> tuple[str, ...]:
+    """The letters that index the cocycle at ``gp``: its alphabet, or with
+    ``minus`` the letters occurring in both rows."""
+    return gp.both_rows_letters() if minus else gp.alphabet
+
+
+def arrow_factor(arrow: Arrow, order: Sequence[str],
+                 minus: bool = False) -> tuple:
+    """The arrow's factor on the letters ``order``, as :func:`_factor` takes
+    it: the loser's and the winner's index and whether it is the reflection,
+    which the plus factor is when they do not pair at the source.  The minus
+    factor is Id + E_lw, or ``()`` (the identity) for a duplicate loser; an
+    arrow with a duplicate winner, or that changes the type, has none and
+    raises DuplicateWinner."""
+    if not minus:
+        li, wi = order.index(arrow.loser), order.index(arrow.winner)
+        return li, wi, intersection_form(arrow.source, order)[li][wi] == 0
     if arrow.winner not in order or arrow.type_change:
-        return None
+        raise DuplicateWinner("the %s-arrow from %s has no minus factor"
+                              % (arrow.kind, arrow.source.encode()))
     if arrow.loser not in order:
         return ()
     return order.index(arrow.loser), order.index(arrow.winner), False
 
 
-def kz_minus_walk(base: GeneralizedPermutation, walk: str,
-                  order: Optional[Sequence[str]] = None
-                  ) -> tuple[Matrix, GeneralizedPermutation]:
-    """Product of minus matrices along a walk of admissible arrows (see
-    :func:`minus_factor`); another arrow raises DuplicateWinner.
+def kz_walk(base: GeneralizedPermutation, walk: str, *, minus: bool = False
+            ) -> tuple[Matrix, GeneralizedPermutation]:
+    """Ordered product of arrow matrices along a walk; also returns the end.
 
-    The both-rows letter set is constant along admissible walks, so the
-    index set is pinned at the base vertex; an ``order`` that is not that
-    set raises AlphabetMismatch.
+    Rows and columns follow ``letters(base, minus)``: with ``minus`` every
+    arrow must have a minus factor (see :func:`arrow_factor`), and the
+    both-rows letters, constant along such walks, are pinned at the base.
+    The product is taken last step first, so for a cycle the result maps the
+    end basis back through the walk; reversed steps contribute inverses.
+    Every factor is elementary, so the product is accumulated by O(d) row
+    updates rather than full multiplications.
     """
-    order = tuple(order) if order is not None else base.both_rows_letters()
-    if sorted(order) != sorted(base.both_rows_letters()):
-        raise AlphabetMismatch("order %r is not the base's both-rows letters"
-                               % (order,))
+    order = letters(base, minus)
     steps = resolve_walk(base, walk)
     mat = [list(row) for row in linalg.identity(len(order))]
     cur = base
     for arrow, direction in steps:
-        factor = minus_factor(arrow, order)
-        if factor is None:
-            raise DuplicateWinner(
-                "winner %r is a duplicate letter" % (arrow.winner,))
+        factor = arrow_factor(arrow, order, minus)
         if factor:
             _factor(mat, *factor, direction < 0)
         cur = arrow.target if direction > 0 else arrow.source
@@ -216,11 +180,12 @@ class QuotientData:
     reduced_form: Matrix
 
 
-def quotient_data(gp: GeneralizedPermutation,
-                  order: Optional[Sequence[str]] = None,
-                  form: Optional[Matrix] = None) -> QuotientData:
-    order = tuple(order) if order is not None else gp.alphabet
-    omega = form if form is not None else intersection_form(gp, order)
+def quotient_data(gp: GeneralizedPermutation, *,
+                  minus: bool = False) -> QuotientData:
+    """The quotient by the kernel of the intersection form of ``gp``, or
+    with ``minus`` of the halved minus form, whose entries are 0 and +-1."""
+    omega = (tuple(tuple(x // 2 for x in row) for row in minus_form(gp))
+             if minus else intersection_form(gp))
     h, u = linalg.hermite_with_transform(omega)
     nonzero = [i for i, row in enumerate(h) if any(row)]
     zero = [i for i, row in enumerate(h) if not any(row)]
@@ -240,12 +205,13 @@ def quotient_data(gp: GeneralizedPermutation,
                         unimodular=uni, inverse=inv, reduced_form=reduced)
 
 
-def quotient_action(gp: GeneralizedPermutation, matrix: Matrix,
+def quotient_action(gp: Optional[GeneralizedPermutation], matrix: Matrix,
                     data: Optional[QuotientData] = None
                     ) -> tuple[Matrix, Matrix]:
     """Push a form-preserving matrix down to the quotient by ker of the form.
 
-    The form is ``data.form``, by default the intersection form of ``gp``.
+    The form is ``data.form``, by default the intersection form of ``gp``,
+    which is read only when ``data`` is None.
     Returns the induced 2g x 2g matrix together with the chosen basis rows;
     when the basis is the standard one that is the matrix itself.  Raises
     NotOmegaPreserving when the matrix does not fix the form or the kernel.

@@ -4,14 +4,15 @@ No command and no library module uses these; the tests import them the way
 they import ``conftest``:
 
 * ``defined_moves``: the induction moves that exist at a vertex;
+* ``arrow_matrix``: the matrix of one arrow's plus factor, or its inverse;
 * exact rational suspension data and their check, the oracle for
   "irreducible and convention implies suspendable";
 * the signed one-line table of the orientation double cover;
 * k-completeness, self-overlap-free k-complete cycles, and the decomposition
   of mixed cycles into directed ones (criterion 9);
 * the plus and minus generators of cycles walked from the base with
-  ``kz_walk`` and ``kz_minus_walk``, each checked by the full product
-  M·Ω·Mᵀ and conjugated into the quotient basis: the oracle for
+  ``kz_walk`` and ``kz_walk(..., minus=True)``, each checked by the full
+  product M·Ω·Mᵀ and conjugated into the quotient basis: the oracle for
   ``groups.cycle_matrices`` and ``groups._quotient_generators``;
 * the minus generators harvested from the labeled class, the route
   ``group --minus`` took before it walked the admissible component: the
@@ -23,16 +24,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from rvq import linalg
 from rvq.errors import (BudgetExceeded, MoveUndefined, NotOmegaPreserving,
                         OpenWalk, RVQError)
 from rvq.gp import GeneralizedPermutation, Letter
 from rvq.groups import arrow_cycles, random_directed_cycles
-from rvq.homology import (DuplicateWinner, QuotientData, kz_minus_walk,
-                          kz_walk, minus_form, quotient_data)
-from rvq.induction import BOTTOM, TOP, RauzyClass, apply_arrow
+from rvq.homology import (DuplicateWinner, QuotientData, _factor,
+                          arrow_factor, kz_walk, quotient_data)
+from rvq.induction import BOTTOM, TOP, Arrow, RauzyClass, apply_arrow
 from rvq.linalg import Matrix
 
 
@@ -45,6 +46,17 @@ def defined_moves(gp: GeneralizedPermutation) -> tuple[str, ...]:
             continue
         kinds.append(kind)
     return tuple(kinds)
+
+
+def arrow_matrix(arrow: Arrow, order: Optional[Sequence[str]] = None,
+                 inverse: bool = False) -> Matrix:
+    """The plus factor of one arrow as a matrix on the letters ``order``
+    (the source's alphabet by default): Id+E when loser and winner pair
+    non-trivially, the reflection otherwise; with ``inverse`` its inverse."""
+    order = tuple(order) if order is not None else arrow.source.alphabet
+    mat = [list(row) for row in linalg.identity(len(order))]
+    _factor(mat, *arrow_factor(arrow, order), inverse)
+    return tuple(tuple(row) for row in mat)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +373,16 @@ def plus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
                                 quotient_data(base))
 
 
+def _minus_walk(base: GeneralizedPermutation, walk: str):
+    return kz_walk(base, walk, minus=True)
+
+
 def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
                           p: int) -> tuple[list[Matrix], Matrix]:
     """Minus-side analogue, skipping walks with a duplicate-letter winner;
     the halved form is returned for mod-p use."""
-    halved = tuple(tuple(x // 2 for x in row) for row in minus_form(base))
-    return _quotient_generators(_walk_matrices(base, cycles, kz_minus_walk),
-                                p, quotient_data(base, form=halved))
+    return _quotient_generators(_walk_matrices(base, cycles, _minus_walk),
+                                p, quotient_data(base, minus=True))
 
 
 def labeled_class_minus_generators_modp(base: GeneralizedPermutation,

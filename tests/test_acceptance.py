@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from oracles import (decomposition_product, defined_moves,
+from oracles import (arrow_matrix, decomposition_product, defined_moves,
                      directed_decomposition, plus_generators_modp)
 from rvq.components import (GENUS2_WITNESSES, identify_component, sigma_hyp,
                             sigma_zorich, table1, table1_rows, tau_sym,
@@ -21,8 +21,7 @@ from rvq.extensions import (extend_arrow, split_even_zero, split_singularity,
 from rvq.gp import erase_letters, parse_gp
 from rvq.groups import (arrow_cycles, modp_closure, random_directed_cycles,
                         rauzy_veech_group_modp, sp_order)
-from rvq.homology import (intersection_form, kz_minus_walk, kz_plus_inverse,
-                          kz_walk, minus_form)
+from rvq.homology import intersection_form, kz_walk, minus_form
 from rvq.induction import apply_arrow, invert_arrow, load_or_enumerate
 from rvq.linalg import det, identity, mul, rank, transpose
 from rvq.strata import StratumSignature, stratum_signature, turning_orbits, \
@@ -134,8 +133,8 @@ def test_criterion_4_extension_conjugation():
             # inverse of the walk matrix: product of step inverses
             inv = identity(len(order_big))
             for a in gamma:
-                inv = mul(inv, kz_plus_inverse(a, order_big))
-            eta_inv = kz_plus_inverse(eta, order_small)
+                inv = mul(inv, arrow_matrix(a, order_big, inverse=True))
+            eta_inv = arrow_matrix(eta, order_small, inverse=True)
             for i in range(len(order_small)):
                 u = tuple(1 if j == i else 0 for j in range(len(order_small)))
                 (small,) = mul((u,), eta_inv)
@@ -301,12 +300,12 @@ def test_criterion_8_minus_cocycle():
     assert rank(om) == 4 == 2 * stratum_signature(WITNESS).genus
     cycles = _admissible_cycles(rng, 500)
     for walk in cycles:
-        mat, end = kz_minus_walk(WITNESS, walk, order=tb)
+        mat, end = kz_walk(WITNESS, walk, minus=True)
         assert end == WITNESS
         assert mul(mul(mat, om), transpose(mat)) == om
         # the identity also holds on a strict prefix (an open walk)
         cut = rng.randrange(1, len(walk)) if len(walk) > 1 else 1
-        pmat, pend = kz_minus_walk(WITNESS, walk[:cut], order=tb)
+        pmat, pend = kz_walk(WITNESS, walk[:cut], minus=True)
         pom = minus_form(pend, tb)
         assert mul(mul(pmat, om), transpose(pmat)) == pom
     report(8, "minus conjugation exact on 500 admissible cycles; "

@@ -76,7 +76,7 @@ def test_extend(capsys):
 @pytest.mark.parametrize("gp, orders, error", [
     ("1 2 3 A A 4 / 4 3 B B 2 1", "3,5", "NotSplittable: parts must sum"),
     ("1 2 3 A A 4 / 4 3 B B 2 1", "3,-40", "NotSplittable: parts must sum"),
-    ("1 2 / 2 1", "1,-1", "NotSuspendable: 1 A A 2 / 2 1: no duplicate"),
+    ("1 2 / 2 1", "1,-1", "NotSplittable: no single insertion"),
 ], ids=["sum-too-big", "sum-too-small", "one-row-result"])
 def test_extend_refuses_a_split_that_is_not_asked_or_has_no_stratum(
         capsys, gp, orders, error):

@@ -18,8 +18,8 @@ from rvq.gp import parse_gp
 from rvq.groups import (admissible_component, arrow_cycles, cycle_matrices,
                         modp_closure, random_directed_cycles,
                         rauzy_veech_group_modp, sp_order)
-from rvq.homology import (DuplicateWinner, kz_minus_walk, kz_walk,
-                          minus_factor, quotient_data)
+from rvq.homology import (DuplicateWinner, arrow_factor, kz_walk, letters,
+                          quotient_data)
 from rvq.induction import (RauzyClass, apply_arrow, enumerate_class,
                            invert_arrow, load_or_enumerate)
 from rvq.linalg import identity
@@ -157,8 +157,7 @@ def test_minus_closure_genus_one(p, order):
 def test_minus_generators_check_the_form(monkeypatch):
     base = parse_gp("0 A A 1 / 1 B B 0")
     bad = ((1, 1), (0, 2))  # det 2: cannot preserve a non-degenerate form
-    monkeypatch.setattr(oracles, "kz_minus_walk",
-                        lambda gp, walk, order=None: (bad, gp))
+    monkeypatch.setattr(oracles, "_minus_walk", lambda gp, walk: (bad, gp))
     with pytest.raises(NotOmegaPreserving):
         minus_generators_modp(base, ["t"], 2)
 
@@ -183,7 +182,7 @@ def test_minus_walks_skipped_at_a_duplicate_winner_match_the_class_filter(
 
     def survives(walk):
         try:
-            kz_minus_walk(base, walk, order=base.both_rows_letters())
+            kz_walk(base, walk, minus=True)
         except DuplicateWinner:
             return False
         return True
@@ -228,9 +227,9 @@ def test_quotient_generators_keep_one_of_two_cycles_equal_on_the_quotient():
     mat = cycle_matrices(rc, arrow_cycles(rc, cap=1))[0]
     mats = [mat, linalg.mul(t, mat)]
     assert linalg.mat_mod(mats[0], 2) != linalg.mat_mod(mats[1], 2)
-    gens, form = groups._quotient_generators(base, mats, 2, qd)
+    gens = groups._quotient_generators(mats, 2, qd)
     assert len(gens) == 1
-    assert (gens, form) == oracles._quotient_generators(mats, 2, qd)
+    assert (gens, qd.reduced_form) == oracles._quotient_generators(mats, 2, qd)
 
 
 def test_non_symplectic_generator_rejected_after_a_duplicate():
@@ -414,7 +413,7 @@ def test_minus_cycle_matrices_equal_the_walked_matrices(base):
     kept = [w for w in walks if _admissible(base, rc, w)]
     assert 0 < len(kept) < len(walks)
     assert cycle_matrices(rc, kept, minus=True) == [
-        kz_minus_walk(base, walk)[0] for walk in kept]
+        kz_walk(base, walk, minus=True)[0] for walk in kept]
     for walk in walks:
         if walk not in kept:
             with pytest.raises(DuplicateWinner, match="no minus factor"):
@@ -423,7 +422,7 @@ def test_minus_cycle_matrices_equal_the_walked_matrices(base):
     comp = admissible_component(base)
     walks = arrow_cycles(comp) + random_directed_cycles(comp, seed=0)
     assert cycle_matrices(comp, walks, minus=True) == [
-        kz_minus_walk(base, walk)[0] for walk in walks]
+        kz_walk(base, walk, minus=True)[0] for walk in walks]
 
 
 def test_cycle_matrices_refuse_a_walk_that_is_not_a_forward_cycle():
@@ -513,10 +512,18 @@ def test_minus_group_of_the_component_equals_the_labeled_class_route(base,
     assert res.exact and res.order == modp_closure(gens, p, form).order
 
 
+def _has_minus_factor(arrow, order):
+    try:
+        arrow_factor(arrow, order, minus=True)
+    except DuplicateWinner:
+        return False
+    return True
+
+
 def _backward_admissible_closure(base):
     """The vertices from which admissible arrows lead to ``base``, found with
     ``invert_arrow``."""
-    order = base.both_rows_letters()
+    order = letters(base, minus=True)
     seen, todo = {base}, [base]
     while todo:
         gp = todo.pop()
@@ -525,8 +532,7 @@ def _backward_admissible_closure(base):
                 arrow = invert_arrow(gp, kind)
             except ReverseArrowMissing:
                 continue
-            if (minus_factor(arrow, order) is not None
-                    and arrow.source not in seen):
+            if _has_minus_factor(arrow, order) and arrow.source not in seen:
                 seen.add(arrow.source)
                 todo.append(arrow.source)
     return seen
@@ -540,11 +546,11 @@ def test_admissible_component_is_closed_both_ways(base):
     rc = admissible_component(base)
     assert rc.complete and not rc.reduced_labels
     assert set(rc.vertices) == _backward_admissible_closure(base)
-    order = base.both_rows_letters()
+    order = letters(base, minus=True)
     for i, kind, j, _ in rc.arrows():
         arrow = apply_arrow(rc.vertices[i], kind)
         assert arrow.target == rc.vertices[j]
-        assert minus_factor(arrow, order) is not None
+        assert _has_minus_factor(arrow, order)
     with pytest.raises(BudgetExceeded):
         admissible_component(base, limit=len(rc) - 1)
 
@@ -602,10 +608,9 @@ def test_quotient_generators_check_every_cycle_exactly(base):
     assert linalg.mat_mod(bad, p) == linalg.mat_mod(mat, p)
     assert linalg.mul(linalg.mul(bad, qd.form),
                       linalg.transpose(bad)) != qd.form
-    gens, _ = groups._quotient_generators(base, [mat, mat], p, qd)
-    assert len(gens) == 1
+    assert len(groups._quotient_generators([mat, mat], p, qd)) == 1
     with pytest.raises(NotOmegaPreserving):
-        groups._quotient_generators(base, [mat, bad], p, qd)
+        groups._quotient_generators([mat, bad], p, qd)
 
 
 def test_random_cycles_are_walked_when_the_arrows_are_not_covered(

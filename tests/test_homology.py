@@ -3,13 +3,13 @@ import random
 import pytest
 
 from conftest import random_gp, small_gps
-from oracles import defined_moves
+from oracles import arrow_matrix, defined_moves
 from rvq import linalg
-from rvq.errors import AlphabetMismatch, MoveUndefined, NotOmegaPreserving
+from rvq.errors import MoveUndefined, NotOmegaPreserving
 from rvq.gp import parse_gp
 from rvq.homology import (DuplicateWinner, QuotientData, intersection_form,
-                          kz_minus_walk, kz_plus, kz_plus_inverse, kz_walk,
-                          minus_form, quotient_action, quotient_data)
+                          kz_walk, letters, minus_form, quotient_action,
+                          quotient_data)
 from rvq.induction import apply_arrow
 from rvq.linalg import identity, mul, rank, transpose
 from rvq.strata import stratum_signature
@@ -53,9 +53,9 @@ def test_rank_equals_twice_genus():
 
 def test_torus_arrow_matrices():
     top = apply_arrow(TORUS, 't')
-    assert kz_plus(top) == ((1, 1), (0, 1))  # Id + E_{12} on (1, 2)
+    assert arrow_matrix(top) == ((1, 1), (0, 1))  # Id + E_{12} on (1, 2)
     bottom = apply_arrow(TORUS, 'b')
-    assert kz_plus(bottom) == ((1, 0), (1, 1))
+    assert arrow_matrix(bottom) == ((1, 0), (1, 1))
 
 
 def test_kz_plus_inverse_exhaustive():
@@ -64,11 +64,11 @@ def test_kz_plus_inverse_exhaustive():
         for kind in defined_moves(gp):
             arrow = apply_arrow(gp, kind)
             if arrow.winner == arrow.loser:
-                for matrix in (kz_plus, kz_plus_inverse):
+                for inverse in (False, True):
                     with pytest.raises(MoveUndefined):
-                        matrix(arrow)
+                        arrow_matrix(arrow, inverse=inverse)
                 continue
-            prod = mul(kz_plus(arrow), kz_plus_inverse(arrow))
+            prod = mul(arrow_matrix(arrow), arrow_matrix(arrow, inverse=True))
             assert prod == identity(gp.d), (gp.encode(), kind)
             arrows += 1
     assert arrows > 10_000
@@ -85,7 +85,7 @@ def test_reflection_case_det():
             arrow = apply_arrow(gp, kind)
             li = gp.alphabet.index(arrow.loser)
             wi = gp.alphabet.index(arrow.winner)
-            mat = kz_plus(arrow)
+            mat = arrow_matrix(arrow)
             assert linalg.det(mat) == (1 if om[li][wi] != 0 else -1)
             if om[li][wi] == 0:
                 seen += 1
@@ -223,7 +223,7 @@ def test_minus_form_doubles_plus_on_genuine():
 
 def test_minus_walk_cases():
     # winner 4 is shared, loser 1 is shared: contributes Id + E_{14}
-    mat, end = kz_minus_walk(WITNESS, "t")
+    mat, end = kz_walk(WITNESS, "t", minus=True)
     expect = [list(row) for row in identity(4)]
     expect[0][3] = 1
     assert mat == tuple(tuple(r) for r in expect)
@@ -231,26 +231,26 @@ def test_minus_walk_cases():
     # loser A is a duplicate: the second arrow of "bb" contributes Id
     arrow2 = apply_arrow(apply_arrow(WITNESS, 'b').target, 'b')
     assert arrow2.loser == "A" and arrow2.winner == "1"
-    one, _ = kz_minus_walk(WITNESS, "b")
-    two, _ = kz_minus_walk(WITNESS, "bb")
+    one, _ = kz_walk(WITNESS, "b", minus=True)
+    two, _ = kz_walk(WITNESS, "bb", minus=True)
     assert two == one
+
+
+def test_minus_switch_picks_letters_and_halved_form():
+    assert letters(WITNESS) == WITNESS.alphabet
+    assert letters(WITNESS, minus=True) == ("1", "2", "3", "4")
+    qd = quotient_data(WITNESS, minus=True)
+    assert qd.form == tuple(tuple(x // 2 for x in row)
+                            for row in minus_form(WITNESS))
+    assert {x for row in qd.form for x in row} == {-1, 0, 1}
+    assert len(qd.basis) == 4 and not qd.kernel
+    assert len(kz_walk(WITNESS, "t", minus=True)[0]) == 4
 
 
 def test_minus_walk_rejects_duplicate_winner():
     gp = parse_gp("1 2 A A / B B 2 1")  # top move has winner A
-    with pytest.raises(DuplicateWinner):
-        kz_minus_walk(gp, "t")
-
-
-def test_minus_walk_refuses_an_order_off_the_both_rows_letters():
-    # the order must list the base's both-rows letters 0 and 1, each once;
-    # the full alphabet used to give a 4x4 matrix under python -O
-    base = parse_gp("0 A A 1 / 1 B B 0")
-    for order in (base.alphabet, ("0",), ("0", "0", "1"), ("0", "A")):
-        with pytest.raises(AlphabetMismatch):
-            kz_minus_walk(base, "t", order=order)
-    mat, _ = kz_minus_walk(base, "t", order=("1", "0"))
-    assert len(mat) == 2
+    with pytest.raises(DuplicateWinner, match="no minus factor"):
+        kz_walk(gp, "t", minus=True)
 
 
 def test_fixed_point_loop_has_no_cocycle():
@@ -258,4 +258,4 @@ def test_fixed_point_loop_has_no_cocycle():
     with pytest.raises(MoveUndefined):
         kz_walk(parse_gp("0 0 1 / 1"), "t")
     with pytest.raises(MoveUndefined):
-        kz_minus_walk(parse_gp("0 1 / 0 1"), "t")
+        kz_walk(parse_gp("0 1 / 0 1"), "t", minus=True)
