@@ -14,9 +14,8 @@ import os
 import sys
 
 from . import components, cover, extensions, groups, homology, induction, strata
-from .errors import (CriterionInapplicable, NotSplittable, NotSuspendable,
-                     RVQError)
-from .gp import is_irreducible, parse_gp, validate
+from .errors import CriterionInapplicable, NotSplittable, RVQError
+from .gp import parse_gp, require_suspendable, validate
 
 
 class _Parser(argparse.ArgumentParser):
@@ -24,21 +23,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))
-
-
-def _gp_arg(text):
-    return parse_gp(text)
-
-
-def _suspendable(gp):
-    """``gp`` when it admits a suspension datum, so its stratum exists."""
-    report = validate(gp)
-    if report.violations:
-        raise NotSuspendable("%s: %s" % (gp.encode(),
-                                         "; ".join(report.violations)))
-    if not is_irreducible(gp):
-        raise NotSuspendable("%s: reducible" % gp.encode())
-    return gp
 
 
 def _positive_int_arg(text):
@@ -114,7 +98,7 @@ def _emit(args, record, human):
 
 
 def cmd_validate(args):
-    gp = _gp_arg(args.gp)
+    gp = parse_gp(args.gp)
     report = validate(gp)
     rec = {"gp": gp.encode(), "genuine": report.is_genuine,
            "strict": report.is_strict, "convention": report.convention_ok,
@@ -130,7 +114,7 @@ def cmd_validate(args):
 
 
 def cmd_stratum(args):
-    gp = _suspendable(parse_gp(args.gp))
+    gp = require_suspendable(parse_gp(args.gp))
     sig = strata.stratum_signature(gp)
     rec = {"gp": gp.encode(), "orders": list(sig.orders), "genus": sig.genus,
            "genuine": gp.is_genuine}
@@ -143,7 +127,7 @@ def cmd_stratum(args):
 
 
 def cmd_class(args):
-    gp = _gp_arg(args.gp)
+    gp = require_suspendable(parse_gp(args.gp))
     rc = induction.load_or_enumerate(gp, limit=args.budget,
                                      reduced_labels=args.reduced)
     rec = {"base": rc.base.encode(), "vertices": len(rc),
@@ -162,7 +146,7 @@ def cmd_class(args):
 
 
 def cmd_cocycle(args):
-    gp = _gp_arg(args.gp)
+    gp = require_suspendable(parse_gp(args.gp))
     mat, end = homology.kz_walk(gp, args.walk, minus=args.minus)
     letters = homology.letters(gp, args.minus)
     rec = {"gp": gp.encode(), "walk": args.walk, "letters": list(letters),
@@ -174,7 +158,7 @@ def cmd_cocycle(args):
 
 
 def cmd_cover(args):
-    gp = _suspendable(parse_gp(args.gp))
+    gp = require_suspendable(parse_gp(args.gp))
     cs = cover.cover_stratum(gp)
     rec = {"gp": gp.encode(), "cover_orders": list(cs.orders),
            "cover_genus": cs.genus, "marked_points": cs.marked_points,
@@ -185,7 +169,7 @@ def cmd_cover(args):
 
 
 def cmd_extend(args):
-    gp = _suspendable(parse_gp(args.gp))
+    gp = require_suspendable(parse_gp(args.gp))
     orders = args.orders
     if len(orders) == 2:
         res = extensions.split_singularity(gp, args.singularity, orders[0])
@@ -203,40 +187,13 @@ def cmd_extend(args):
 
 
 def cmd_search(args):
-    gp = _suspendable(parse_gp(args.gp))
-    target = tuple(sorted(args.target_stratum, reverse=True))
+    gp = require_suspendable(parse_gp(args.gp))
     rc = induction.enumerate_class(gp, limit=args.vertices,
                                    allow_truncated=True)
-    vertices = rc.vertices[:args.vertices]
-
-    def predicate(candidate):
-        sig = strata.stratum_signature(candidate, cross_check=False)
-        if sig.orders != target:
-            return False
-        if args.nonhyp:
-            try:
-                if components.hyperelliptic_test(candidate):
-                    return False
-            except RVQError:
-                return False
-        return True
-
-    def precheck(candidate):
-        # viable iff the target splits exactly one intermediate singularity
-        sig = strata.stratum_signature(candidate, cross_check=False)
-        remaining = list(target)
-        extra = []
-        for o in sig.orders:
-            if o in remaining:
-                remaining.remove(o)
-            else:
-                extra.append(o)
-        return (len(extra) == 1 and len(remaining) == 2
-                and sum(remaining) == extra[0])
-
     chains = extensions.search_extensions(
-        vertices, predicate, letters=2,
-        stratum_precheck=precheck, budget=args.budget)
+        rc.vertices[:args.vertices], args.target_stratum, budget=args.budget)
+    if args.nonhyp:
+        chains = [c for c in chains if _nonhyp(c[-1].extended)]
     chains = chains[:args.max_results]
     for chain in chains:
         final = chain[-1].extended
@@ -249,15 +206,23 @@ def cmd_search(args):
     return 0 if chains else 1
 
 
+def _nonhyp(gp):
+    """True when the hyperelliptic test applies to ``gp`` and says no."""
+    try:
+        return not components.hyperelliptic_test(gp)
+    except CriterionInapplicable:
+        return False
+
+
 def cmd_identify(args):
-    gp = _suspendable(parse_gp(args.gp))
+    gp = require_suspendable(parse_gp(args.gp))
     label = components.identify_component(gp, budget=args.budget)
     _emit(args, {"gp": gp.encode(), "component": label}, label)
     return 0 if label != components.UNKNOWN else 1
 
 
 def cmd_group(args):
-    gp = _suspendable(parse_gp(args.gp))
+    gp = require_suspendable(parse_gp(args.gp))
     if args.minus and not cover.cover_stratum(gp).minus_eligible:
         raise CriterionInapplicable(
             "%s: the minus group needs exactly two singularities of odd "

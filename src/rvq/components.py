@@ -16,7 +16,8 @@ from typing import Optional
 
 from .errors import (CriterionInapplicable, OutOfRange, RVQError,
                      UnknownLabel)
-from .gp import GeneralizedPermutation, erase_letters, is_irreducible, parse_gp
+from .gp import (GeneralizedPermutation, erase_letters, is_irreducible,
+                 parse_gp, require_suspendable)
 from .induction import RauzyClass, load_or_enumerate
 from .strata import StratumSignature, _arf_invariant, stratum_signature
 
@@ -254,7 +255,7 @@ def _quadratic_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
 
 def identify_component(gp: GeneralizedPermutation,
                        budget: int = 2_000_000) -> str:
-    """Name the connected component of an irreducible permutation.
+    """Name the connected component of a suspendable permutation.
 
     A genuine permutation is named from invariants: its stratum, then in
     H(2g-2) and H(g-1,g-1) with g >= 3 hyperellipticity (membership in the
@@ -263,10 +264,10 @@ def identify_component(gp: GeneralizedPermutation,
     "unknown".  A quadratic permutation is named only when its normal form
     lies in the class of a trusted representative (the sigma_hyp family and
     the genus-2/3 witnesses), and is "unknown" otherwise.  ``budget`` bounds
-    every class enumeration.
+    every class enumeration.  A permutation that is not suspendable raises
+    ``NotSuspendable``.
     """
-    if not is_irreducible(gp):
-        return UNKNOWN
+    require_suspendable(gp)
     sig = stratum_signature(gp, cross_check=False)
     if gp.is_genuine:
         return _abelian_component(gp, sig, budget)

@@ -21,10 +21,6 @@ class MoveUndefined(RVQError):
     """The requested induction move is not defined at this vertex."""
 
 
-class ReducibleSeed(RVQError):
-    """Class enumeration was started from a reducible permutation."""
-
-
 class BudgetExceeded(RVQError):
     """A configured element/vertex budget was hit.
 

@@ -13,14 +13,15 @@ so it has a stratum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (AlphabetMismatch, BudgetExceeded, CaseUnmatched,
                      IllegalPosition, MoveUndefined, NotSplittable,
                      ParityError)
-from .gp import GeneralizedPermutation, erase_letters, is_irreducible
+from .gp import (GeneralizedPermutation, erase_letters, is_irreducible,
+                 is_suspendable)
 from .induction import Arrow, apply_arrow
-from .strata import orbit_order, turning_orbits
+from .strata import orbit_order, stratum_signature, turning_orbits
 
 RowSlot = tuple[str, int]  # ('top'|'bottom', 1-based index in the result row)
 
@@ -185,11 +186,9 @@ def _split(tau, at, m11, row=None):
 
 def _certify_split(tau, witness, old_orbits, m11, m12, convention):
     """The split when the orbit partition changed exactly as requested and
-    the result is irreducible and, if ``convention``, satisfies the
-    convention; else None."""
+    the result is suspendable (only irreducible, without ``convention``);
+    else None."""
     pi = witness.extended
-    if convention and not pi.satisfies_convention():
-        return None
     # each old position moves to where its letter's copy sits in pi
     pmap = {p: q for x, old in tau.pairs.items()
             for p, q in zip(old, pi.pairs[x])}
@@ -199,7 +198,8 @@ def _certify_split(tau, witness, old_orbits, m11, m12, convention):
     if len(fresh) != 2:
         return None
     sizes = sorted(orbit_order(pi, o) for o in fresh)
-    if sizes != sorted((m11, m12)) or not is_irreducible(pi):
+    if sizes != sorted((m11, m12)) or not (
+            is_suspendable(pi) if convention else is_irreducible(pi)):
         return None
     if orbit_order(pi, fresh[0]) != m11:
         fresh.reverse()
@@ -323,31 +323,48 @@ def _all_single_insertions(tau: GeneralizedPermutation,
 
 
 def search_extensions(vertices: Sequence[GeneralizedPermutation],
-                      predicate: Callable[[GeneralizedPermutation], bool],
-                      *, letters: int = 2,
-                      stratum_precheck: Optional[Callable] = None,
+                      target: Sequence[int], *,
                       budget: int = 1_000_000) -> list[list[ExtensionWitness]]:
-    """Depth-first scan of nested single-letter insertions over the vertices.
+    """Depth-first scan of two nested single-letter insertions over the
+    vertices.
 
-    Returns witness chains (length ``letters``) whose final permutation is
-    irreducible and satisfies the predicate. ``stratum_precheck`` prunes
-    intermediate insertions before the expensive final test.
+    Returns the witness chains whose final permutation is suspendable and
+    has the singularity orders ``target``.  A first insertion is followed
+    only when the target splits exactly one of its singularities in two.
+    ``budget`` bounds the insertions examined.
     """
+    target = tuple(sorted(target, reverse=True))
     found: list[list[ExtensionWitness]] = []
     examined = 0
 
-    def recurse(gp, chain):
+    def orders(gp):
+        return stratum_signature(gp, cross_check=False).orders
+
+    def viable(gp):
+        remaining = list(target)
+        extra = []
+        for o in orders(gp):
+            if o in remaining:
+                remaining.remove(o)
+            else:
+                extra.append(o)
+        return (len(extra) == 1 and len(remaining) == 2
+                and sum(remaining) == extra[0])
+
+    def insertions(gp):
         nonlocal examined
         for w in _all_single_insertions(gp):
             examined += 1
             if examined > budget:
                 raise BudgetExceeded("insertion budget hit", partial=found)
-            if len(chain) + 1 == letters:
-                if is_irreducible(w.extended) and predicate(w.extended):
-                    found.append(chain + [w])
-            elif stratum_precheck is None or stratum_precheck(w.extended):
-                recurse(w.extended, chain + [w])
+            yield w
 
     for v in vertices:
-        recurse(v, [])
+        for first in insertions(v):
+            if not viable(first.extended):
+                continue
+            for second in insertions(first.extended):
+                pi = second.extended
+                if is_suspendable(pi) and orders(pi) == target:
+                    found.append([first, second])
     return found

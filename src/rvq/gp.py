@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import EmptyRow, LetterCountError, MalformedText
+from .errors import EmptyRow, LetterCountError, MalformedText, NotSuspendable
 
 Letter = str
 
@@ -26,11 +26,12 @@ class GeneralizedPermutation:
     def __post_init__(self):
         if not self.top or not self.bottom:
             raise EmptyRow("both rows must be non-empty")
+        word = self.top + self.bottom
         counts: dict[Letter, int] = {}
-        for x in self.top + self.bottom:
+        for x in word:
             counts[x] = counts.get(x, 0) + 1
-        bad = sorted(x for x, c in counts.items() if c != 2)
-        if bad:
+        if 2 * len(counts) != len(word) or max(counts.values()) != 2:
+            bad = sorted(x for x, c in counts.items() if c != 2)
             raise LetterCountError(
                 "letters must occur exactly twice: %s" % ", ".join(bad))
         if len(counts) < 2:
@@ -309,6 +310,28 @@ def _is_irreducible_cached(top, bottom):
 
 def is_irreducible(gp: GeneralizedPermutation) -> bool:
     return _is_irreducible_cached(gp.top, gp.bottom)
+
+
+# ---------------------------------------------------------------------------
+# suspendability
+# ---------------------------------------------------------------------------
+
+def is_suspendable(gp: GeneralizedPermutation) -> bool:
+    """True when ``gp`` admits a suspension datum, so that it has a
+    (non-empty) stratum: it keeps the both-rows convention and is
+    irreducible (Boissy-Lanneau)."""
+    return gp.satisfies_convention() and is_irreducible(gp)
+
+
+def require_suspendable(gp: GeneralizedPermutation) -> GeneralizedPermutation:
+    """``gp`` itself when :func:`is_suspendable`; else raise
+    :class:`NotSuspendable` naming every reason."""
+    if is_suspendable(gp):
+        return gp
+    reasons = list(validate(gp).violations)
+    if not is_irreducible(gp):
+        reasons.append("reducible")
+    raise NotSuspendable("%s: %s" % (gp.encode(), "; ".join(reasons)))
 
 
 # ---------------------------------------------------------------------------

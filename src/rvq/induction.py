@@ -19,9 +19,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import (BudgetExceeded, MoveUndefined, OpenWalk, ReducibleSeed,
+from .errors import (BudgetExceeded, MoveUndefined, OpenWalk,
                      ReverseArrowMissing, RVQError)
-from .gp import GeneralizedPermutation, is_irreducible, parse_gp
+from .gp import (GeneralizedPermutation, is_irreducible, parse_gp,
+                 require_suspendable)
 
 TOP = 't'
 BOTTOM = 'b'
@@ -318,14 +319,9 @@ def enumerate_class(seed: GeneralizedPermutation,
     commute with relabeling this enumerates the quotient graph, which is what
     component identification compares against.  ``arrow``, if given,
     replaces :func:`apply_arrow`, to enumerate the closure under fewer arrows.
+    A seed that is not suspendable raises ``NotSuspendable``.
     """
-    if not is_irreducible(seed):
-        raise ReducibleSeed("seed is reducible: %s" % seed.encode())
-    if seed.is_strict and not seed.satisfies_convention():
-        raise ReducibleSeed(
-            "seed is not suspendable (needs duplicates in both rows): %s"
-            % seed.encode())
-
+    require_suspendable(seed)
     base = seed.reduced() if reduced_labels else seed
     arrow = arrow or apply_arrow  # at call time, so a wrapper on it counts
     vertices = [base]

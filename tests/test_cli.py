@@ -7,6 +7,8 @@ import pytest
 
 from rvq import components, induction
 from rvq.cli import main
+from rvq.gp import is_suspendable, parse_gp
+from rvq.strata import stratum_signature
 
 
 def run(capsys, *argv):
@@ -141,6 +143,25 @@ def test_search(capsys):
     assert code == 0
     first = json.loads(out.splitlines()[0])
     assert sorted(first["letters"]) == ["A", "B"] or len(first["letters"]) == 2
+    # every printed permutation has the target stratum, with and without
+    # --nonhyp (the README's example is the last run)
+    for base, target, flags in [
+            ("1 2 / 2 1", "2,-1,-1", []),
+            ("1 2 3 / 3 2 1", "1,1,-1,-1", []),
+            ("1 2 3 4 / 4 3 2 1", "6,-1,-1", []),
+            ("1 2 3 4 / 4 3 2 1", "6,-1,-1", ["--nonhyp"])]:
+        code, out, _ = run(capsys, "search", "--from", base,
+                           "--target-stratum", target, *flags)
+        *lines, tally = out.splitlines()
+        assert code == 0 and lines and tally == "%d witness chain(s)" % len(
+            lines)
+        for line in lines:
+            gp = parse_gp(line)
+            assert is_suspendable(gp), line
+            assert stratum_signature(gp).orders == tuple(
+                int(o) for o in target.split(",")), line
+            if flags:
+                assert not components.hyperelliptic_test(gp), line
 
 
 def test_determinism(capsys):
@@ -182,11 +203,12 @@ def test_bad_argument_is_one_line_usage_error(capsys, argv):
     assert len(err.splitlines()) == 1 and "error: argument --" in err
 
 
-@pytest.mark.parametrize("command", ["stratum", "cover", "identify"])
+@pytest.mark.parametrize("command", ["stratum", "cover", "identify", "class"])
 @pytest.mark.parametrize("gp, reason", [
     ("1 2 / 2 1 3 3", "no duplicate letter in top row"),   # Q(1,-1) is empty
     ("1 2 / 1 2", "reducible"),
     ("A A 1 / B B 1", "reducible"),
+    ("A A 1 B B 2 / 2 1", "no duplicate letter in bottom row"),  # irreducible
 ])
 def test_unsuspendable_input_refused(capsys, command, gp, reason):
     code, out, err = run(capsys, command, gp)
@@ -197,11 +219,13 @@ def test_unsuspendable_input_refused(capsys, command, gp, reason):
 @pytest.mark.parametrize("argv", [
     ["extend", "{gp}", "--singularity", "1", "--orders", "3,3"],
     ["search", "--from", "{gp}", "--target-stratum", "6,-1,-1"],
-], ids=["extend", "search"])
+    ["cocycle", "{gp}", "--walk", "t"],
+], ids=["extend", "search", "cocycle"])
 @pytest.mark.parametrize("gp, reason", [
     ("1 2 / 2 1 3 3", "no duplicate letter in top row"),
     ("1 2 / 1 2", "reducible"),
-], ids=["convention", "reducible"])
+    ("A A 1 B B 2 / 2 1", "no duplicate letter in bottom row"),  # irreducible
+], ids=["convention", "reducible", "irreducible-convention"])
 def test_extend_and_search_refuse_unsuspendable_input(capsys, argv, gp,
                                                        reason):
     code, out, err = run(capsys, *(a.format(gp=gp) for a in argv))

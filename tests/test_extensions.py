@@ -12,7 +12,7 @@ from rvq.extensions import (ExtensionWitness, extend_arrow, extend_walk,
                             fresh_letter, insert_letter, is_simple_extension,
                             search_extensions, split_even_zero,
                             split_singularity, witness_from)
-from rvq.gp import erase_letters, is_irreducible, parse_gp
+from rvq.gp import erase_letters, is_irreducible, is_suspendable, parse_gp
 from rvq.induction import apply_arrow
 from rvq.strata import orbit_order, stratum_signature, turning_orbits
 
@@ -293,28 +293,29 @@ def test_split_outputs_are_simple_extensions():
 
 
 def test_search_finds_witness():
-    target = (6, -1, -1)
-
-    def predicate(gp):
-        return (stratum_signature(gp, cross_check=False).orders == target
-                and not _hyp(gp))
-
-    def _hyp(gp):
-        from rvq.components import hyperelliptic_test
-        from rvq.errors import CriterionInapplicable
-        try:
-            return hyperelliptic_test(gp)
-        except CriterionInapplicable:
-            return True  # skip undecidable candidates
-
-    chains = search_extensions([T4], predicate, letters=2, budget=200_000)
+    chains = search_extensions([T4], (6, -1, -1), budget=200_000)
     finals = {c[-1].extended.reduced().encode() for c in chains}
     assert WITNESS.reduced().encode() in finals
 
 
 def test_search_empty_on_wrong_genus():
-    def predicate(gp):
-        return stratum_signature(gp, cross_check=False).genus == 5
+    assert search_extensions([T4], (14, 1, 1), budget=200_000) == []
 
-    assert search_extensions([T4], predicate, letters=2,
-                             budget=200_000) == []
+
+SEARCH_HITS = {"1 2 / 2 1": (2, -1, -1), "1 2 3 / 3 2 1": (1, 1, -1, -1),
+               "1 2 3 4 / 4 3 2 1": (6, -1, -1)}
+
+
+@pytest.mark.parametrize("base", list(SEARCH_HITS))
+@pytest.mark.parametrize("target", list(SEARCH_HITS.values()))
+def test_search_lands_in_target_stratum(base, target):
+    chains = search_extensions([parse_gp(base)], target)
+    # each base reaches exactly one of the targets, the one listed with it
+    assert bool(chains) == (SEARCH_HITS[base] == target)
+    for chain in chains:
+        first, second = chain
+        assert first.base == parse_gp(base)
+        assert second.base == first.extended
+        final = second.extended
+        assert is_suspendable(final), final.encode()
+        assert stratum_signature(final).orders == target, final.encode()

@@ -8,7 +8,7 @@ from conftest import random_gp, small_gps
 from oracles import defined_moves
 from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, OpenWalk,
-                        ReducibleSeed, ReverseArrowMissing)
+                        NotSuspendable, ReverseArrowMissing)
 from rvq import induction
 from rvq.gp import is_irreducible, parse_gp
 from rvq.groups import arrow_cycles, random_directed_cycles
@@ -293,9 +293,9 @@ def test_class_invariants_small():
 
 
 def test_reducible_seed_rejected():
-    with pytest.raises(ReducibleSeed):
+    with pytest.raises(NotSuspendable, match="reducible"):
         enumerate_class(parse_gp("1 2 3 4 / 1 2 3 4"))
-    with pytest.raises(ReducibleSeed):
+    with pytest.raises(NotSuspendable, match="no duplicate letter in bottom"):
         enumerate_class(parse_gp("1 A A 2 / 2 1"))  # convention violated
 
 
