@@ -132,14 +132,52 @@ class GeneralizedPermutation:
         return GeneralizedPermutation(self.bottom, self.top)
 
     def relabel(self, mapping: Mapping[Letter, Letter]) -> "GeneralizedPermutation":
+        """Rename every letter by ``mapping``; the result is checked, since
+        a mapping may merge letters."""
         return GeneralizedPermutation(
             tuple(mapping[x] for x in self.top),
             tuple(mapping[x] for x in self.bottom))
 
     def reduced(self) -> "GeneralizedPermutation":
         """Relabel by first appearance (top row first) to tokens 0, 1, 2, ..."""
-        mapping = {x: str(k) for k, x in enumerate(self.alphabet)}
-        return self.relabel(mapping)
+        return _trusted(*reduced_rows(self.top, self.bottom))
+
+
+# the slots' own setters, which the frozen class's __setattr__ would refuse
+_new = object.__new__
+_set_top = GeneralizedPermutation.top.__set__
+_set_bottom = GeneralizedPermutation.bottom.__set__
+_set_pairs = GeneralizedPermutation._pairs.__set__
+
+
+def _trusted(top: tuple[Letter, ...],
+             bottom: tuple[Letter, ...]) -> GeneralizedPermutation:
+    """The permutation with these rows, built without the constructor's
+    check.  Only for rows known to be valid: those a move or
+    :func:`reduced_rows` makes from a valid permutation, since both keep
+    each letter's two copies and leave no row empty."""
+    gp = _new(GeneralizedPermutation)
+    _set_top(gp, top)
+    _set_bottom(gp, bottom)
+    _set_pairs(gp, None)
+    return gp
+
+
+# the tokens of reduced labels, one string object each that every reduced
+# permutation shares; longer alphabets get their tokens built per call
+_TOKENS = tuple(map(str, range(64)))
+
+
+def reduced_rows(top: tuple[Letter, ...], bottom: tuple[Letter, ...]
+                 ) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """The rows of a valid permutation with its letters renamed by first
+    appearance, top row first, to the tokens 0, 1, 2, ...: the rows of
+    :meth:`GeneralizedPermutation.reduced`, without building it."""
+    alphabet = dict.fromkeys(top + bottom)
+    tokens = (_TOKENS if len(alphabet) <= len(_TOKENS)
+              else tuple(map(str, range(len(alphabet)))))
+    rename = dict(zip(alphabet, tokens)).__getitem__
+    return tuple(map(rename, top)), tuple(map(rename, bottom))
 
 
 def letter_positions(word: Sequence[Letter]) -> dict[Letter, tuple[int, int]]:

@@ -17,19 +17,21 @@ import os
 import tempfile
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import (BudgetExceeded, MoveUndefined, OpenWalk,
                      ReverseArrowMissing, RVQError)
-from .gp import (GeneralizedPermutation, is_irreducible, parse_gp,
-                 require_suspendable)
+from .gp import (GeneralizedPermutation, _trusted, is_irreducible, parse_gp,
+                 reduced_rows, require_suspendable)
 
 TOP = 't'
 BOTTOM = 'b'
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
+    """One induction move: its source and target, its kind, winner and
+    loser, and whether it changed the type (l, m).  A named tuple, so its
+    fields cannot be set; a class enumeration builds one per move tried."""
     source: GeneralizedPermutation
     kind: str  # 't' or 'b'
     winner: str
@@ -70,8 +72,7 @@ def apply_arrow(gp: GeneralizedPermutation, kind: str) -> Arrow:
         bottom, top, winner, loser, change = _move(gp.bottom, gp.top)
     else:
         raise ValueError("kind must be 't' or 'b', got %r" % (kind,))
-    return Arrow(gp, kind, winner, loser,
-                 GeneralizedPermutation(top, bottom), change)
+    return Arrow(gp, kind, winner, loser, _trusted(top, bottom), change)
 
 
 def invert_arrow(gp: GeneralizedPermutation, kind: str, *,
@@ -100,8 +101,9 @@ def invert_arrow(gp: GeneralizedPermutation, kind: str, *,
         tw = other.index(winner)
         if tw < len(other) - 1:  # else gp is a fixed point of the move
             other = other[:tw + 1] + other[tw + 2:] + (other[tw + 1],)
-    u = (GeneralizedPermutation(own, other) if kind == TOP
-         else GeneralizedPermutation(other, own))
+    # the rows keep gp's letters and none is empty; re-applying the move
+    # below checks the rest
+    u = _trusted(own, other) if kind == TOP else _trusted(other, own)
 
     try:
         arrow = apply_arrow(u, kind)
@@ -141,6 +143,14 @@ def resolve_walk(base: GeneralizedPermutation,
 # Rauzy classes
 # ---------------------------------------------------------------------------
 
+def _key(gp: GeneralizedPermutation, reduced_labels: bool
+         ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The rows a class looks ``gp`` up by: its reduced rows in a class
+    with reduced labels, else its own."""
+    return (reduced_rows(gp.top, gp.bottom) if reduced_labels
+            else (gp.top, gp.bottom))
+
+
 CACHE_ENV = "RVQ_CACHE_DIR"
 DEFAULT_BUDGET = 10_000_000
 _FORMAT_VERSION = 2
@@ -177,9 +187,10 @@ class RauzyClass:
         return memo[key]
 
     def index_of(self, gp: GeneralizedPermutation) -> Optional[int]:
-        key = gp.reduced().encode() if self.reduced_labels else gp.encode()
+        # a vertex's rows are its key, its labels being reduced already
         return self._memo('index', lambda: {
-            v.encode(): i for i, v in enumerate(self.vertices)}).get(key)
+            (v.top, v.bottom): i for i, v in enumerate(self.vertices)}
+        ).get(_key(gp, self.reduced_labels))
 
     def __contains__(self, gp: GeneralizedPermutation) -> bool:
         return self.index_of(gp) is not None
@@ -325,7 +336,7 @@ def enumerate_class(seed: GeneralizedPermutation,
     base = seed.reduced() if reduced_labels else seed
     arrow = arrow or apply_arrow  # at call time, so a wrapper on it counts
     vertices = [base]
-    index = {base.encode(): 0}
+    index = {(base.top, base.bottom): 0}
     table: dict[str, list] = {TOP: [], BOTTOM: []}
     truncated = False
     for gp in vertices:  # the list grows while it is scanned
@@ -335,12 +346,11 @@ def enumerate_class(seed: GeneralizedPermutation,
             except MoveUndefined:
                 targets.append(None)
                 continue
-            target = target.reduced() if reduced_labels else target
-            key = target.encode()
+            key = _key(target, reduced_labels)
             j = index.get(key)
             if j is None and len(vertices) < limit:
                 j = index[key] = len(vertices)
-                vertices.append(target)
+                vertices.append(_trusted(*key) if reduced_labels else target)
             truncated |= j is None
             targets.append(j)
 

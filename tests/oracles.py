@@ -4,6 +4,8 @@ No command and no library module uses these; the tests import them the way
 they import ``conftest``:
 
 * ``defined_moves``: the induction moves that exist at a vertex;
+* ``reduced_by_relabel``: the reduced labels built through the checked
+  ``relabel``, the oracle for ``GeneralizedPermutation.reduced``;
 * ``arrow_matrix``: the matrix of one arrow's plus factor, or its inverse;
 * exact rational suspension data and their check, the oracle for
   "irreducible and convention implies suspendable";
@@ -46,6 +48,12 @@ def defined_moves(gp: GeneralizedPermutation) -> tuple[str, ...]:
             continue
         kinds.append(kind)
     return tuple(kinds)
+
+
+def reduced_by_relabel(gp: GeneralizedPermutation) -> GeneralizedPermutation:
+    """``gp`` relabeled by first appearance, top row first, to 0, 1, 2, ...
+    through the checked constructor behind ``relabel``."""
+    return gp.relabel({x: str(k) for k, x in enumerate(gp.alphabet)})
 
 
 def arrow_matrix(arrow: Arrow, order: Optional[Sequence[str]] = None,

@@ -9,13 +9,13 @@ import pytest
 
 from conftest import normal_forms, random_gp, small_gps
 from oracles import (STAR, ConventionViolated, SuspensionDatum,
-                     check_suspension, to_perm_involution)
+                     check_suspension, reduced_by_relabel, to_perm_involution)
 from rvq.components import table1
 from rvq.errors import (EmptyRow, LetterCountError, MalformedText,
                         MoveUndefined, ReverseArrowMissing)
 from rvq.gp import (Decomposition, GeneralizedPermutation, _corner_masks,
                     erase_letters, find_reduction, is_irreducible, parse_gp,
-                    validate)
+                    reduced_rows, validate)
 from rvq.induction import apply_arrow, invert_arrow
 from rvq.strata import turning_map
 
@@ -442,6 +442,30 @@ def test_reduced_relabeling():
     gp = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
     red = gp.reduced()
     assert red.alphabet == tuple(str(i) for i in range(6))
+
+
+def test_checked_entry_points_refuse_bad_input():
+    # only moves and reduced() build permutations without the check; the
+    # constructor, relabel and parse_gp keep it, as raises that -O keeps
+    with pytest.raises(LetterCountError):
+        GeneralizedPermutation(("1", "2", "1"), ("2", "1"))
+    with pytest.raises(EmptyRow):
+        GeneralizedPermutation((), ("1", "2", "1", "2"))
+    with pytest.raises(EmptyRow):
+        GeneralizedPermutation(("1", "1", "2", "2"), ())
+    gp = parse_gp("1 2 3 / 3 2 1")
+    with pytest.raises(LetterCountError):
+        gp.relabel({"1": "x", "2": "x", "3": "y"})
+    for text in ("1 2 2 1", "1 2 / 2 1 / 3", " / 1 1 2 2", "1 1 2 2 /"):
+        with pytest.raises(MalformedText):
+            parse_gp(text)
+
+
+def test_reduced_matches_the_checked_relabeling():
+    for gp in itertools.chain(small_gps(), [table1(1), parse_gp("x y / y x")]):
+        red = gp.reduced()
+        assert red == reduced_by_relabel(gp) and red._pairs is None
+        assert reduced_rows(gp.top, gp.bottom) == (red.top, red.bottom)
 
 
 def test_alphabet_first_appearance_order():

@@ -5,15 +5,16 @@ import random
 import pytest
 
 from conftest import random_gp, small_gps
-from oracles import defined_moves
-from rvq.components import tau_sym, tau_zorich
+from oracles import defined_moves, reduced_by_relabel
+from rvq.components import table1, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, OpenWalk,
                         NotSuspendable, ReverseArrowMissing)
 from rvq import induction
-from rvq.gp import is_irreducible, parse_gp
+from rvq.gp import (GeneralizedPermutation, is_irreducible, is_suspendable,
+                    parse_gp)
 from rvq.groups import arrow_cycles, random_directed_cycles
 from rvq.homology import kz_walk
-from rvq.induction import (RauzyClass, _cache_path, apply_arrow,
+from rvq.induction import (Arrow, RauzyClass, _cache_path, apply_arrow,
                            enumerate_class, export_graph, invert_arrow,
                            load_or_enumerate, resolve_walk)
 
@@ -476,6 +477,92 @@ def test_class_vertices_carry_no_letter_table(tmp_path, monkeypatch):
     for rc in (fresh, written, read):
         assert len(rc) == 31
         assert all(v._pairs is None for v in rc.vertices)
+
+
+def _assert_checked_alike(v):
+    """``v``, built without the constructor's check, passes that check,
+    carries no letter table, and reduces as the checked relabeling does."""
+    assert v._pairs is None
+    assert GeneralizedPermutation(v.top, v.bottom) == v
+    red = v.reduced()
+    assert red._pairs is None
+    assert GeneralizedPermutation(red.top, red.bottom) == red
+    assert red == reduced_by_relabel(v)
+
+
+def _assert_moves_checked_alike(v):
+    """Every move's target at ``v`` and every reconstructed predecessor,
+    reducible ones included, passes :func:`_assert_checked_alike`."""
+    for kind in ("t", "b"):
+        try:
+            arrow = apply_arrow(v, kind)
+        except MoveUndefined:
+            pass
+        else:
+            _assert_checked_alike(arrow.target)
+        try:
+            arrow = invert_arrow(v, kind, require_irreducible=False)
+        except ReverseArrowMissing:
+            pass
+        else:
+            _assert_checked_alike(arrow.source)
+
+
+def _assert_class_checked_alike(seed, limit=induction.DEFAULT_BUDGET):
+    """Both classes of ``seed``, labeled and reduced, cut at ``limit``
+    vertices, and the moves at each vertex.  The labeled base is ``seed``
+    itself, built by the caller."""
+    for reduced in (False, True):
+        rc = enumerate_class(seed, limit, reduced_labels=reduced,
+                             allow_truncated=True)
+        built = rc.vertices if reduced else rc.vertices[1:]
+        assert rc.base is seed or reduced
+        for v in built:
+            _assert_checked_alike(v)
+        for v in rc.vertices:
+            _assert_moves_checked_alike(v)
+
+
+def test_unchecked_vertices_of_small_classes_pass_the_check():
+    # small_gps lists permutations in reduced labels, so the reduced
+    # classes checked cover every suspendable one with d <= 4
+    suspendable = [gp for gp in small_gps() if gp.d <= 4 and is_suspendable(gp)]
+    covered = set()
+    for gp in suspendable:
+        if gp not in covered:
+            _assert_class_checked_alike(gp)
+            covered.update(enumerate_class(gp, reduced_labels=True).vertices)
+    assert covered == set(suspendable)
+
+
+def test_unchecked_vertices_of_table1_row1_pass_the_check():
+    _assert_class_checked_alike(table1(1), limit=2000)
+
+
+def test_unchecked_vertices_with_300_letters_pass_the_check():
+    # more letters than any fixed table of reduced tokens would hold
+    letters = tuple("x%d" % k for k in range(300))
+    seed = GeneralizedPermutation(letters, letters[::-1])
+    assert seed.reduced().top == tuple(map(str, range(300)))
+    _assert_class_checked_alike(seed, limit=60)
+    strict = GeneralizedPermutation(("A", "A") + letters,
+                                    letters[::-1] + ("B", "B"))
+    cur = strict
+    for kind in "tbtbbttb" * 4:
+        _assert_moves_checked_alike(cur)
+        cur = apply_arrow(cur, kind).target
+    _assert_checked_alike(cur)
+
+
+def test_arrow_is_a_named_tuple_of_six_fields():
+    assert Arrow._fields == ("source", "kind", "winner", "loser", "target",
+                             "type_change")
+    seed = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
+    arrow = apply_arrow(seed, "t")
+    assert tuple(arrow) == (seed, "t", "4", "1", arrow.target, False)
+    for name in Arrow._fields:
+        with pytest.raises(AttributeError):
+            setattr(arrow, name, None)
 
 
 def test_jsonl_format_fields():
