@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InconsistentGenus
 from .gp import GeneralizedPermutation
 from .strata import StratumSignature, stratum_signature
 
@@ -41,13 +42,16 @@ def cover_stratum(gp_or_sig) -> CoverStratum:
 
     Odd orders 2k-1 contribute one zero of order 2k; even orders 2k
     contribute two zeros of order k. The genus comes from
-    2g~ - 2 = 4g - 4 + (number of odd orders) and is checked against the
-    cover order sum.
+    2g~ - 2 = 4g - 4 + (number of odd orders).  Orders that do not sum to
+    4g - 4 raise InconsistentGenus.
     """
     if isinstance(gp_or_sig, GeneralizedPermutation):
         sig = stratum_signature(gp_or_sig)
     else:
         sig = gp_or_sig
+    if sum(sig.orders) != 4 * sig.genus - 4:
+        raise InconsistentGenus("orders %s do not sum to 4g - 4 for genus %d"
+                                % (sig.orders, sig.genus))
     cover_orders: list[int] = []
     n_odd = 0
     for q in sig.orders:
@@ -56,8 +60,6 @@ def cover_stratum(gp_or_sig) -> CoverStratum:
             cover_orders.append(q + 1)
         else:
             cover_orders.extend((q // 2, q // 2))
-    assert n_odd % 2 == 0, "odd orders always come in even number"
     genus = 2 * sig.genus - 1 + n_odd // 2
-    assert sum(cover_orders) == 2 * genus - 2
     return CoverStratum(orders=tuple(sorted(cover_orders, reverse=True)),
                         genus=genus, base=sig)

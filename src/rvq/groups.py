@@ -73,10 +73,11 @@ def modp_closure(generators: Sequence[Matrix], p: int,
                  form: Matrix) -> ClosureResult:
     """Order and index of the subgroup of Sp(form, F_p) the generators span.
 
-    ``form`` must be non-degenerate mod p (pass the halved minus form for the
-    double-cover case). The order is exact: deterministic Schreier-Sims on
-    the action of the generators on the p^n - 1 nonzero row vectors of
-    F_p^n, which is faithful. No group element is stored; only the
+    ``form`` must be non-degenerate mod p (for the double-cover case, the
+    intersection form on the both-rows letters). The order is exact:
+    deterministic Schreier-Sims on the action of the generators on the
+    p^n - 1 nonzero row vectors of F_p^n, which is faithful. No group
+    element is stored; only the
     stabilizer chain with its transversals. Raises ValueError unless p is a
     prime.
     """
@@ -313,14 +314,15 @@ def arrow_cycles(rc: RauzyClass, *, cap: Optional[int] = None) -> list[str]:
 
 def admissible_component(base: GeneralizedPermutation,
                          limit: int = DEFAULT_BUDGET) -> RauzyClass:
-    """The closure of ``base`` under the arrows with a minus factor (see
-    :func:`~rvq.homology.arrow_factor`), which holds every closed admissible
-    walk at the base.  Past ``limit`` vertices it raises BudgetExceeded."""
+    """The closure of ``base`` under the arrows whose winner occurs in both
+    rows (see :func:`~rvq.homology.arrow_factor`), which holds every closed
+    admissible walk at the base.  Past ``limit`` vertices it raises
+    BudgetExceeded."""
     order = letters(base, minus=True)
 
     def admissible(gp, kind):
         arrow = apply_arrow(gp, kind)
-        arrow_factor(arrow, order, minus=True)
+        arrow_factor(arrow, order)
         return arrow
 
     return enumerate_class(base, limit, arrow=admissible)
@@ -336,7 +338,7 @@ def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
     one row operation per step, with each arrow's factor computed once from
     its move.  A target other than the one the table names, and a walk that
     leaves the class or does not end at vertex 0, raise OpenWalk; a minus
-    walk through an arrow with no minus factor raises DuplicateWinner; a
+    walk through an arrow with a duplicate winner raises DuplicateWinner; a
     class with reduced labels raises ValueError.
     """
     if rc.reduced_labels:
@@ -358,7 +360,7 @@ def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
             if arrow.target != rc.vertices[j]:
                 raise OpenWalk("the class's %s-arrow from vertex %d does not "
                                "lead to vertex %d" % (kind, i, j))
-            arrows[i, kind] = j, arrow_factor(arrow, order, minus)
+            arrows[i, kind] = j, arrow_factor(arrow, order)
         return arrows[i, kind]
 
     ident = linalg.identity(len(order))
@@ -393,7 +395,7 @@ def _quotient_generators(mats: Iterable[Matrix], p: int,
                 raise NotOmegaPreserving("matrix does not preserve the form")
             continue
         seen.add(key)
-        red, _ = quotient_action(None, mat, data=qd)
+        red = quotient_action(mat, qd)
         key = linalg.mat_mod(red, p)
         if key not in kept:
             kept.add(key)
@@ -415,10 +417,11 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
     length at most ``maxlen``, drawn from ``seed``, are added, and the order
     is a lower bound.  With ``minus``, ``rc`` is the
     :func:`admissible_component`, and the result is the image of the group
-    of admissible closed walks at the base on the halved minus form: a
-    subgroup of the minus Rauzy-Veech group, so its finite index gives the
-    latter's.  Bad input raises as :func:`cycle_matrices` does, ``cycles``
-    below 1 ValueError, and genus 0 CriterionInapplicable.
+    of admissible closed walks at the base on the quotient of the
+    intersection form on the both-rows letters: a subgroup of the minus
+    Rauzy-Veech group, so its finite index gives the latter's.  Bad input
+    raises as :func:`cycle_matrices` does, ``cycles`` below 1 ValueError,
+    and genus 0 CriterionInapplicable.
     """
     if cycles < 1:
         raise ValueError("cycles must be at least 1, got %r" % (cycles,))

@@ -61,25 +61,6 @@ def _intersection_form(top: tuple[str, ...], bottom: tuple[str, ...],
                  for a in order)
 
 
-def minus_form(gp: GeneralizedPermutation,
-               order: Optional[Sequence[str]] = None) -> Matrix:
-    """The +-2/0 alternating form on the letters occurring in both rows."""
-    order = tuple(order) if order is not None else gp.both_rows_letters()
-    pos = gp.pairs
-
-    def entry(a, b):
-        ia, ja = pos[a]
-        ib, jb = pos[b]
-        if ia < ib and ja > jb:
-            return 2
-        if ib < ia and jb > ja:
-            return -2
-        return 0
-
-    return tuple(tuple(entry(a, b) if a != b else 0 for b in order)
-                 for a in order)
-
-
 # ---------------------------------------------------------------------------
 # transition matrices
 # ---------------------------------------------------------------------------
@@ -106,8 +87,9 @@ def _factor(mat: list[list[int]], li: int, wi: int, reflection: bool,
 
 
 class DuplicateWinner(MoveUndefined):
-    """An arrow with no minus factor: its winner is a duplicate letter, or it
-    changes the type."""
+    """An arrow with no factor on the letters of a walk: its winner is not
+    among them.  On the both-rows letters that is a duplicate winner, which
+    every arrow that changes the type has."""
 
 
 def letters(gp: GeneralizedPermutation,
@@ -117,23 +99,20 @@ def letters(gp: GeneralizedPermutation,
     return gp.both_rows_letters() if minus else gp.alphabet
 
 
-def arrow_factor(arrow: Arrow, order: Sequence[str],
-                 minus: bool = False) -> tuple:
+def arrow_factor(arrow: Arrow, order: Sequence[str]) -> tuple:
     """The arrow's factor on the letters ``order``, as :func:`_factor` takes
     it: the loser's and the winner's index and whether it is the reflection,
-    which the plus factor is when they do not pair at the source.  The minus
-    factor is Id + E_lw, or ``()`` (the identity) for a duplicate loser; an
-    arrow with a duplicate winner, or that changes the type, has none and
-    raises DuplicateWinner."""
-    if not minus:
-        li, wi = order.index(arrow.loser), order.index(arrow.winner)
-        return li, wi, intersection_form(arrow.source, order)[li][wi] == 0
-    if arrow.winner not in order or arrow.type_change:
+    which it is when they do not pair at the source.  A loser outside
+    ``order`` gives ``()`` (the identity); a winner outside it has no factor
+    and raises DuplicateWinner.  Two both-rows letters always pair, so on
+    them no factor is the reflection."""
+    if arrow.winner not in order:
         raise DuplicateWinner("the %s-arrow from %s has no minus factor"
                               % (arrow.kind, arrow.source.encode()))
     if arrow.loser not in order:
         return ()
-    return order.index(arrow.loser), order.index(arrow.winner), False
+    li, wi = order.index(arrow.loser), order.index(arrow.winner)
+    return li, wi, intersection_form(arrow.source, order)[li][wi] == 0
 
 
 def kz_walk(base: GeneralizedPermutation, walk: str, *, minus: bool = False
@@ -141,7 +120,7 @@ def kz_walk(base: GeneralizedPermutation, walk: str, *, minus: bool = False
     """Ordered product of arrow matrices along a walk; also returns the end.
 
     Rows and columns follow ``letters(base, minus)``: with ``minus`` every
-    arrow must have a minus factor (see :func:`arrow_factor`), and the
+    winner must be a both-rows letter (see :func:`arrow_factor`), and the
     both-rows letters, constant along such walks, are pinned at the base.
     The product is taken last step first, so for a cycle the result maps the
     end basis back through the walk; reversed steps contribute inverses.
@@ -153,7 +132,7 @@ def kz_walk(base: GeneralizedPermutation, walk: str, *, minus: bool = False
     mat = [list(row) for row in linalg.identity(len(order))]
     cur = base
     for arrow, direction in steps:
-        factor = arrow_factor(arrow, order, minus)
+        factor = arrow_factor(arrow, order)
         if factor:
             _factor(mat, *factor, direction < 0)
         cur = arrow.target if direction > 0 else arrow.source
@@ -182,10 +161,10 @@ class QuotientData:
 
 def quotient_data(gp: GeneralizedPermutation, *,
                   minus: bool = False) -> QuotientData:
-    """The quotient by the kernel of the intersection form of ``gp``, or
-    with ``minus`` of the halved minus form, whose entries are 0 and +-1."""
-    omega = (tuple(tuple(x // 2 for x in row) for row in minus_form(gp))
-             if minus else intersection_form(gp))
+    """The quotient by the kernel of the intersection form of ``gp`` on
+    ``letters(gp, minus)``.  On the both-rows letters that form is half the
+    form of the anti-invariant homology of the orientation double cover."""
+    omega = intersection_form(gp, letters(gp, minus))
     h, u = linalg.hermite_with_transform(omega)
     nonzero = [i for i, row in enumerate(h) if any(row)]
     zero = [i for i, row in enumerate(h) if not any(row)]
@@ -205,26 +184,19 @@ def quotient_data(gp: GeneralizedPermutation, *,
                         unimodular=uni, inverse=inv, reduced_form=reduced)
 
 
-def quotient_action(gp: Optional[GeneralizedPermutation], matrix: Matrix,
-                    data: Optional[QuotientData] = None
-                    ) -> tuple[Matrix, Matrix]:
-    """Push a form-preserving matrix down to the quotient by ker of the form.
-
-    The form is ``data.form``, by default the intersection form of ``gp``,
-    which is read only when ``data`` is None.
-    Returns the induced 2g x 2g matrix together with the chosen basis rows;
-    when the basis is the standard one that is the matrix itself.  Raises
-    NotOmegaPreserving when the matrix does not fix the form or the kernel.
+def quotient_action(matrix: Matrix, qd: QuotientData) -> Matrix:
+    """Push a matrix that preserves ``qd.form`` down to the quotient by its
+    kernel: the induced matrix in the basis of ``qd``, the matrix itself when
+    that basis is the standard one.  Raises NotOmegaPreserving when the
+    matrix does not fix the form or the kernel.
     """
-    qd = data if data is not None else quotient_data(gp)
     if not linalg.preserves_form(matrix, qd.form):
         raise NotOmegaPreserving("matrix does not preserve the form")
     if qd.unimodular == linalg.identity(len(matrix)):
-        return matrix, qd.basis
+        return matrix
     conj = linalg.mul(linalg.mul(qd.unimodular, matrix), qd.inverse)
     r = len(qd.basis)
     # an invariant kernel's rows cannot leak into quotient coordinates
     if any(row[j] for row in conj[r:] for j in range(r)):
         raise NotOmegaPreserving("kernel is not invariant")
-    reduced = tuple(tuple(conj[i][j] for j in range(r)) for i in range(r))
-    return reduced, qd.basis
+    return tuple(tuple(conj[i][j] for j in range(r)) for i in range(r))

@@ -207,8 +207,8 @@ class RauzyClass:
     def _reverse(self, kind: str) -> dict[int, int]:
         targets = self.table[kind]
         rev = {j: i for i, j in enumerate(targets) if j is not None}
-        assert len(rev) == len(targets) - targets.count(None), \
-            "two %s-arrows into one vertex" % kind
+        if len(rev) != len(targets) - targets.count(None):
+            raise ValueError("class has two %r-arrows into one vertex" % kind)
         return rev
 
     def trajectory(self, walk: str, start: int = 0) -> list[Optional[int]]:

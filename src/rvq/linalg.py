@@ -58,8 +58,10 @@ def mat_mod(a: Matrix, p: int) -> Matrix:
 
 
 def det(a: Matrix) -> int:
-    """Bareiss fraction-free determinant."""
+    """Bareiss fraction-free determinant; 1 for the 0 x 0 matrix."""
     n = len(a)
+    if not n:
+        return 1
     m = [list(row) for row in a]
     sign = 1
     prev = 1

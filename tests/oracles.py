@@ -7,6 +7,10 @@ they import ``conftest``:
 * ``reduced_by_relabel``: the reduced labels built through the checked
   ``relabel``, the oracle for ``GeneralizedPermutation.reduced``;
 * ``arrow_matrix``: the matrix of one arrow's plus factor, or its inverse;
+* ``minus_form``: the +-2/0 form of the anti-invariant homology of the
+  double cover on the both-rows letters, read from the letter positions:
+  the reference for the intersection form on those letters, of which it is
+  twice;
 * exact rational suspension data and their check, the oracle for
   "irreducible and convention implies suspendable";
 * the signed one-line table of the orientation double cover;
@@ -65,6 +69,27 @@ def arrow_matrix(arrow: Arrow, order: Optional[Sequence[str]] = None,
     mat = [list(row) for row in linalg.identity(len(order))]
     _factor(mat, *arrow_factor(arrow, order), inverse)
     return tuple(tuple(row) for row in mat)
+
+
+def minus_form(gp: GeneralizedPermutation,
+               order: Optional[Sequence[str]] = None) -> Matrix:
+    """The +-2/0 alternating form on the letters ``order`` (the both-rows
+    letters by default): +-2 when the two occurrence pairs cross, by the
+    order of their first occurrences."""
+    order = tuple(order) if order is not None else gp.both_rows_letters()
+    pos = gp.pairs
+
+    def entry(a, b):
+        ia, ja = pos[a]
+        ib, jb = pos[b]
+        if ia < ib and ja > jb:
+            return 2
+        if ib < ia and jb > ja:
+            return -2
+        return 0
+
+    return tuple(tuple(entry(a, b) if a != b else 0 for b in order)
+                 for a in order)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +413,8 @@ def _minus_walk(base: GeneralizedPermutation, walk: str):
 def minus_generators_modp(base: GeneralizedPermutation, cycles: Sequence[str],
                           p: int) -> tuple[list[Matrix], Matrix]:
     """Minus-side analogue, skipping walks with a duplicate-letter winner;
-    the halved form is returned for mod-p use."""
+    the reduced intersection form on the both-rows letters is returned for
+    mod-p use."""
     return _quotient_generators(_walk_matrices(base, cycles, _minus_walk),
                                 p, quotient_data(base, minus=True))
 

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from oracles import (arrow_matrix, decomposition_product, defined_moves,
-                     directed_decomposition, plus_generators_modp)
+                     directed_decomposition, minus_form, plus_generators_modp)
 from rvq.components import (GENUS2_WITNESSES, identify_component, sigma_hyp,
                             sigma_zorich, table1, table1_rows, tau_sym,
                             tau_zorich, verify_extension_table)
@@ -21,7 +21,7 @@ from rvq.extensions import (extend_arrow, split_even_zero, split_singularity,
 from rvq.gp import erase_letters, parse_gp
 from rvq.groups import (arrow_cycles, modp_closure, random_directed_cycles,
                         rauzy_veech_group_modp, sp_order)
-from rvq.homology import intersection_form, kz_walk, minus_form
+from rvq.homology import intersection_form, kz_walk
 from rvq.induction import apply_arrow, invert_arrow, load_or_enumerate
 from rvq.linalg import det, identity, mul, rank, transpose
 from rvq.strata import StratumSignature, stratum_signature, turning_orbits, \
@@ -309,7 +309,7 @@ def test_criterion_8_minus_cocycle():
         pom = minus_form(pend, tb)
         assert mul(mul(pmat, om), transpose(pmat)) == pom
     report(8, "minus conjugation exact on 500 admissible cycles; "
-              "rank of the halved-cover form is 4 = 2g")
+              "rank of the cover's minus form is 4 = 2g")
 
 
 def _random_mixed_cycle(rc, rng, max_steps=16):

@@ -5,8 +5,9 @@ import pytest
 from conftest import random_gp
 from oracles import STAR, ConventionViolated, to_perm_involution
 from rvq.cover import cover_stratum
+from rvq.errors import InconsistentGenus
 from rvq.gp import parse_gp
-from rvq.strata import stratum_signature
+from rvq.strata import StratumSignature, stratum_signature
 
 
 def test_torus_table():
@@ -44,11 +45,17 @@ def test_cover_of_witness():
 
 
 def test_cover_of_Q233():
-    from rvq.strata import StratumSignature
     sig = StratumSignature(orders=(3, 3, 2), genus=3)
     cs = cover_stratum(sig)
     assert cs.orders == (4, 4, 1, 1)
     assert cs.genus == 6
+
+
+@pytest.mark.parametrize("orders, genus", [((1,), 1), ((2,), 1),
+                                           ((-1, -1), 1), ((4, 1), 2)])
+def test_cover_refuses_orders_that_do_not_sum_to_4g_minus_4(orders, genus):
+    with pytest.raises(InconsistentGenus, match="4g - 4"):
+        cover_stratum(StratumSignature(orders, genus))
 
 
 def test_cover_of_genuine_doubles():

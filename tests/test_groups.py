@@ -41,10 +41,11 @@ def _vec_mat_mod(v, m, p):
 def _bfs_closure(generators, p, form, budget=10_000_000):
     """Order of the subgroup of Sp(form, F_p) the generators span.
 
-    ``form`` must be non-degenerate mod p (pass the halved minus form for the
-    double-cover case). The closure is a plain breadth-first multiplication
-    sweep; a finite monoid of invertible matrices is already a group, so
-    multiplying by the generators only is enough.
+    ``form`` must be non-degenerate mod p (for the double-cover case, the
+    intersection form on the both-rows letters). The closure is a plain
+    breadth-first multiplication sweep; a finite monoid of invertible
+    matrices is already a group, so multiplying by the generators only is
+    enough.
     """
     n = len(form)
     if n % 2:
@@ -121,6 +122,11 @@ def test_sp_order_values():
     assert sp_order(1, 3) == 3 * (9 - 1)
 
 
+def test_closure_on_the_empty_form_has_no_symplectic_group():
+    with pytest.raises(ValueError, match="genus must be >= 1"):
+        modp_closure([], 2, ())
+
+
 @pytest.mark.parametrize("p", [4, 6, 0, 1, -3])
 def test_non_prime_modulus_refused(p):
     rc = load_or_enumerate(tau_sym(4))
@@ -146,7 +152,8 @@ def test_torus_closure_mod3():
 
 @pytest.mark.parametrize("p, order", [(2, 6), (3, 24), (5, 120)])
 def test_minus_closure_genus_one(p, order):
-    # the halved minus form of this base has rank 2: the image is SL(2, F_p)
+    # the form on the both-rows letters of this base has rank 2: the image
+    # is SL(2, F_p)
     base = parse_gp("0 A A 1 / 1 B B 0")
     rc = admissible_component(base)
     res = rauzy_veech_group_modp(base, rc, p, cycles=40, seed=1, minus=True)
@@ -514,7 +521,7 @@ def test_minus_group_of_the_component_equals_the_labeled_class_route(base,
 
 def _has_minus_factor(arrow, order):
     try:
-        arrow_factor(arrow, order, minus=True)
+        arrow_factor(arrow, order)
     except DuplicateWinner:
         return False
     return True
@@ -553,6 +560,23 @@ def test_admissible_component_is_closed_both_ways(base):
         assert _has_minus_factor(arrow, order)
     with pytest.raises(BudgetExceeded):
         admissible_component(base, limit=len(rc) - 1)
+
+
+@pytest.mark.parametrize("base", [WITNESS, QUADRATIC, sigma_hyp(2, 1),
+                                  table1(1), table1(2)],
+                         ids=["witness", "0AA1", "hyp-2-1", "row1", "row2"])
+def test_minus_matrix_is_the_both_rows_block_of_the_plus_matrix(base):
+    # no duplicate letter wins along an admissible walk, so a both-rows row
+    # of the plus matrix only ever gains both-rows rows
+    rc = admissible_component(base)
+    walks = arrow_cycles(rc) + random_directed_cycles(rc, count=50, seed=0)
+    both = [base.alphabet.index(x) for x in letters(base, minus=True)]
+    duplicate = [j for j in range(base.d) if j not in both]
+    for walk in walks:
+        plus, _ = kz_walk(base, walk)
+        minus, _ = kz_walk(base, walk, minus=True)
+        assert minus == tuple(tuple(plus[i][j] for j in both) for i in both)
+        assert not any(plus[i][j] for i in both for j in duplicate)
 
 
 @pytest.mark.parametrize("base, p, cycles, order, index", [

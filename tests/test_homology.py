@@ -3,13 +3,13 @@ import random
 import pytest
 
 from conftest import random_gp, small_gps
-from oracles import arrow_matrix, defined_moves
+from oracles import arrow_matrix, defined_moves, minus_form
 from rvq import linalg
 from rvq.errors import MoveUndefined, NotOmegaPreserving
 from rvq.gp import parse_gp
-from rvq.homology import (DuplicateWinner, QuotientData, intersection_form,
-                          kz_walk, letters, minus_form, quotient_action,
-                          quotient_data)
+from rvq.homology import (DuplicateWinner, QuotientData, arrow_factor,
+                          intersection_form, kz_walk, letters,
+                          quotient_action, quotient_data)
 from rvq.induction import apply_arrow
 from rvq.linalg import identity, mul, rank, transpose
 from rvq.strata import stratum_signature
@@ -134,8 +134,8 @@ def test_conjugation_identity_spot():
 
 def test_quotient_torus_identity():
     mat, _ = kz_walk(TORUS, "tb")
-    red, basis = quotient_action(TORUS, mat)
-    assert red == mat and len(basis) == 2
+    qd = quotient_data(TORUS)
+    assert quotient_action(mat, qd) == mat and len(qd.basis) == 2
 
 
 def test_quotient_witness_rank4():
@@ -143,14 +143,13 @@ def test_quotient_witness_rank4():
     assert len(qd.basis) == 4 and len(qd.kernel) == 2
     assert rank(qd.reduced_form) == 4
     assert linalg.det(qd.reduced_form) != 0
-    red, _ = quotient_action(WITNESS, identity(6))
-    assert red == identity(4)
+    assert quotient_action(identity(6), qd) == identity(4)
 
 
 def test_quotient_rejects_non_preserving():
     bad = tuple(tuple(2 if i == j else 0 for j in range(6)) for i in range(6))
     with pytest.raises(NotOmegaPreserving):
-        quotient_action(WITNESS, bad)
+        quotient_action(bad, quotient_data(WITNESS))
 
 
 def test_quotient_refuses_a_kernel_that_is_not_invariant():
@@ -165,7 +164,7 @@ def test_quotient_refuses_a_kernel_that_is_not_invariant():
     m = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     assert mul(mul(m, form), transpose(m)) == form
     with pytest.raises(NotOmegaPreserving, match="kernel is not invariant"):
-        quotient_action(TORUS, m, data=qd)
+        quotient_action(m, qd)
 
 
 def _short_cycles(base, want=2, depth=14):
@@ -192,11 +191,11 @@ def test_quotient_respects_group_law():
     m1, e1 = kz_walk(WITNESS, c1)
     m2, e2 = kz_walk(WITNESS, c2)
     assert e1 == WITNESS and e2 == WITNESS
-    r1, _ = quotient_action(WITNESS, m1)
-    r2, _ = quotient_action(WITNESS, m2)
+    qd = quotient_data(WITNESS)
+    r1, r2 = quotient_action(m1, qd), quotient_action(m2, qd)
     m12, end = kz_walk(WITNESS, c1 + c2)
     assert end == WITNESS
-    r12, _ = quotient_action(WITNESS, m12)
+    r12 = quotient_action(m12, qd)
     assert r12 == mul(r2, r1)
 
 
@@ -221,6 +220,40 @@ def test_minus_form_doubles_plus_on_genuine():
         count += 1
 
 
+def test_minus_form_is_twice_the_intersection_form_on_the_both_rows_letters():
+    # only the two cross-row cases of the entry rule apply to such letters
+    checked = 0
+    for gp in small_gps():
+        order = gp.both_rows_letters()
+        if not order:
+            continue
+        form = intersection_form(gp, order)
+        assert minus_form(gp) == tuple(tuple(2 * x for x in row)
+                                       for row in form), gp.encode()
+        assert quotient_data(gp, minus=True).form == form
+        checked += 1
+    assert checked == 8_978
+
+
+def test_an_arrow_changes_the_type_exactly_when_its_winner_is_a_duplicate():
+    arrows = duplicates = 0
+    for gp in small_gps():
+        order = gp.both_rows_letters()
+        for kind in defined_moves(gp):
+            arrow = apply_arrow(gp, kind)
+            duplicate = arrow.winner not in order
+            assert arrow.type_change == duplicate, (gp.encode(), kind)
+            if duplicate:
+                with pytest.raises(DuplicateWinner):
+                    arrow_factor(arrow, order)
+            elif arrow.loser in order and arrow.loser != arrow.winner:
+                # two both-rows letters pair: no minus factor is a reflection
+                assert not arrow_factor(arrow, order)[2]
+            arrows += 1
+            duplicates += duplicate
+    assert (arrows, duplicates) == (13_108, 2_716)
+
+
 def test_minus_walk_cases():
     # winner 4 is shared, loser 1 is shared: contributes Id + E_{14}
     mat, end = kz_walk(WITNESS, "t", minus=True)
@@ -242,6 +275,7 @@ def test_minus_switch_picks_letters_and_halved_form():
     qd = quotient_data(WITNESS, minus=True)
     assert qd.form == tuple(tuple(x // 2 for x in row)
                             for row in minus_form(WITNESS))
+    assert qd.form == intersection_form(WITNESS, ("1", "2", "3", "4"))
     assert {x for row in qd.form for x in row} == {-1, 0, 1}
     assert len(qd.basis) == 4 and not qd.kernel
     assert len(kz_walk(WITNESS, "t", minus=True)[0]) == 4

@@ -449,6 +449,15 @@ def test_class_file_flags_must_be_booleans(field, value):
         RauzyClass.from_jsonl(_set_field(text, field, value))
 
 
+def test_reverse_step_refuses_two_arrows_into_one_vertex():
+    # a class built directly, not read from a file, gets the same check
+    rc = RauzyClass((tau_sym(4), tau_sym(5)), {"t": (1, 1), "b": (None, None)},
+                    complete=True)
+    assert rc.step(0, "t") == 1
+    with pytest.raises(ValueError, match="two 't'-arrows into one vertex"):
+        rc.step(1, "T")
+
+
 @pytest.mark.parametrize("value", [-1, 516, "1", 1.0, True],
                          ids=["negative", "past-end", "str", "float", "bool"])
 def test_class_file_with_a_bad_arrow_is_refused(value):

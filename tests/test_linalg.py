@@ -168,6 +168,7 @@ def test_random_square_matrices():
 def test_empty_matrix():
     assert linalg.rank(()) == _fraction_rank(()) == 0
     assert linalg.invert_integer(()) == _fraction_invert_integer(()) == ()
+    assert linalg.det(()) == 1
 
 
 def _loop_mul(a, b):
