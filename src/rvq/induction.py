@@ -11,11 +11,13 @@ the top move on the swapped rows, so one kernel serves both.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import tempfile
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -156,6 +158,23 @@ DEFAULT_BUDGET = 10_000_000
 _FORMAT_VERSION = 2
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while a class is built.
+
+    Vertices, rows and columns hold no reference cycles, so the collector
+    finds nothing in them, yet each of its passes walks every container
+    built so far.  The collector's prior state is restored on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass(frozen=True)
 class RauzyClass:
     """A Rauzy class: its vertices, base first, and one arrow table.
@@ -210,16 +229,6 @@ class RauzyClass:
         if len(rev) != len(targets) - targets.count(None):
             raise ValueError("class has two %r-arrows into one vertex" % kind)
         return rev
-
-    def trajectory(self, walk: str, start: int = 0) -> list[Optional[int]]:
-        """The vertices a walk from vertex ``start`` visits, ``start`` first.
-        The list ends in None at the first step that has no arrow."""
-        verts: list[Optional[int]] = [start]
-        for move in walk:
-            verts.append(self.step(verts[-1], move))
-            if verts[-1] is None:
-                break
-        return verts
 
     def arrows(self) -> Iterator[tuple[int, str, int, str]]:
         """Yield (source index, kind, target index, winner)."""
@@ -293,7 +302,18 @@ class RauzyClass:
         }) + "\n"
 
     @staticmethod
+    @_collector_paused()
     def from_jsonl(text: str) -> "RauzyClass":
+        """The class a :meth:`to_jsonl` record holds.
+
+        Only the base goes through :func:`parse_gp`.  Every other vertex
+        must split on '/' into two non-empty rows whose sorted tokens are
+        the base's sorted word, and is then built unchecked.  That is no
+        weaker than parsing it: the base has at least two letters, each
+        occurring exactly twice, so any rows on its word have too.  It is
+        stricter, as a vertex on other letters, which no move makes from the
+        base, is refused.
+        """
         rec = json.loads(text)
         if rec.get("format") != _FORMAT_VERSION:
             raise ValueError("unsupported class cache format: %r"
@@ -302,23 +322,37 @@ class RauzyClass:
         if not all(type(flag) is bool for flag in flags):
             raise ValueError("class cache flags %r are not booleans"
                              % (flags,))
-        verts = tuple(parse_gp(code) for code in rec["vertices"])
-        n = len(verts)
+        codes = rec["vertices"]
+        n = len(codes)
         if not n:
             raise ValueError("class cache holds no vertices")
+        base = parse_gp(codes[0])
+        word = sorted(base.top + base.bottom)
+        verts = [base]
+        for code in codes[1:]:
+            rows = code.split("/")
+            if len(rows) == 2:
+                top, bottom = tuple(rows[0].split()), tuple(rows[1].split())
+                if top and bottom and sorted(top + bottom) == word:
+                    verts.append(_trusted(top, bottom))
+                    continue
+            raise ValueError("class cache vertex %r is not the base's "
+                             "letters in two non-empty rows" % (code,))
         table = {kind: tuple(rec[kind]) for kind in (TOP, BOTTOM)}
         for kind, targets in table.items():
             hit = [j for j in targets if j is not None]
-            if len(targets) != n or not all(
-                    type(j) is int and 0 <= j < n for j in hit):
+            if len(targets) != n or hit and (
+                    set(map(type, hit)) != {int}
+                    or min(hit) < 0 or max(hit) >= n):
                 raise ValueError("class cache %r column is not one target "
                                  "in 0..%d or null per vertex" % (kind, n - 1))
             if len(set(hit)) != len(hit):
                 raise ValueError("class cache has two %r-arrows into one "
                                  "vertex" % kind)
-        return RauzyClass(verts, table, *flags)
+        return RauzyClass(tuple(verts), table, *flags)
 
 
+@_collector_paused()
 def enumerate_class(seed: GeneralizedPermutation,
                     limit: int = DEFAULT_BUDGET,
                     *, reduced_labels: bool = False,
@@ -387,7 +421,9 @@ def load_or_enumerate(seed: GeneralizedPermutation,
     enumerated.
 
     A cache file that is unreadable, truncated, of another format, incomplete
-    or holds another class is a miss and is rebuilt.  Writers go through a
+    or holds another class is a miss and is rebuilt.  So is one of more than
+    ``limit`` vertices: the enumeration then raises ``BudgetExceeded`` as it
+    does with no file, and leaves the file in place.  Writers go through a
     unique temporary file and an atomic rename, so concurrent writers cannot
     interleave.
     """
@@ -403,7 +439,7 @@ def load_or_enumerate(seed: GeneralizedPermutation,
             rc = None
         base = seed.reduced() if reduced_labels else seed
         if (rc is not None and rc.complete and rc.base == base
-                and rc.reduced_labels == reduced_labels):
+                and rc.reduced_labels == reduced_labels and len(rc) <= limit):
             return rc
     # an unusable directory fails here, before the enumeration
     os.makedirs(cache_dir(), exist_ok=True)

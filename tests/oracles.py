@@ -6,6 +6,8 @@ they import ``conftest``:
 * ``defined_moves``: the induction moves that exist at a vertex;
 * ``reduced_by_relabel``: the reduced labels built through the checked
   ``relabel``, the oracle for ``GeneralizedPermutation.reduced``;
+* ``trajectory``: the vertices a walk visits in a class, read off its
+  arrow table;
 * ``arrow_matrix``: the matrix of one arrow's plus factor, or its inverse;
 * ``minus_form``: the +-2/0 form of the anti-invariant homology of the
   double cover on the both-rows letters, read from the letter positions:
@@ -58,6 +60,18 @@ def reduced_by_relabel(gp: GeneralizedPermutation) -> GeneralizedPermutation:
     """``gp`` relabeled by first appearance, top row first, to 0, 1, 2, ...
     through the checked constructor behind ``relabel``."""
     return gp.relabel({x: str(k) for k, x in enumerate(gp.alphabet)})
+
+
+def trajectory(rc: RauzyClass, walk: str,
+               start: int = 0) -> list[Optional[int]]:
+    """The vertices a walk from vertex ``start`` of ``rc`` visits, ``start``
+    first.  The list ends in None at the first step that has no arrow."""
+    verts: list[Optional[int]] = [start]
+    for move in walk:
+        verts.append(rc.step(verts[-1], move))
+        if verts[-1] is None:
+            break
+    return verts
 
 
 def arrow_matrix(arrow: Arrow, order: Optional[Sequence[str]] = None,
@@ -239,7 +253,7 @@ def k_completeness(base: GeneralizedPermutation, walk: str) -> int:
 def _has_border(rc: RauzyClass, walk: str) -> bool:
     """A proper prefix that is also a suffix, as walks based at the base."""
     n = len(walk)
-    verts = rc.trajectory(walk)
+    verts = trajectory(rc, walk)
     return any(walk[:size] == walk[n - size:] and verts[n - size] == 0
                for size in range(1, n))
 
@@ -277,7 +291,7 @@ def find_gamma_star(base: GeneralizedPermutation, rc: RauzyClass,
         letter = min((x for x in wins if wins[x] < k), key=str)
         segment, end = path_to_win(cur, letter)
         walk += segment
-        for step, i in zip(segment, rc.trajectory(segment, cur)):
+        for step, i in zip(segment, trajectory(rc, segment, cur)):
             wins[winner(i, step)] += 1
         cur = end
         steps_left -= 1
@@ -317,7 +331,7 @@ def directed_decomposition(base: GeneralizedPermutation, rc: RauzyClass,
     start = rc.index_of(base)
     if start is None:
         raise OpenWalk("walk must start inside the class")
-    verts = rc.trajectory(walk, start)
+    verts = trajectory(rc, walk, start)
     if None in verts:
         raise OpenWalk("walk leaves the class")
     if verts[-1] != verts[0]:

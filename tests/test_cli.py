@@ -282,6 +282,22 @@ def test_unusable_cache_dir_is_refused_before_enumerating(
     assert len(err.splitlines()) == 1 and err.startswith("FileExistsError: ")
 
 
+def test_class_budget_answer_does_not_depend_on_the_cache(capsys, tmp_path):
+    # the class has 15 vertices: a cached copy of it is refused at a budget
+    # of 5 exactly as its enumeration is, and the file is kept
+    argv = ("--cache-dir", str(tmp_path), "class", "1 2 3 4 5 / 5 4 3 2 1")
+    cold = run(capsys, *argv, "--budget", "5")
+    assert cold[0] == 1 and cold[1] == ""
+    assert cold[2].startswith("BudgetExceeded: ")
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "15 vertices" in out
+    [path] = tmp_path.iterdir()
+    cached = path.read_text()
+    assert run(capsys, *argv, "--budget", "5") == cold
+    assert path.read_text() == cached
+
+
 def _readme_commands():
     """The argument lists of the ``rvq`` lines of README's command-line
     block, comments dropped."""

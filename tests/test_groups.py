@@ -8,7 +8,8 @@ import oracles
 from oracles import (DecompositionPiece, decomposition_product,
                      directed_decomposition, find_gamma_star, k_completeness,
                      labeled_class_minus_generators_modp,
-                     minus_generators_modp, plus_generators_modp)
+                     minus_generators_modp, plus_generators_modp,
+                     trajectory)
 from rvq import groups, linalg
 from rvq.components import sigma_hyp, table1, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
@@ -173,7 +174,7 @@ def _admissible(base, rc, walk):
     """No type-changing arrow anywhere along the walk: the filter that picked
     the minus walks from the class before they were skipped at their first
     duplicate winner. Kept as the oracle."""
-    verts = rc.trajectory(walk, rc.index_of(base))
+    verts = trajectory(rc, walk, rc.index_of(base))
     return None not in verts and len(
         {len(rc.vertices[i].top) for i in verts}) == 1
 
@@ -206,7 +207,7 @@ def test_decomposition_refuses_walks_that_do_not_close_in_the_class():
     with pytest.raises(OpenWalk):
         directed_decomposition(TORUS, rc, "tb")  # starts outside the class
     part = enumerate_class(tau_sym(4), limit=5, allow_truncated=True)
-    assert part.trajectory("bt")[-1] is None
+    assert trajectory(part, "bt")[-1] is None
     with pytest.raises(OpenWalk):
         directed_decomposition(tau_sym(4), part, "bt")  # leaves the class
 
@@ -720,7 +721,7 @@ def test_a_walk_into_a_dead_end_of_a_truncated_class_is_open(limit):
     # arrows all leave it, which a random walk reaches
     base = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
     part = enumerate_class(base, limit=limit, allow_truncated=True)
-    assert any(part.trajectory("t", i)[-1] is part.trajectory("b", i)[-1]
+    assert any(trajectory(part, "t", i)[-1] is trajectory(part, "b", i)[-1]
                is None for i in range(len(part)))
     with pytest.raises(OpenWalk, match="not connected to the base"):
         rauzy_veech_group_modp(base, part, 2, cycles=1)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 
 from conftest import random_gp, small_gps
-from oracles import defined_moves, reduced_by_relabel
+from oracles import defined_moves, reduced_by_relabel, trajectory
 from rvq.components import table1, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, OpenWalk,
                         NotSuspendable, ReverseArrowMissing)
@@ -423,11 +424,21 @@ def _set_field(text, field, value, i=None):
     lambda text, other: _set_field(text, "reduced_labels", None),
     lambda text, other: _set_field(text, "reduced_labels", True),
     lambda text, other: _set_field(text, "format", 1),
+    # vertex 1 on other letters, which no move makes from the base
+    lambda text, other: _set_field(text, "vertices", "1 2 / 2 1", 1),
+    lambda text, other: _set_field(text, "vertices",
+                                   "1 2 3 4 5 / 5 4 3 2 2", 1),
+    lambda text, other: _set_field(text, "vertices",
+                                   " / 1 2 3 4 5 5 4 3 2 1", 1),
+    lambda text, other: _set_field(text, "vertices",
+                                   "1 2 3 / 4 5 5 4 / 3 2 1", 1),
+    lambda text, other: _set_field(text, "vertices", 12, 1),
 ], ids=["byte-truncated", "line-truncated", "empty", "wrong-base",
         "out-of-range-target", "duplicate-target", "short-column",
         "no-vertices", "complete-str", "complete-int", "complete-null",
         "reduced-str", "reduced-int", "reduced-null", "reduced-flag-wrong",
-        "format-1"])
+        "format-1", "vertex-on-other-letters", "vertex-letter-thrice",
+        "vertex-empty-row", "vertex-three-rows", "vertex-not-a-string"])
 def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
     seed = parse_gp("1 2 3 4 5 / 5 4 3 2 1")
@@ -439,6 +450,68 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     assert len(rc) == 15 and rc.complete and rc.to_jsonl() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     assert path.read_text() == good
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["labeled", "reduced"])
+@pytest.mark.parametrize("seed, limit", [
+    (tau_sym(4), None),
+    (tau_sym(5), None),
+    (tau_sym(6), None),
+    (parse_gp("0 A A 1 / 1 B B 0"), None),  # 516 vertices
+    (table1(1), 2000),
+], ids=["tau4", "tau5", "tau6", "0AA1", "table1-1-cut"])
+def test_class_read_back_is_the_parsed_class(seed, limit, reduced):
+    # only the base is parsed on reading; every vertex must still be the
+    # permutation its code parses to, built without a letter table
+    rc = enumerate_class(seed, limit or induction.DEFAULT_BUDGET,
+                         reduced_labels=reduced, allow_truncated=True)
+    assert rc.complete == (limit is None)
+    read = RauzyClass.from_jsonl(rc.to_jsonl())
+    assert all(v._pairs is None for v in read.vertices)
+    assert read == rc
+    assert all(v == parse_gp(v.encode()) for v in read.vertices)
+
+
+@pytest.fixture
+def collector_state():
+    """Leave the cyclic collector enabled, whatever a test did to it."""
+    yield
+    gc.enable()
+
+
+_COLLECTOR_CASES = {
+    "enumerate": lambda: enumerate_class(tau_sym(5)),
+    "read": lambda: RauzyClass.from_jsonl(
+        enumerate_class(tau_sym(5)).to_jsonl()),
+    "load": lambda: load_or_enumerate(tau_sym(5)),
+    "enumerate-budget": lambda: enumerate_class(tau_sym(5), limit=3),
+    "load-budget": lambda: load_or_enumerate(tau_sym(6), limit=3),
+    "enumerate-unsuspendable": lambda: enumerate_class(parse_gp("1 2 / 1 2")),
+    "load-unsuspendable": lambda: load_or_enumerate(parse_gp("1 2 / 1 2")),
+    "read-corrupt": lambda: RauzyClass.from_jsonl(_set_field(
+        enumerate_class(tau_sym(5)).to_jsonl(), "vertices", "1 2 / 2 1", 1)),
+}
+_COLLECTOR_ERRORS = {"enumerate-budget": BudgetExceeded,
+                     "load-budget": BudgetExceeded,
+                     "enumerate-unsuspendable": NotSuspendable,
+                     "load-unsuspendable": NotSuspendable,
+                     "read-corrupt": ValueError}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", list(_COLLECTOR_CASES))
+def test_class_building_leaves_the_collector_as_it_found_it(
+        collector_state, tmp_path, monkeypatch, case, enabled):
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+    (gc.enable if enabled else gc.disable)()
+    error = _COLLECTOR_ERRORS.get(case)
+    if error is None:
+        _COLLECTOR_CASES[case]()
+        _COLLECTOR_CASES[case]()  # a load the second time reads the file
+    else:
+        with pytest.raises(error):
+            _COLLECTOR_CASES[case]()
+    assert gc.isenabled() is enabled
 
 
 @pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "null"])
@@ -687,9 +760,9 @@ def test_trajectory_stops_where_an_arrow_is_missing():
     missing = next((i, kind) for i in range(len(rc)) for kind in "tbTB"
                    if rc.step(i, kind) is None)
     walk = rc.path_from_base(missing[0]) + missing[1] + "t"
-    verts = rc.trajectory(walk)
+    verts = trajectory(rc, walk)
     assert len(verts) == len(walk) and verts[-1] is None
-    assert rc.trajectory("") == [0]
+    assert trajectory(rc, "") == [0]
 
 
 # the class file of 1 2 3 4 / 4 3 2 1 in format 2, pinned
