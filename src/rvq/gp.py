@@ -266,26 +266,23 @@ def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
     """The first decomposition proving reducibility, or None.
 
     Returns the first witness in (i1, i2, i3, i4) order, the one a scan of
-    every cut quadruple finds.  The bottom-right corner only shrinks as i4
-    grows, so for fixed (i1, i2, i3) the admissible i4 form an interval:
-    being disjoint from the top-left corner and inside top-right plus
-    bottom-left bound it below, and containing (top-right plus bottom-left)
-    minus top-left bounds it above.  Only its lower end, found by binary
-    search on the suffix masks, needs testing, since an empty bottom-right
-    corner (i4 = l+m+1) is allowed only with an empty top-right one, which
-    is handled on its own.  The loop over i3 stops once the bottom-left
-    prefix meets the top-right corner, as that prefix only grows.  Cost:
-    O(l^2 m log m) mask operations, against O(l^2 m^2) for the full scan.
+    every cut quadruple finds.  For fixed (i1, i2), with i2 <= l, the
+    admissible i3 = l + k form one interval of k: the bottom-left prefix
+    must miss the top-right corner, which holds below the first prefix that
+    meets it (computed once for every i2), and must hold each top-left
+    letter that has left the top-right corner, which holds from the first
+    prefix with all of them (a bound that only grows with i2).  For each
+    such k the bottom-right corner must be exactly (top-right plus
+    bottom-left) minus top-left, so one table from each bottom suffix to
+    its range of i4 decides it; an empty bottom-right corner (i4 = l+m+1)
+    is allowed only with an empty top-right one, which is handled on its
+    own.  Cost: O(l^2) for the cut pairs plus O(1) per admissible i3, so
+    O(l^2 m) at worst, against O(l^2 m^2) for the full scan.
 
     Only meaningful for strict generalized permutations; genuine permutations
     use the classical prefix criterion in :func:`is_irreducible`.
     """
-    return _find_reduction(gp.top, gp.bottom)
-
-
-def _find_reduction(top: tuple[Letter, ...],
-                    bottom: tuple[Letter, ...]) -> Optional[Decomposition]:
-    """:func:`find_reduction` on the rows of a valid permutation."""
+    top, bottom = gp.top, gp.bottom
     ell, m = len(top), len(bottom)
     index = {x: k for k, x in enumerate(dict.fromkeys(top + bottom))}
     tpref, tsuf = _corner_masks(top, index)
@@ -299,37 +296,52 @@ def _find_reduction(top: tuple[Letter, ...],
         return Decomposition(a, b, c, e, tuple(map(mask_set, corners)),
                              pattern)
 
+    # the shortest bottom prefix holding a top letter, m + 1 for none
+    first = dict.fromkeys(top, m + 1)
+    for k in range(m, 0, -1):
+        first[bottom[k - 1]] = k
+    # each top letter's last top position
+    last = {x: p for p, x in enumerate(top, 1)}
+    # meets[b]: the shortest bottom prefix that meets top-right from i2 = b
+    meets = [m + 1] * (ell + 2)
+    for b in range(ell, 0, -1):
+        meets[b] = min(meets[b + 1], first[top[b - 1]])
+    # each non-empty bottom-right corner: its (lowest, highest) i4 - l
+    right: dict[int, tuple[int, int]] = {}
+    for e in range(m, 0, -1):
+        right[bsuf[e]] = (e, right.get(bsuf[e], (e, e))[1])
+    # each non-empty bottom-left corner: its lowest i3 - l
+    left = {bpref[k]: k for k in range(m, 0, -1)}
+
+    gone = 0   # lowest k holding each letter whose top copies lie before i1
     for a in range(0, ell + 1):          # i1; 0 = empty top-left
         tl = tpref[a]
+        low = gone
         for b in range(max(a, 1), ell + 1):   # i2 <= l: top-right non-empty
+            if low > m:
+                break                    # a top-left letter is in no corner
             tr = tsuf[b]
-            for k in range(0, m + 1):    # i3 = l + k; k = 0: empty bottom-left
-                bl = bpref[k]
-                if tr & bl:
-                    break                # bl only grows with i3
-                if tl & ~(bl | tr):
+            for k in range(low, meets[b]):    # i3 = l + k; 0: empty
+                span = right.get((tr | bpref[k]) & ~tl)
+                if span is None:
                     continue
-                # lower end: first suffix from max(k, 1) disjoint from `bad`
-                bad = tl | ~(tr | bl)
-                lo, hi = max(k, 1), m + 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if bsuf[mid] & bad:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                need = (tr | bl) & ~tl
-                if lo <= m and not need & ~bsuf[lo]:
+                e = max(k, 1, span[0])    # i4 = l + e
+                if e <= span[1]:
                     empty_left = (a == 0) + (k == 0)
                     pattern = ('none-empty', 'one-left', 'two-left')[empty_left]
-                    return witness(a, b, ell + k, ell + lo, pattern)
+                    return witness(a, b, ell + k, ell + e, pattern)
+            x = top[b - 1]               # leaves top-right at i2 = b + 1
+            if last[x] == b and tl >> index[x] & 1:
+                low = max(low, first[x])
         # i2 = l + 1: the pattern must be two-right, so i4 = l+m+1, i1 > 0,
         # i3 > l, and the conditions reduce to bottom-left == top-left
         if a > 0:
-            for k in range(1, m + 1):
-                if bpref[k] == tl:
-                    return witness(a, ell + 1, ell + k, ell + m + 1,
-                                   'two-right')
+            if tl in left:
+                return witness(a, ell + 1, ell + left[tl], ell + m + 1,
+                               'two-right')
+            x = top[a - 1]
+            if last[x] == a:
+                gone = max(gone, first[x])
     return None
 
 
@@ -343,7 +355,7 @@ def _is_irreducible_cached(top, bottom):
             if seen_top == seen_bot:
                 return False
         return True
-    return _find_reduction(top, bottom) is None
+    return find_reduction(_trusted(top, bottom)) is None
 
 
 def is_irreducible(gp: GeneralizedPermutation) -> bool:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import MoveUndefined, NotOmegaPreserving
 from .gp import GeneralizedPermutation, letter_positions
-from .induction import Arrow, resolve_walk
+from .induction import TOP, Arrow, resolve_walk
 from .linalg import Matrix
 
 
@@ -99,20 +99,41 @@ def letters(gp: GeneralizedPermutation,
     return gp.both_rows_letters() if minus else gp.alphabet
 
 
+def _pairs_with_winner(arrow: Arrow) -> bool:
+    """Whether the loser and the winner of ``arrow`` pair at its source
+    (a nonzero entry of the intersection form there), read off the move.
+
+    The winner w ends the acting row ``own`` and the loser l the other row.
+    When the move keeps the type, w's twin sits in ``other``, and they pair
+    when l has a copy in ``own`` or w's twin comes after l's first copy.
+    When it changes the type, w's twin sits in ``own``, and they pair when l
+    has a copy in ``own`` after that twin.
+    """
+    source, w, l = arrow.source, arrow.winner, arrow.loser
+    own, other = ((source.top, source.bottom) if arrow.kind == TOP
+                  else (source.bottom, source.top))
+    if arrow.type_change:
+        return l in own[own.index(w) + 1:]
+    return l in own or other.index(w) > other.index(l)
+
+
 def arrow_factor(arrow: Arrow, order: Sequence[str]) -> tuple:
     """The arrow's factor on the letters ``order``, as :func:`_factor` takes
     it: the loser's and the winner's index and whether it is the reflection,
-    which it is when they do not pair at the source.  A loser outside
-    ``order`` gives ``()`` (the identity); a winner outside it has no factor
-    and raises DuplicateWinner.  Two both-rows letters always pair, so on
-    them no factor is the reflection."""
+    which it is when they do not pair at the source.  The pairing is read
+    off the move, with no form built.  A fixed-point loop (the winner is the
+    loser) is flagged a reflection, as the form's zero diagonal reads, and
+    :func:`_factor` refuses it.  A loser outside ``order`` gives ``()``
+    (the identity); a winner outside it has no factor and raises
+    DuplicateWinner.  Two both-rows letters always pair, so on them no
+    factor is the reflection."""
     if arrow.winner not in order:
         raise DuplicateWinner("the %s-arrow from %s has no minus factor"
                               % (arrow.kind, arrow.source.encode()))
     if arrow.loser not in order:
         return ()
     li, wi = order.index(arrow.loser), order.index(arrow.winner)
-    return li, wi, intersection_form(arrow.source, order)[li][wi] == 0
+    return li, wi, li == wi or not _pairs_with_winner(arrow)
 
 
 def kz_walk(base: GeneralizedPermutation, walk: str, *, minus: bool = False

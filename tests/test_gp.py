@@ -13,6 +13,7 @@ from oracles import (STAR, ConventionViolated, SuspensionDatum,
 from rvq.components import table1
 from rvq.errors import (EmptyRow, LetterCountError, MalformedText,
                         MoveUndefined, ReverseArrowMissing)
+from rvq import gp as gp_module
 from rvq.gp import (Decomposition, GeneralizedPermutation, _corner_masks,
                     erase_letters, find_reduction, is_irreducible, parse_gp,
                     reduced_rows, validate)
@@ -238,8 +239,8 @@ def test_find_reduction_matches_scan_random():
     rng = random.Random(11)
     inputs = [random_gp(rng, rng.randint(2, 12)) for _ in range(1880)]
     # reversed walk steps test predecessors of class vertices: irreducible
-    # inputs, the expensive case
-    for row in (1, 7, 11):
+    # inputs, the expensive case, with d = 8-11
+    for row in (1, 7, 11, 5, 9, 12):
         cur = table1(row)
         for _ in range(40):
             while True:
@@ -260,6 +261,23 @@ def test_find_reduction_matches_scan_random():
         assert dec == _find_reduction_scan(gp), gp.encode()
         irreducible += dec is None and gp.is_strict
     assert irreducible >= 100
+
+
+def test_irreducibility_calls_find_reduction_by_its_public_name(monkeypatch):
+    # tracers and tests wrap the module's public name, so the row cache must
+    # reach the search through it, once per distinct strict rows
+    calls = []
+
+    def counted(gp):
+        calls.append(gp)
+        return find_reduction(gp)
+
+    monkeypatch.setattr(gp_module, "find_reduction", counted)
+    gp_module._is_irreducible_cached.cache_clear()
+    witness = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
+    assert is_irreducible(witness) and is_irreducible(witness)
+    assert is_irreducible(parse_gp("1 2 / 2 1"))  # genuine: prefix criterion
+    assert [(g.top, g.bottom) for g in calls] == [(witness.top, witness.bottom)]
 
 
 def test_irreducible_strict_with_suspension():

@@ -4,13 +4,16 @@ import pytest
 
 from conftest import random_gp, small_gps
 from oracles import arrow_matrix, defined_moves, minus_form
-from rvq import linalg
-from rvq.errors import MoveUndefined, NotOmegaPreserving
+from rvq import homology, linalg
+from rvq.components import table1, tau_zorich
+from rvq.errors import MoveUndefined, NotOmegaPreserving, ReverseArrowMissing
 from rvq.gp import parse_gp
+from rvq.groups import arrow_cycles, cycle_matrices
 from rvq.homology import (DuplicateWinner, QuotientData, arrow_factor,
                           intersection_form, kz_walk, letters,
                           quotient_action, quotient_data)
-from rvq.induction import apply_arrow
+from rvq.induction import (apply_arrow, enumerate_class, invert_arrow,
+                           resolve_walk)
 from rvq.linalg import identity, mul, rank, transpose
 from rvq.strata import stratum_signature
 
@@ -89,6 +92,67 @@ def test_reflection_case_det():
             assert linalg.det(mat) == (1 if om[li][wi] != 0 else -1)
             if om[li][wi] == 0:
                 seen += 1
+
+
+def _mixed_walk(base, rng, steps):
+    """A walk of ``steps`` random t, b, T and B steps from ``base``."""
+    cur, walk = base, ""
+    while len(walk) < steps:
+        op = rng.choice("tbTB")
+        try:
+            if op in "tb":
+                cur = apply_arrow(cur, op).target
+            else:
+                cur = invert_arrow(cur, op.lower()).source
+        except (MoveUndefined, ReverseArrowMissing):
+            continue
+        walk += op
+    return walk
+
+
+def test_arrow_factor_matches_the_form():
+    # the reflection flag is read off the move; the form's entry is the
+    # oracle, on every defined arrow of the small permutations (fixed-point
+    # loops included, flagged by the form's zero diagonal) and on the arrows
+    # of random mixed walks from Table-1 rows
+    def check(arrow):
+        order = arrow.source.alphabet
+        li, wi = order.index(arrow.loser), order.index(arrow.winner)
+        reflection = intersection_form(arrow.source)[li][wi] == 0
+        assert arrow_factor(arrow, order) == (li, wi, reflection), \
+            (arrow.source.encode(), arrow.kind)
+        return reflection
+
+    arrows = reflections = loops = 0
+    for gp in small_gps():
+        for kind in defined_moves(gp):
+            arrow = apply_arrow(gp, kind)
+            reflections += check(arrow)
+            loops += arrow.winner == arrow.loser
+            arrows += 1
+    assert (arrows, reflections, loops) == (13_108, 6_996, 2_136)
+    rng = random.Random(61)
+    walked = 0
+    for row in (1, 7, 11):
+        base = table1(row)
+        for _ in range(20):
+            for arrow, _ in resolve_walk(base, _mixed_walk(base, rng, 50)):
+                reflections += check(arrow)
+                walked += 1
+    assert walked == 3_000 and reflections > 6_996
+
+
+def test_walk_and_cycle_matrices_build_no_form():
+    # every factor is read off its move, so neither path builds a form
+    base = table1(7)
+    walk = _mixed_walk(base, random.Random(67), 50)
+    assert set(walk) == set("tbTB")
+    rc = enumerate_class(tau_zorich(3))
+    cycles = arrow_cycles(rc)
+    homology._intersection_form.cache_clear()
+    kz_walk(base, walk)
+    cycle_matrices(rc, cycles)
+    assert homology._intersection_form.cache_info().misses == 0
 
 
 def test_walk_products():
