@@ -36,6 +36,13 @@ def _positive_int_arg(text):
     return n
 
 
+def _cache_dir_arg(text):
+    if not text:
+        raise argparse.ArgumentTypeError(
+            "expected a directory path; --no-cache turns the cache off")
+    return text
+
+
 def _walk_arg(text):
     bad = sorted(set(text) - set("tbTB"))
     if bad:
@@ -133,15 +140,14 @@ def cmd_class(args):
     rec = {"base": rc.base.encode(), "vertices": len(rc),
            "arrows": rc.arrow_count(), "complete": rc.complete,
            "reduced": rc.reduced_labels}
+    if args.dot and args.dot != "-":
+        # before the summary, so that an unusable path prints nothing
+        with open(args.dot, "w") as fh:
+            fh.write(induction.export_graph(rc))
     _emit(args, rec, "class of %s: %d vertices, %d arrows, complete=%s"
           % (rc.base.encode(), len(rc), rc.arrow_count(), rc.complete))
-    if args.dot:
-        text = induction.export_graph(rc)
-        if args.dot == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.dot, "w") as fh:
-                fh.write(text)
+    if args.dot == "-":
+        sys.stdout.write(induction.export_graph(rc))
     return 0
 
 
@@ -283,7 +289,7 @@ def _common_flags(parser, suppress=False):
                         default=d if suppress else induction.DEFAULT_BUDGET,
                         help="vertex budget for class enumerations (for "
                              "search: extension candidates examined)")
-    parser.add_argument("--cache-dir",
+    parser.add_argument("--cache-dir", type=_cache_dir_arg,
                         default=d if suppress else None,
                         help="class cache directory (default ./.rvq-cache)")
     parser.add_argument("--no-cache", action="store_true",

@@ -10,9 +10,8 @@ enumerated class of a trusted representative; otherwise it stays "unknown".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (CriterionInapplicable, OutOfRange, RVQError,
                      UnknownLabel)
@@ -116,8 +115,7 @@ GENUS3_WITNESSES = (
 )
 
 
-@dataclass(frozen=True)
-class Table1Row:
+class Table1Row(NamedTuple):
     number: int
     start: str
     end_orders: tuple[int, ...]
@@ -284,8 +282,7 @@ def identify_component(gp: GeneralizedPermutation,
 # extension-table verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(NamedTuple):
     row: int
     start: str
     end_orders: tuple[int, ...]

@@ -7,15 +7,14 @@ cover genus follows from the order sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistentGenus
 from .gp import GeneralizedPermutation
 from .strata import StratumSignature, stratum_signature
 
 
-@dataclass(frozen=True)
-class CoverStratum:
+class CoverStratum(NamedTuple):
     orders: tuple[int, ...]   # orders of zeros on the cover (0 = marked point)
     genus: int
     base: StratumSignature

@@ -12,8 +12,7 @@ so it has a stratum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (AlphabetMismatch, BudgetExceeded, CaseUnmatched,
                      IllegalPosition, MoveUndefined, NotSplittable,
@@ -26,8 +25,7 @@ from .strata import orbit_order, stratum_signature, turning_orbits
 RowSlot = tuple[str, int]  # ('top'|'bottom', 1-based index in the result row)
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(NamedTuple):
     base: GeneralizedPermutation
     extended: GeneralizedPermutation
     letter: str
@@ -121,8 +119,7 @@ def fresh_letter(taken: Iterable[str]) -> str:
 # singularity splitting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(NamedTuple):
     witness: ExtensionWitness
     orders: tuple[int, int]           # (m11, m12)
     orbit_reps: tuple[int, int]       # a position inside each new orbit

@@ -7,26 +7,38 @@ the usual formulas. All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import EmptyRow, LetterCountError, MalformedText, NotSuspendable
 
 Letter = str
 
 
-@dataclass(frozen=True, slots=True)
-class GeneralizedPermutation:
-    top: tuple[Letter, ...]
-    bottom: tuple[Letter, ...]
-    _pairs: Optional[dict[Letter, tuple[int, int]]] = field(
-        default=None, init=False, repr=False, compare=False)
+class _Frozen:
+    """Refuses to set or delete an attribute: a subclass fills each of its
+    slots once, through the slot's own descriptor."""
 
-    def __post_init__(self):
-        if not self.top or not self.bottom:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class GeneralizedPermutation(_Frozen):
+    """Two rows of letters, each letter occurring twice.  Equal and hashed
+    by its rows; ``_pairs`` holds the letter table of :attr:`pairs` once
+    built."""
+
+    __slots__ = ("top", "bottom", "_pairs")
+
+    def __init__(self, top: tuple[Letter, ...], bottom: tuple[Letter, ...]):
+        if not top or not bottom:
             raise EmptyRow("both rows must be non-empty")
-        word = self.top + self.bottom
+        word = top + bottom
         counts: dict[Letter, int] = {}
         for x in word:
             counts[x] = counts.get(x, 0) + 1
@@ -36,6 +48,24 @@ class GeneralizedPermutation:
                 "letters must occur exactly twice: %s" % ", ".join(bad))
         if len(counts) < 2:
             raise LetterCountError("alphabet must contain at least 2 letters")
+        _set_top(self, top)
+        _set_bottom(self, bottom)
+        _set_pairs(self, None)
+
+    def __eq__(self, other):
+        if other.__class__ is not GeneralizedPermutation:
+            return NotImplemented
+        return self.top == other.top and self.bottom == other.bottom
+
+    def __hash__(self):
+        return hash((self.top, self.bottom))
+
+    def __repr__(self):
+        return "GeneralizedPermutation(top=%r, bottom=%r)" % (self.top,
+                                                              self.bottom)
+
+    def __reduce__(self):
+        return GeneralizedPermutation, (self.top, self.bottom)
 
     # -- basic geometry -------------------------------------------------
 
@@ -73,7 +103,7 @@ class GeneralizedPermutation:
         table = self._pairs
         if table is None:
             table = letter_positions(self.top + self.bottom)
-            object.__setattr__(self, '_pairs', table)
+            _set_pairs(self, table)
         return table
 
     def positions(self, x: Letter) -> tuple[int, int]:
@@ -143,7 +173,7 @@ class GeneralizedPermutation:
         return _trusted(*reduced_rows(self.top, self.bottom))
 
 
-# the slots' own setters, which the frozen class's __setattr__ would refuse
+# the slots' own setters, which the class's __setattr__ refuses
 _new = object.__new__
 _set_top = GeneralizedPermutation.top.__set__
 _set_bottom = GeneralizedPermutation.bottom.__set__
@@ -207,8 +237,7 @@ def parse_gp(text: str) -> GeneralizedPermutation:
 # validity report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     is_genuine: bool
     is_strict: bool
     convention_ok: bool
@@ -233,8 +262,7 @@ def validate(gp: GeneralizedPermutation) -> ValidityReport:
 # reducibility
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A corner decomposition witnessing reducibility.
 
     Cut indices follow the prefix/suffix convention: the top-left corner is

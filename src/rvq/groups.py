@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import (CriterionInapplicable, NonDividingOrder,
@@ -53,8 +52,7 @@ def sp_order(g: int, p: int) -> int:
 # images over F_p
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(NamedTuple):
     """The mod-p image; ``base_length`` is the number of base points of its
     stabilizer chain on the nonzero vectors.  ``exact`` is set when the
     order is that of the image of the group of all closed walks at the base,
@@ -436,5 +434,5 @@ def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
         walks += random_directed_cycles(rc, count=cycles, maxlen=maxlen,
                                         seed=seed)
     gens = _quotient_generators(cycle_matrices(rc, walks, minus=minus), p, qd)
-    return replace(modp_closure(gens, p, qd.reduced_form),
-                   exact=covered and rc.complete)
+    return modp_closure(gens, p, qd.reduced_form)._replace(
+        exact=covered and rc.complete)

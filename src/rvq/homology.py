@@ -8,9 +8,8 @@ arithmetic is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import MoveUndefined, NotOmegaPreserving
@@ -164,8 +163,7 @@ def kz_walk(base: GeneralizedPermutation, walk: str, *, minus: bool = False
 # quotient by the kernel of the form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(NamedTuple):
     """A fixed integral basis of the quotient lattice by ker of the form.
 
     ``basis`` rows span a complement of the kernel; ``kernel`` rows span the

@@ -18,13 +18,12 @@ import os
 import tempfile
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import (BudgetExceeded, MoveUndefined, OpenWalk,
                      ReverseArrowMissing, RVQError)
-from .gp import (GeneralizedPermutation, _trusted, is_irreducible, parse_gp,
-                 reduced_rows, require_suspendable)
+from .gp import (GeneralizedPermutation, _Frozen, _trusted, is_irreducible,
+                 parse_gp, reduced_rows, require_suspendable)
 
 TOP = 't'
 BOTTOM = 'b'
@@ -175,20 +174,37 @@ def _collector_paused():
             gc.enable()
 
 
-@dataclass(frozen=True)
-class RauzyClass:
+class RauzyClass(_Frozen):
     """A Rauzy class: its vertices, base first, and one arrow table.
 
     ``table[kind]`` holds the targets of the kind's arrows: entry i is the
     index of the vertex the arrow from vertex i leads to, None where vertex i
     has no such arrow.  An arrow's winner is not stored; it is the last
-    letter of the acting row of its source.
+    letter of the acting row of its source.  Equal by its four fields, and
+    unhashable, as its table is a dict.
     """
 
-    vertices: tuple[GeneralizedPermutation, ...]
-    table: dict[str, tuple[Optional[int], ...]]
-    complete: bool
-    reduced_labels: bool = False
+    __slots__ = ("vertices", "table", "complete", "reduced_labels", "_memos")
+
+    def __init__(self, vertices: tuple[GeneralizedPermutation, ...],
+                 table: dict[str, tuple[Optional[int], ...]],
+                 complete: bool, reduced_labels: bool = False):
+        for name, value in zip(self.__slots__, (vertices, table, complete,
+                                                reduced_labels, {})):
+            object.__setattr__(self, name, value)
+
+    def _state(self):
+        return self.vertices, self.table, self.complete, self.reduced_labels
+
+    def __eq__(self, other):
+        if other.__class__ is not RauzyClass:
+            return NotImplemented
+        return self._state() == other._state()
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return RauzyClass, self._state()
 
     @property
     def base(self) -> GeneralizedPermutation:
@@ -200,7 +216,7 @@ class RauzyClass:
     def _memo(self, key: str, build):
         """Data derived from the table (index, trees, reverse maps), built on
         first use and kept with the class."""
-        memo = self.__dict__.setdefault('_memos', {})
+        memo = self._memos
         if key not in memo:
             memo[key] = build()
         return memo[key]

@@ -9,7 +9,7 @@ intersection form mod 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import homology, linalg
 from .errors import CriterionInapplicable, InconsistentGenus
@@ -52,8 +52,7 @@ def turning_orbits(gp: GeneralizedPermutation) -> list[tuple[int, ...]]:
     return orbits
 
 
-@dataclass(frozen=True)
-class StratumSignature:
+class StratumSignature(NamedTuple):
     """Integer orders (quadratic convention), sorted descending."""
     orders: tuple[int, ...]
     genus: int

@@ -262,10 +262,27 @@ def test_unusable_path_is_one_line_error(capsys, tmp_path, argv, error):
     components._hyperelliptic_class.cache_clear()
     file = tmp_path / "file"
     file.write_text("")
-    code, _, err = run(capsys, *(a.format(file=file, tmp=tmp_path)
-                                 for a in argv))
-    assert code == 1
+    code, out, err = run(capsys, *(a.format(file=file, tmp=tmp_path)
+                                   for a in argv))
+    assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(error + ": ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cache-dir", "", "class", "1 2 / 2 1"],
+    ["class", "1 2 / 2 1", "--cache-dir", ""],
+], ids=["before-the-command", "after-the-command"])
+def test_empty_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                          argv):
+    # an empty path would fall back to ./.rvq-cache or $RVQ_CACHE_DIR
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path / "inherited"))
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert len(err.splitlines()) == 1 and "argument --cache-dir" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unusable_cache_dir_is_refused_before_enumerating(

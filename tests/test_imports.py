@@ -1,8 +1,10 @@
 """The library depends only on the standard library, and never on the test
-oracles."""
+oracles; importing the CLI loads neither `dataclasses` nor `inspect`."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -28,3 +30,13 @@ def test_library_imports_only_the_standard_library(path):
         for name in named:
             assert not {"oracles", "tests"} & set(name.split(".")), \
                 (path.name, name)
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # both cost start-up time in every command's fresh process
+    code = ("import sys, rvq.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout == "[]\n"
