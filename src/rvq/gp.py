@@ -291,10 +291,14 @@ def _corner_masks(row: Sequence[Letter], index: Mapping[Letter, int]):
 
 
 def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
-    """The first decomposition proving reducibility, or None.
+    """The first decomposition proving that a strict generalized permutation
+    is reducible, or None (genuine ones use :func:`is_irreducible`).
 
     Returns the first witness in (i1, i2, i3, i4) order, the one a scan of
-    every cut quadruple finds.  For fixed (i1, i2), with i2 <= l, the
+    every cut quadruple finds.  Its top corners may share a position
+    (i2 = i1), as may its bottom ones (i4 = i3), but on input that keeps
+    the convention a witness without either exists whenever one does
+    (checked for every d <= 6).  For fixed (i1, i2), with i2 <= l, the
     admissible i3 = l + k form one interval of k: the bottom-left prefix
     must miss the top-right corner, which holds below the first prefix that
     meets it (computed once for every i2), and must hold each top-left
@@ -306,9 +310,6 @@ def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
     is allowed only with an empty top-right one, which is handled on its
     own.  Cost: O(l^2) for the cut pairs plus O(1) per admissible i3, so
     O(l^2 m) at worst, against O(l^2 m^2) for the full scan.
-
-    Only meaningful for strict generalized permutations; genuine permutations
-    use the classical prefix criterion in :func:`is_irreducible`.
     """
     top, bottom = gp.top, gp.bottom
     ell, m = len(top), len(bottom)

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 import random
 from itertools import islice
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import (CriterionInapplicable, NonDividingOrder,
                      NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from .gp import GeneralizedPermutation
-from .homology import (QuotientData, _factor, arrow_factor, letters,
-                       quotient_action, quotient_data)
+from .homology import (_factor, arrow_factor, letters, quotient_action,
+                       quotient_data)
 from .induction import (DEFAULT_BUDGET, RauzyClass, TOP, BOTTOM, apply_arrow,
                         enumerate_class)
 from .linalg import Matrix
@@ -75,9 +75,8 @@ def modp_closure(generators: Sequence[Matrix], p: int,
     intersection form on the both-rows letters). The order is exact:
     deterministic Schreier-Sims on the action of the generators on the
     p^n - 1 nonzero row vectors of F_p^n, which is faithful. No group
-    element is stored; only the
-    stabilizer chain with its transversals. Raises ValueError unless p is a
-    prime.
+    element is stored, only the stabilizer chain with its transversals.
+    Raises ValueError unless p is a prime.
     """
     _require_prime(p)
     n = len(form)
@@ -376,17 +375,42 @@ def cycle_matrices(rc: RauzyClass, walks: Sequence[str], *,
     return mats
 
 
-def _quotient_generators(mats: Iterable[Matrix], p: int,
-                         qd: QuotientData) -> list[Matrix]:
-    """Cycle matrices pushed to the quotient of ``qd``, distinct mod p.
+def harvest(rc: RauzyClass, *, cycles: int, maxlen: int, seed: int,
+            minus: bool) -> tuple[Iterator[Matrix], bool]:
+    """The :func:`cycle_matrices` of one cycle per arrow at the base of ``rc``
+    for at most ``4 * cycles`` arrows, built as they are read (bad input
+    raises then; :func:`image_modp`'s genus-0 refusal costs none), and
+    whether they generate all closed walks at the base, as they do, with
+    their inverses, when they cover every arrow of a complete class.  If they
+    miss one, ``cycles`` random directed cycles of length at most ``maxlen``
+    from ``seed`` join them; ``cycles`` below 1 raises ValueError."""
+    if cycles < 1:
+        raise ValueError("cycles must be at least 1, got %r" % (cycles,))
+    covered = rc.arrow_count() <= 4 * cycles
 
-    Each is checked exactly, but only one new mod p is pushed down: the
-    basis change is integral, so the result mod p depends on it mod p only.
-    """
+    def matrices():
+        walks = arrow_cycles(rc, cap=4 * cycles)
+        if not covered:
+            walks += random_directed_cycles(rc, count=cycles, maxlen=maxlen,
+                                            seed=seed)
+        yield from cycle_matrices(rc, walks, minus=minus)
+    return matrices(), covered and rc.complete
+
+
+def image_modp(base: GeneralizedPermutation, matrices: Iterable[Matrix],
+               p: int, *, minus: bool = False) -> ClosureResult:
+    """The mod-p image of the group that cycle matrices at ``base`` span, on
+    the quotient of the intersection form on ``letters(base, minus)``, with
+    no class.  Each matrix is checked exactly, but only one new mod p is
+    pushed down (the basis change is integral).  ``exact`` stays False: only
+    the matrices' source knows.  Genus 0 raises CriterionInapplicable before
+    any is read, one off the form NotOmegaPreserving, a non-prime ValueError."""
+    qd = quotient_data(base, minus=minus)
+    if not qd.reduced_form:
+        raise CriterionInapplicable("%s has genus 0: no group" % base.encode())
     _require_prime(p)
-    gens = []
-    seen, kept = set(), set()
-    for mat in mats:
+    gens, seen, kept = [], set(), set()
+    for mat in matrices:
         key = linalg.mat_mod(mat, p)
         if key in seen:
             if not linalg.preserves_form(mat, qd.form):
@@ -398,41 +422,18 @@ def _quotient_generators(mats: Iterable[Matrix], p: int,
         if key not in kept:
             kept.add(key)
             gens.append(red)
-    return gens
+    return modp_closure(gens, p, qd.reduced_form)
 
 
 def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,
                            p: int = 2, *, cycles: int = 200, maxlen: int = 60,
                            seed: int = 0, minus: bool = False) -> ClosureResult:
-    """Harvest cycles at the base vertex of the labeled class ``rc`` and
-    close their matrices mod p.
-
-    The harvest is one cycle per arrow, for at most ``4 * cycles`` arrows.
-    When that covers every arrow, these cycles generate the group of all
-    closed walks at the base: every such walk is a product of them and their
-    inverses.  Then nothing else is harvested, and on a complete class the
-    result is ``exact``.  Otherwise ``cycles`` random directed cycles of
-    length at most ``maxlen``, drawn from ``seed``, are added, and the order
-    is a lower bound.  With ``minus``, ``rc`` is the
-    :func:`admissible_component`, and the result is the image of the group
-    of admissible closed walks at the base on the quotient of the
-    intersection form on the both-rows letters: a subgroup of the minus
-    Rauzy-Veech group, so its finite index gives the latter's.  Bad input
-    raises as :func:`cycle_matrices` does, ``cycles`` below 1 ValueError,
-    and genus 0 CriterionInapplicable.
-    """
-    if cycles < 1:
-        raise ValueError("cycles must be at least 1, got %r" % (cycles,))
+    """:func:`image_modp` of the :func:`harvest` of the labeled class ``rc``
+    at ``base`` (else OpenWalk), ``exact`` when it generates.  With ``minus``,
+    ``rc`` is the :func:`admissible_component`, whose image is a subgroup of
+    the minus Rauzy-Veech group, so its finite index gives the latter's."""
     if rc.vertices[0] != base:
         raise OpenWalk("%s is not the base of the class" % base.encode())
-    qd = quotient_data(base, minus=minus)
-    if not qd.reduced_form:
-        raise CriterionInapplicable("%s has genus 0: no group" % base.encode())
-    covered = rc.arrow_count() <= 4 * cycles
-    walks = arrow_cycles(rc, cap=4 * cycles)
-    if not covered:
-        walks += random_directed_cycles(rc, count=cycles, maxlen=maxlen,
-                                        seed=seed)
-    gens = _quotient_generators(cycle_matrices(rc, walks, minus=minus), p, qd)
-    return modp_closure(gens, p, qd.reduced_form)._replace(
-        exact=covered and rc.complete)
+    mats, generates = harvest(rc, cycles=cycles, maxlen=maxlen, seed=seed,
+                              minus=minus)
+    return image_modp(base, mats, p, minus=minus)._replace(exact=generates)

@@ -21,7 +21,7 @@ they import ``conftest``:
 * the plus and minus generators of cycles walked from the base with
   ``kz_walk`` and ``kz_walk(..., minus=True)``, each checked by the full
   product M·Ω·Mᵀ and conjugated into the quotient basis: the oracle for
-  ``groups.cycle_matrices`` and ``groups._quotient_generators``;
+  ``groups.cycle_matrices`` and ``groups.image_modp``;
 * the minus generators harvested from the labeled class, the route
   ``group --minus`` took before it walked the admissible component: the
   oracle for ``groups.admissible_component``.

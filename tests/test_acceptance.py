@@ -11,7 +11,9 @@ import random
 import pytest
 
 from oracles import (arrow_matrix, decomposition_product, defined_moves,
-                     directed_decomposition, minus_form, plus_generators_modp)
+                     directed_decomposition, minus_form, minus_generators_modp,
+                     plus_generators_modp)
+from rvq import groups, induction
 from rvq.components import (GENUS2_WITNESSES, identify_component, sigma_hyp,
                             sigma_zorich, table1, table1_rows, tau_sym,
                             tau_zorich, verify_extension_table)
@@ -19,7 +21,8 @@ from rvq.errors import MoveUndefined, ReverseArrowMissing
 from rvq.extensions import (extend_arrow, split_even_zero, split_singularity,
                             witness_from)
 from rvq.gp import erase_letters, parse_gp
-from rvq.groups import (arrow_cycles, modp_closure, random_directed_cycles,
+from rvq.groups import (admissible_component, arrow_cycles, image_modp,
+                        modp_closure, random_directed_cycles,
                         rauzy_veech_group_modp, sp_order)
 from rvq.homology import intersection_form, kz_walk
 from rvq.induction import apply_arrow, invert_arrow, load_or_enumerate
@@ -259,8 +262,9 @@ def test_criterion_7_mod2_indices():
            % res_h2.index)
 
 
-def _admissible_cycles(rng, want):
-    """Closed walks at the witness avoiding duplicate-letter winners."""
+def _lifted_cycles():
+    """Closed walks at the witness lifted from 40 random cycles of
+    tau = H(2) through the two simple extensions tau -> mid -> witness."""
     from rvq.extensions import extend_walk
     tau = erase_letters(WITNESS, {"A", "B"})
     mid = erase_letters(WITNESS, {"A"})
@@ -279,6 +283,12 @@ def _admissible_cycles(rng, want):
             if cur2.extended == WITNESS:
                 closed.append(walk)
                 break
+    return closed
+
+
+def _admissible_cycles(rng, want):
+    """Closed walks at the witness avoiding duplicate-letter winners."""
+    closed = _lifted_cycles()
     assert len(closed) >= 10
     out = []
     while len(out) < want:
@@ -371,3 +381,38 @@ def test_criterion_10_genus4_mod2_images():
     assert res.order == 362_880 == math.factorial(9)
     report(10, "genus-4 mod-2 images: H(6)^odd index 120, H(6)^even "
                "index 136, H(6)^hyp order 9!")
+
+
+def test_criterion_11_lifted_cycles_close_without_a_class(monkeypatch):
+    # tau's group lies in the witness's under the inclusion of the simple
+    # extensions: the lifted walks' matrices close through image_modp
+    # alone, with no class of the witness (1,739,520 labeled vertices)
+    walks = _lifted_cycles()
+    assert len(walks) == 40
+    # the 19-vertex admissible component only feeds the comparison below
+    comp = admissible_component(WITNESS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("image_modp enumerated a class")
+
+    for minus, oracle in ((True, minus_generators_modp),
+                          (False, plus_generators_modp)):
+        mats = []
+        for walk in walks:
+            mat, end = kz_walk(WITNESS, walk, minus=minus)
+            assert end == WITNESS
+            mats.append(mat)
+        for p, index in ((2, 6), (3, 1)):
+            # plus, mod 2: index 6 in Sp(4, F_2) is S_5, the image of tau
+            with monkeypatch.context() as m:
+                m.setattr(groups, "enumerate_class", refuse)
+                m.setattr(induction, "enumerate_class", refuse)
+                res = image_modp(WITNESS, mats, p, minus=minus)
+            assert (res.genus, res.index, res.exact) == (2, index, False)
+            gens, form = oracle(WITNESS, walks, p)
+            assert res == modp_closure(gens, p, form)
+            if minus:
+                full = rauzy_veech_group_modp(WITNESS, comp, p, minus=True)
+                assert full.exact and full.order % res.order == 0
+    report(11, "40 lifted cycles close without a class of the witness: "
+               "minus and plus index 6 mod 2, 1 mod 3")

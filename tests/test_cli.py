@@ -325,25 +325,120 @@ def _readme_commands():
             for line in block.splitlines() if line.startswith("rvq ")]
 
 
+# each README command's exit code, stdout and stderr, in README order
+README_OUTPUTS = [
+    (0, "Q(6,-1,-1) genus=2\n", ""),
+    (1, "", "LetterCountError: letters must occur exactly twice: 2\n"),
+    (0, "class of 0 A A 1 / 1 B B 0: 516 vertices, 816 arrows, "
+        "complete=True\n", ""),
+    (0, "letters: 1 2\n0 -1\n1 3\nend: 1 2 / 2 1\n", ""),
+    (0, "letters: 1 2 3 4\n1 0 0 1\n0 1 0 0\n0 0 1 0\n0 1 0 1\n"
+        "end: 1 2 4 3 A A / 4 1 3 B B 2\n", ""),
+    (0, "H(3,3) + 2 marked genus=4 minus_eligible=True\n", ""),
+    (0, "C 1 C 2 3 A A 4 / 4 3 B B 2 1  [Q(3,3,-1,-1) genus=2]\n", ""),
+    (0, "0 A A 1 2 3 / B B 3 2 1 0  [Q(6,-1,-1) genus=2]\n", ""),
+    (0, "1 A A 2 3 4 / 4 B B 3 2 1\n"
+        "1 A A 2 3 4 / 4 3 B B 2 1\n"
+        "1 2 A A 3 4 / B B 4 3 2 1\n"
+        "1 2 A A 3 4 / B 4 3 2 B 1\n"
+        "4 witness chain(s)\n", ""),
+    (0, "H(4)^odd\n", ""),
+    (0, "mod-2 closure: order 51840, index 28 in Sp(6, F_2) "
+        "[exact: 129 generators from one cycle per arrow]\n", ""),
+    (0, "mod-2 closure: order 120, index 6 in Sp(4, F_2) "
+        "[exact: 8 generators from one cycle per admissible arrow]\n", ""),
+    (0, "row  1: H(4)^hyp -> Q(6,3,-1)^reg: PASS\n"
+        "row  2: H(4)^odd -> Q(6,3,-1)^reg: PASS\n"
+        "row  3: H(4)^hyp -> Q(6,3,-1)^irr: PASS\n"
+        "row  4: H(4)^odd -> Q(6,3,-1)^irr: PASS\n"
+        "row  5: H(3,1) -> Q(3,3,3,-1)^reg: PASS\n"
+        "row  6: H(3,1) -> Q(3,3,3,-1)^irr: PASS\n"
+        "row  7: H(6)^even -> Q(6,3,3)^reg: PASS\n"
+        "row  8: H(6)^odd -> Q(6,3,3)^reg: PASS\n"
+        "row  9: H(6)^even -> Q(6,3,3)^irr: PASS\n"
+        "row 10: H(6)^odd -> Q(6,3,3)^irr: PASS\n"
+        "row 11: H(3,3)^nonhyp -> Q(3,3,3,3)^reg: PASS\n"
+        "row 12: H(3,3)^nonhyp -> Q(3,3,3,3)^irr: PASS\n", ""),
+]
+
+
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path / "cache"))
     commands = _readme_commands()
-    assert len(commands) == 13
-    printed = {}
-    for argv in commands:
-        code, out, err = run(capsys, *argv)
-        assert code == (1 if argv[0] == "validate" else 0), argv
-        printed[argv[0]] = printed.get(argv[0], "") + out + err
-    assert printed["stratum"] == "Q(6,-1,-1) genus=2\n"
-    assert printed["validate"].startswith("LetterCountError: ")
-    assert printed["identify"] == "H(4)^odd\n"
-    assert printed["group"].endswith(
-        "mod-2 closure: order 120, index 6 in Sp(4, F_2) "
-        "[exact: 8 generators from one cycle per admissible arrow]\n")
-    lines = printed["verify-table"].splitlines()
-    assert len(lines) == 12 and all(ln.endswith(": PASS") for ln in lines)
+    assert len(commands) == len(README_OUTPUTS) == 13
+    for argv, want in zip(commands, README_OUTPUTS):
+        assert run(capsys, *argv) == want, argv
     assert (tmp_path / "out.dot").read_text().startswith("digraph rauzy {")
+
+
+# ``group`` on the seven bases of the group benchmark, and on the witness
+# with --minus: the arguments, the line it prints and the line with --json
+GROUP_OUTPUTS = [
+    (("0 1 / 1 0", "--mod", "2"),
+     "mod-2 closure: order 6, index 1 in Sp(2, F_2) [exact: 2 generators from "
+     "one cycle per arrow]\n",
+     '{"base_length": 2, "cycles": 200, "exact": true, "generators": 2, '
+     '"genus": 1, "gp": "0 1 / 1 0", "index": 1, "maxlen": 60, "minus": '
+     'false, "order": 6, "p": 2, "seed": 0}\n'),
+    (("0 1 2 3 / 3 2 1 0", "--mod", "2"),
+     "mod-2 closure: order 120, index 6 in Sp(4, F_2) [exact: 8 generators "
+     "from one cycle per arrow]\n",
+     '{"base_length": 3, "cycles": 200, "exact": true, "generators": 8, '
+     '"genus": 2, "gp": "0 1 2 3 / 3 2 1 0", "index": 6, "maxlen": 60, '
+     '"minus": false, "order": 120, "p": 2, "seed": 0}\n'),
+    (("0 1 2 3 / 3 2 1 0", "--mod", "3"),
+     "mod-3 closure: order 51840, index 1 in Sp(4, F_3) [exact: 8 generators "
+     "from one cycle per arrow]\n",
+     '{"base_length": 4, "cycles": 200, "exact": true, "generators": 8, '
+     '"genus": 2, "gp": "0 1 2 3 / 3 2 1 0", "index": 1, "maxlen": 60, '
+     '"minus": false, "order": 51840, "p": 3, "seed": 0}\n'),
+    (("0 1 2 3 4 / 4 3 2 1 0", "--mod", "2"),
+     "mod-2 closure: order 720, index 1 in Sp(4, F_2) [exact: 16 generators "
+     "from one cycle per arrow]\n",
+     '{"base_length": 4, "cycles": 200, "exact": true, "generators": 16, '
+     '"genus": 2, "gp": "0 1 2 3 4 / 4 3 2 1 0", "index": 1, "maxlen": 60, '
+     '"minus": false, "order": 720, "p": 2, "seed": 0}\n'),
+    (("0 1 2 3 4 / 4 3 2 1 0", "--mod", "3"),
+     "mod-3 closure: order 51840, index 1 in Sp(4, F_3) [exact: 16 generators "
+     "from one cycle per arrow]\n",
+     '{"base_length": 4, "cycles": 200, "exact": true, "generators": 16, '
+     '"genus": 2, "gp": "0 1 2 3 4 / 4 3 2 1 0", "index": 1, "maxlen": 60, '
+     '"minus": false, "order": 51840, "p": 3, "seed": 0}\n'),
+    (("0 1 2 3 4 5 / 5 4 3 2 1 0", "--mod", "2"),
+     "mod-2 closure: order 5040, index 288 in Sp(6, F_2) [exact: 32 "
+     "generators from one cycle per arrow]\n",
+     '{"base_length": 5, "cycles": 200, "exact": true, "generators": 32, '
+     '"genus": 3, "gp": "0 1 2 3 4 5 / 5 4 3 2 1 0", "index": 288, "maxlen": '
+     '60, "minus": false, "order": 5040, "p": 2, "seed": 0}\n'),
+    (("0 1 2 3 5 6 / 3 2 6 5 1 0", "--mod", "2"),
+     "mod-2 closure: order 51840, index 28 in Sp(6, F_2) [exact: 129 "
+     "generators from one cycle per arrow]\n",
+     '{"base_length": 5, "cycles": 200, "exact": true, "generators": 129, '
+     '"genus": 3, "gp": "0 1 2 3 5 6 / 3 2 6 5 1 0", "index": 28, "maxlen": '
+     '60, "minus": false, "order": 51840, "p": 2, "seed": 0}\n'),
+    (("1 2 3 A A 4 / 4 3 B B 2 1", "--mod", "2", "--minus"),
+     "mod-2 closure: order 120, index 6 in Sp(4, F_2) [exact: 8 generators "
+     "from one cycle per admissible arrow]\n",
+     '{"base_length": 3, "cycles": 200, "exact": true, "generators": 8, '
+     '"genus": 2, "gp": "1 2 3 A A 4 / 4 3 B B 2 1", "index": 6, "maxlen": '
+     '60, "minus": true, "order": 120, "p": 2, "seed": 0}\n'),
+    (("1 2 3 A A 4 / 4 3 B B 2 1", "--mod", "3", "--minus"),
+     "mod-3 closure: order 51840, index 1 in Sp(4, F_3) [exact: 8 generators "
+     "from one cycle per admissible arrow]\n",
+     '{"base_length": 4, "cycles": 200, "exact": true, "generators": 8, '
+     '"genus": 2, "gp": "1 2 3 A A 4 / 4 3 B B 2 1", "index": 1, "maxlen": '
+     '60, "minus": true, "order": 51840, "p": 3, "seed": 0}\n'),
+]
+GROUP_IDS = ["torus-2", "H(2)-2", "H(2)-3", "H(1,1)-2", "H(1,1)-3",
+             "H(4)^hyp-2", "H(4)^odd-2", "witness-minus-2", "witness-minus-3"]
+
+
+@pytest.mark.parametrize("argv, human, record", GROUP_OUTPUTS, ids=GROUP_IDS)
+def test_group_prints_the_same_lines_on_the_benchmark_bases(capsys, argv,
+                                                            human, record):
+    assert run(capsys, "group", *argv) == (0, human, "")
+    assert run(capsys, "--json", "group", *argv) == (0, record, "")
 
 
 def test_group_minus_refuses_ineligible_stratum(capsys, tmp_path):
@@ -384,3 +479,4 @@ def test_group_refuses_genus_zero(capsys, gp):
     code, out, err = run(capsys, "group", gp)
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("CriterionInapplicable:") and "genus 0" in err
+    assert err == "CriterionInapplicable: %s has genus 0: no group\n" % gp

@@ -174,8 +174,10 @@ def test_reducible_strict_end_letter():
     assert not is_irreducible(gp)
 
 
-def _find_reduction_scan(gp):
-    """Reference for find_reduction: try every (i1, i2, i3, i4) quadruple."""
+def _find_reduction_scan(gp, disjoint=False):
+    """Reference for find_reduction: try every (i1, i2, i3, i4) quadruple;
+    with ``disjoint``, only those whose two top corners and whose two bottom
+    corners share no position (i2 > i1 and i4 > i3)."""
     ell, m = gp.ell, gp.m
     index = {x: k for k, x in enumerate(gp.alphabet)}
     tpref, tsuf = _corner_masks(gp.top, index)
@@ -186,13 +188,13 @@ def _find_reduction_scan(gp):
 
     for a in range(0, ell + 1):          # i1; 0 = empty top-left
         tl = tpref[a]
-        for b in range(max(a, 1), ell + 2):   # i2; l+1 = empty top-right
+        for b in range(max(a + disjoint, 1), ell + 2):  # i2; l+1 = empty
             tr = tsuf[b]
             if a == 0 and b == ell + 1:
                 continue  # both top corners empty: never an allowed pattern
             for c in range(ell, ell + m + 1):        # i3; l = empty bottom-left
                 bl = bpref[c - ell]
-                for e in range(max(c, ell + 1), ell + m + 2):  # i4
+                for e in range(max(c + disjoint, ell + 1), ell + m + 2):  # i4
                     br = bsuf[e - ell]
                     empties = (a == 0, b == ell + 1, c == ell, e == ell + m + 1)
                     n_empty = sum(empties)
@@ -233,6 +235,22 @@ def test_find_reduction_matches_scan_exhaustive():
                     gp.encode()
                 count += 1
     assert count == 3 * 3 + 15 * 5 + 105 * 7 + 945 * 9
+
+
+def test_shared_corners_do_not_decide_reducibility():
+    # the first witness may let the top corners share a position (i2 = i1)
+    # or the bottom ones (i4 = i3), but on strict permutations that keep
+    # the convention one exists exactly when a witness without either does
+    count = shared = 0
+    for gp in small_gps():
+        if not (gp.is_strict and gp.satisfies_convention()):
+            continue
+        dec = find_reduction(gp)
+        disjoint = _find_reduction_scan(gp, disjoint=True)
+        assert (dec is None) == (disjoint is None), gp.encode()
+        shared += dec is not None and (dec.i2 == dec.i1 or dec.i4 == dec.i3)
+        count += 1
+    assert (count, shared) == (3052, 707)
 
 
 def test_find_reduction_matches_scan_random():

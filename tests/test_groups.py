@@ -11,12 +11,12 @@ from oracles import (DecompositionPiece, decomposition_product,
                      trajectory)
 from rvq import groups, linalg
 from rvq.components import sigma_hyp, table1, tau_sym, tau_zorich
-from rvq.errors import (BudgetExceeded, MoveUndefined, NonDividingOrder,
-                        NonSymplecticGenerator, NotOmegaPreserving, OpenWalk,
-                        ReverseArrowMissing)
+from rvq.errors import (BudgetExceeded, CriterionInapplicable, MoveUndefined,
+                        NonDividingOrder, NonSymplecticGenerator,
+                        NotOmegaPreserving, OpenWalk, ReverseArrowMissing)
 from rvq.gp import parse_gp
 from rvq.groups import (admissible_component, arrow_cycles, cycle_matrices,
-                        modp_closure, random_directed_cycles,
+                        image_modp, modp_closure, random_directed_cycles,
                         rauzy_veech_group_modp, sp_order)
 from rvq.homology import (DuplicateWinner, arrow_factor, kz_walk, letters,
                           quotient_data)
@@ -221,7 +221,22 @@ def test_decomposition_product_refuses_an_open_piece():
         decomposition_product(tau_sym(4), [DecompositionPiece("t", 1)])
 
 
-def test_quotient_generators_keep_one_of_two_cycles_equal_on_the_quotient():
+def _spy_on_closure(monkeypatch):
+    """The (generators, form) pairs that ``groups`` hands to
+    ``modp_closure``, recorded as it runs."""
+    closure = groups.modp_closure
+    handed = []
+
+    def spy(gens, q, form):
+        handed.append((gens, form))
+        return closure(gens, q, form)
+
+    monkeypatch.setattr(groups, "modp_closure", spy)
+    return handed
+
+
+def test_quotient_generators_keep_one_of_two_cycles_equal_on_the_quotient(
+        monkeypatch):
     # t fixes the form and acts as the identity on the quotient by its
     # kernel, but not on Z^5 mod 2: t·M is new mod 2, its push-down is not
     base = tau_sym(5)
@@ -234,9 +249,11 @@ def test_quotient_generators_keep_one_of_two_cycles_equal_on_the_quotient():
     mat = cycle_matrices(rc, arrow_cycles(rc, cap=1))[0]
     mats = [mat, linalg.mul(t, mat)]
     assert linalg.mat_mod(mats[0], 2) != linalg.mat_mod(mats[1], 2)
-    gens = groups._quotient_generators(mats, 2, qd)
+    handed = _spy_on_closure(monkeypatch)
+    image_modp(base, mats, 2)
+    [(gens, form)] = handed
     assert len(gens) == 1
-    assert (gens, qd.reduced_form) == oracles._quotient_generators(mats, 2, qd)
+    assert (gens, form) == oracles._quotient_generators(mats, 2, qd)
 
 
 def test_non_symplectic_generator_rejected_after_a_duplicate():
@@ -602,13 +619,7 @@ def test_generators_equal_the_full_product_oracle(monkeypatch, base, p,
     # the generators the default harvest hands to the closure, against every
     # cycle walked, checked by M·Ω·Mᵀ and conjugated into the quotient basis
     closure = groups.modp_closure
-    handed = []
-
-    def spy(gens, q, form):
-        handed.append((gens, form))
-        return closure(gens, q, form)
-
-    monkeypatch.setattr(groups, "modp_closure", spy)
+    handed = _spy_on_closure(monkeypatch)
     rc = admissible_component(base) if minus else load_or_enumerate(base)
     res = rauzy_veech_group_modp(base, rc, p, minus=minus)
     want = (minus_generators_modp if minus else plus_generators_modp)(
@@ -620,7 +631,7 @@ def test_generators_equal_the_full_product_oracle(monkeypatch, base, p,
 
 @pytest.mark.parametrize("base", [tau_sym(4), tau_sym(5)],
                          ids=["H(2)", "H(1,1)"])
-def test_quotient_generators_check_every_cycle_exactly(base):
+def test_quotient_generators_check_every_cycle_exactly(monkeypatch, base):
     # M + p·E is M mod p but does not preserve the form over the integers:
     # skipping the repeat mod p must not skip its exact check
     p = 3
@@ -632,9 +643,12 @@ def test_quotient_generators_check_every_cycle_exactly(base):
     assert linalg.mat_mod(bad, p) == linalg.mat_mod(mat, p)
     assert linalg.mul(linalg.mul(bad, qd.form),
                       linalg.transpose(bad)) != qd.form
-    assert len(groups._quotient_generators([mat, mat], p, qd)) == 1
+    handed = _spy_on_closure(monkeypatch)
+    image_modp(base, [mat, mat], p)
+    [(gens, _)] = handed
+    assert len(gens) == 1
     with pytest.raises(NotOmegaPreserving):
-        groups._quotient_generators([mat, bad], p, qd)
+        image_modp(base, [mat, bad], p)
 
 
 def test_random_cycles_are_walked_when_the_arrows_are_not_covered(
@@ -712,6 +726,21 @@ def test_a_class_table_that_lies_is_refused_on_the_minus_side():
         _swap_t_arrows(admissible_component(base), 0, 4))
     with pytest.raises(OpenWalk, match="does not lead to vertex"):
         rauzy_veech_group_modp(base, lying, 2, minus=True)
+
+
+@pytest.mark.parametrize("gp", ["2 2 B / B 1 1", "0 0 1 / 1 2 2"])
+def test_genus_zero_is_refused_before_the_harvest_is_read(monkeypatch, gp):
+    # the refusal comes first: no cycle matrix is built, so a table that
+    # lies cannot mask it
+    base = parse_gp(gp)
+    rc = load_or_enumerate(base)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cycle matrices built before the refusal")
+
+    monkeypatch.setattr(groups, "cycle_matrices", refuse)
+    with pytest.raises(CriterionInapplicable, match="genus 0: no group"):
+        rauzy_veech_group_modp(base, rc, 2)
 
 
 @pytest.mark.parametrize("limit", [28, 39])

@@ -787,6 +787,16 @@ FORMAT_1_JSONL = (
     '{"gp": "1 3 4 2 / 4 3 2 1", "t": 6, "b": 0, "tw": "2", "bw": "1"}\n')
 
 
+def test_class_file_names_unchanged(tmp_path, monkeypatch):
+    # a cache written before still names the same files
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+    seed = parse_gp("1 2 3 4 / 4 3 2 1")
+    assert _cache_path(seed, False) == str(
+        tmp_path / "class-215dbda9bf0638b5.jsonl")
+    assert _cache_path(seed, True) == str(
+        tmp_path / "class-05e0a8ea4f6ee3a0.jsonl")
+
+
 def test_class_file_format_unchanged(tmp_path, monkeypatch):
     seed = parse_gp("1 2 3 4 / 4 3 2 1")
     rc = enumerate_class(seed)
