@@ -197,7 +197,7 @@ def cmd_search(args):
     rc = induction.enumerate_class(gp, limit=args.vertices,
                                    allow_truncated=True)
     chains = extensions.search_extensions(
-        rc.vertices[:args.vertices], args.target_stratum, budget=args.budget)
+        rc.vertices, args.target_stratum, budget=args.budget)
     if args.nonhyp:
         chains = [c for c in chains if _nonhyp(c[-1].extended)]
     chains = chains[:args.max_results]

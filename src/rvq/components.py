@@ -225,8 +225,10 @@ def _abelian_component(gp: GeneralizedPermutation, sig: StratumSignature,
 
 
 @cache
-def _quadratic_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
-    reg: dict[tuple[int, ...], list[tuple[str, list]]] = {}
+def _quadratic_registry():
+    """Each quadratic stratum's orders, mapped to the (label,
+    representative) pair of each component named there."""
+    reg: dict[tuple[int, ...], list[tuple[str, GeneralizedPermutation]]] = {}
 
     def hyp_label(s, r):
         if r % 2:
@@ -242,12 +244,12 @@ def _quadratic_registry() -> dict[tuple[int, ...], list[tuple[str, list]]]:
                 continue
             gp = sigma_hyp(s, r)
             sig = stratum_signature(gp, cross_check=False)
-            reg.setdefault(sig.orders, []).append((hyp_label(s, r), [gp]))
+            reg.setdefault(sig.orders, []).append((hyp_label(s, r), gp))
     for start, orders, text in GENUS2_WITNESSES + GENUS3_WITNESSES:
         gp = parse_gp(text)
         sig = stratum_signature(gp, cross_check=False)
         label = "Q(%s)^nonhyp" % ",".join(str(o) for o in sig.orders)
-        reg.setdefault(sig.orders, []).append((label, [gp]))
+        reg.setdefault(sig.orders, []).append((label, gp))
     return reg
 
 
@@ -270,11 +272,10 @@ def identify_component(gp: GeneralizedPermutation,
     if gp.is_genuine:
         return _abelian_component(gp, sig, budget)
     reduced = gp.reduced()
-    for label, reps in _quadratic_registry().get(sig.orders, ()):
-        for rep in reps:
-            rc = load_or_enumerate(rep, limit=budget, reduced_labels=True)
-            if reduced in rc:
-                return label
+    for label, rep in _quadratic_registry().get(sig.orders, ()):
+        if reduced in load_or_enumerate(rep, limit=budget,
+                                        reduced_labels=True):
+            return label
     return UNKNOWN
 
 

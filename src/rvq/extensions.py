@@ -2,7 +2,7 @@
 induced map from arrows at the small permutation to walks at the big one.
 
 An extension inserts one fresh letter twice, never at the end of a row and
-with at most one copy at a row start; erasing the letter recovers the base.
+not at both row starts; erasing the letter recovers the base.
 Splitting a conical point tries the legal insertions in a fixed order and
 returns the first one certified by its turning orbits: the chosen orbit has
 severed into two orbits of the prescribed orders, every other orbit is
@@ -17,8 +17,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import (AlphabetMismatch, BudgetExceeded, CaseUnmatched,
                      IllegalPosition, MoveUndefined, NotSplittable,
                      ParityError)
-from .gp import (GeneralizedPermutation, erase_letters, is_irreducible,
-                 is_suspendable)
+from .gp import (GeneralizedPermutation, _trusted, erase_letters,
+                 is_irreducible, is_suspendable)
 from .induction import Arrow, apply_arrow
 from .strata import orbit_order, stratum_signature, turning_orbits
 
@@ -30,18 +30,22 @@ class ExtensionWitness(NamedTuple):
     extended: GeneralizedPermutation
     letter: str
 
-    @property
-    def convention_ok(self) -> bool:
-        return self.extended.satisfies_convention()
+
+def _legal(top: tuple[str, ...], bottom: tuple[str, ...], letter: str) -> bool:
+    """The position rule, read off the result rows: ``letter`` ends neither
+    row and does not start both."""
+    return (letter not in (top[-1], bottom[-1])
+            and (top[0], bottom[0]) != (letter, letter))
 
 
-def _place(row: tuple[str, ...], letter: str, slots: list[int]) -> tuple[str, ...]:
-    n = len(row) + len(slots)
-    out = []
-    it = iter(row)
-    for k in range(1, n + 1):
-        out.append(letter if k in slots else next(it))
-    return tuple(out)
+def _placed(tau: GeneralizedPermutation, letter: str, pos_a: RowSlot,
+            pos_b: RowSlot) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The rows of ``tau`` with ``letter`` at the result slots ``pos_a`` and
+    ``pos_b`` (distinct, in range)."""
+    rows = {'top': tau.top, 'bottom': tau.bottom}
+    for row, k in sorted((pos_a, pos_b)):  # a row's lower slot first
+        rows[row] = rows[row][:k - 1] + (letter,) + rows[row][k - 1:]
+    return rows['top'], rows['bottom']
 
 
 def insert_letter(tau: GeneralizedPermutation, letter: str,
@@ -49,32 +53,18 @@ def insert_letter(tau: GeneralizedPermutation, letter: str,
     """Insert ``letter`` at the two result slots; checks the position rules."""
     if letter in tau.alphabet:
         raise IllegalPosition("letter %r already present" % (letter,))
-    rows = {'top': list(tau.top), 'bottom': list(tau.bottom)}
-    by_row: dict[str, list[int]] = {'top': [], 'bottom': []}
+    lengths = {'top': tau.ell, 'bottom': tau.m}
     for row, k in (pos_a, pos_b):
-        if row not in rows:
+        if row not in lengths:
             raise IllegalPosition("unknown row %r" % (row,))
-        by_row[row].append(k)
-
-    new_rows = {}
-    for row in ('top', 'bottom'):
-        ks = sorted(by_row[row])
-        n = len(rows[row]) + len(ks)
-        if len(ks) == 2 and ks[0] == ks[1]:
-            raise IllegalPosition("the two copies need distinct slots")
-        for k in ks:
-            if not 1 <= k <= n:
-                raise IllegalPosition("slot %d out of range for %s row" % (k, row))
-            if k == n:
-                raise IllegalPosition("cannot insert at the end of a row")
-        new_rows[row] = _place(tuple(rows[row]), letter, ks)
-
-    starts = sum(1 for row, k in (pos_a, pos_b) if k == 1)
-    if len(by_row['top']) == 1 and len(by_row['bottom']) == 1 and starts == 2:
-        raise IllegalPosition("both copies at row starts")
-
-    extended = GeneralizedPermutation(new_rows['top'], new_rows['bottom'])
-    return ExtensionWitness(base=tau, extended=extended, letter=letter)
+        lengths[row] += 1
+    if pos_a == pos_b or not all(1 <= k <= lengths[row]
+                                 for row, k in (pos_a, pos_b)):
+        raise IllegalPosition("the two copies need distinct slots in range")
+    top, bottom = _placed(tau, letter, pos_a, pos_b)
+    if not _legal(top, bottom, letter):
+        raise IllegalPosition("a copy ends a row or the copies start both")
+    return ExtensionWitness(tau, GeneralizedPermutation(top, bottom), letter)
 
 
 def is_simple_extension(pi: GeneralizedPermutation,
@@ -86,13 +76,7 @@ def is_simple_extension(pi: GeneralizedPermutation,
     letter = extra.pop()
     if erase_letters(pi, {letter}) != tau:
         return None
-    if pi.top[-1] == letter or pi.bottom[-1] == letter:
-        return None
-    i, j = pi.pairs[letter]
-    at_start = sum(1 for p in (i, j) if p == 1 or p == pi.ell + 1)
-    if at_start == 2:
-        return None
-    return letter
+    return letter if _legal(pi.top, pi.bottom, letter) else None
 
 
 def witness_from(pi: GeneralizedPermutation,
@@ -249,22 +233,15 @@ def extend_arrow(witness: ExtensionWitness, eta: Arrow) -> list[Arrow]:
     pi = witness.extended
     alpha = witness.letter
 
-    next_to_last_bottom = pi.m >= 2 and pi.bottom[-2] == alpha
-    next_to_last_top = pi.ell >= 2 and pi.top[-2] == alpha
-    if eta.kind == 't' and next_to_last_bottom:
-        if next_to_last_top:
+    # the acting row and the opposite one, as in induction._move
+    own, other = ((pi.top, pi.bottom) if eta.kind == 't'
+                  else (pi.bottom, pi.top))
+    count = 1
+    if other[-2:-1] == (alpha,):
+        if own[-2:-1] == (alpha,):
             raise CaseUnmatched(
                 "inserted letter next-to-last in both rows; not covered")
-        consecutive = pi.m >= 3 and pi.bottom[-3] == alpha
-        count = 3 if consecutive else 2
-    elif eta.kind == 'b' and next_to_last_top:
-        if next_to_last_bottom:
-            raise CaseUnmatched(
-                "inserted letter next-to-last in both rows; not covered")
-        consecutive = pi.ell >= 3 and pi.top[-3] == alpha
-        count = 3 if consecutive else 2
-    else:
-        count = 1
+        count = 3 if other[-3:-2] == (alpha,) else 2
 
     arrows = []
     cur = pi
@@ -305,18 +282,12 @@ def _all_single_insertions(tau: GeneralizedPermutation,
     letter = fresh_letter(tau.alphabet)
     slots = [(r, k) for r, n in (('top', tau.ell), ('bottom', tau.m))
              if row in (None, r) for k in range(1, n + 1)]
-    for a in range(len(slots)):
-        for b in range(a, len(slots)):
-            ra, ka = slots[a]
-            rb, kb = slots[b]
-            if ra == rb:
-                pos = (ra, ka), (rb, kb + 1)
-            else:
-                pos = (ra, ka), (rb, kb)
-            try:
-                yield insert_letter(tau, letter, pos[0], pos[1])
-            except IllegalPosition:
-                continue
+    for a, (ra, ka) in enumerate(slots):
+        for rb, kb in slots[a:]:
+            # in one row the second copy lands after the first
+            top, bottom = _placed(tau, letter, (ra, ka), (rb, kb + (ra == rb)))
+            if _legal(top, bottom, letter):
+                yield ExtensionWitness(tau, _trusted(top, bottom), letter)
 
 
 def search_extensions(vertices: Sequence[GeneralizedPermutation],

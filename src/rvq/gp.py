@@ -139,16 +139,20 @@ class GeneralizedPermutation(_Frozen):
 
     @property
     def is_genuine(self) -> bool:
-        """True when there are no duplicate letters (classical permutation)."""
-        return len(self.both_rows_letters()) == self.d
+        """True when there are no duplicate letters (classical permutation):
+        both rows hold the same letters."""
+        return set(self.top) == set(self.bottom)
 
     @property
     def is_strict(self) -> bool:
         return not self.is_genuine
 
     def satisfies_convention(self) -> bool:
-        """Duplicate letters in both rows (vacuous for genuine permutations)."""
-        return bool(self.duplicates_top()) == bool(self.duplicates_bottom())
+        """Duplicate letters in both rows (vacuous for genuine permutations).
+        A row holds a duplicate exactly when it has a letter the other row
+        lacks."""
+        top, bottom = set(self.top), set(self.bottom)
+        return (top <= bottom) == (bottom <= top)
 
     # -- encoding ---------------------------------------------------------
 

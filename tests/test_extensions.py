@@ -8,11 +8,13 @@ from oracles import defined_moves
 from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (AlphabetMismatch, CaseUnmatched, IllegalPosition,
                         NotSplittable, ParityError, RVQError)
-from rvq.extensions import (ExtensionWitness, extend_arrow, extend_walk,
-                            fresh_letter, insert_letter, is_simple_extension,
+from rvq.extensions import (ExtensionWitness, _all_single_insertions,
+                            extend_arrow, extend_walk, fresh_letter,
+                            insert_letter, is_simple_extension,
                             search_extensions, split_even_zero,
                             split_singularity, witness_from)
-from rvq.gp import erase_letters, is_irreducible, is_suspendable, parse_gp
+from rvq.gp import (GeneralizedPermutation, erase_letters, is_irreducible,
+                    is_suspendable, parse_gp)
 from rvq.induction import apply_arrow
 from rvq.strata import orbit_order, stratum_signature, turning_orbits
 
@@ -49,6 +51,90 @@ def test_insert_erase_roundtrip():
         except IllegalPosition:
             continue
         assert erase_letters(w.extended, {"Z"}) == gp
+
+
+def _rule_pool():
+    """A seeded pool of suspendable bases, strict and genuine, d <= 5."""
+    rng = random.Random(101)
+    return list(dict.fromkeys(
+        random_gp(rng, d, strict=strict, convention=True, irreducible=True)
+        for d in range(2, 6) for strict in (True, False)
+        if d > 2 or not strict for _ in range(5)))
+
+
+def _placements(tau, letter):
+    """Every pair of result slots for two copies of ``letter``, with the
+    permutation they give, built without the library's insertion."""
+    rows = {"top": tau.top, "bottom": tau.bottom}
+    for ra, rb in (("top", "top"), ("top", "bottom"), ("bottom", "bottom")):
+        extra = 1 + (ra == rb)
+        for ka in range(1, len(rows[ra]) + extra + 1):
+            for kb in range(1, len(rows[rb]) + extra + 1):
+                if ra == rb and kb <= ka:
+                    continue
+                new = {r: list(row) for r, row in rows.items()}
+                new[ra].insert(ka - 1, letter)
+                new[rb].insert(kb - 1, letter)
+                pi = GeneralizedPermutation(tuple(new["top"]),
+                                            tuple(new["bottom"]))
+                yield (ra, ka), (rb, kb), pi
+
+
+def test_one_position_rule():
+    # insert_letter, is_simple_extension and _all_single_insertions accept
+    # the same placements of a fresh letter's two copies
+    for tau in _rule_pool():
+        letter = fresh_letter(tau.alphabet)
+        legal = {}  # each accepted permutation -> the row holding both copies
+        for pos_a, pos_b, pi in _placements(tau, letter):
+            try:
+                w = insert_letter(tau, letter, pos_a, pos_b)
+            except IllegalPosition:
+                assert is_simple_extension(pi, tau) is None, pi.encode()
+                continue
+            assert w.extended == pi and w.base == tau and w.letter == letter
+            assert is_simple_extension(pi, tau) == letter, pi.encode()
+            legal[pi] = pos_a[0] if pos_a[0] == pos_b[0] else None
+        assert legal, tau.encode()
+        for row in (None, "top", "bottom"):
+            wits = list(_all_single_insertions(tau, row))
+            for w in wits:
+                assert w.base == tau
+                assert is_simple_extension(w.extended, tau) == w.letter
+            got = [w.extended for w in wits]
+            assert len(set(got)) == len(got)
+            assert set(got) == {pi for pi, r in legal.items()
+                                if row in (None, r)}
+
+
+def _outcome(call, *args):
+    """The repr of what ``call(*args)`` returns, or its error's class."""
+    try:
+        return repr(call(*args))
+    except RVQError as exc:
+        return type(exc).__name__
+
+
+def test_insertion_split_and_search_outcomes_pinned():
+    # the candidates in order, which decides the split or search result,
+    # then every single and double split and one search per base of the pool
+    lines = []
+    for tau in _rule_pool():
+        for row in (None, "top", "bottom"):
+            lines.append(_outcome(
+                lambda: list(_all_single_insertions(tau, row))))
+        for orbit in turning_orbits(tau):
+            q = orbit_order(tau, orbit)
+            for m11 in range(-1, q + 2):
+                lines.append(_outcome(split_singularity, tau, orbit, m11))
+                for m12 in range(-1, q + 2 - m11, 2):
+                    lines.append(_outcome(split_even_zero, tau, orbit, m11,
+                                          m12, q - m11 - m12))
+        orders = list(stratum_signature(tau).orders)
+        target = [orders.pop(0) + 2, *orders, -1, -1]
+        lines.append(_outcome(search_extensions, [tau], target))
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "aa3a7bb0942224b9"
 
 
 def test_is_simple_extension():
@@ -271,7 +357,6 @@ def test_extension_preserves_irreducibility():
     while count < 80:
         gp = random_gp(rng, rng.randint(3, 6), strict=True, convention=True,
                        irreducible=True)
-        from rvq.extensions import _all_single_insertions
         wits = list(_all_single_insertions(gp))
         if not wits:
             continue
