@@ -229,10 +229,12 @@ def cmd_identify(args):
 
 def cmd_group(args):
     gp = require_suspendable(parse_gp(args.gp))
-    if args.minus and not cover.cover_stratum(gp).minus_eligible:
-        raise CriterionInapplicable(
-            "%s: the minus group needs exactly two singularities of odd "
-            "order" % gp.encode())
+    if args.minus:
+        if not cover.cover_stratum(gp).minus_eligible:
+            raise CriterionInapplicable(
+                "%s: the minus group needs exactly two singularities of odd "
+                "order" % gp.encode())
+        groups.minus_quotient(gp)  # refused before any enumeration
     rc = (groups.admissible_component(gp, limit=args.budget) if args.minus
           else induction.load_or_enumerate(gp, limit=args.budget))
     res = groups.rauzy_veech_group_modp(

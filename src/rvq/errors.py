@@ -60,7 +60,9 @@ class ParityError(RVQError):
 
 
 class CaseUnmatched(RVQError):
-    """The extension of an arrow does not fall into a supported case."""
+    """A step of a walk does not lift through a simple extension: a move at
+    the extension is undefined, three moves leave the inserted letter
+    illegal, or the ends do not differ by that letter alone."""
 
 
 class NotSuspendable(RVQError):

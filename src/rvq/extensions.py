@@ -19,7 +19,7 @@ from .errors import (AlphabetMismatch, BudgetExceeded, CaseUnmatched,
                      ParityError)
 from .gp import (GeneralizedPermutation, _trusted, erase_letters,
                  is_irreducible, is_suspendable)
-from .induction import Arrow, apply_arrow
+from .induction import apply_arrow
 from .strata import orbit_order, stratum_signature, turning_orbits
 
 RowSlot = tuple[str, int]  # ('top'|'bottom', 1-based index in the result row)
@@ -220,55 +220,30 @@ def split_even_zero(tau: GeneralizedPermutation, at,
 # the extension map on arrows
 # ---------------------------------------------------------------------------
 
-def extend_arrow(witness: ExtensionWitness, eta: Arrow) -> list[Arrow]:
-    """Map an arrow at the base to the 1-3 arrow walk at the extension.
-
-    The walk has two arrows of eta's kind when the inserted letter sits
-    next-to-last in the opposite row (three when its copies are consecutive
-    there), and a single arrow otherwise. The end is again a simple extension
-    of eta's end; that is asserted.
-    """
-    if eta.source != witness.base:
-        raise CaseUnmatched("arrow does not start at the witness base")
-    pi = witness.extended
-    alpha = witness.letter
-
-    # the acting row and the opposite one, as in induction._move
-    own, other = ((pi.top, pi.bottom) if eta.kind == 't'
-                  else (pi.bottom, pi.top))
-    count = 1
-    if other[-2:-1] == (alpha,):
-        if own[-2:-1] == (alpha,):
-            raise CaseUnmatched(
-                "inserted letter next-to-last in both rows; not covered")
-        count = 3 if other[-3:-2] == (alpha,) else 2
-
-    arrows = []
-    cur = pi
-    for _ in range(count):
-        try:
-            arrow = apply_arrow(cur, eta.kind)
-        except MoveUndefined as exc:
-            raise CaseUnmatched("expected arrow is undefined: %s" % exc)
-        arrows.append(arrow)
-        cur = arrow.target
-
-    if is_simple_extension(cur, eta.target) != alpha:
-        raise CaseUnmatched("walk end is not a simple extension of the target")
-    return arrows
-
-
 def extend_walk(witness: ExtensionWitness,
                 steps: str) -> tuple[str, ExtensionWitness]:
-    """Map a forward walk at the base through the extension, arrow by arrow."""
-    cur_w = witness
+    """The walk that a forward walk at the base induces at the extension,
+    and the witness at its end.  Each step moves the base (``MoveUndefined``
+    when it cannot), then the extension by the same kind until the letter
+    is legal again, at most three times; ``CaseUnmatched`` when that fails
+    or the two ends do not differ by the letter alone."""
+    base, pi, letter = witness
     out = []
-    for step in steps:
-        eta = apply_arrow(cur_w.base, step)
-        arrows = extend_arrow(cur_w, eta)
-        out.append(step * len(arrows))
-        cur_w = witness_from(arrows[-1].target, eta.target)
-    return "".join(out), cur_w
+    for kind in steps:
+        base = apply_arrow(base, kind).target
+        for count in (1, 2, 3):
+            try:
+                pi = apply_arrow(pi, kind).target
+            except MoveUndefined as exc:
+                raise CaseUnmatched("lifted move is undefined: %s" % exc)
+            if _legal(pi.top, pi.bottom, letter):
+                break
+        else:
+            raise CaseUnmatched("three moves leave the letter illegal")
+        if is_simple_extension(pi, base) != letter:
+            raise CaseUnmatched("the ends differ by more than the letter")
+        out.append(kind * count)
+    return "".join(out), ExtensionWitness(base, pi, letter)
 
 
 # ---------------------------------------------------------------------------

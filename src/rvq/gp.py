@@ -48,6 +48,12 @@ class GeneralizedPermutation(_Frozen):
                 "letters must occur exactly twice: %s" % ", ".join(bad))
         if len(counts) < 2:
             raise LetterCountError("alphabet must contain at least 2 letters")
+        # each letter must read back as itself from encode()
+        bad = [x for x in counts if not isinstance(x, str)
+               or x.split() != [x] or "/" in x]
+        if bad:
+            raise MalformedText("letters must be non-empty strings without "
+                                "whitespace or '/': %r" % bad)
         _set_top(self, top)
         _set_bottom(self, bottom)
         _set_pairs(self, None)

@@ -18,11 +18,12 @@ from . import linalg
 from .errors import (CriterionInapplicable, NonDividingOrder,
                      NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from .gp import GeneralizedPermutation
-from .homology import (_factor, arrow_factor, letters, quotient_action,
-                       quotient_data)
+from .homology import (QuotientData, _factor, arrow_factor, letters,
+                       quotient_action, quotient_data)
 from .induction import (DEFAULT_BUDGET, RauzyClass, TOP, BOTTOM, apply_arrow,
                         enumerate_class)
 from .linalg import Matrix
+from .strata import stratum_signature
 
 
 def is_prime(n: int) -> bool:
@@ -397,19 +398,33 @@ def harvest(rc: RauzyClass, *, cycles: int, maxlen: int, seed: int,
     return matrices(), covered and rc.complete
 
 
+def minus_quotient(base: GeneralizedPermutation) -> QuotientData:
+    """The :func:`~rvq.homology.quotient_data` of the minus form at ``base``
+    when its rank is 2g for the genus g of ``base``'s stratum, as a minus
+    image needs; else CriterionInapplicable naming both."""
+    qd = quotient_data(base, minus=True)
+    genus = stratum_signature(base, cross_check=False).genus
+    if len(qd.basis) != 2 * genus:
+        raise CriterionInapplicable(
+            "%s: the form on the both-rows letters has rank %d, not 2g = %d"
+            % (base.encode(), len(qd.basis), 2 * genus))
+    return qd
+
+
 def image_modp(base: GeneralizedPermutation, matrices: Iterable[Matrix],
                p: int, *, minus: bool = False) -> ClosureResult:
     """The mod-p image of the group that cycle matrices at ``base`` span, on
     the quotient of the intersection form on ``letters(base, minus)``, with
     no class.  Each matrix is checked exactly, but only one new mod p is
     pushed down (the basis change is integral).  ``exact`` stays False: only
-    the matrices' source knows.  Genus 0 raises CriterionInapplicable before
-    any is read, one off the form NotOmegaPreserving, a non-prime ValueError."""
-    qd = quotient_data(base, minus=minus)
+    the matrices' source knows.  Genus 0, or a minus quotient whose rank is
+    not 2g (:func:`minus_quotient`), raises CriterionInapplicable before any
+    is read, one off the form NotOmegaPreserving, a non-prime ValueError."""
+    qd = minus_quotient(base) if minus else quotient_data(base)
     if not qd.reduced_form:
         raise CriterionInapplicable("%s has genus 0: no group" % base.encode())
     _require_prime(p)
-    gens, seen, kept = [], set(), set()
+    gens, seen = [], set()
     for mat in matrices:
         key = linalg.mat_mod(mat, p)
         if key in seen:
@@ -417,11 +432,7 @@ def image_modp(base: GeneralizedPermutation, matrices: Iterable[Matrix],
                 raise NotOmegaPreserving("matrix does not preserve the form")
             continue
         seen.add(key)
-        red = quotient_action(mat, qd)
-        key = linalg.mat_mod(red, p)
-        if key not in kept:
-            kept.add(key)
-            gens.append(red)
+        gens.append(quotient_action(mat, qd))
     return modp_closure(gens, p, qd.reduced_form)
 
 

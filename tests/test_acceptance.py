@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from conftest import small_gps
 from oracles import (arrow_matrix, decomposition_product, defined_moves,
                      directed_decomposition, minus_form, minus_generators_modp,
                      plus_generators_modp)
@@ -18,14 +19,15 @@ from rvq.components import (GENUS2_WITNESSES, identify_component, sigma_hyp,
                             sigma_zorich, table1, table1_rows, tau_sym,
                             tau_zorich, verify_extension_table)
 from rvq.errors import MoveUndefined, ReverseArrowMissing
-from rvq.extensions import (extend_arrow, split_even_zero, split_singularity,
-                            witness_from)
-from rvq.gp import erase_letters, parse_gp
+from rvq.extensions import (_all_single_insertions, extend_walk,
+                            split_even_zero, split_singularity, witness_from)
+from rvq.gp import erase_letters, is_suspendable, parse_gp
 from rvq.groups import (admissible_component, arrow_cycles, image_modp,
                         modp_closure, random_directed_cycles,
                         rauzy_veech_group_modp, sp_order)
 from rvq.homology import intersection_form, kz_walk
-from rvq.induction import apply_arrow, invert_arrow, load_or_enumerate
+from rvq.induction import (apply_arrow, invert_arrow, load_or_enumerate,
+                           resolve_walk)
 from rvq.linalg import det, identity, mul, rank, transpose
 from rvq.strata import StratumSignature, stratum_signature, turning_orbits, \
     orbit_order
@@ -100,18 +102,42 @@ def test_criterion_3_symplectic_conjugation():
            (total, reversed_steps, len(bases)))
 
 
-def _compose_extension(chain, eta):
-    """Image of an arrow under the composition of witness extension maps."""
-    arrows = [eta]
+def _compose_extension(chain, kind):
+    """The arrows that one arrow ``kind`` at the chain's base lifts to
+    through the composed extension maps."""
+    walk = kind
     for witness in chain:
-        out = []
-        w = witness
-        for a in arrows:
-            step = extend_arrow(w, a)
-            out.extend(step)
-            w = witness_from(step[-1].target, a.target)
-        arrows = out
-    return arrows
+        walk, _ = extend_walk(witness, walk)
+    return [arrow for arrow, _ in resolve_walk(chain[-1].extended, walk)]
+
+
+def _check_lift_conjugates(chain, kind):
+    """lift(u . eta^-1) == lift(u) . gamma^-1 for every unit vector u at the
+    chain's base, eta the arrow ``kind`` there and gamma its lifted walk;
+    returns the number of unit vectors checked."""
+    base = chain[0].base
+    big = chain[-1].extended
+    order_small = base.alphabet
+    order_big = big.alphabet
+    inc = {x: order_big.index(x) for x in order_small}
+    eta = apply_arrow(base, kind)
+    gamma = _compose_extension(chain, kind)
+    # inverse of the walk matrix: product of step inverses
+    inv = identity(len(order_big))
+    for a in gamma:
+        inv = mul(inv, arrow_matrix(a, order_big, inverse=True))
+    eta_inv = arrow_matrix(eta, order_small, inverse=True)
+    for i in range(len(order_small)):
+        u = tuple(1 if j == i else 0 for j in range(len(order_small)))
+        (small,) = mul((u,), eta_inv)
+        lift_small = [0] * len(order_big)
+        for j, x in enumerate(small):
+            lift_small[inc[order_small[j]]] = x
+        lift_u = [0] * len(order_big)
+        lift_u[inc[order_small[i]]] = 1
+        (big_side,) = mul((tuple(lift_u),), inv)
+        assert tuple(lift_small) == big_side, (base.encode(), kind, i)
+    return len(order_small)
 
 
 def test_criterion_4_extension_conjugation():
@@ -124,33 +150,31 @@ def test_criterion_4_extension_conjugation():
                                    witness_from(WITNESS, mid)],
     }
     checked = 0
-    for name, chain in chains.items():
-        base = chain[0].base
-        big = chain[-1].extended
-        order_small = base.alphabet
-        order_big = big.alphabet
-        inc = {x: order_big.index(x) for x in order_small}
-        for kind in defined_moves(base):
-            eta = apply_arrow(base, kind)
-            gamma = _compose_extension(chain, eta)
-            # inverse of the walk matrix: product of step inverses
-            inv = identity(len(order_big))
-            for a in gamma:
-                inv = mul(inv, arrow_matrix(a, order_big, inverse=True))
-            eta_inv = arrow_matrix(eta, order_small, inverse=True)
-            for i in range(len(order_small)):
-                u = tuple(1 if j == i else 0 for j in range(len(order_small)))
-                (small,) = mul((u,), eta_inv)
-                lift_small = [0] * len(order_big)
-                for j, x in enumerate(small):
-                    lift_small[inc[order_small[j]]] = x
-                lift_u = [0] * len(order_big)
-                lift_u[inc[order_small[i]]] = 1
-                (big_side,) = mul((tuple(lift_u),), inv)
-                assert tuple(lift_small) == big_side, (name, kind, i)
-                checked += 1
+    for chain in chains.values():
+        for kind in defined_moves(chain[0].base):
+            checked += _check_lift_conjugates(chain, kind)
     report(4, "inclusion conjugates arrow inverses across %d basis checks "
               "on the genus-2 witness chains" % checked)
+
+
+def test_criterion_4_every_small_arrow_lifts():
+    # every arrow at every suspendable base with d <= 4, through every legal
+    # single insertion; 178 of them have the letter next-to-last in both
+    # rows, the one position a case table once refused
+    arrows = both_next_to_last = 0
+    for tau in small_gps():
+        if tau.d > 4 or not is_suspendable(tau):
+            continue
+        for w in _all_single_insertions(tau):
+            for kind in defined_moves(tau):
+                _check_lift_conjugates([w], kind)
+                arrows += 1
+                both_next_to_last += (w.extended.top[-2]
+                                      == w.extended.bottom[-2] == w.letter)
+    assert (arrows, both_next_to_last) == (5998, 178)
+    report(4, "all %d arrows of the d <= 4 pool lift and conjugate, %d "
+              "with the letter next-to-last in both rows"
+           % (arrows, both_next_to_last))
 
 
 def _split_pool(rng):
@@ -265,7 +289,6 @@ def test_criterion_7_mod2_indices():
 def _lifted_cycles():
     """Closed walks at the witness lifted from 40 random cycles of
     tau = H(2) through the two simple extensions tau -> mid -> witness."""
-    from rvq.extensions import extend_walk
     tau = erase_letters(WITNESS, {"A", "B"})
     mid = erase_letters(WITNESS, {"A"})
     w1 = witness_from(mid, tau)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from rvq import components, induction
+from rvq import components, groups, induction
 from rvq.cli import main
 from rvq.gp import is_suspendable, parse_gp
 from rvq.strata import stratum_signature
@@ -480,3 +480,26 @@ def test_group_refuses_genus_zero(capsys, gp):
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("CriterionInapplicable:") and "genus 0" in err
     assert err == "CriterionInapplicable: %s has genus 0: no group\n" % gp
+
+
+# bases of eligible strata whose both-rows letters span less than 2g: the
+# first two printed an exact index in too small a group, the third "genus 0"
+NOT_SPANNING = [("E D C D A / F E A B C B F", 2, 4),
+                ("F C G B G / B E H E F H C A D A D", 2, 6),
+                ("D C A C / B B D A", 0, 2)]
+
+
+@pytest.mark.parametrize("gp, rank, two_g", NOT_SPANNING)
+def test_group_minus_refuses_a_base_that_does_not_span(capsys, monkeypatch,
+                                                       tmp_path, gp, rank,
+                                                       two_g):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class was enumerated before the refusal")
+
+    monkeypatch.setattr(groups, "admissible_component", refuse)
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "group", gp,
+                         "--minus", "--mod", "2")
+    assert (code, out) == (1, "")
+    assert err == ("CriterionInapplicable: %s: the form on the both-rows "
+                   "letters has rank %d, not 2g = %d\n" % (gp, rank, two_g))
+    assert list(tmp_path.iterdir()) == []

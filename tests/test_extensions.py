@@ -7,9 +7,9 @@ from conftest import random_gp
 from oracles import defined_moves
 from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (AlphabetMismatch, CaseUnmatched, IllegalPosition,
-                        NotSplittable, ParityError, RVQError)
+                        MoveUndefined, NotSplittable, ParityError, RVQError)
 from rvq.extensions import (ExtensionWitness, _all_single_insertions,
-                            extend_arrow, extend_walk, fresh_letter,
+                            extend_walk, fresh_letter,
                             insert_letter, is_simple_extension,
                             search_extensions, split_even_zero,
                             split_singularity, witness_from)
@@ -307,35 +307,63 @@ def test_torus_special_case():
     assert out.satisfies_convention()
 
 
-def test_extend_arrow_single():
+def test_extend_walk_single():
     # A is next-to-last only in the top row, so a top arrow maps to itself
     w = witness_from(WITNESS, parse_gp("1 2 3 4 / 4 3 B B 2 1"))
     assert w.letter == "A"
-    eta = apply_arrow(w.base, 't')
-    arrows = extend_arrow(w, eta)
-    assert len(arrows) == 1 and arrows[0].kind == 't'
-    assert is_simple_extension(arrows[0].target, eta.target) == "A"
+    steps, end_w = extend_walk(w, "t")
+    assert steps == "t" and end_w.letter == "A"
+    assert end_w.base == apply_arrow(w.base, 't').target
+    assert is_simple_extension(end_w.extended, end_w.base) == "A"
 
 
-def test_extend_arrow_three_consecutive():
+def test_extend_walk_three_consecutive():
     # consecutive copies next-to-last in the top row triple a bottom arrow
     w = witness_from(WITNESS, parse_gp("1 2 3 4 / 4 3 B B 2 1"))
-    eta = apply_arrow(w.base, 'b')
-    arrows = extend_arrow(w, eta)
-    assert len(arrows) == 3 and all(a.kind == 'b' for a in arrows)
-    assert is_simple_extension(arrows[-1].target, eta.target) == "A"
+    steps, end_w = extend_walk(w, "b")
+    assert steps == "bbb"
+    assert end_w.extended == apply_arrow(apply_arrow(apply_arrow(
+        WITNESS, 'b').target, 'b').target, 'b').target
+    assert is_simple_extension(end_w.extended, end_w.base) == "A"
 
 
-def test_extend_arrow_two_nonconsecutive():
+def test_extend_walk_two_nonconsecutive():
     # copies split across the row, one sitting next-to-last
     tau = parse_gp("1 2 3 4 / 4 3 2 1")
     pi = insert_letter(tau, "C", ("top", 2), ("top", 5)).extended
     assert pi.encode() == "1 C 2 3 C 4 / 4 3 2 1"
-    w = witness_from(pi, tau)
-    eta = apply_arrow(tau, 'b')
-    arrows = extend_arrow(w, eta)
-    assert len(arrows) == 2 and all(a.kind == 'b' for a in arrows)
-    assert is_simple_extension(arrows[-1].target, eta.target) == "C"
+    steps, end_w = extend_walk(witness_from(pi, tau), "b")
+    assert steps == "bb"
+    assert is_simple_extension(end_w.extended, end_w.base) == "C"
+
+
+def test_extend_walk_next_to_last_in_both_rows():
+    # the letter next-to-last in both rows lifts to two arrows of the kind
+    tau = parse_gp("1 2 3 4 / 4 3 2 1")
+    pi = insert_letter(tau, "C", ("top", 4), ("bottom", 4)).extended
+    assert pi.encode() == "1 2 3 C 4 / 4 3 2 C 1"
+    for kind in "tb":
+        steps, end_w = extend_walk(witness_from(pi, tau), kind)
+        assert steps == kind * 2
+        assert end_w.base == apply_arrow(tau, kind).target
+        assert is_simple_extension(end_w.extended, end_w.base) == "C"
+
+
+def test_extend_walk_refusals():
+    # every legal insertion lifts each arrow defined at its base, so the
+    # refusals need witnesses built by hand that are not simple extensions
+    w = insert_letter(parse_gp("0 / 0 1 1"), "A", ("top", 1), ("top", 2))
+    with pytest.raises(MoveUndefined):
+        extend_walk(w, "b")
+    cases = [("1 2 / 2 1", "1 2 C C / 2 1", "lifted move is undefined"),
+             ("1 2 3 4 / 4 3 2 1", "1 2 3 4 C / 4 3 2 C 1",
+              "three moves leave the letter illegal"),
+             ("1 2 3 4 / 4 3 2 1", "1 C 2 3 4 / 4 3 C 1 2",
+              "the ends differ by more than the letter")]
+    for base, pi, message in cases:
+        w = ExtensionWitness(parse_gp(base), parse_gp(pi), "C")
+        with pytest.raises(CaseUnmatched, match=message):
+            extend_walk(w, "t")
 
 
 def test_two_letter_difference_rejected():

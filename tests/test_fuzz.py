@@ -10,10 +10,13 @@ crashes, not wrong answers; the oracles check those.
 import json
 import random
 
+import pytest
+
 from rvq import induction
 from rvq.cli import main
-from rvq.errors import RVQError
-from rvq.gp import parse_gp
+from rvq.errors import MalformedText, RVQError
+from rvq.extensions import insert_letter
+from rvq.gp import GeneralizedPermutation, parse_gp
 
 SEED = 20261019
 RUNS = 1000
@@ -115,6 +118,34 @@ def test_every_command_returns_0_1_or_a_usage_error(capsys, monkeypatch,
     # every exit code is seen, and at least half the commands get past the
     # checks of their input to an answer somewhere
     assert codes[1] and codes[2] and len(codes[0]) >= len(COMMANDS) // 2
+
+
+# letter tokens, some that ``encode`` cannot write back: empty, with
+# whitespace (Unicode's too) or with the row separator
+TOKENS = ["0", "1", "A", "x0", "\u00e4", "\u03b1", "\u200b", "", " ", "a b",
+          "\t", "B\n", "\u00a0", "\u2028", "/", "1/2"]
+
+
+def test_every_accepted_permutation_reads_back_from_its_text():
+    rng = random.Random(SEED)
+    accepted = refused = 0
+    for _ in range(RUNS):
+        letters = rng.sample(TOKENS, rng.randint(2, 5)) * 2
+        rng.shuffle(letters)
+        cut = rng.randint(1, len(letters) - 1)
+        try:
+            gp = GeneralizedPermutation(tuple(letters[:cut]),
+                                        tuple(letters[cut:]))
+        except MalformedText:
+            refused += 1
+            continue
+        assert parse_gp(gp.encode()) == gp, gp
+        accepted += 1
+    assert accepted and refused
+    # an empty fresh letter once gave an extension that read back as its base
+    with pytest.raises(MalformedText):
+        insert_letter(parse_gp("1 2 3 4 / 4 3 2 1"), "", ("top", 2),
+                      ("bottom", 2))
 
 
 SMALL = parse_gp("A A 1 / 1 B B")

@@ -16,13 +16,15 @@ from rvq.errors import (BudgetExceeded, CriterionInapplicable, MoveUndefined,
                         NotOmegaPreserving, OpenWalk, ReverseArrowMissing)
 from rvq.gp import parse_gp
 from rvq.groups import (admissible_component, arrow_cycles, cycle_matrices,
-                        image_modp, modp_closure, random_directed_cycles,
-                        rauzy_veech_group_modp, sp_order)
+                        image_modp, minus_quotient, modp_closure,
+                        random_directed_cycles, rauzy_veech_group_modp,
+                        sp_order)
 from rvq.homology import (DuplicateWinner, arrow_factor, kz_walk, letters,
                           quotient_data)
 from rvq.induction import (RauzyClass, apply_arrow, enumerate_class,
                            invert_arrow, load_or_enumerate)
 from rvq.linalg import identity
+from rvq.strata import stratum_signature
 
 TORUS = parse_gp("1 2 / 2 1")
 
@@ -223,12 +225,16 @@ def test_decomposition_product_refuses_an_open_piece():
 
 def _spy_on_closure(monkeypatch):
     """The (generators, form) pairs that ``groups`` hands to
-    ``modp_closure``, recorded as it runs."""
+    ``modp_closure``, recorded as it runs, each list cut to its first
+    matrix of each residue mod p: the generators the closure keeps."""
     closure = groups.modp_closure
     handed = []
 
     def spy(gens, q, form):
-        handed.append((gens, form))
+        kept = {}
+        for mat in gens:
+            kept.setdefault(linalg.mat_mod(mat, q), mat)
+        handed.append((list(kept.values()), form))
         return closure(gens, q, form)
 
     monkeypatch.setattr(groups, "modp_closure", spy)
@@ -250,7 +256,7 @@ def test_quotient_generators_keep_one_of_two_cycles_equal_on_the_quotient(
     mats = [mat, linalg.mul(t, mat)]
     assert linalg.mat_mod(mats[0], 2) != linalg.mat_mod(mats[1], 2)
     handed = _spy_on_closure(monkeypatch)
-    image_modp(base, mats, 2)
+    assert image_modp(base, mats, 2).generators_used == 1
     [(gens, form)] = handed
     assert len(gens) == 1
     assert (gens, form) == oracles._quotient_generators(mats, 2, qd)
@@ -741,6 +747,30 @@ def test_genus_zero_is_refused_before_the_harvest_is_read(monkeypatch, gp):
     monkeypatch.setattr(groups, "cycle_matrices", refuse)
     with pytest.raises(CriterionInapplicable, match="genus 0: no group"):
         rauzy_veech_group_modp(base, rc, 2)
+
+
+@pytest.mark.parametrize("gp, rank, two_g", [
+    ("E D C D A / F E A B C B F", 2, 4),
+    ("F C G B G / B E H E F H C A D A D", 2, 6),
+    ("D C A C / B B D A", 0, 2)])
+def test_a_minus_base_that_does_not_span_is_refused(gp, rank, two_g):
+    # the minus quotient must have rank 2g for the stratum's genus g; the
+    # refusal comes before any matrix is read, and names the rank, not
+    # "genus 0", when the stratum has genus 1 or more
+    base = parse_gp(gp)
+    assert stratum_signature(base).genus == two_g // 2
+
+    def matrices():
+        raise AssertionError("a matrix was read before the refusal")
+        yield
+
+    message = "rank %d, not 2g = %d" % (rank, two_g)
+    with pytest.raises(CriterionInapplicable, match=message):
+        minus_quotient(base)
+    with pytest.raises(CriterionInapplicable, match=message):
+        image_modp(base, matrices(), 2, minus=True)
+    # the plus image at the same base is not refused
+    assert image_modp(base, [], 2).genus == two_g // 2
 
 
 @pytest.mark.parametrize("limit", [28, 39])
