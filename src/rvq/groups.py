@@ -380,7 +380,7 @@ def harvest(rc: RauzyClass, *, cycles: int, maxlen: int, seed: int,
             minus: bool) -> tuple[Iterator[Matrix], bool]:
     """The :func:`cycle_matrices` of one cycle per arrow at the base of ``rc``
     for at most ``4 * cycles`` arrows, built as they are read (bad input
-    raises then; :func:`image_modp`'s genus-0 refusal costs none), and
+    raises then; :func:`image_modp`'s refusals cost none), and
     whether they generate all closed walks at the base, as they do, with
     their inverses, when they cover every arrow of a complete class.  If they
     miss one, ``cycles`` random directed cycles of length at most ``maxlen``
