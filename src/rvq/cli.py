@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import components, cover, extensions, groups, homology, induction, strata
-from .errors import CriterionInapplicable, NotSplittable, RVQError
+from .errors import CriterionInapplicable, RVQError
 from .gp import parse_gp, require_suspendable, validate
 
 
@@ -178,11 +178,8 @@ def cmd_extend(args):
     gp = require_suspendable(parse_gp(args.gp))
     orders = args.orders
     if len(orders) == 2:
-        res = extensions.split_singularity(gp, args.singularity, orders[0])
-        if res.orders != orders:
-            raise NotSplittable("parts must sum to the order %d"
-                                % sum(res.orders))
-        out = res.witness.extended
+        out = extensions.split_singularity(
+            gp, args.singularity, *orders).witness.extended
     else:
         out = extensions.split_even_zero(gp, args.singularity, *orders)
     sig = strata.stratum_signature(out)
@@ -199,7 +196,8 @@ def cmd_search(args):
     chains = extensions.search_extensions(
         rc.vertices, args.target_stratum, budget=args.budget)
     if args.nonhyp:
-        chains = [c for c in chains if _nonhyp(c[-1].extended)]
+        chains = [c for c in chains if components.hyperelliptic_verdict(
+            c[-1].extended) is False]
     chains = chains[:args.max_results]
     for chain in chains:
         final = chain[-1].extended
@@ -210,14 +208,6 @@ def cmd_search(args):
     if not args.json:
         sys.stdout.write("%d witness chain(s)\n" % len(chains))
     return 0 if chains else 1
-
-
-def _nonhyp(gp):
-    """True when the hyperelliptic test applies to ``gp`` and says no."""
-    try:
-        return not components.hyperelliptic_test(gp)
-    except CriterionInapplicable:
-        return False
 
 
 def cmd_identify(args):
@@ -269,17 +259,13 @@ def cmd_verify_table(args):
                "irreducible": r.irreducible_ok, "convention": r.convention_ok,
                "chain": r.chain_ok, "hyperelliptic": r.hyperelliptic,
                "passed": r.passed}
-        human = "row %2d: %s -> Q(%s)%s: %s" % (
+        human = "row %2d: %s -> Q(%s)^%s: %s" % (
             r.row, r.start, ",".join(str(o) for o in r.end_orders),
-            "^" + _flavour(r.row), "PASS" if r.passed else "FAIL")
+            r.flavour, "PASS" if r.passed else "FAIL")
         _emit(args, rec, human)
         if not r.passed:
             bad += 1
     return 1 if bad else 0
-
-
-def _flavour(row):
-    return components.table1_rows()[row - 1].flavour
 
 
 def _common_flags(parser, suppress=False):

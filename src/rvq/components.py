@@ -15,6 +15,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (CriterionInapplicable, OutOfRange, RVQError,
                      UnknownLabel)
+from .extensions import is_simple_extension
 from .gp import (GeneralizedPermutation, erase_letters, is_irreducible,
                  parse_gp, require_suspendable)
 from .induction import RauzyClass, load_or_enumerate
@@ -287,62 +288,52 @@ class RowReport(NamedTuple):
     row: int
     start: str
     end_orders: tuple[int, ...]
+    flavour: str  # reg | irr, carried from the row (not certified)
     irreducible_ok: bool
     convention_ok: bool
     chain_ok: bool
     start_found: str
-    start_ok: bool
     stratum_found: tuple[int, ...]
-    stratum_ok: bool
-    hyperelliptic: Optional[bool]
-    hyp_ok: bool
+    hyperelliptic: Optional[bool]  # None: the test does not apply
 
     @property
     def passed(self) -> bool:
         return (self.irreducible_ok and self.convention_ok and self.chain_ok
-                and self.start_ok and self.stratum_ok and self.hyp_ok)
+                and self.start_found == self.start
+                and self.stratum_found == self.end_orders
+                and self.hyperelliptic is False)
 
 
-def _nested_erasure_ok(gp: GeneralizedPermutation) -> bool:
-    """Some order of erasing A and B realizes two nested extensions."""
-    from .extensions import is_simple_extension
-    tau = erase_letters(gp, {"A", "B"})
-    for first in ("A", "B"):
-        mid = erase_letters(gp, {first})
-        second = "B" if first == "A" else "A"
-        try:
-            if (is_simple_extension(gp, mid) == first
-                    and is_simple_extension(mid, tau) == second):
-                return True
-        except RVQError:
-            continue
-    return False
+def hyperelliptic_verdict(gp: GeneralizedPermutation) -> Optional[bool]:
+    """``hyperelliptic_test``'s answer, or None when it does not apply; only
+    False certifies a non-hyperelliptic permutation."""
+    try:
+        return hyperelliptic_test(gp)
+    except CriterionInapplicable:
+        return None
 
 
 def verify_row(row: Table1Row) -> RowReport:
+    """Check the chain the row names, tau = pi - {A, B} extended by B to
+    mid = pi - {A} and mid by A to pi, with tau in the start component, pi
+    irreducible, keeping the convention, in the row's stratum and certified
+    non-hyperelliptic."""
     gp = row.gp
-    irreducible_ok = is_irreducible(gp)
-    convention_ok = gp.satisfies_convention()
-    chain_ok = _nested_erasure_ok(gp)
-    tau = erase_letters(gp, {"A", "B"})
-    start_found = identify_component(tau)
-    sig = stratum_signature(gp)
-    try:
-        hyp = hyperelliptic_test(gp)
-        hyp_ok = hyp is False
-    except CriterionInapplicable:
-        hyp, hyp_ok = None, True
+    mid = erase_letters(gp, {"A"})
+    tau = erase_letters(mid, {"B"})
     return RowReport(
         row=row.number, start=row.start, end_orders=row.end_orders,
-        irreducible_ok=irreducible_ok, convention_ok=convention_ok,
-        chain_ok=chain_ok, start_found=start_found,
-        start_ok=start_found == row.start,
-        stratum_found=sig.orders, stratum_ok=sig.orders == row.end_orders,
-        hyperelliptic=hyp, hyp_ok=hyp_ok)
+        flavour=row.flavour, irreducible_ok=is_irreducible(gp),
+        convention_ok=gp.satisfies_convention(),
+        chain_ok=(is_simple_extension(mid, tau) == "B"
+                  and is_simple_extension(gp, mid) == "A"),
+        start_found=identify_component(tau),
+        stratum_found=stratum_signature(gp).orders,
+        hyperelliptic=hyperelliptic_verdict(gp))
 
 
 def verify_extension_table(rows=None) -> list[RowReport]:
-    """Check every requested table row; see RowReport for the criteria.
+    """Check every requested table row; see verify_row for the criteria.
 
     The regular/irregular flavour is carried as data but not certified: the
     two flavours are not separated by any invariant computed here.

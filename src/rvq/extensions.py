@@ -125,21 +125,22 @@ def _find_orbit(gp: GeneralizedPermutation, at) -> tuple[int, ...]:
 
 
 def split_singularity(tau: GeneralizedPermutation, at,
-                      m11: int) -> SplitResult:
-    """Split the conical point selected by ``at`` into orders (m11, m1-m11).
+                      m11: int, m12: int) -> SplitResult:
+    """Split the conical point selected by ``at`` into orders (m11, m12).
 
-    ``at`` is a raw position (or the orbit tuple) selecting a turning orbit.
-    Every legal single insertion is tried in the order of
+    ``at`` is a raw position (or the orbit tuple) selecting a turning orbit;
+    m11 + m12 must equal its order, which is checked before any candidate
+    is built. Every legal single insertion is tried in the order of
     ``_all_single_insertions``. The first one is returned whose turning
-    orbits show the chosen orbit severed into orbits of orders m11 and
-    m1-m11, with every other orbit unchanged, and whose result is
-    irreducible and satisfies the convention. That certificate is what makes
-    the answer correct; no candidate is constructed from the orbit.
+    orbits show the chosen orbit severed into orbits of orders m11 and m12,
+    with every other orbit unchanged, and whose result is irreducible and
+    satisfies the convention. That certificate is what makes the answer
+    correct; no candidate is constructed from the orbit.
     """
-    return _split(tau, at, m11)
+    return _split(tau, at, m11, m12)
 
 
-def _split(tau, at, m11, row=None):
+def _split(tau, at, m11, m12, row=None):
     """``split_singularity``, restricted to insertions with both copies in
     ``row`` when it is given.  The top-row half of :func:`split_even_zero`
     is intermediate by design, so its result need not keep the convention."""
@@ -148,7 +149,8 @@ def _split(tau, at, m11, row=None):
     torus_case = tau.is_genuine and tau.d == 2 and m1 == 0
     if m1 < 1 and not torus_case:
         raise NotSplittable("singularity order %d < 1" % m1)
-    m12 = m1 - m11
+    if m11 + m12 != m1:
+        raise NotSplittable("parts must sum to the order %d" % m1)
     if m11 < -1 or m12 < -1:
         raise NotSplittable("parts must be >= -1")
     if m11 == 0 or m12 == 0:
@@ -207,11 +209,9 @@ def split_even_zero(tau: GeneralizedPermutation, at,
     torus_case = tau.d == 2 and q == 0
     if q % 2 != 0 or (q < 2 and not torus_case):
         raise NotSplittable("chosen singularity order %d is not even >= 2" % q)
-    if m11 + m12 + m13 != q:
-        raise NotSplittable("parts must sum to the order %d" % q)
 
-    first = _split(tau, orbit, m11, row='top')
-    second = _split(first.witness.extended, first.orbit_reps[1], m12,
+    first = _split(tau, orbit, m11, m12 + m13, row='top')
+    second = _split(first.witness.extended, first.orbit_reps[1], m12, m13,
                     row='bottom')
     return second.witness.extended
 

@@ -204,7 +204,7 @@ def test_criterion_5_splitting_suite():
         legal = [m for m in range(-1, m1 + 2)
                  if m != 0 and m1 - m != 0 and m1 - m >= -1]
         m11 = rng.choice(legal)
-        res = split_singularity(gp, orbit, m11)
+        res = split_singularity(gp, orbit, m11, m1 - m11)
         got = stratum_signature(res.witness.extended)
         base_sig = stratum_signature(gp)
         want = list(base_sig.orders)

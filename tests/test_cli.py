@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from rvq import components, groups, induction
+from rvq import components, extensions, groups, induction
 from rvq.cli import main
+from rvq.errors import CriterionInapplicable
 from rvq.gp import is_suspendable, parse_gp
 from rvq.strata import stratum_signature
 
@@ -87,6 +88,18 @@ def test_extend_refuses_a_split_that_is_not_asked_or_has_no_stratum(
     assert code == 1 and out == "" and err.startswith(error)
 
 
+@pytest.mark.parametrize("orders", ["8,5", "1,1"])
+def test_extend_refuses_parts_that_do_not_sum_before_any_candidate(
+        capsys, monkeypatch, orders):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate was built before the refusal")
+
+    monkeypatch.setattr(extensions, "_all_single_insertions", refuse)
+    assert run(capsys, "extend", "1 2 3 A A 4 / 4 3 B B 2 1",
+               "--singularity", "1", "--orders", orders) == (
+        1, "", "NotSplittable: parts must sum to the order 6\n")
+
+
 def test_identify(capsys):
     code, out, _ = run(capsys, "identify", "0 1 2 3 / 3 2 1 0")
     assert code == 0 and out.strip() == "H(2)"
@@ -133,6 +146,43 @@ def test_verify_table_subset(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2 and all("PASS" in ln for ln in lines)
+
+
+def test_group_lower_bound_line(capsys):
+    # two random cycles stand in for one cycle per arrow, so the order found
+    # is only a lower bound
+    argv = ("group", "0 1 2 3 5 6 / 3 2 6 5 1 0", "--mod", "2",
+            "--cycles", "2")
+    assert run(capsys, *argv) == (0, (
+        "mod-2 closure: order 51840, index 28 in Sp(6, F_2) [lower bound: "
+        "7 generators from 2 cycles, maxlen 60, seed 0]\n"), "")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0 and json.loads(out)["exact"] is False
+
+
+def test_verify_table_fails_a_row_whose_hyperelliptic_test_does_not_apply(
+        capsys, monkeypatch):
+    # only an applicable test that says no certifies a row, as for
+    # search --nonhyp
+    row7, real = components.table1(7), components.hyperelliptic_test
+
+    def patched(gp):
+        if gp == row7:
+            raise CriterionInapplicable("not applicable to row 7")
+        return real(gp)
+
+    monkeypatch.setattr(components, "hyperelliptic_test", patched)
+    code, out, _ = run(capsys, "verify-table")
+    lines = out.splitlines()
+    assert code == 1 and len(lines) == 12
+    assert lines[6] == "row  7: H(6)^even -> Q(6,3,3)^reg: FAIL"
+    assert all(ln.endswith(": PASS") for ln in lines[:6] + lines[7:])
+    code, out, _ = run(capsys, "--json", "verify-table")
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and len(recs) == 12
+    assert (recs[6]["passed"], recs[6]["hyperelliptic"]) == (False, None)
+    assert all(r["passed"] and r["hyperelliptic"] is False
+               for r in recs[:6] + recs[7:])
 
 
 def test_search(capsys):

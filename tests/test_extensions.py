@@ -1,10 +1,12 @@
 import hashlib
 import random
+import string
 
 import pytest
 
 from conftest import random_gp
 from oracles import defined_moves
+from rvq import extensions
 from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (AlphabetMismatch, CaseUnmatched, IllegalPosition,
                         MoveUndefined, NotSplittable, ParityError, RVQError)
@@ -126,7 +128,8 @@ def test_insertion_split_and_search_outcomes_pinned():
         for orbit in turning_orbits(tau):
             q = orbit_order(tau, orbit)
             for m11 in range(-1, q + 2):
-                lines.append(_outcome(split_singularity, tau, orbit, m11))
+                lines.append(_outcome(split_singularity, tau, orbit, m11,
+                                      q - m11))
                 for m12 in range(-1, q + 2 - m11, 2):
                     lines.append(_outcome(split_even_zero, tau, orbit, m11,
                                           m12, q - m11 - m12))
@@ -162,16 +165,16 @@ def test_sigma_hyp_is_double_extension_of_tau():
 
 def test_split_into_two_odd():
     orbit = max(turning_orbits(WITNESS), key=len)
-    res = split_singularity(WITNESS, orbit, 3)
+    res = split_singularity(WITNESS, orbit, 3, 3)
     sig = stratum_signature(res.witness.extended)
     assert sig.orders == (3, 3, -1, -1) and sig.genus == 2
 
 
 def test_split_pole_creation():
     orbit = max(turning_orbits(WITNESS), key=len)
-    res = split_singularity(WITNESS, orbit, 7)
+    res = split_singularity(WITNESS, orbit, 7, -1)
     assert stratum_signature(res.witness.extended).orders == (7, -1, -1, -1)
-    res = split_singularity(WITNESS, orbit, -1)
+    res = split_singularity(WITNESS, orbit, -1, 7)
     assert res.orders == (-1, 7)
     assert stratum_signature(res.witness.extended).orders == (7, -1, -1, -1)
 
@@ -191,7 +194,7 @@ def test_split_conservation_random():
         m11 = rng.choice([m for m in range(-1, m1 + 2)
                           if m != 0 and m1 - m != 0 and m >= -1
                           and m1 - m >= -1])
-        res = split_singularity(gp, orbit, m11)
+        res = split_singularity(gp, orbit, m11, m1 - m11)
         out_sig = stratum_signature(res.witness.extended)
         in_sig = stratum_signature(gp)
         expected = sorted(list(in_sig.orders) + [m11, m1 - m11], reverse=True)
@@ -239,7 +242,9 @@ def _split_outcome(tau, orbit, parts):
     that keeps the convention."""
     try:
         if len(parts) == 1:
-            res = split_singularity(tau, orbit, parts[0])
+            m11 = parts[0]
+            res = split_singularity(tau, orbit, m11,
+                                    orbit_order(tau, orbit) - m11)
             out = res.witness.extended
             assert is_simple_extension(out, tau) == res.witness.letter
             parts = res.orders
@@ -275,12 +280,45 @@ def test_split_outcomes_pinned():
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f5dbe3f2e2c03a9b"
 
 
+@pytest.mark.parametrize("split, base, parts, order", [
+    (split_singularity, WITNESS, (8, 5), 6),
+    (split_singularity, WITNESS, (1, 1), 6),
+    (split_even_zero, T4, (-1, -1, 4), 4),
+], ids=["sum-too-big", "sum-too-small", "double-split"])
+def test_parts_that_do_not_sum_are_refused_before_any_candidate(
+        monkeypatch, split, base, parts, order):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate was built before the refusal")
+
+    monkeypatch.setattr(extensions, "_all_single_insertions", refuse)
+    with pytest.raises(NotSplittable) as exc:
+        split(base, 1, *parts)
+    assert str(exc.value) == "parts must sum to the order %d" % order
+
+
+def test_split_refuses_a_tuple_that_is_not_a_turning_orbit():
+    orbit = max(turning_orbits(WITNESS), key=len)
+    with pytest.raises(NotSplittable, match="no turning orbit equals"):
+        split_singularity(WITNESS, orbit[:2], 3, 3)
+
+
+def test_fresh_letter_past_z():
+    # after A..Z come x0, x1, ...; an insertion of such a letter reads back
+    tau = GeneralizedPermutation(tuple(string.ascii_uppercase),
+                                 tuple(reversed(string.ascii_uppercase)))
+    assert fresh_letter(tau.alphabet) == "x0"
+    assert fresh_letter(tau.alphabet + ("x0",)) == "x1"
+    w = insert_letter(tau, "x0", ("top", 2), ("bottom", 3))
+    back = parse_gp(w.extended.encode())
+    assert back == w.extended and is_simple_extension(back, tau) == "x0"
+
+
 def test_split_rejects_marked_point_parts():
     orbit = max(turning_orbits(WITNESS), key=len)
     with pytest.raises(NotSplittable):
-        split_singularity(WITNESS, orbit, 0)
+        split_singularity(WITNESS, orbit, 0, 6)
     with pytest.raises(NotSplittable):
-        split_singularity(WITNESS, orbit, 9)
+        split_singularity(WITNESS, orbit, 9, -3)
 
 
 def test_split_even_zero_example():
@@ -301,7 +339,7 @@ def test_torus_special_case():
     # has no stratum; the double split puts them in both
     torus = parse_gp("1 2 / 2 1")
     with pytest.raises(NotSplittable):
-        split_singularity(torus, 1, 1)
+        split_singularity(torus, 1, 1, -1)
     out = split_even_zero(torus, 1, -1, -1, 2)
     assert stratum_signature(out).orders == (2, -1, -1)
     assert out.satisfies_convention()
@@ -400,7 +438,7 @@ def test_split_outputs_are_simple_extensions():
         orbits = [o for o in turning_orbits(gp) if orbit_order(gp, o) >= 2]
         for orbit in orbits:
             m1 = orbit_order(gp, orbit)
-            res = split_singularity(gp, orbit, 1)
+            res = split_singularity(gp, orbit, 1, m1 - 1)
             assert is_simple_extension(res.witness.extended, gp) \
                 == res.witness.letter
 

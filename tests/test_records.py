@@ -21,7 +21,8 @@ WITNESS = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
 
 
 def _split():
-    return split_singularity(WITNESS, max(turning_orbits(WITNESS), key=len), 3)
+    return split_singularity(WITNESS, max(turning_orbits(WITNESS), key=len),
+                             3, 3)
 
 
 # each type's fields in order, and one instance the library builds
@@ -42,9 +43,9 @@ RECORDS = {
     SplitResult: (("witness", "orders", "orbit_reps"), _split),
     Table1Row: (("number", "start", "end_orders", "flavour", "gp"),
                 lambda: table1_rows()[0]),
-    RowReport: (("row", "start", "end_orders", "irreducible_ok",
-                 "convention_ok", "chain_ok", "start_found", "start_ok",
-                 "stratum_found", "stratum_ok", "hyperelliptic", "hyp_ok"),
+    RowReport: (("row", "start", "end_orders", "flavour", "irreducible_ok",
+                 "convention_ok", "chain_ok", "start_found", "stratum_found",
+                 "hyperelliptic"),
                 lambda: verify_row(table1_rows()[0])),
     QuotientData: (("form", "basis", "kernel", "unimodular", "inverse",
                     "reduced_form"), lambda: quotient_data(WITNESS)),
