@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import components, cover, extensions, groups, homology, induction, strata
-from .errors import CriterionInapplicable, RVQError
+from .errors import RVQError
 from .gp import parse_gp, require_suspendable, validate
 
 
@@ -219,12 +219,7 @@ def cmd_identify(args):
 
 def cmd_group(args):
     gp = require_suspendable(parse_gp(args.gp))
-    if args.minus:
-        if not cover.cover_stratum(gp).minus_eligible:
-            raise CriterionInapplicable(
-                "%s: the minus group needs exactly two singularities of odd "
-                "order" % gp.encode())
-        groups.minus_quotient(gp)  # refused before any enumeration
+    groups.image_quotient(gp, minus=args.minus)  # refused before any class
     rc = (groups.admissible_component(gp, limit=args.budget) if args.minus
           else induction.load_or_enumerate(gp, limit=args.budget))
     res = groups.rauzy_veech_group_modp(

@@ -10,7 +10,7 @@ enumerated class of a trusted representative; otherwise it stays "unknown".
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from typing import NamedTuple, Optional
 
 from .errors import (CriterionInapplicable, OutOfRange, RVQError,
@@ -18,7 +18,7 @@ from .errors import (CriterionInapplicable, OutOfRange, RVQError,
 from .extensions import is_simple_extension
 from .gp import (GeneralizedPermutation, erase_letters, is_irreducible,
                  parse_gp, require_suspendable)
-from .induction import RauzyClass, load_or_enumerate
+from .induction import load_or_enumerate
 from .strata import StratumSignature, _arf_invariant, stratum_signature
 
 UNKNOWN = "unknown"
@@ -201,24 +201,18 @@ def hyperelliptic_test(gp: GeneralizedPermutation) -> bool:
 # identification
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _hyperelliptic_class(d: int, budget: int) -> RauzyClass:
-    """The reduced class of tau_sym(d): the hyperelliptic component of
-    H(2g-2) (d = 2g) or H(g-1,g-1) (d = 2g+1), 2^(d-1) - 1 vertices."""
-    return load_or_enumerate(tau_sym(d), limit=budget, reduced_labels=True)
-
-
 def _abelian_component(gp: GeneralizedPermutation, sig: StratumSignature,
                        budget: int) -> str:
-    """Kontsevich-Zorich: hyperellipticity and spin parity tell apart the
+    """Kontsevich-Zorich: hyperellipticity (membership in the reduced class
+    of tau_sym(d), 2^(d-1) - 1 vertices) and spin parity tell apart the
     components of an abelian stratum without marked points."""
     orders, g = sig.abelian_orders(), sig.genus
     name = sig.abelian_str()
     if 0 in orders:
         return name if orders == (0,) else UNKNOWN
     hyp_capable = g >= 3 and orders in ((2 * g - 2,), (g - 1, g - 1))
-    if hyp_capable and gp.reduced() in _hyperelliptic_class(len(gp.top),
-                                                            budget):
+    if hyp_capable and gp.reduced() in load_or_enumerate(
+            tau_sym(gp.d), limit=budget, reduced_labels=True):
         return name + "^hyp"
     if g >= 3 and all(o % 2 == 0 for o in orders):
         return name + ("^odd" if _arf_invariant(gp) else "^even")

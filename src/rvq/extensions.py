@@ -17,8 +17,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import (AlphabetMismatch, BudgetExceeded, CaseUnmatched,
                      IllegalPosition, MoveUndefined, NotSplittable,
                      ParityError)
-from .gp import (GeneralizedPermutation, _trusted, erase_letters,
-                 is_irreducible, is_suspendable)
+from .gp import (GeneralizedPermutation, _trusted, is_irreducible,
+                 is_suspendable)
 from .induction import apply_arrow
 from .strata import orbit_order, stratum_signature, turning_orbits
 
@@ -74,7 +74,9 @@ def is_simple_extension(pi: GeneralizedPermutation,
     if len(extra) != 1 or tau.pairs.keys() - pi.pairs.keys():
         raise AlphabetMismatch("alphabets must differ by exactly one letter")
     letter = extra.pop()
-    if erase_letters(pi, {letter}) != tau:
+    rows = tuple(tuple(x for x in row if x != letter)  # may empty a row
+                 for row in (pi.top, pi.bottom))
+    if rows != (tau.top, tau.bottom):
         return None
     return letter if _legal(pi.top, pi.bottom, letter) else None
 
@@ -121,7 +123,7 @@ def _find_orbit(gp: GeneralizedPermutation, at) -> tuple[int, ...]:
     for orb in orbits:
         if pos in orb:
             return orb
-    raise NotSplittable("position %r outside 1..l+m" % (at,))
+    raise NotSplittable("position %r outside 1..%d" % (at, gp.ell + gp.m))
 
 
 def split_singularity(tau: GeneralizedPermutation, at,

@@ -15,6 +15,7 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
+from .cover import cover_stratum
 from .errors import (CriterionInapplicable, NonDividingOrder,
                      NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
 from .gp import GeneralizedPermutation
@@ -398,16 +399,25 @@ def harvest(rc: RauzyClass, *, cycles: int, maxlen: int, seed: int,
     return matrices(), covered and rc.complete
 
 
-def minus_quotient(base: GeneralizedPermutation) -> QuotientData:
-    """The :func:`~rvq.homology.quotient_data` of the minus form at ``base``
-    when its rank is 2g for the genus g of ``base``'s stratum, as a minus
-    image needs; else CriterionInapplicable naming both."""
-    qd = quotient_data(base, minus=True)
-    genus = stratum_signature(base, cross_check=False).genus
-    if len(qd.basis) != 2 * genus:
+def image_quotient(base: GeneralizedPermutation, *,
+                   minus: bool = False) -> QuotientData:
+    """The :func:`~rvq.homology.quotient_data` a mod-p image at ``base``
+    acts on.  CriterionInapplicable refuses, with ``minus``, a stratum outside
+    the paper's scope (:attr:`~rvq.cover.CoverStratum.minus_eligible`), then a
+    both-rows form of rank other than 2g; last, genus 0."""
+    if minus:
+        sig = stratum_signature(base, cross_check=False)
+        if not cover_stratum(sig).minus_eligible:
+            raise CriterionInapplicable(
+                "%s: the minus group needs exactly two singularities of odd "
+                "order" % base.encode())
+    qd = quotient_data(base, minus=minus)
+    if minus and len(qd.basis) != 2 * sig.genus:
         raise CriterionInapplicable(
             "%s: the form on the both-rows letters has rank %d, not 2g = %d"
-            % (base.encode(), len(qd.basis), 2 * genus))
+            % (base.encode(), len(qd.basis), 2 * sig.genus))
+    if not qd.reduced_form:
+        raise CriterionInapplicable("%s has genus 0: no group" % base.encode())
     return qd
 
 
@@ -417,12 +427,10 @@ def image_modp(base: GeneralizedPermutation, matrices: Iterable[Matrix],
     the quotient of the intersection form on ``letters(base, minus)``, with
     no class.  Each matrix is checked exactly, but only one new mod p is
     pushed down (the basis change is integral).  ``exact`` stays False: only
-    the matrices' source knows.  Genus 0, or a minus quotient whose rank is
-    not 2g (:func:`minus_quotient`), raises CriterionInapplicable before any
-    is read, one off the form NotOmegaPreserving, a non-prime ValueError."""
-    qd = minus_quotient(base) if minus else quotient_data(base)
-    if not qd.reduced_form:
-        raise CriterionInapplicable("%s has genus 0: no group" % base.encode())
+    the matrices' source knows.  :func:`image_quotient`'s refusals come
+    before any matrix is read, one off the form raises NotOmegaPreserving, a
+    non-prime ValueError."""
+    qd = image_quotient(base, minus=minus)
     _require_prime(p)
     gens, seen = [], set()
     for mat in matrices:

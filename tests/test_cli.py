@@ -100,6 +100,13 @@ def test_extend_refuses_parts_that_do_not_sum_before_any_candidate(
         1, "", "NotSplittable: parts must sum to the order 6\n")
 
 
+@pytest.mark.parametrize("at", ["0", "99"])
+def test_extend_names_the_range_of_positions(capsys, at):
+    assert run(capsys, "extend", "1 2 3 A A 4 / 4 3 B B 2 1",
+               "--singularity", at, "--orders", "3,3") == (
+        1, "", "NotSplittable: position %s outside 1..12\n" % at)
+
+
 def test_identify(capsys):
     code, out, _ = run(capsys, "identify", "0 1 2 3 / 3 2 1 0")
     assert code == 0 and out.strip() == "H(2)"
@@ -290,7 +297,6 @@ def test_extend_and_search_refuse_unsuspendable_input(capsys, argv, gp,
     ["group", "1 2 3 4 / 4 3 2 1", "--cycles", "4"],
 ], ids=["identify", "verify-table", "class", "group"])
 def test_no_cache_writes_no_class_file(capsys, tmp_path, monkeypatch, argv):
-    components._hyperelliptic_class.cache_clear()
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path / "unused"))
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -309,13 +315,34 @@ def test_no_cache_writes_no_class_file(capsys, tmp_path, monkeypatch, argv):
 ], ids=["cache-dir-is-a-file", "cache-dir-under-a-file", "dot-dir-missing",
         "dot-is-a-directory"])
 def test_unusable_path_is_one_line_error(capsys, tmp_path, argv, error):
-    components._hyperelliptic_class.cache_clear()
     file = tmp_path / "file"
     file.write_text("")
     code, out, err = run(capsys, *(a.format(file=file, tmp=tmp_path)
                                    for a in argv))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(error + ": ")
+
+
+def test_identify_reads_classes_where_each_run_says(capsys, monkeypatch,
+                                                   tmp_path):
+    # no class is kept in the process between runs: each reads tau_sym(6)'s
+    # reduced class through its own cache settings
+    gp = "0 1 2 3 4 5 / 5 4 3 2 1 0"
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(cache))
+    name = pathlib.Path(induction._cache_path(components.tau_sym(6),
+                                              True)).name
+    assert run(capsys, "--no-cache", "identify", gp) == (0, "H(4)^hyp\n", "")
+    assert list(cache.iterdir()) == []
+    assert run(capsys, "--cache-dir", str(cache), "identify", gp) == (
+        0, "H(4)^hyp\n", "")
+    assert [p.name for p in cache.iterdir()] == [name]
+    file = tmp_path / "file"
+    file.write_text("")
+    code, out, err = run(capsys, "--cache-dir", str(file / "sub"),
+                         "identify", gp)
+    assert (code, out) == (1, "") and err.startswith("NotADirectoryError: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -530,6 +557,26 @@ def test_group_refuses_genus_zero(capsys, gp):
     assert code == 1 and out == "" and len(err.splitlines()) == 1
     assert err.startswith("CriterionInapplicable:") and "genus 0" in err
     assert err == "CriterionInapplicable: %s has genus 0: no group\n" % gp
+
+
+@pytest.mark.parametrize("flags, line", [
+    ((), "{gp} has genus 0: no group"),
+    (("--minus",), "{gp}: the minus group needs exactly two singularities "
+                   "of odd order")], ids=["plus", "minus"])
+def test_group_refuses_from_its_base_before_any_class(capsys, monkeypatch,
+                                                      tmp_path, flags, line):
+    # Q(1,1,-1^6): genus 0, eight odd singularities; its labeled class has
+    # 181,440 vertices
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class was enumerated before the refusal")
+
+    monkeypatch.setattr(induction, "load_or_enumerate", refuse)
+    monkeypatch.setattr(groups, "admissible_component", refuse)
+    gp = "1 1 2 2 3 3 4 / 4 5 5 6 6 7 7"
+    assert run(capsys, "--cache-dir", str(tmp_path), "group", gp,
+               *flags) == (1, "", "CriterionInapplicable: %s\n"
+                           % line.format(gp=gp))
+    assert list(tmp_path.iterdir()) == []
 
 
 # bases of eligible strata whose both-rows letters span less than 2g: the

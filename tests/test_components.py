@@ -283,3 +283,11 @@ def test_identify_computes_the_stratum_once(monkeypatch):
     monkeypatch.setattr(strata, "stratum_signature", counted)
     assert identify_component(tau_zorich(4)) == "H(6)^odd"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("make, args, message", [
+    (tau_zorich, (2,), "g >= 3"), (sigma_hyp, (-1, 2), "s, r >= 0"),
+    (sigma_hyp, (1, 0), "genus 0")], ids=["zorich-2", "hyp-neg", "hyp-1-0"])
+def test_families_refuse_arguments_out_of_range(make, args, message):
+    with pytest.raises(OutOfRange, match=message):
+        make(*args)

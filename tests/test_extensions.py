@@ -409,6 +409,25 @@ def test_two_letter_difference_rejected():
         is_simple_extension(WITNESS, parse_gp("1 2 / 2 1"))
 
 
+def test_an_extra_letter_that_fills_a_row_is_no_simple_extension():
+    # erasing A would leave an empty top row, which no permutation has
+    pi, tau = parse_gp("A A / 1 2 2 1"), parse_gp("1 2 / 2 1")
+    assert is_simple_extension(pi, tau) is None
+    with pytest.raises(IllegalPosition, match="not a simple extension"):
+        witness_from(pi, tau)
+
+
+def test_insertions_and_witnesses_refuse_bad_slots():
+    tau = parse_gp("1 2 / 2 1")
+    with pytest.raises(IllegalPosition, match="unknown row 'middle'"):
+        insert_letter(tau, "Z", ("middle", 1), ("top", 1))
+    with pytest.raises(IllegalPosition, match="distinct slots"):
+        insert_letter(tau, "Z", ("top", 1), ("top", 1))
+    # Z ends both rows
+    with pytest.raises(IllegalPosition, match="not a simple extension"):
+        witness_from(parse_gp("1 2 Z / 2 1 Z"), tau)
+
+
 def test_extend_walk_chain():
     mid = erase_letters(WITNESS, {"A"})
     w = witness_from(WITNESS, mid)

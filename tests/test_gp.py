@@ -60,6 +60,12 @@ def test_positions_and_sigma():
         assert gp.letter(gp.sigma(p)) == gp.letter(p)
 
 
+@pytest.mark.parametrize("pos", [0, 13])
+def test_letter_outside_the_positions(pos):
+    with pytest.raises(IndexError):
+        parse_gp("1 2 3 A A 4 / 4 3 B B 2 1").letter(pos)
+
+
 # -- oracle: the row rescans that each letter query used to make --
 
 def _oracle_positions(gp, x):

@@ -11,12 +11,13 @@ from oracles import (DecompositionPiece, decomposition_product,
                      trajectory)
 from rvq import groups, linalg
 from rvq.components import sigma_hyp, table1, tau_sym, tau_zorich
+from rvq.cover import cover_stratum
 from rvq.errors import (BudgetExceeded, CriterionInapplicable, MoveUndefined,
                         NonDividingOrder, NonSymplecticGenerator,
                         NotOmegaPreserving, OpenWalk, ReverseArrowMissing)
 from rvq.gp import parse_gp
 from rvq.groups import (admissible_component, arrow_cycles, cycle_matrices,
-                        image_modp, minus_quotient, modp_closure,
+                        image_modp, image_quotient, modp_closure,
                         random_directed_cycles, rauzy_veech_group_modp,
                         sp_order)
 from rvq.homology import (DuplicateWinner, arrow_factor, kz_walk, letters,
@@ -127,6 +128,14 @@ def test_sp_order_values():
 def test_closure_on_the_empty_form_has_no_symplectic_group():
     with pytest.raises(ValueError, match="genus must be >= 1"):
         modp_closure([], 2, ())
+
+
+def test_closure_refuses_a_form_of_odd_size_or_degenerate_mod_p():
+    with pytest.raises(ValueError, match="form must have even size"):
+        modp_closure([], 2, ((0,),))
+    with pytest.raises(NonSymplecticGenerator,
+                       match="form is degenerate mod 2"):
+        modp_closure([], 2, ((0, 2), (-2, 0)))
 
 
 @pytest.mark.parametrize("p", [4, 6, 0, 1, -3])
@@ -525,18 +534,25 @@ def test_minus_group_equals_the_closure_of_the_walked_harvest(base, p, order,
 
 WITNESS = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
 
-# the minus cases and two more bases whose labeled classes (2,040 and
-# 124,920 vertices) the oracle route still enumerates
-ORACLE_CASES = [(base, p) for base, p, _, _ in MINUS_CASES] + [
-    (sigma_hyp(2, 0), 2), (sigma_hyp(2, 0), 3), (sigma_hyp(0, 3), 2)]
+# the minus cases and sigma_hyp(0, 3), whose labeled class (124,920
+# vertices) the oracle route still enumerates; sigma_hyp(2, 0), in
+# Q(1,1,-1,-1) with four odd singularities, is outside the minus scope
+ORACLE_CASES = [(base, p, True) for base, p, _, _ in MINUS_CASES] + [
+    (sigma_hyp(2, 0), 2, False), (sigma_hyp(2, 0), 3, False),
+    (sigma_hyp(0, 3), 2, True)]
 ORACLE_IDS = MINUS_IDS + ["hyp-2-0-2", "hyp-2-0-3", "hyp-0-3-2"]
 
 
-@pytest.mark.parametrize("base, p", ORACLE_CASES, ids=ORACLE_IDS)
-def test_minus_group_of_the_component_equals_the_labeled_class_route(base,
-                                                                     p):
-    res = rauzy_veech_group_modp(base, admissible_component(base), p,
-                                 minus=True)
+@pytest.mark.parametrize("base, p, in_scope", ORACLE_CASES, ids=ORACLE_IDS)
+def test_minus_group_of_the_component_equals_the_labeled_class_route(
+        base, p, in_scope):
+    rc = admissible_component(base)
+    if not in_scope:
+        with pytest.raises(CriterionInapplicable,
+                           match="two singularities of odd order"):
+            rauzy_veech_group_modp(base, rc, p, minus=True)
+        return
+    res = rauzy_veech_group_modp(base, rc, p, minus=True)
     gens, form = labeled_class_minus_generators_modp(
         base, load_or_enumerate(base), p)
     assert res.exact and res.order == modp_closure(gens, p, form).order
@@ -766,11 +782,33 @@ def test_a_minus_base_that_does_not_span_is_refused(gp, rank, two_g):
 
     message = "rank %d, not 2g = %d" % (rank, two_g)
     with pytest.raises(CriterionInapplicable, match=message):
-        minus_quotient(base)
+        image_quotient(base, minus=True)
     with pytest.raises(CriterionInapplicable, match=message):
         image_modp(base, matrices(), 2, minus=True)
     # the plus image at the same base is not refused
     assert image_modp(base, [], 2).genus == two_g // 2
+
+
+@pytest.mark.parametrize("base", [table1(5), table1(6), table1(11),
+                                  table1(12), sigma_hyp(2, 0)],
+                         ids=["row5", "row6", "row11", "row12", "hyp-2-0"])
+def test_a_minus_image_outside_the_papers_scope_is_refused(base):
+    # four odd singularities: the anti-invariant homology of the cover has
+    # rank 2g + 2, so an image on the both-rows letters is not the minus
+    # group; the refusal comes before any matrix is read
+    assert not cover_stratum(base).minus_eligible
+
+    def matrices():
+        raise AssertionError("a matrix was read before the refusal")
+        yield
+
+    message = ("%s: the minus group needs exactly two singularities of odd "
+               "order" % base.encode())
+    with pytest.raises(CriterionInapplicable) as info:
+        image_modp(base, matrices(), 2, minus=True)
+    assert str(info.value) == message
+    # the plus image at the same base acts on the whole quotient
+    assert image_quotient(base) == quotient_data(base)
 
 
 @pytest.mark.parametrize("limit", [28, 39])

@@ -664,6 +664,16 @@ def test_resolve_walk_and_end():
     assert kz_walk(torus, "tb")[1] == torus
 
 
+def test_a_step_other_than_t_or_b_is_refused():
+    gp = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
+    with pytest.raises(ValueError, match="kind must be 't' or 'b'"):
+        apply_arrow(gp, "x")
+    with pytest.raises(ValueError, match="kind must be 't' or 'b'"):
+        invert_arrow(gp, "x")
+    with pytest.raises(ValueError, match="walk steps must be one of"):
+        resolve_walk(gp, "tx")
+
+
 def test_reduced_enumeration_quotient():
     seed = parse_gp("1 2 3 4 / 4 3 2 1")
     rc = enumerate_class(seed, reduced_labels=True)

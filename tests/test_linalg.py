@@ -171,6 +171,11 @@ def test_empty_matrix():
     assert linalg.det(()) == 1
 
 
+def test_det_with_a_zero_column_below_the_pivot():
+    # no row has a nonzero entry in column 0 to swap in
+    assert linalg.det(((0, 1), (0, 1))) == 0
+
+
 def _loop_mul(a, b):
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
                        for j in range(len(b[0]))) for i in range(len(a)))
