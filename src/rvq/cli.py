@@ -165,7 +165,7 @@ def cmd_cocycle(args):
 
 def cmd_cover(args):
     gp = require_suspendable(parse_gp(args.gp))
-    cs = cover.cover_stratum(gp)
+    cs = cover.cover_stratum(strata.stratum_signature(gp))
     rec = {"gp": gp.encode(), "cover_orders": list(cs.orders),
            "cover_genus": cs.genus, "marked_points": cs.marked_points,
            "minus_eligible": cs.minus_eligible}

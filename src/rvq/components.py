@@ -175,11 +175,17 @@ def _matches_doubled(top, bottom):
 def hyperelliptic_test(gp: GeneralizedPermutation) -> bool:
     """Decide the two-forms criterion for single-cylinder style permutations.
 
-    Applicable when the first top letter equals the last bottom letter; after
-    removing that letter the rows are compared, over all independent cyclic
-    rotations, against the interleaved-duplicates form and the doubled-rows
-    form.
+    Applicable to a strict permutation whose first top letter equals its
+    last bottom letter; after removing that letter the rows are compared,
+    over all independent cyclic rotations, against the interleaved-duplicates
+    form and the doubled-rows form.  Both forms need a letter twice in one
+    row, so a genuine permutation could only get False: it raises
+    CriterionInapplicable instead (its component is named by
+    :func:`identify_component`).
     """
+    if gp.is_genuine:
+        raise CriterionInapplicable(
+            "a genuine permutation matches neither form")
     if gp.top[0] != gp.bottom[-1]:
         raise CriterionInapplicable(
             "first top letter differs from last bottom letter")

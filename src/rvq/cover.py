@@ -10,8 +10,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InconsistentGenus
-from .gp import GeneralizedPermutation
-from .strata import StratumSignature, stratum_signature
+from .strata import StratumSignature
 
 
 class CoverStratum(NamedTuple):
@@ -36,18 +35,15 @@ class CoverStratum(NamedTuple):
         return s
 
 
-def cover_stratum(gp_or_sig) -> CoverStratum:
-    """Stratum of the orientation double cover plus its genus.
+def cover_stratum(sig: StratumSignature) -> CoverStratum:
+    """Stratum of the orientation double cover of the stratum ``sig``, plus
+    its genus.
 
     Odd orders 2k-1 contribute one zero of order 2k; even orders 2k
     contribute two zeros of order k. The genus comes from
     2g~ - 2 = 4g - 4 + (number of odd orders).  Orders that do not sum to
     4g - 4 raise InconsistentGenus.
     """
-    if isinstance(gp_or_sig, GeneralizedPermutation):
-        sig = stratum_signature(gp_or_sig)
-    else:
-        sig = gp_or_sig
     if sum(sig.orders) != 4 * sig.genus - 4:
         raise InconsistentGenus("orders %s do not sum to 4g - 4 for genus %d"
                                 % (sig.orders, sig.genus))

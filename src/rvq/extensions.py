@@ -111,26 +111,19 @@ class SplitResult(NamedTuple):
     orbit_reps: tuple[int, int]       # a position inside each new orbit
 
 
-def _find_orbit(gp: GeneralizedPermutation, at) -> tuple[int, ...]:
-    orbits = turning_orbits(gp)
-    if isinstance(at, tuple) and len(at) > 1:
-        target = set(at)
-        for orb in orbits:
-            if set(orb) == target:
-                return orb
-        raise NotSplittable("no turning orbit equals %r" % (at,))
-    pos = at[0] if isinstance(at, tuple) else int(at)
-    for orb in orbits:
+def _find_orbit(gp: GeneralizedPermutation, pos: int) -> tuple[int, ...]:
+    """The turning orbit that holds position ``pos``."""
+    for orb in turning_orbits(gp):
         if pos in orb:
             return orb
-    raise NotSplittable("position %r outside 1..%d" % (at, gp.ell + gp.m))
+    raise NotSplittable("position %r outside 1..%d" % (pos, gp.ell + gp.m))
 
 
-def split_singularity(tau: GeneralizedPermutation, at,
+def split_singularity(tau: GeneralizedPermutation, at: int,
                       m11: int, m12: int) -> SplitResult:
     """Split the conical point selected by ``at`` into orders (m11, m12).
 
-    ``at`` is a raw position (or the orbit tuple) selecting a turning orbit;
+    ``at`` is a position, 1..l+m, selecting the turning orbit that holds it;
     m11 + m12 must equal its order, which is checked before any candidate
     is built. Every legal single insertion is tried in the order of
     ``_all_single_insertions``. The first one is returned whose turning
@@ -192,7 +185,7 @@ def _certify_split(tau, witness, old_orbits, m11, m12, convention):
                        orbit_reps=(fresh[0][0], fresh[1][0]))
 
 
-def split_even_zero(tau: GeneralizedPermutation, at,
+def split_even_zero(tau: GeneralizedPermutation, at: int,
                     m11: int, m12: int, m13: int) -> GeneralizedPermutation:
     """Split an even conical point of a genuine permutation three ways.
 
@@ -212,7 +205,7 @@ def split_even_zero(tau: GeneralizedPermutation, at,
     if q % 2 != 0 or (q < 2 and not torus_case):
         raise NotSplittable("chosen singularity order %d is not even >= 2" % q)
 
-    first = _split(tau, orbit, m11, m12 + m13, row='top')
+    first = _split(tau, at, m11, m12 + m13, row='top')
     second = _split(first.witness.extended, first.orbit_reps[1], m12, m13,
                     row='bottom')
     return second.witness.extended

@@ -284,8 +284,6 @@ class Decomposition(NamedTuple):
     i2: int
     i3: int
     i4: int
-    corners: tuple[frozenset, frozenset, frozenset, frozenset]
-    pattern: str  # 'none-empty' | 'one-left' | 'two-left' | 'two-right'
 
 
 def _corner_masks(row: Sequence[Letter], index: Mapping[Letter, int]):
@@ -327,14 +325,6 @@ def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
     tpref, tsuf = _corner_masks(top, index)
     bpref, bsuf = _corner_masks(bottom, index)
 
-    def mask_set(mask):
-        return frozenset(x for x, k in index.items() if mask >> k & 1)
-
-    def witness(a, b, c, e, pattern):
-        corners = (tpref[a], tsuf[b], bpref[c - ell], bsuf[e - ell])
-        return Decomposition(a, b, c, e, tuple(map(mask_set, corners)),
-                             pattern)
-
     # the shortest bottom prefix holding a top letter, m + 1 for none
     first = dict.fromkeys(top, m + 1)
     for k in range(m, 0, -1):
@@ -366,18 +356,15 @@ def find_reduction(gp: GeneralizedPermutation) -> Optional[Decomposition]:
                     continue
                 e = max(k, 1, span[0])    # i4 = l + e
                 if e <= span[1]:
-                    empty_left = (a == 0) + (k == 0)
-                    pattern = ('none-empty', 'one-left', 'two-left')[empty_left]
-                    return witness(a, b, ell + k, ell + e, pattern)
+                    return Decomposition(a, b, ell + k, ell + e)
             x = top[b - 1]               # leaves top-right at i2 = b + 1
             if last[x] == b and tl >> index[x] & 1:
                 low = max(low, first[x])
-        # i2 = l + 1: the pattern must be two-right, so i4 = l+m+1, i1 > 0,
+        # i2 = l + 1: both right corners are empty, so i4 = l+m+1, i1 > 0,
         # i3 > l, and the conditions reduce to bottom-left == top-left
         if a > 0:
             if tl in left:
-                return witness(a, ell + 1, ell + left[tl], ell + m + 1,
-                               'two-right')
+                return Decomposition(a, ell + 1, ell + left[tl], ell + m + 1)
             x = top[a - 1]
             if last[x] == a:
                 gone = max(gone, first[x])

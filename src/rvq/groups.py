@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from . import linalg
 from .cover import cover_stratum
 from .errors import (CriterionInapplicable, NonDividingOrder,
-                     NonSymplecticGenerator, NotOmegaPreserving, OpenWalk)
+                     NonSymplecticGenerator, OpenWalk)
 from .gp import GeneralizedPermutation
 from .homology import (QuotientData, _factor, arrow_factor, letters,
                        quotient_action, quotient_data)
@@ -69,7 +69,7 @@ class ClosureResult(NamedTuple):
     exact: bool = False
 
 
-def modp_closure(generators: Sequence[Matrix], p: int,
+def modp_closure(generators: Iterable[Matrix], p: int,
                  form: Matrix) -> ClosureResult:
     """Order and index of the subgroup of Sp(form, F_p) the generators span.
 
@@ -78,7 +78,8 @@ def modp_closure(generators: Sequence[Matrix], p: int,
     deterministic Schreier-Sims on the action of the generators on the
     p^n - 1 nonzero row vectors of F_p^n, which is faithful. No group
     element is stored, only the stabilizer chain with its transversals.
-    Raises ValueError unless p is a prime.
+    Raises ValueError unless p is a prime; that and the checks on the form
+    come before the first generator is read.
     """
     _require_prime(p)
     n = len(form)
@@ -425,23 +426,15 @@ def image_modp(base: GeneralizedPermutation, matrices: Iterable[Matrix],
                p: int, *, minus: bool = False) -> ClosureResult:
     """The mod-p image of the group that cycle matrices at ``base`` span, on
     the quotient of the intersection form on ``letters(base, minus)``, with
-    no class.  Each matrix is checked exactly, but only one new mod p is
-    pushed down (the basis change is integral).  ``exact`` stays False: only
-    the matrices' source knows.  :func:`image_quotient`'s refusals come
-    before any matrix is read, one off the form raises NotOmegaPreserving, a
-    non-prime ValueError."""
+    no class.  Every matrix is checked exactly and pushed down (the basis
+    change is integral, so matrices equal mod p stay equal mod p), and
+    :func:`modp_closure` keeps one per residue.  ``exact`` stays False: only
+    the matrices' source knows.  :func:`image_quotient`'s refusals, then
+    :func:`modp_closure`'s (a non-prime raises ValueError), come before any
+    matrix is read; one off the form raises NotOmegaPreserving."""
     qd = image_quotient(base, minus=minus)
-    _require_prime(p)
-    gens, seen = [], set()
-    for mat in matrices:
-        key = linalg.mat_mod(mat, p)
-        if key in seen:
-            if not linalg.preserves_form(mat, qd.form):
-                raise NotOmegaPreserving("matrix does not preserve the form")
-            continue
-        seen.add(key)
-        gens.append(quotient_action(mat, qd))
-    return modp_closure(gens, p, qd.reduced_form)
+    return modp_closure((quotient_action(m, qd) for m in matrices), p,
+                        qd.reduced_form)
 
 
 def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,

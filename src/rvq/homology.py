@@ -206,12 +206,12 @@ def quotient_data(gp: GeneralizedPermutation, *,
 def quotient_action(matrix: Matrix, qd: QuotientData) -> Matrix:
     """Push a matrix that preserves ``qd.form`` down to the quotient by its
     kernel: the induced matrix in the basis of ``qd``, the matrix itself when
-    that basis is the standard one.  Raises NotOmegaPreserving when the
+    the kernel is trivial (the basis is then the standard one).  Raises NotOmegaPreserving when the
     matrix does not fix the form or the kernel.
     """
     if not linalg.preserves_form(matrix, qd.form):
         raise NotOmegaPreserving("matrix does not preserve the form")
-    if qd.unimodular == linalg.identity(len(matrix)):
+    if not qd.kernel:
         return matrix
     conj = linalg.mul(linalg.mul(qd.unimodular, matrix), qd.inverse)
     r = len(qd.basis)

@@ -204,7 +204,7 @@ def test_criterion_5_splitting_suite():
         legal = [m for m in range(-1, m1 + 2)
                  if m != 0 and m1 - m != 0 and m1 - m >= -1]
         m11 = rng.choice(legal)
-        res = split_singularity(gp, orbit, m11, m1 - m11)
+        res = split_singularity(gp, orbit[0], m11, m1 - m11)
         got = stratum_signature(res.witness.extended)
         base_sig = stratum_signature(gp)
         want = list(base_sig.orders)
@@ -226,7 +226,7 @@ def test_criterion_5_splitting_suite():
                 m12 = rng.choice([m for m in range(-1, rest, 2)
                                   if m % 2 and rest - m != 0
                                   and rest - m >= -1])
-                out = split_even_zero(tau, orbit, m11, m12, rest - m12)
+                out = split_even_zero(tau, orbit[0], m11, m12, rest - m12)
                 assert out.satisfies_convention()
                 sig = stratum_signature(out)
                 want = sorted(list(stratum_signature(tau).orders), reverse=True)

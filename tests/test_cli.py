@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import shlex
 import time
@@ -221,6 +222,23 @@ def test_search(capsys):
                 assert not components.hyperelliptic_test(gp), line
 
 
+def test_search_nonhyp_keeps_only_strict_permutations(capsys):
+    # the two-forms test does not apply to a genuine permutation, so
+    # --nonhyp cannot certify one and drops it; some of the genuine chains
+    # this search finds lie in H(2,2)^hyp
+    hyp = "0 B A 1 2 3 4 / A B 4 3 2 1 0"
+    assert components.identify_component(parse_gp(hyp)) == "H(2,2)^hyp"
+    code, out, _ = run(capsys, "search", "--from", "0 1 2 3 4 / 4 3 2 1 0",
+                       "--target-stratum", "4,4", "--nonhyp",
+                       "--max-results", "400")
+    *kept, tally = out.splitlines()
+    assert code == 0 and tally == "96 witness chain(s)" and hyp not in kept
+    for line in kept:
+        gp = parse_gp(line)
+        assert gp.is_strict, line
+        assert components.hyperelliptic_verdict(gp) is False, line
+
+
 def test_determinism(capsys):
     a = run(capsys, "--json", "group", "1 2 / 2 1", "--cycles", "12")
     b = run(capsys, "--json", "group", "1 2 / 2 1", "--cycles", "12")
@@ -288,6 +306,16 @@ def test_extend_and_search_refuse_unsuspendable_input(capsys, argv, gp,
     code, out, err = run(capsys, *(a.format(gp=gp) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("NotSuspendable:") and reason in err
+
+
+def test_cache_dir_is_unset_again_after_a_run_when_it_was_unset(
+        capsys, tmp_path, monkeypatch):
+    # --cache-dir sets RVQ_CACHE_DIR for the run only
+    monkeypatch.delenv("RVQ_CACHE_DIR")
+    code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "class",
+                     "1 2 / 2 1")
+    assert code == 0 and list(tmp_path.glob("class-*.jsonl"))
+    assert "RVQ_CACHE_DIR" not in os.environ
 
 
 @pytest.mark.parametrize("argv", [

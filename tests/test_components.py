@@ -5,9 +5,9 @@ import pytest
 
 from rvq import components, strata
 from rvq.components import (UNKNOWN, canonical_rep, hyperelliptic_test,
-                            identify_component, sigma_hyp, sigma_zorich,
-                            table1, table1_rows, tau_sym, tau_zorich,
-                            verify_extension_table)
+                            hyperelliptic_verdict, identify_component,
+                            sigma_hyp, sigma_zorich, table1, table1_rows,
+                            tau_sym, tau_zorich, verify_extension_table)
 from rvq.errors import CriterionInapplicable, OutOfRange, UnknownLabel
 from rvq.extensions import _all_single_insertions
 from rvq.gp import (GeneralizedPermutation, erase_letters, is_irreducible,
@@ -72,6 +72,23 @@ def test_hyperelliptic_inapplicable():
         hyperelliptic_test(parse_gp("1 2 / 1 2"))
     with pytest.raises(CriterionInapplicable):
         hyperelliptic_test(parse_gp("1 2 / 2 1"))  # degenerate core
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_hyperelliptic_test_does_not_apply_to_genuine_permutations(d):
+    # both forms need a letter twice in one row, so on a genuine permutation
+    # the criterion could only say no, even on tau_sym(d), which is
+    # hyperelliptic
+    with pytest.raises(CriterionInapplicable, match="genuine"):
+        hyperelliptic_test(tau_sym(d))
+    assert hyperelliptic_verdict(tau_sym(d)) is None
+
+
+def test_hyperelliptic_test_refuses_a_degenerate_core():
+    # a strict permutation whose core, without its first top letter, has
+    # an empty row
+    with pytest.raises(CriterionInapplicable, match="degenerate core"):
+        hyperelliptic_test(parse_gp("1 / A A 1"))
 
 
 def test_hyperelliptic_relabeling_invariant():

@@ -37,7 +37,8 @@ def test_one_sided_duplicate_rejected():
 
 
 def test_cover_of_witness():
-    cs = cover_stratum(parse_gp("1 2 3 A A 4 / 4 3 B B 2 1"))
+    sig = stratum_signature(parse_gp("1 2 3 A A 4 / 4 3 B B 2 1"))
+    cs = cover_stratum(sig)
     assert cs.orders == (3, 3, 0, 0)
     assert cs.genus == 4 and cs.genus == 2 * cs.base.genus
     assert cs.marked_points == 2
@@ -64,7 +65,7 @@ def test_cover_of_genuine_doubles():
     while count < 40:
         gp = random_gp(rng, rng.randint(2, 6), strict=False, irreducible=True)
         sig = stratum_signature(gp)
-        cs = cover_stratum(gp)
+        cs = cover_stratum(sig)
         assert cs.genus == 2 * sig.genus - 1
         halves = sorted(o // 2 for o in sig.orders for _ in range(2))
         assert sorted(cs.orders) == halves
@@ -78,7 +79,7 @@ def test_cover_identity_random():
     while count < 120:
         gp = random_gp(rng, rng.randint(2, 6), irreducible=True)
         sig = stratum_signature(gp)
-        cs = cover_stratum(gp)
+        cs = cover_stratum(sig)
         s = sum(1 for o in sig.orders if o % 2)
         assert 2 * cs.genus - 2 == 4 * sig.genus - 4 + s
         assert cs.minus_eligible == (s == 2)

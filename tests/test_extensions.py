@@ -128,10 +128,10 @@ def test_insertion_split_and_search_outcomes_pinned():
         for orbit in turning_orbits(tau):
             q = orbit_order(tau, orbit)
             for m11 in range(-1, q + 2):
-                lines.append(_outcome(split_singularity, tau, orbit, m11,
+                lines.append(_outcome(split_singularity, tau, orbit[0], m11,
                                       q - m11))
                 for m12 in range(-1, q + 2 - m11, 2):
-                    lines.append(_outcome(split_even_zero, tau, orbit, m11,
+                    lines.append(_outcome(split_even_zero, tau, orbit[0], m11,
                                           m12, q - m11 - m12))
         orders = list(stratum_signature(tau).orders)
         target = [orders.pop(0) + 2, *orders, -1, -1]
@@ -165,16 +165,16 @@ def test_sigma_hyp_is_double_extension_of_tau():
 
 def test_split_into_two_odd():
     orbit = max(turning_orbits(WITNESS), key=len)
-    res = split_singularity(WITNESS, orbit, 3, 3)
+    res = split_singularity(WITNESS, orbit[0], 3, 3)
     sig = stratum_signature(res.witness.extended)
     assert sig.orders == (3, 3, -1, -1) and sig.genus == 2
 
 
 def test_split_pole_creation():
     orbit = max(turning_orbits(WITNESS), key=len)
-    res = split_singularity(WITNESS, orbit, 7, -1)
+    res = split_singularity(WITNESS, orbit[0], 7, -1)
     assert stratum_signature(res.witness.extended).orders == (7, -1, -1, -1)
-    res = split_singularity(WITNESS, orbit, -1, 7)
+    res = split_singularity(WITNESS, orbit[0], -1, 7)
     assert res.orders == (-1, 7)
     assert stratum_signature(res.witness.extended).orders == (7, -1, -1, -1)
 
@@ -194,7 +194,7 @@ def test_split_conservation_random():
         m11 = rng.choice([m for m in range(-1, m1 + 2)
                           if m != 0 and m1 - m != 0 and m >= -1
                           and m1 - m >= -1])
-        res = split_singularity(gp, orbit, m11, m1 - m11)
+        res = split_singularity(gp, orbit[0], m11, m1 - m11)
         out_sig = stratum_signature(res.witness.extended)
         in_sig = stratum_signature(gp)
         expected = sorted(list(in_sig.orders) + [m11, m1 - m11], reverse=True)
@@ -243,13 +243,13 @@ def _split_outcome(tau, orbit, parts):
     try:
         if len(parts) == 1:
             m11 = parts[0]
-            res = split_singularity(tau, orbit, m11,
+            res = split_singularity(tau, orbit[0], m11,
                                     orbit_order(tau, orbit) - m11)
             out = res.witness.extended
             assert is_simple_extension(out, tau) == res.witness.letter
             parts = res.orders
         else:
-            out = split_even_zero(tau, orbit, *parts)
+            out = split_even_zero(tau, orbit[0], *parts)
             first = fresh_letter(tau.alphabet)
             second = fresh_letter(tau.alphabet + (first,))
             mid = erase_letters(out, {second})
@@ -296,10 +296,13 @@ def test_parts_that_do_not_sum_are_refused_before_any_candidate(
     assert str(exc.value) == "parts must sum to the order %d" % order
 
 
-def test_split_refuses_a_tuple_that_is_not_a_turning_orbit():
-    orbit = max(turning_orbits(WITNESS), key=len)
-    with pytest.raises(NotSplittable, match="no turning orbit equals"):
-        split_singularity(WITNESS, orbit[:2], 3, 3)
+@pytest.mark.parametrize("at", [(), (3,), 2.9, "3"],
+                         ids=["empty-tuple", "one-tuple", "float", "string"])
+def test_split_refuses_a_point_that_is_not_a_position(at):
+    # a split names its point by one position; anything else, an empty
+    # tuple included, holds no turning orbit
+    with pytest.raises(NotSplittable, match="outside 1..12"):
+        split_singularity(WITNESS, at, 3, 3)
 
 
 def test_fresh_letter_past_z():
@@ -316,9 +319,9 @@ def test_fresh_letter_past_z():
 def test_split_rejects_marked_point_parts():
     orbit = max(turning_orbits(WITNESS), key=len)
     with pytest.raises(NotSplittable):
-        split_singularity(WITNESS, orbit, 0, 6)
+        split_singularity(WITNESS, orbit[0], 0, 6)
     with pytest.raises(NotSplittable):
-        split_singularity(WITNESS, orbit, 9, -3)
+        split_singularity(WITNESS, orbit[0], 9, -3)
 
 
 def test_split_even_zero_example():
@@ -457,7 +460,7 @@ def test_split_outputs_are_simple_extensions():
         orbits = [o for o in turning_orbits(gp) if orbit_order(gp, o) >= 2]
         for orbit in orbits:
             m1 = orbit_order(gp, orbit)
-            res = split_singularity(gp, orbit, 1, m1 - 1)
+            res = split_singularity(gp, orbit[0], 1, m1 - 1)
             assert is_simple_extension(res.witness.extended, gp) \
                 == res.witness.letter
 

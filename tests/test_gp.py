@@ -176,8 +176,15 @@ def test_reducible_strict_end_letter():
     # same letter closing both rows always yields a two-empty-right split
     gp = parse_gp("A A 1 / B B 1")
     dec = find_reduction(gp)
-    assert dec is not None and dec.pattern == 'two-left'
+    assert dec is not None and (dec.i1, dec.i3) == (0, gp.ell)
     assert not is_irreducible(gp)
+
+
+# the empty corners (top-left, top-right, bottom-left, bottom-right) a
+# decomposition may have: none, one left corner, both left or both right
+_ALLOWED_EMPTY = {(False, False, False, False), (True, False, False, False),
+                  (False, False, True, False), (True, False, True, False),
+                  (False, True, False, True)}
 
 
 def _find_reduction_scan(gp, disjoint=False):
@@ -188,9 +195,6 @@ def _find_reduction_scan(gp, disjoint=False):
     index = {x: k for k, x in enumerate(gp.alphabet)}
     tpref, tsuf = _corner_masks(gp.top, index)
     bpref, bsuf = _corner_masks(gp.bottom, index)
-
-    def mask_set(mask):
-        return frozenset(x for x, k in index.items() if mask >> k & 1)
 
     for a in range(0, ell + 1):          # i1; 0 = empty top-left
         tl = tpref[a]
@@ -203,18 +207,7 @@ def _find_reduction_scan(gp, disjoint=False):
                 for e in range(max(c + disjoint, ell + 1), ell + m + 2):  # i4
                     br = bsuf[e - ell]
                     empties = (a == 0, b == ell + 1, c == ell, e == ell + m + 1)
-                    n_empty = sum(empties)
-                    if n_empty == 0:
-                        pattern = 'none-empty'
-                    elif n_empty == 1 and empties[0]:
-                        pattern = 'one-left'
-                    elif n_empty == 1 and empties[2]:
-                        pattern = 'one-left'
-                    elif n_empty == 2 and empties[0] and empties[2]:
-                        pattern = 'two-left'
-                    elif n_empty == 2 and empties[1] and empties[3]:
-                        pattern = 'two-right'
-                    else:
+                    if empties not in _ALLOWED_EMPTY:
                         continue
                     if tl & br or tr & bl:
                         continue
@@ -222,10 +215,7 @@ def _find_reduction_scan(gp, disjoint=False):
                         continue
                     if bl & ~(tl | br) or br & ~(tr | bl):
                         continue
-                    return Decomposition(
-                        a, b, c, e,
-                        (mask_set(tl), mask_set(tr), mask_set(bl), mask_set(br)),
-                        pattern)
+                    return Decomposition(a, b, c, e)
     return None
 
 

@@ -240,6 +240,7 @@ def _spy_on_closure(monkeypatch):
     handed = []
 
     def spy(gens, q, form):
+        gens = list(gens)
         kept = {}
         for mat in gens:
             kept.setdefault(linalg.mat_mod(mat, q), mat)
@@ -796,7 +797,7 @@ def test_a_minus_image_outside_the_papers_scope_is_refused(base):
     # four odd singularities: the anti-invariant homology of the cover has
     # rank 2g + 2, so an image on the both-rows letters is not the minus
     # group; the refusal comes before any matrix is read
-    assert not cover_stratum(base).minus_eligible
+    assert not cover_stratum(stratum_signature(base)).minus_eligible
 
     def matrices():
         raise AssertionError("a matrix was read before the refusal")
@@ -809,6 +810,21 @@ def test_a_minus_image_outside_the_papers_scope_is_refused(base):
     assert str(info.value) == message
     # the plus image at the same base acts on the whole quotient
     assert image_quotient(base) == quotient_data(base)
+
+
+@pytest.mark.parametrize("base, minus", [
+    (tau_sym(4), False), (parse_gp("1 2 3 A A 4 / 4 3 B B 2 1"), True)],
+    ids=["plus", "minus"])
+def test_a_modulus_that_is_not_prime_is_refused_before_any_matrix(base,
+                                                                  minus):
+    # modp_closure checks the prime before it reads its first generator, so
+    # image_modp's refusals all come before any matrix is pushed down
+    def matrices():
+        raise AssertionError("a matrix was read before the refusal")
+        yield
+
+    with pytest.raises(ValueError, match="modulus must be a prime, got 4"):
+        image_modp(base, matrices(), 4, minus=minus)
 
 
 @pytest.mark.parametrize("limit", [28, 39])

@@ -384,6 +384,27 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert '"complete": true' in line and '"base"' not in line
 
 
+def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path,
+                                                      monkeypatch):
+    # the class is written to a temporary file and renamed into place; when
+    # the rename fails the error propagates and the temporary file goes
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(induction.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        load_or_enumerate(parse_gp("1 2 3 4 / 4 3 2 1"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_class_is_not_equal_to_another_type():
+    rc = enumerate_class(tau_sym(3))
+    assert rc.__eq__(5) is NotImplemented
+    assert not rc == 5 and rc != 5
+
+
 @pytest.mark.parametrize("seed, reduced, limit", [
     (tau_sym(5), False, None),
     (tau_zorich(3), True, None),

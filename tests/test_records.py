@@ -21,8 +21,8 @@ WITNESS = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
 
 
 def _split():
-    return split_singularity(WITNESS, max(turning_orbits(WITNESS), key=len),
-                             3, 3)
+    return split_singularity(
+        WITNESS, max(turning_orbits(WITNESS), key=len)[0], 3, 3)
 
 
 # each type's fields in order, and one instance the library builds
@@ -32,12 +32,12 @@ RECORDS = {
                  lambda: enumerate_class(tau_sym(3))),
     ValidityReport: (("is_genuine", "is_strict", "convention_ok",
                       "violations"), lambda: validate(WITNESS)),
-    Decomposition: (("i1", "i2", "i3", "i4", "corners", "pattern"),
+    Decomposition: (("i1", "i2", "i3", "i4"),
                     lambda: find_reduction(parse_gp("1 2 3 4 / 2 1 4 3"))),
     StratumSignature: (("orders", "genus"),
                        lambda: stratum_signature(WITNESS)),
     CoverStratum: (("orders", "genus", "base"),
-                   lambda: cover_stratum(WITNESS)),
+                   lambda: cover_stratum(stratum_signature(WITNESS))),
     ExtensionWitness: (("base", "extended", "letter"),
                        lambda: _split().witness),
     SplitResult: (("witness", "orders", "orbit_reps"), _split),
