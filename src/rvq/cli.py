@@ -106,18 +106,18 @@ def _emit(args, record, human):
 
 def cmd_validate(args):
     gp = parse_gp(args.gp)
-    report = validate(gp)
-    rec = {"gp": gp.encode(), "genuine": report.is_genuine,
-           "strict": report.is_strict, "convention": report.convention_ok,
-           "violations": list(report.violations)}
-    kind = "genuine permutation" if report.is_genuine \
+    violations = validate(gp)
+    rec = {"gp": gp.encode(), "genuine": gp.is_genuine,
+           "strict": gp.is_strict, "convention": not violations,
+           "violations": list(violations)}
+    kind = "genuine permutation" if gp.is_genuine \
         else "strict generalized permutation"
     human = "%s: %s; convention %s" % (
-        gp.encode(), kind, "ok" if report.convention_ok else "VIOLATED")
-    if report.violations:
-        human += " (%s)" % "; ".join(report.violations)
+        gp.encode(), kind, "VIOLATED" if violations else "ok")
+    if violations:
+        human += " (%s)" % "; ".join(violations)
     _emit(args, rec, human)
-    return 0 if report.convention_ok else 1
+    return 1 if violations else 0
 
 
 def cmd_stratum(args):
@@ -196,7 +196,7 @@ def cmd_search(args):
     chains = extensions.search_extensions(
         rc.vertices, args.target_stratum, budget=args.budget)
     if args.nonhyp:
-        chains = [c for c in chains if components.hyperelliptic_verdict(
+        chains = [c for c in chains if components.hyperelliptic_test(
             c[-1].extended) is False]
     chains = chains[:args.max_results]
     for chain in chains:
@@ -248,15 +248,17 @@ def cmd_verify_table(args):
     reports = components.verify_extension_table(args.rows)
     bad = 0
     for r in reports:
-        rec = {"row": r.row, "start": r.start, "start_found": r.start_found,
-               "end_orders": list(r.end_orders),
+        row = r.row
+        rec = {"row": row.number, "start": row.start,
+               "start_found": r.start_found,
+               "end_orders": list(row.end_orders),
                "stratum_found": list(r.stratum_found),
                "irreducible": r.irreducible_ok, "convention": r.convention_ok,
                "chain": r.chain_ok, "hyperelliptic": r.hyperelliptic,
                "passed": r.passed}
         human = "row %2d: %s -> Q(%s)^%s: %s" % (
-            r.row, r.start, ",".join(str(o) for o in r.end_orders),
-            r.flavour, "PASS" if r.passed else "FAIL")
+            row.number, row.start, ",".join(str(o) for o in row.end_orders),
+            row.flavour, "PASS" if r.passed else "FAIL")
         _emit(args, rec, human)
         if not r.passed:
             bad += 1

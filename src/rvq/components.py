@@ -13,8 +13,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple, Optional
 
-from .errors import (CriterionInapplicable, OutOfRange, RVQError,
-                     UnknownLabel)
+from .errors import OutOfRange, RVQError, UnknownLabel
 from .extensions import is_simple_extension
 from .gp import (GeneralizedPermutation, erase_letters, is_irreducible,
                  parse_gp, require_suspendable)
@@ -78,32 +77,43 @@ def sigma_hyp(s: int, r: int) -> GeneralizedPermutation:
     return GeneralizedPermutation(tuple(top), tuple(bottom))
 
 
-_TABLE1 = (
-    (1, "H(4)^hyp", (6, 3, -1), "reg",
-     "1 2 3 A 4 A 5 6 / 6 5 4 3 2 B B 1"),
-    (2, "H(4)^odd", (6, 3, -1), "reg",
-     "1 2 3 4 A 5 A 6 / 6 4 B B 2 5 3 1"),
-    (3, "H(4)^hyp", (6, 3, -1), "irr",
-     "1 A 2 3 4 5 A 6 / 6 B B 5 4 3 2 1"),
-    (4, "H(4)^odd", (6, 3, -1), "irr",
-     "1 2 3 4 5 A A 6 / 6 B 3 B 5 2 4 1"),
-    (5, "H(3,1)", (3, 3, 3, -1), "reg",
-     "1 A A 2 3 4 5 6 7 / 7 6 B 5 2 B 4 3 1"),
-    (6, "H(3,1)", (3, 3, 3, -1), "irr",
-     "1 2 3 4 5 A 6 A 7 / 7 6 2 B B 5 4 3 1"),
-    (7, "H(6)^even", (6, 3, 3), "reg",
-     "1 2 A 3 4 5 6 7 A 8 / 8 7 5 B 2 6 B 4 3 1"),
-    (8, "H(6)^odd", (6, 3, 3), "reg",
-     "1 A 2 3 4 5 A 6 7 8 / 8 4 7 B 5 3 6 B 2 1"),
-    (9, "H(6)^even", (6, 3, 3), "irr",
-     "1 2 3 4 A 5 A 6 7 8 / 8 7 5 B 2 6 B 4 3 1"),
-    (10, "H(6)^odd", (6, 3, 3), "irr",
-     "1 2 3 4 5 6 A 7 A 8 / 8 B 5 B 3 7 4 6 2 1"),
-    (11, "H(3,3)^nonhyp", (3, 3, 3, 3), "reg",
-     "1 A 2 A 3 4 5 6 7 8 9 / 9 6 B 5 3 7 2 8 B 4 1"),
-    (12, "H(3,3)^nonhyp", (3, 3, 3, 3), "irr",
-     "1 A 2 A 3 4 5 6 7 8 9 / 9 5 2 6 4 3 B 8 B 7 1"),
-)
+class Table1Row(NamedTuple):
+    number: int
+    start: str
+    end_orders: tuple[int, ...]
+    flavour: str  # reg | irr (not certified here)
+    gp: GeneralizedPermutation
+
+
+# the paper's Table 1, its rows numbered from 1 in this order
+_TABLE1 = tuple(
+    Table1Row(n, start, orders, flavour, parse_gp(text))
+    for n, (start, orders, flavour, text) in enumerate((
+        ("H(4)^hyp", (6, 3, -1), "reg",
+         "1 2 3 A 4 A 5 6 / 6 5 4 3 2 B B 1"),
+        ("H(4)^odd", (6, 3, -1), "reg",
+         "1 2 3 4 A 5 A 6 / 6 4 B B 2 5 3 1"),
+        ("H(4)^hyp", (6, 3, -1), "irr",
+         "1 A 2 3 4 5 A 6 / 6 B B 5 4 3 2 1"),
+        ("H(4)^odd", (6, 3, -1), "irr",
+         "1 2 3 4 5 A A 6 / 6 B 3 B 5 2 4 1"),
+        ("H(3,1)", (3, 3, 3, -1), "reg",
+         "1 A A 2 3 4 5 6 7 / 7 6 B 5 2 B 4 3 1"),
+        ("H(3,1)", (3, 3, 3, -1), "irr",
+         "1 2 3 4 5 A 6 A 7 / 7 6 2 B B 5 4 3 1"),
+        ("H(6)^even", (6, 3, 3), "reg",
+         "1 2 A 3 4 5 6 7 A 8 / 8 7 5 B 2 6 B 4 3 1"),
+        ("H(6)^odd", (6, 3, 3), "reg",
+         "1 A 2 3 4 5 A 6 7 8 / 8 4 7 B 5 3 6 B 2 1"),
+        ("H(6)^even", (6, 3, 3), "irr",
+         "1 2 3 4 A 5 A 6 7 8 / 8 7 5 B 2 6 B 4 3 1"),
+        ("H(6)^odd", (6, 3, 3), "irr",
+         "1 2 3 4 5 6 A 7 A 8 / 8 B 5 B 3 7 4 6 2 1"),
+        ("H(3,3)^nonhyp", (3, 3, 3, 3), "reg",
+         "1 A 2 A 3 4 5 6 7 8 9 / 9 6 B 5 3 7 2 8 B 4 1"),
+        ("H(3,3)^nonhyp", (3, 3, 3, 3), "irr",
+         "1 A 2 A 3 4 5 6 7 8 9 / 9 5 2 6 4 3 B 8 B 7 1"),
+    ), 1))
 
 # explicit genus-2/3 witnesses with their start components
 GENUS2_WITNESSES = (
@@ -116,23 +126,18 @@ GENUS3_WITNESSES = (
 )
 
 
-class Table1Row(NamedTuple):
-    number: int
-    start: str
-    end_orders: tuple[int, ...]
-    flavour: str  # reg | irr (not certified here)
-    gp: GeneralizedPermutation
+def _row(n: int) -> Table1Row:
+    if not 1 <= n <= len(_TABLE1):
+        raise OutOfRange("table1 rows are 1..%d" % len(_TABLE1))
+    return _TABLE1[n - 1]
 
 
 def table1(row: int) -> GeneralizedPermutation:
-    if not 1 <= row <= 12:
-        raise OutOfRange("table1 rows are 1..12")
-    return parse_gp(_TABLE1[row - 1][4])
+    return _row(row).gp
 
 
 def table1_rows() -> tuple[Table1Row, ...]:
-    return tuple(Table1Row(n, start, orders, flavour, parse_gp(text))
-                 for n, start, orders, flavour, text in _TABLE1)
+    return _TABLE1
 
 
 def canonical_rep(label: str, *args: int) -> GeneralizedPermutation:
@@ -172,27 +177,24 @@ def _matches_doubled(top, bottom):
     return (h > 0 and k > 0 and top[:h] == top[h:] and bottom[:k] == bottom[k:])
 
 
-def hyperelliptic_test(gp: GeneralizedPermutation) -> bool:
-    """Decide the two-forms criterion for single-cylinder style permutations.
+def hyperelliptic_test(gp: GeneralizedPermutation) -> Optional[bool]:
+    """Decide the two-forms criterion for single-cylinder style permutations;
+    None where it does not apply, so only False certifies.
 
     Applicable to a strict permutation whose first top letter equals its
-    last bottom letter; after removing that letter the rows are compared,
-    over all independent cyclic rotations, against the interleaved-duplicates
-    form and the doubled-rows form.  Both forms need a letter twice in one
-    row, so a genuine permutation could only get False: it raises
-    CriterionInapplicable instead (its component is named by
+    last bottom letter and whose core, without that letter, has no empty
+    row; the core's rows are compared, over all independent cyclic
+    rotations, against the interleaved-duplicates form and the doubled-rows
+    form.  Both forms need a letter twice in one row, so a genuine
+    permutation could only get False (its component is named by
     :func:`identify_component`).
     """
-    if gp.is_genuine:
-        raise CriterionInapplicable(
-            "a genuine permutation matches neither form")
-    if gp.top[0] != gp.bottom[-1]:
-        raise CriterionInapplicable(
-            "first top letter differs from last bottom letter")
+    if gp.is_genuine or gp.top[0] != gp.bottom[-1]:
+        return None
     try:
         core = erase_letters(gp, {gp.top[0]})
-    except RVQError as exc:
-        raise CriterionInapplicable("degenerate core: %s" % exc)
+    except RVQError:
+        return None
     top, bottom = core.top, core.bottom
     for rt in range(len(top)):
         t = top[rt:] + top[:rt]
@@ -285,10 +287,7 @@ def identify_component(gp: GeneralizedPermutation,
 # ---------------------------------------------------------------------------
 
 class RowReport(NamedTuple):
-    row: int
-    start: str
-    end_orders: tuple[int, ...]
-    flavour: str  # reg | irr, carried from the row (not certified)
+    row: Table1Row
     irreducible_ok: bool
     convention_ok: bool
     chain_ok: bool
@@ -299,18 +298,9 @@ class RowReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return (self.irreducible_ok and self.convention_ok and self.chain_ok
-                and self.start_found == self.start
-                and self.stratum_found == self.end_orders
+                and self.start_found == self.row.start
+                and self.stratum_found == self.row.end_orders
                 and self.hyperelliptic is False)
-
-
-def hyperelliptic_verdict(gp: GeneralizedPermutation) -> Optional[bool]:
-    """``hyperelliptic_test``'s answer, or None when it does not apply; only
-    False certifies a non-hyperelliptic permutation."""
-    try:
-        return hyperelliptic_test(gp)
-    except CriterionInapplicable:
-        return None
 
 
 def verify_row(row: Table1Row) -> RowReport:
@@ -322,21 +312,21 @@ def verify_row(row: Table1Row) -> RowReport:
     mid = erase_letters(gp, {"A"})
     tau = erase_letters(mid, {"B"})
     return RowReport(
-        row=row.number, start=row.start, end_orders=row.end_orders,
-        flavour=row.flavour, irreducible_ok=is_irreducible(gp),
+        row=row, irreducible_ok=is_irreducible(gp),
         convention_ok=gp.satisfies_convention(),
         chain_ok=(is_simple_extension(mid, tau) == "B"
                   and is_simple_extension(gp, mid) == "A"),
         start_found=identify_component(tau),
         stratum_found=stratum_signature(gp).orders,
-        hyperelliptic=hyperelliptic_verdict(gp))
+        hyperelliptic=hyperelliptic_test(gp))
 
 
 def verify_extension_table(rows=None) -> list[RowReport]:
-    """Check every requested table row; see verify_row for the criteria.
+    """Check every requested table row, in table order, after refusing any
+    row outside the table; see verify_row for the criteria.
 
     The regular/irregular flavour is carried as data but not certified: the
     two flavours are not separated by any invariant computed here.
     """
-    wanted = set(rows) if rows is not None else set(range(1, 13))
-    return [verify_row(r) for r in table1_rows() if r.number in wanted]
+    picked = _TABLE1 if rows is None else [_row(n) for n in sorted(set(rows))]
+    return [verify_row(r) for r in picked]

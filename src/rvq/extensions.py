@@ -202,7 +202,7 @@ def split_even_zero(tau: GeneralizedPermutation, at: int,
     orbit = _find_orbit(tau, at)
     q = orbit_order(tau, orbit)
     torus_case = tau.d == 2 and q == 0
-    if q % 2 != 0 or (q < 2 and not torus_case):
+    if q < 2 and not torus_case:
         raise NotSplittable("chosen singularity order %d is not even >= 2" % q)
 
     first = _split(tau, at, m11, m12 + m13, row='top')

@@ -104,7 +104,7 @@ class GeneralizedPermutation(_Frozen):
     def pairs(self) -> dict[Letter, tuple[int, int]]:
         """Every letter's two 1-based positions (i, j), i < j, in order of
         first appearance: the one letter table the position, involution and
-        duplicate queries read.  Built on first use and kept; moves,
+        both-rows queries read.  Built on first use and kept; moves,
         relabelings and class enumeration never ask for it."""
         table = self._pairs
         if table is None:
@@ -127,21 +127,10 @@ class GeneralizedPermutation(_Frozen):
 
     # -- classification --------------------------------------------------
 
-    def _letters_with_top_copies(self, k: int) -> tuple[Letter, ...]:
-        """Letters with k copies in the top row, in alphabet order."""
-        ell = self.ell
-        return tuple(x for x, (i, j) in self.pairs.items()
-                     if (i <= ell) + (j <= ell) == k)
-
-    def duplicates_top(self) -> tuple[Letter, ...]:
-        return tuple(sorted(self._letters_with_top_copies(2)))
-
-    def duplicates_bottom(self) -> tuple[Letter, ...]:
-        return tuple(sorted(self._letters_with_top_copies(0)))
-
     def both_rows_letters(self) -> tuple[Letter, ...]:
         """A_tb: letters with one occurrence in each row, in alphabet order."""
-        return self._letters_with_top_copies(1)
+        ell = self.ell
+        return tuple(x for x, (i, j) in self.pairs.items() if i <= ell < j)
 
     @property
     def is_genuine(self) -> bool:
@@ -154,11 +143,9 @@ class GeneralizedPermutation(_Frozen):
         return not self.is_genuine
 
     def satisfies_convention(self) -> bool:
-        """Duplicate letters in both rows (vacuous for genuine permutations).
-        A row holds a duplicate exactly when it has a letter the other row
-        lacks."""
-        top, bottom = set(self.top), set(self.bottom)
-        return (top <= bottom) == (bottom <= top)
+        """Duplicate letters in both rows (vacuous for genuine permutations):
+        :func:`validate` names no violation."""
+        return not validate(self)
 
     # -- encoding ---------------------------------------------------------
 
@@ -244,28 +231,20 @@ def parse_gp(text: str) -> GeneralizedPermutation:
 
 
 # ---------------------------------------------------------------------------
-# validity report
+# the both-rows convention
 # ---------------------------------------------------------------------------
 
-class ValidityReport(NamedTuple):
-    is_genuine: bool
-    is_strict: bool
-    convention_ok: bool
-    violations: tuple[str, ...]
-
-
-def validate(gp: GeneralizedPermutation) -> ValidityReport:
-    """Classify ``gp`` and report violations of the both-rows convention."""
-    violations = []
-    if gp.is_strict and not gp.duplicates_top():
-        violations.append("no duplicate letter in top row")
-    if gp.is_strict and not gp.duplicates_bottom():
-        violations.append("no duplicate letter in bottom row")
-    return ValidityReport(
-        is_genuine=gp.is_genuine,
-        is_strict=gp.is_strict,
-        convention_ok=gp.satisfies_convention(),
-        violations=tuple(violations))
+def validate(gp: GeneralizedPermutation) -> tuple[str, ...]:
+    """The violations of the both-rows convention, empty when ``gp`` keeps
+    it.  A row holds a duplicate letter exactly when it has a letter the
+    other row lacks, so a strict permutation names the row whose letters
+    all lie in the other one; a genuine permutation names none."""
+    top, bottom = set(gp.top), set(gp.bottom)
+    if top < bottom:
+        return ("no duplicate letter in top row",)
+    if bottom < top:
+        return ("no duplicate letter in bottom row",)
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +383,7 @@ def require_suspendable(gp: GeneralizedPermutation) -> GeneralizedPermutation:
     :class:`NotSuspendable` naming every reason."""
     if is_suspendable(gp):
         return gp
-    reasons = list(validate(gp).violations)
+    reasons = list(validate(gp))
     if not is_irreducible(gp):
         reasons.append("reducible")
     raise NotSuspendable("%s: %s" % (gp.encode(), "; ".join(reasons)))

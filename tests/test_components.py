@@ -5,10 +5,10 @@ import pytest
 
 from rvq import components, strata
 from rvq.components import (UNKNOWN, canonical_rep, hyperelliptic_test,
-                            hyperelliptic_verdict, identify_component,
-                            sigma_hyp, sigma_zorich, table1, table1_rows,
-                            tau_sym, tau_zorich, verify_extension_table)
-from rvq.errors import CriterionInapplicable, OutOfRange, UnknownLabel
+                            identify_component, sigma_hyp, sigma_zorich,
+                            table1, table1_rows, tau_sym, tau_zorich,
+                            verify_extension_table)
+from rvq.errors import OutOfRange, UnknownLabel
 from rvq.extensions import _all_single_insertions
 from rvq.gp import (GeneralizedPermutation, erase_letters, is_irreducible,
                     parse_gp)
@@ -65,13 +65,15 @@ def test_hyperelliptic_family():
 def test_hyperelliptic_negative():
     assert not hyperelliptic_test(parse_gp("1 2 3 A A 4 / 4 3 B B 2 1"))
     assert not hyperelliptic_test(parse_gp("1 2 A A 3 4 5 / 5 B B 4 3 2 1"))
+    # the core "A A 2 B B 3 / 3 2" has rows of 6 and 2 letters, so the
+    # interleaved form cannot match, and no rotation doubles the top row
+    assert hyperelliptic_test(parse_gp("1 A A 2 B B 3 / 3 2 1")) is False
 
 
 def test_hyperelliptic_inapplicable():
-    with pytest.raises(CriterionInapplicable):
-        hyperelliptic_test(parse_gp("1 2 / 1 2"))
-    with pytest.raises(CriterionInapplicable):
-        hyperelliptic_test(parse_gp("1 2 / 2 1"))  # degenerate core
+    assert hyperelliptic_test(parse_gp("1 2 / 1 2")) is None  # genuine
+    # strict, but the first top letter is not the last bottom letter
+    assert hyperelliptic_test(parse_gp("A A 1 2 / 2 B B 1")) is None
 
 
 @pytest.mark.parametrize("d", range(3, 10))
@@ -79,16 +81,13 @@ def test_hyperelliptic_test_does_not_apply_to_genuine_permutations(d):
     # both forms need a letter twice in one row, so on a genuine permutation
     # the criterion could only say no, even on tau_sym(d), which is
     # hyperelliptic
-    with pytest.raises(CriterionInapplicable, match="genuine"):
-        hyperelliptic_test(tau_sym(d))
-    assert hyperelliptic_verdict(tau_sym(d)) is None
+    assert hyperelliptic_test(tau_sym(d)) is None
 
 
 def test_hyperelliptic_test_refuses_a_degenerate_core():
     # a strict permutation whose core, without its first top letter, has
     # an empty row
-    with pytest.raises(CriterionInapplicable, match="degenerate core"):
-        hyperelliptic_test(parse_gp("1 / A A 1"))
+    assert hyperelliptic_test(parse_gp("1 / A A 1")) is None
 
 
 def test_hyperelliptic_relabeling_invariant():
@@ -160,13 +159,26 @@ def test_verify_table_all_rows():
 
 def test_verify_table_subset():
     reports = verify_extension_table(rows=[3, 7])
-    assert [r.row for r in reports] == [3, 7]
+    assert [r.row.number for r in reports] == [3, 7]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("rows", [[13], [3, 13], [0], [-1]])
+def test_verify_table_refuses_a_row_outside_the_table(rows, monkeypatch):
+    # refused before any row is checked
+    checked = []
+    monkeypatch.setattr(components, "verify_row", checked.append)
+    with pytest.raises(OutOfRange, match="table1 rows are 1..12"):
+        verify_extension_table(rows)
+    assert checked == []
 
 
 def test_table_rows_metadata():
     rows = table1_rows()
     assert [r.number for r in rows] == list(range(1, 13))
+    # each row is parsed once, and table1 reads the same record
+    assert rows is table1_rows()
+    assert all(table1(r.number) is r.gp for r in rows)
     starts = {r.start for r in rows}
     assert starts == {"H(4)^hyp", "H(4)^odd", "H(3,1)", "H(6)^even",
                       "H(6)^odd", "H(3,3)^nonhyp"}

@@ -337,6 +337,14 @@ def test_split_even_zero_parity():
         split_even_zero(WITNESS, 1, 1, 1, 2)  # not genuine
 
 
+def test_split_even_zero_refuses_a_marked_point():
+    # tau_sym(3) lies in H(0, 0): its turning orbits have order 0, and a
+    # genuine base's orders are all even, so only the size is checked
+    with pytest.raises(NotSplittable) as exc:
+        split_even_zero(tau_sym(3), 1, 1, 1, -2)
+    assert str(exc.value) == "chosen singularity order 0 is not even >= 2"
+
+
 def test_torus_special_case():
     # a single split of the torus leaves duplicates in one row only, which
     # has no stratum; the double split puts them in both

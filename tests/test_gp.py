@@ -47,6 +47,7 @@ def test_roundtrip_encoding():
     for _ in range(200):
         gp = random_gp(rng, rng.randint(2, 7))
         assert parse_gp(gp.encode()) == gp
+        assert str(gp) == gp.encode()
 
 
 def test_positions_and_sigma():
@@ -133,9 +134,13 @@ def test_letter_table_matches_the_rescans():
             assert {p: gp.sigma(p) for p in sigma} == sigma
             top = _oracle_duplicates(gp.top)
             bottom = _oracle_duplicates(gp.bottom)
-            assert (gp.duplicates_top(), gp.duplicates_bottom()) == (top, bottom)
-            assert gp.both_rows_letters() == _oracle_both_rows_letters(gp)
             genuine = not top and not bottom
+            # a strict permutation names each row that has no duplicate
+            assert validate(gp) == tuple(
+                "no duplicate letter in %s row" % name
+                for name, dups in (("top", top), ("bottom", bottom))
+                if not genuine and not dups)
+            assert gp.both_rows_letters() == _oracle_both_rows_letters(gp)
             assert gp.is_genuine == genuine and gp.is_strict != genuine
             assert gp.satisfies_convention() == (genuine or bool(top and bottom))
             assert turning_map(gp) == _oracle_turning_map(gp, sigma)
@@ -153,15 +158,12 @@ def test_letter_table_matches_the_rescans():
 
 
 def test_validate_reports():
-    r = validate(parse_gp("1 2 3 4 / 4 3 2 1"))
-    assert r.is_genuine and r.convention_ok and not r.violations
-
-    r = validate(parse_gp("1 2 3 A A 4 / 4 3 B B 2 1"))
-    assert r.is_strict and r.convention_ok
-
-    r = validate(parse_gp("1 A A 2 / 2 1"))
-    assert r.is_strict and not r.convention_ok
-    assert "bottom" in r.violations[0]
+    assert validate(parse_gp("1 2 3 4 / 4 3 2 1")) == ()
+    assert validate(parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")) == ()
+    assert validate(parse_gp("1 A A 2 / 2 1")) == (
+        "no duplicate letter in bottom row",)
+    assert validate(parse_gp("1 2 / 2 A A 1")) == (
+        "no duplicate letter in top row",)
 
 
 def test_irreducible_examples():

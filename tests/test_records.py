@@ -1,4 +1,4 @@
-"""The library's record types: ten named tuples and two slotted classes,
+"""The library's record types: nine named tuples and two slotted classes,
 each with its fields in order, refusing assignment and surviving a pickle
 round trip."""
 
@@ -10,8 +10,8 @@ from rvq.components import (RowReport, Table1Row, table1_rows, tau_sym,
                             verify_row)
 from rvq.cover import CoverStratum, cover_stratum
 from rvq.extensions import ExtensionWitness, SplitResult, split_singularity
-from rvq.gp import (Decomposition, GeneralizedPermutation, ValidityReport,
-                    find_reduction, parse_gp, validate)
+from rvq.gp import (Decomposition, GeneralizedPermutation, find_reduction,
+                    parse_gp)
 from rvq.groups import ClosureResult, rauzy_veech_group_modp
 from rvq.homology import QuotientData, quotient_data
 from rvq.induction import RauzyClass, enumerate_class
@@ -30,8 +30,6 @@ RECORDS = {
     GeneralizedPermutation: (("top", "bottom"), lambda: WITNESS),
     RauzyClass: (("vertices", "table", "complete", "reduced_labels"),
                  lambda: enumerate_class(tau_sym(3))),
-    ValidityReport: (("is_genuine", "is_strict", "convention_ok",
-                      "violations"), lambda: validate(WITNESS)),
     Decomposition: (("i1", "i2", "i3", "i4"),
                     lambda: find_reduction(parse_gp("1 2 3 4 / 2 1 4 3"))),
     StratumSignature: (("orders", "genus"),
@@ -43,9 +41,8 @@ RECORDS = {
     SplitResult: (("witness", "orders", "orbit_reps"), _split),
     Table1Row: (("number", "start", "end_orders", "flavour", "gp"),
                 lambda: table1_rows()[0]),
-    RowReport: (("row", "start", "end_orders", "flavour", "irreducible_ok",
-                 "convention_ok", "chain_ok", "start_found", "stratum_found",
-                 "hyperelliptic"),
+    RowReport: (("row", "irreducible_ok", "convention_ok", "chain_ok",
+                 "start_found", "stratum_found", "hyperelliptic"),
                 lambda: verify_row(table1_rows()[0])),
     QuotientData: (("form", "basis", "kernel", "unimodular", "inverse",
                     "reduced_form"), lambda: quotient_data(WITNESS)),
