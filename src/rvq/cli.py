@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import components, cover, extensions, groups, homology, induction, strata
+from . import components, extensions, groups, homology, induction, strata
 from .errors import RVQError
 from .gp import parse_gp, require_suspendable, validate
 
@@ -144,9 +144,11 @@ def cmd_class(args):
         # before the summary, so that an unusable path prints nothing
         with open(args.dot, "w") as fh:
             fh.write(induction.export_graph(rc))
+    if args.dot == "-" and args.json:
+        rec["dot"] = induction.export_graph(rc)  # JSON lines stay JSON lines
     _emit(args, rec, "class of %s: %d vertices, %d arrows, complete=%s"
           % (rc.base.encode(), len(rc), rc.arrow_count(), rc.complete))
-    if args.dot == "-":
+    if args.dot == "-" and not args.json:
         sys.stdout.write(induction.export_graph(rc))
     return 0
 
@@ -165,12 +167,13 @@ def cmd_cocycle(args):
 
 def cmd_cover(args):
     gp = require_suspendable(parse_gp(args.gp))
-    cs = cover.cover_stratum(strata.stratum_signature(gp))
+    sig = strata.stratum_signature(gp)
+    cs = strata.cover_stratum(sig)
     rec = {"gp": gp.encode(), "cover_orders": list(cs.orders),
            "cover_genus": cs.genus, "marked_points": cs.marked_points,
-           "minus_eligible": cs.minus_eligible}
+           "minus_eligible": sig.minus_eligible}
     _emit(args, rec, "%s genus=%d minus_eligible=%s"
-          % (cs, cs.genus, cs.minus_eligible))
+          % (cs, cs.genus, sig.minus_eligible))
     return 0
 
 
@@ -245,7 +248,7 @@ def cmd_group(args):
 
 
 def cmd_verify_table(args):
-    reports = components.verify_extension_table(args.rows)
+    reports = components.verify_extension_table(args.rows, args.budget)
     bad = 0
     for r in reports:
         row = r.row

@@ -17,7 +17,7 @@ from .errors import OutOfRange, RVQError, UnknownLabel
 from .extensions import is_simple_extension
 from .gp import (GeneralizedPermutation, erase_letters, is_irreducible,
                  parse_gp, require_suspendable)
-from .induction import load_or_enumerate
+from .induction import DEFAULT_BUDGET, load_or_enumerate
 from .strata import StratumSignature, _arf_invariant, stratum_signature
 
 UNKNOWN = "unknown"
@@ -155,26 +155,8 @@ def canonical_rep(label: str, *args: int) -> GeneralizedPermutation:
 # hyperellipticity
 # ---------------------------------------------------------------------------
 
-def _matches_interleaved(top, bottom):
-    if len(top) != len(bottom) or len(top) < 2:
-        return False
-    x = top[0]
-    if top.count(x) != 2:
-        return False
-    p = top.index(x, 1)
-    a, c = top[1:p], top[p + 1:]
-    y = bottom[len(c)] if len(c) < len(bottom) else None
-    if y is None or y == x or y in top:
-        return False
-    expected = tuple(reversed(c)) + (y,) + tuple(reversed(a)) + (y,)
-    return bottom == expected
-
-
-def _matches_doubled(top, bottom):
-    if len(top) % 2 or len(bottom) % 2:
-        return False
-    h, k = len(top) // 2, len(bottom) // 2
-    return (h > 0 and k > 0 and top[:h] == top[h:] and bottom[:k] == bottom[k:])
+def _rotates_to(u, v) -> bool:
+    return len(u) == len(v) and any(u[i:] + u[:i] == v for i in range(len(u)))
 
 
 def hyperelliptic_test(gp: GeneralizedPermutation) -> Optional[bool]:
@@ -183,10 +165,15 @@ def hyperelliptic_test(gp: GeneralizedPermutation) -> Optional[bool]:
 
     Applicable to a strict permutation whose first top letter equals its
     last bottom letter and whose core, without that letter, has no empty
-    row; the core's rows are compared, over all independent cyclic
-    rotations, against the interleaved-duplicates form and the doubled-rows
-    form.  Both forms need a letter twice in one row, so a genuine
-    permutation could only get False (its component is named by
+    row.  The core is hyperelliptic when, up to independent cyclic rotations
+    of its rows, it has the doubled-rows form (each row a word written
+    twice) or the interleaved-duplicates form (x a x c over
+    rev(c) y rev(a) y).  Both are read off the rows without rotating them:
+    a rotation of a row is a word written twice exactly when the row is,
+    and in the interleaved form x is the only letter twice on top, y the
+    only one twice below, and the top with x renamed y is a rotation of the
+    reversed bottom.  Both forms need a letter twice in one row, so a
+    genuine permutation could only get False (its component is named by
     :func:`identify_component`).
     """
     if gp.is_genuine or gp.top[0] != gp.bottom[-1]:
@@ -195,14 +182,14 @@ def hyperelliptic_test(gp: GeneralizedPermutation) -> Optional[bool]:
         core = erase_letters(gp, {gp.top[0]})
     except RVQError:
         return None
-    top, bottom = core.top, core.bottom
-    for rt in range(len(top)):
-        t = top[rt:] + top[:rt]
-        for rb in range(len(bottom)):
-            b = bottom[rb:] + bottom[:rb]
-            if _matches_interleaved(t, b) or _matches_doubled(t, b):
-                return True
-    return False
+    top, bottom, ell = core.top, core.bottom, core.ell
+    h, k = len(top) // 2, len(bottom) // 2
+    if top[:h] == top[h:] and bottom[:k] == bottom[k:]:
+        return True
+    x = [z for z, (i, j) in core.pairs.items() if j <= ell]  # twice on top
+    y = [z for z, (i, j) in core.pairs.items() if i > ell]   # twice below
+    return len(x) == len(y) == 1 and _rotates_to(
+        tuple(y[0] if z == x[0] else z for z in top), bottom[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +244,7 @@ def _quadratic_registry():
 
 
 def identify_component(gp: GeneralizedPermutation,
-                       budget: int = 2_000_000) -> str:
+                       budget: int = DEFAULT_BUDGET) -> str:
     """Name the connected component of a suspendable permutation.
 
     A genuine permutation is named from invariants: its stratum, then in
@@ -303,11 +290,12 @@ class RowReport(NamedTuple):
                 and self.hyperelliptic is False)
 
 
-def verify_row(row: Table1Row) -> RowReport:
+def verify_row(row: Table1Row, budget: int = DEFAULT_BUDGET) -> RowReport:
     """Check the chain the row names, tau = pi - {A, B} extended by B to
     mid = pi - {A} and mid by A to pi, with tau in the start component, pi
     irreducible, keeping the convention, in the row's stratum and certified
-    non-hyperelliptic."""
+    non-hyperelliptic.  ``budget`` bounds the class enumerations that name
+    the start component."""
     gp = row.gp
     mid = erase_letters(gp, {"A"})
     tau = erase_letters(mid, {"B"})
@@ -316,12 +304,13 @@ def verify_row(row: Table1Row) -> RowReport:
         convention_ok=gp.satisfies_convention(),
         chain_ok=(is_simple_extension(mid, tau) == "B"
                   and is_simple_extension(gp, mid) == "A"),
-        start_found=identify_component(tau),
+        start_found=identify_component(tau, budget),
         stratum_found=stratum_signature(gp).orders,
         hyperelliptic=hyperelliptic_test(gp))
 
 
-def verify_extension_table(rows=None) -> list[RowReport]:
+def verify_extension_table(rows=None,
+                           budget: int = DEFAULT_BUDGET) -> list[RowReport]:
     """Check every requested table row, in table order, after refusing any
     row outside the table; see verify_row for the criteria.
 
@@ -329,4 +318,4 @@ def verify_extension_table(rows=None) -> list[RowReport]:
     two flavours are not separated by any invariant computed here.
     """
     picked = _TABLE1 if rows is None else [_row(n) for n in sorted(set(rows))]
-    return [verify_row(r) for r in picked]
+    return [verify_row(r, budget) for r in picked]

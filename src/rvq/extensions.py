@@ -19,7 +19,7 @@ from .errors import (AlphabetMismatch, BudgetExceeded, CaseUnmatched,
                      ParityError)
 from .gp import (GeneralizedPermutation, _trusted, is_irreducible,
                  is_suspendable)
-from .induction import apply_arrow
+from .induction import DEFAULT_BUDGET, apply_arrow
 from .strata import orbit_order, stratum_signature, turning_orbits
 
 RowSlot = tuple[str, int]  # ('top'|'bottom', 1-based index in the result row)
@@ -262,7 +262,8 @@ def _all_single_insertions(tau: GeneralizedPermutation,
 
 def search_extensions(vertices: Sequence[GeneralizedPermutation],
                       target: Sequence[int], *,
-                      budget: int = 1_000_000) -> list[list[ExtensionWitness]]:
+                      budget: int = DEFAULT_BUDGET
+                      ) -> list[list[ExtensionWitness]]:
     """Depth-first scan of two nested single-letter insertions over the
     vertices.
 

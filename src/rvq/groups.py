@@ -15,7 +15,6 @@ from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .cover import cover_stratum
 from .errors import (CriterionInapplicable, NonDividingOrder,
                      NonSymplecticGenerator, OpenWalk)
 from .gp import GeneralizedPermutation
@@ -404,19 +403,19 @@ def image_quotient(base: GeneralizedPermutation, *,
                    minus: bool = False) -> QuotientData:
     """The :func:`~rvq.homology.quotient_data` a mod-p image at ``base``
     acts on.  CriterionInapplicable refuses, with ``minus``, a stratum outside
-    the paper's scope (:attr:`~rvq.cover.CoverStratum.minus_eligible`), then a
-    both-rows form of rank other than 2g; last, genus 0."""
+    the paper's scope (:attr:`~rvq.strata.StratumSignature.minus_eligible`),
+    then a both-rows form of rank other than 2g; last, genus 0."""
     if minus:
         sig = stratum_signature(base, cross_check=False)
-        if not cover_stratum(sig).minus_eligible:
+        if not sig.minus_eligible:
             raise CriterionInapplicable(
                 "%s: the minus group needs exactly two singularities of odd "
                 "order" % base.encode())
     qd = quotient_data(base, minus=minus)
-    if minus and len(qd.basis) != 2 * sig.genus:
+    if minus and len(qd.reduced_form) != 2 * sig.genus:
         raise CriterionInapplicable(
             "%s: the form on the both-rows letters has rank %d, not 2g = %d"
-            % (base.encode(), len(qd.basis), 2 * sig.genus))
+            % (base.encode(), len(qd.reduced_form), 2 * sig.genus))
     if not qd.reduced_form:
         raise CriterionInapplicable("%s has genus 0: no group" % base.encode())
     return qd

@@ -166,13 +166,13 @@ def kz_walk(base: GeneralizedPermutation, walk: str, *, minus: bool = False
 class QuotientData(NamedTuple):
     """A fixed integral basis of the quotient lattice by ker of the form.
 
-    ``basis`` rows span a complement of the kernel; ``kernel`` rows span the
-    kernel; ``unimodular`` stacks both (basis first) and is invertible over
-    the integers.  ``form`` is the form the basis was built for.
+    The first r = ``len(reduced_form)`` rows of ``unimodular`` span a
+    complement of the kernel and the rest span the kernel; ``unimodular`` is
+    invertible over the integers, ``inverse`` is its inverse and
+    ``reduced_form`` the form on the first r rows.  ``form`` is the form the
+    basis was built for; the kernel is trivial exactly when r is its size.
     """
     form: Matrix
-    basis: Matrix
-    kernel: Matrix
     unimodular: Matrix
     inverse: Matrix
     reduced_form: Matrix
@@ -185,36 +185,30 @@ def quotient_data(gp: GeneralizedPermutation, *,
     form of the anti-invariant homology of the orientation double cover."""
     omega = intersection_form(gp, letters(gp, minus))
     h, u = linalg.hermite_with_transform(omega)
-    nonzero = [i for i, row in enumerate(h) if any(row)]
-    zero = [i for i, row in enumerate(h) if not any(row)]
-    if not zero:
-        # trivial kernel: the quotient is the whole space in its own basis
-        basis = linalg.identity(len(omega))
-        kernel: Matrix = ()
-    else:
-        basis = tuple(u[i] for i in nonzero)
-        kernel = tuple(u[i] for i in zero)
-    uni = basis + kernel
+    nonzero = [u[i] for i, row in enumerate(h) if any(row)]
+    zero = [u[i] for i, row in enumerate(h) if not any(row)]
+    # trivial kernel: the quotient is the whole space in its own basis
+    uni = tuple(nonzero + zero) if zero else linalg.identity(len(omega))
     inv = linalg.invert_integer(uni)
-    r = len(basis)
+    r = len(nonzero)
     full = linalg.mul(linalg.mul(uni, omega), linalg.transpose(uni))
     reduced = tuple(tuple(full[i][j] for j in range(r)) for i in range(r))
-    return QuotientData(form=omega, basis=basis, kernel=kernel,
-                        unimodular=uni, inverse=inv, reduced_form=reduced)
+    return QuotientData(form=omega, unimodular=uni, inverse=inv,
+                        reduced_form=reduced)
 
 
 def quotient_action(matrix: Matrix, qd: QuotientData) -> Matrix:
     """Push a matrix that preserves ``qd.form`` down to the quotient by its
     kernel: the induced matrix in the basis of ``qd``, the matrix itself when
-    the kernel is trivial (the basis is then the standard one).  Raises NotOmegaPreserving when the
-    matrix does not fix the form or the kernel.
+    the kernel is trivial (the basis is then the standard one).  Raises
+    NotOmegaPreserving when the matrix does not fix the form or the kernel.
     """
     if not linalg.preserves_form(matrix, qd.form):
         raise NotOmegaPreserving("matrix does not preserve the form")
-    if not qd.kernel:
+    r = len(qd.reduced_form)
+    if r == len(qd.form):
         return matrix
     conj = linalg.mul(linalg.mul(qd.unimodular, matrix), qd.inverse)
-    r = len(qd.basis)
     # an invariant kernel's rows cannot leak into quotient coordinates
     if any(row[j] for row in conj[r:] for j in range(r)):
         raise NotOmegaPreserving("kernel is not invariant")

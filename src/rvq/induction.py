@@ -11,8 +11,8 @@ the top move on the swapped rows, so one kernel serves both.
 
 from __future__ import annotations
 
+import binascii
 import gc
-import hashlib
 import json
 import os
 import tempfile
@@ -425,8 +425,9 @@ def cache_dir() -> str:
 
 def _cache_path(seed: GeneralizedPermutation, reduced_labels: bool) -> str:
     key = seed.encode() + ("|reduced" if reduced_labels else "")
-    digest = hashlib.sha1(key.encode()).hexdigest()[:16]
-    return os.path.join(cache_dir(), "class-%s.jsonl" % digest)
+    # a crc32 collision is only a miss: load_or_enumerate checks the class
+    return os.path.join(cache_dir(),
+                        "class-%08x.jsonl" % binascii.crc32(key.encode()))
 
 
 def load_or_enumerate(seed: GeneralizedPermutation,

@@ -4,7 +4,9 @@ Each orbit of the turning bijection collects the polygon vertices glued to
 one conical point; the order of that singularity is the orbit size (ignoring
 the two distinguished endpoint positions) minus two.  The spin parity, which
 splits abelian strata whose zeros all have even order, is read off from the
-intersection form mod 2.
+intersection form mod 2.  The stratum of the orientation double cover
+follows from the orders alone: odd orders lift to single zeros of the next
+even order and even orders to two zeros of half the order.
 """
 
 from __future__ import annotations
@@ -64,6 +66,12 @@ class StratumSignature(NamedTuple):
     @property
     def all_even(self) -> bool:
         return all(o % 2 == 0 for o in self.orders)
+
+    @property
+    def minus_eligible(self) -> bool:
+        """Exactly two odd orders, so the double cover has genus 2g: the
+        scope of the minus theorem."""
+        return sum(1 for o in self.orders if o % 2) == 2
 
     def abelian_orders(self) -> tuple[int, ...]:
         if not self.all_even:
@@ -154,3 +162,48 @@ def _arf_invariant(gp: GeneralizedPermutation) -> int:
         pool = [v ^ (a if pair(v, b) else 0) ^ (b if pair(v, a) else 0)
                 for v in pool]
     return parity
+
+
+# ---------------------------------------------------------------------------
+# orientation double cover
+# ---------------------------------------------------------------------------
+
+class CoverStratum(NamedTuple):
+    orders: tuple[int, ...]   # orders of zeros on the cover (0 = marked point)
+    genus: int
+
+    @property
+    def marked_points(self) -> int:
+        return sum(1 for o in self.orders if o == 0)
+
+    def __str__(self):
+        nonzero = [o for o in self.orders if o != 0] or [0]
+        s = "H(%s)" % ",".join(str(o) for o in nonzero)
+        if self.marked_points:
+            s += " + %d marked" % self.marked_points
+        return s
+
+
+def cover_stratum(sig: StratumSignature) -> CoverStratum:
+    """Stratum of the orientation double cover of the stratum ``sig``, plus
+    its genus.
+
+    Odd orders 2k-1 contribute one zero of order 2k; even orders 2k
+    contribute two zeros of order k. The genus comes from
+    2g~ - 2 = 4g - 4 + (number of odd orders).  Orders that do not sum to
+    4g - 4 raise InconsistentGenus.
+    """
+    if sum(sig.orders) != 4 * sig.genus - 4:
+        raise InconsistentGenus("orders %s do not sum to 4g - 4 for genus %d"
+                                % (sig.orders, sig.genus))
+    cover_orders: list[int] = []
+    n_odd = 0
+    for q in sig.orders:
+        if q % 2:
+            n_odd += 1
+            cover_orders.append(q + 1)
+        else:
+            cover_orders.extend((q // 2, q // 2))
+    genus = 2 * sig.genus - 1 + n_odd // 2
+    return CoverStratum(orders=tuple(sorted(cover_orders, reverse=True)),
+                        genus=genus)

@@ -9,6 +9,8 @@ they import ``conftest``:
 * ``trajectory``: the vertices a walk visits in a class, read off its
   arrow table;
 * ``arrow_matrix``: the matrix of one arrow's plus factor, or its inverse;
+* ``hyperelliptic_by_rotations``: the two-forms criterion tried over every
+  pair of row rotations, the oracle for ``components.hyperelliptic_test``;
 * ``minus_form``: the +-2/0 form of the anti-invariant homology of the
   double cover on the both-rows letters, read from the letter positions:
   the reference for the intersection form on those letters, of which it is
@@ -37,7 +39,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from rvq import linalg
 from rvq.errors import (BudgetExceeded, MoveUndefined, NotOmegaPreserving,
                         OpenWalk, RVQError)
-from rvq.gp import GeneralizedPermutation, Letter
+from rvq.gp import GeneralizedPermutation, Letter, erase_letters
 from rvq.groups import arrow_cycles, random_directed_cycles
 from rvq.homology import (DuplicateWinner, QuotientData, _factor,
                           arrow_factor, kz_walk, quotient_data)
@@ -104,6 +106,51 @@ def minus_form(gp: GeneralizedPermutation,
 
     return tuple(tuple(entry(a, b) if a != b else 0 for b in order)
                  for a in order)
+
+
+# ---------------------------------------------------------------------------
+# hyperellipticity by rotations
+# ---------------------------------------------------------------------------
+
+def _matches_interleaved(top, bottom):
+    if len(top) != len(bottom) or len(top) < 2:
+        return False
+    x = top[0]
+    if top.count(x) != 2:
+        return False
+    p = top.index(x, 1)
+    a, c = top[1:p], top[p + 1:]
+    y = bottom[len(c)] if len(c) < len(bottom) else None
+    if y is None or y == x or y in top:
+        return False
+    expected = tuple(reversed(c)) + (y,) + tuple(reversed(a)) + (y,)
+    return bottom == expected
+
+
+def _matches_doubled(top, bottom):
+    if len(top) % 2 or len(bottom) % 2:
+        return False
+    h, k = len(top) // 2, len(bottom) // 2
+    return (h > 0 and k > 0 and top[:h] == top[h:] and bottom[:k] == bottom[k:])
+
+
+def hyperelliptic_by_rotations(gp: GeneralizedPermutation) -> Optional[bool]:
+    """``components.hyperelliptic_test`` by trying every pair of row
+    rotations of the core against the interleaved and the doubled form."""
+    if gp.is_genuine or gp.top[0] != gp.bottom[-1]:
+        return None
+    try:
+        core = erase_letters(gp, {gp.top[0]})
+    except RVQError:
+        return None
+    top, bottom = core.top, core.bottom
+    for rt in range(len(top)):
+        t = top[rt:] + top[:rt]
+        for rb in range(len(bottom)):
+            b = bottom[rb:] + bottom[:rb]
+            if _matches_interleaved(t, b) or _matches_doubled(t, b):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +444,7 @@ def _quotient_generators(mats: Iterable[Matrix], p: int, qd: QuotientData
     """Every matrix checked by the full product M·Ω·Mᵀ = Ω and conjugated
     by the quotient basis, U·M·U⁻¹; the blocks on the quotient, distinct mod
     p, with the reduced form."""
-    omega, r = qd.form, len(qd.basis)
+    omega, r = qd.form, len(qd.reduced_form)
     gens, seen = [], set()
     for mat in mats:
         if linalg.mul(linalg.mul(mat, omega), linalg.transpose(mat)) != omega:

@@ -31,7 +31,7 @@ from rvq.induction import (apply_arrow, invert_arrow, load_or_enumerate,
 from rvq.linalg import det, identity, mul, rank, transpose
 from rvq.strata import StratumSignature, stratum_signature, turning_orbits, \
     orbit_order
-from rvq.cover import cover_stratum
+from rvq.strata import cover_stratum
 
 WITNESS = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
 WITNESS2 = parse_gp("1 2 A A 3 4 5 / 5 B B 4 3 2 1")
@@ -439,3 +439,20 @@ def test_criterion_11_lifted_cycles_close_without_a_class(monkeypatch):
                 assert full.exact and full.order % res.order == 0
     report(11, "40 lifted cycles close without a class of the witness: "
                "minus and plus index 6 mod 2, 1 mod 3")
+
+
+def test_criterion_11_lifted_minus_matrices_are_the_both_rows_blocks():
+    # A and B never win along a lifted walk, so a both-rows row of the plus
+    # matrix only ever gains both-rows rows
+    walks = _lifted_cycles()
+    assert len(walks) == 40
+    both = [WITNESS.alphabet.index(x) for x in WITNESS.both_rows_letters()]
+    duplicate = [WITNESS.alphabet.index(x) for x in "AB"]
+    for walk in walks:
+        plus, end = kz_walk(WITNESS, walk)
+        minus, minus_end = kz_walk(WITNESS, walk, minus=True)
+        assert end == minus_end == WITNESS
+        assert minus == tuple(tuple(plus[i][j] for j in both) for i in both)
+        assert not any(plus[i][j] for i in both for j in duplicate)
+    report(11, "the minus matrices of 40 lifted cycles are the both-rows "
+               "blocks of their plus matrices")

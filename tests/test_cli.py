@@ -46,6 +46,15 @@ def test_class_and_dot(capsys, tmp_path):
     assert "->" in dot.read_text()
 
 
+def test_class_dot_to_stdout_stays_json_lines(capsys):
+    # under --json the DOT text is a field of the one record
+    code, out, _ = run(capsys, "--json", "class", "1 2 / 2 1", "--no-cache",
+                       "--dot", "-")
+    rc = induction.enumerate_class(parse_gp("1 2 / 2 1"))
+    (line,) = out.splitlines()
+    assert code == 0 and json.loads(line)["dot"] == induction.export_graph(rc)
+
+
 def test_cocycle_json(capsys):
     code, out, _ = run(capsys, "--json", "cocycle", "1 2 / 2 1",
                        "--walk", "tb")
@@ -153,6 +162,15 @@ def test_verify_table_subset(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 2 and all("PASS" in ln for ln in lines)
+
+
+def test_verify_table_honours_the_budget(capsys):
+    # naming row 1's start component, H(4)^hyp, enumerates the 31-vertex
+    # reduced class of tau_sym(6)
+    code, out, err = run(capsys, "--no-cache", "verify-table", "--rows", "1",
+                         "--budget", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("BudgetExceeded: class budget of 1 vertices hit")
 
 
 def test_group_lower_bound_line(capsys):

@@ -3,6 +3,8 @@ from functools import cache
 
 import pytest
 
+from conftest import random_gp, small_gps
+from oracles import hyperelliptic_by_rotations
 from rvq import components, strata
 from rvq.components import (UNKNOWN, canonical_rep, hyperelliptic_test,
                             identify_component, sigma_hyp, sigma_zorich,
@@ -94,6 +96,30 @@ def test_hyperelliptic_relabeling_invariant():
     gp = sigma_hyp(2, 1)
     mapping = dict(zip(gp.alphabet, "qwertzu"[:len(gp.alphabet)]))
     assert hyperelliptic_test(gp.relabel(mapping))
+
+
+def test_hyperelliptic_test_matches_the_rotation_search():
+    # every small permutation, every vertex of the sigma_hyp classes and its
+    # transpose, and random cores framed as Z.top / bottom.Z, the shape the
+    # test applies to
+    hyp = [gp for s in (0, 2, 4) for r in range(4)
+           if s + r >= 1 and not (r % 2 == 0 and s + r < 2)
+           for v in enumerate_class(sigma_hyp(s, r),
+                                    reduced_labels=True).vertices
+           for gp in (v, v.transpose())]
+    rng = random.Random(31)
+    framed = []
+    while len(framed) < 5000:
+        core = random_gp(rng, rng.randint(2, 8))
+        framed.append(GeneralizedPermutation(("Z",) + core.top,
+                                             core.bottom + ("Z",)))
+    counts = {}
+    for gp in (*small_gps(), *hyp, *framed):
+        got = hyperelliptic_test(gp)
+        assert got == hyperelliptic_by_rotations(gp), gp.encode()
+        counts[got] = counts.get(got, 0) + 1
+    assert counts == {True: 39 + 378 + 218, False: 748 + 4519,
+                      None: 8537 + 13834 + 263}
 
 
 def test_identify_basic():

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_gp
 from oracles import STAR, ConventionViolated, to_perm_involution
-from rvq.cover import cover_stratum
+from rvq.strata import cover_stratum
 from rvq.errors import InconsistentGenus
 from rvq.gp import parse_gp
 from rvq.strata import StratumSignature, stratum_signature
@@ -40,9 +40,9 @@ def test_cover_of_witness():
     sig = stratum_signature(parse_gp("1 2 3 A A 4 / 4 3 B B 2 1"))
     cs = cover_stratum(sig)
     assert cs.orders == (3, 3, 0, 0)
-    assert cs.genus == 4 and cs.genus == 2 * cs.base.genus
+    assert cs.genus == 4 and cs.genus == 2 * sig.genus
     assert cs.marked_points == 2
-    assert cs.minus_eligible
+    assert sig.minus_eligible
 
 
 def test_cover_of_Q233():
@@ -69,7 +69,7 @@ def test_cover_of_genuine_doubles():
         assert cs.genus == 2 * sig.genus - 1
         halves = sorted(o // 2 for o in sig.orders for _ in range(2))
         assert sorted(cs.orders) == halves
-        assert not cs.minus_eligible
+        assert not sig.minus_eligible
         count += 1
 
 
@@ -82,7 +82,7 @@ def test_cover_identity_random():
         cs = cover_stratum(sig)
         s = sum(1 for o in sig.orders if o % 2)
         assert 2 * cs.genus - 2 == 4 * sig.genus - 4 + s
-        assert cs.minus_eligible == (s == 2)
+        assert sig.minus_eligible == (s == 2)
         if s == 2:
             assert cs.genus == 2 * sig.genus
         count += 1

@@ -11,7 +11,6 @@ from oracles import (DecompositionPiece, decomposition_product,
                      trajectory)
 from rvq import groups, linalg
 from rvq.components import sigma_hyp, table1, tau_sym, tau_zorich
-from rvq.cover import cover_stratum
 from rvq.errors import (BudgetExceeded, CriterionInapplicable, MoveUndefined,
                         NonDividingOrder, NonSymplecticGenerator,
                         NotOmegaPreserving, OpenWalk, ReverseArrowMissing)
@@ -257,7 +256,7 @@ def test_quotient_generators_keep_one_of_two_cycles_equal_on_the_quotient(
     # kernel, but not on Z^5 mod 2: t·M is new mod 2, its push-down is not
     base = tau_sym(5)
     qd = quotient_data(base)
-    r = len(qd.basis)
+    r = len(qd.reduced_form)
     shear = [list(row) for row in identity(len(qd.form))]
     shear[0][r] = 1
     t = linalg.mul(linalg.mul(qd.inverse, shear), qd.unimodular)
@@ -797,7 +796,7 @@ def test_a_minus_image_outside_the_papers_scope_is_refused(base):
     # four odd singularities: the anti-invariant homology of the cover has
     # rank 2g + 2, so an image on the both-rows letters is not the minus
     # group; the refusal comes before any matrix is read
-    assert not cover_stratum(stratum_signature(base)).minus_eligible
+    assert not stratum_signature(base).minus_eligible
 
     def matrices():
         raise AssertionError("a matrix was read before the refusal")

@@ -199,12 +199,12 @@ def test_conjugation_identity_spot():
 def test_quotient_torus_identity():
     mat, _ = kz_walk(TORUS, "tb")
     qd = quotient_data(TORUS)
-    assert quotient_action(mat, qd) == mat and len(qd.basis) == 2
+    assert quotient_action(mat, qd) == mat and len(qd.reduced_form) == 2
 
 
 def test_quotient_witness_rank4():
     qd = quotient_data(WITNESS)
-    assert len(qd.basis) == 4 and len(qd.kernel) == 2
+    assert len(qd.reduced_form) == 4 and len(qd.form) == 6
     assert rank(qd.reduced_form) == 4
     assert linalg.det(qd.reduced_form) != 0
     assert quotient_action(identity(6), qd) == identity(4)
@@ -218,11 +218,11 @@ def test_quotient_rejects_non_preserving():
 
 def test_quotient_refuses_a_kernel_that_is_not_invariant():
     # basis and kernel swapped: e_1 is no kernel vector of this form, and the
-    # form-preserving m moves it off its own line
+    # form-preserving m moves it off its own line; the 2x2 reduced form puts
+    # the cut after the first two rows
     form = ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
-    basis, kernel = ((0, 1, 0), (0, 0, 1)), ((1, 0, 0),)
-    uni = basis + kernel
-    qd = QuotientData(form=form, basis=basis, kernel=kernel, unimodular=uni,
+    uni = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+    qd = QuotientData(form=form, unimodular=uni,
                       inverse=linalg.invert_integer(uni),
                       reduced_form=((0, 0), (0, 0)))
     m = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
@@ -341,7 +341,7 @@ def test_minus_switch_picks_letters_and_halved_form():
                             for row in minus_form(WITNESS))
     assert qd.form == intersection_form(WITNESS, ("1", "2", "3", "4"))
     assert {x for row in qd.form for x in row} == {-1, 0, 1}
-    assert len(qd.basis) == 4 and not qd.kernel
+    assert len(qd.reduced_form) == len(qd.form) == 4
     assert len(kz_walk(WITNESS, "t", minus=True)[0]) == 4
 
 

@@ -1,5 +1,6 @@
 """The library depends only on the standard library, and never on the test
-oracles; importing the CLI loads neither `dataclasses` nor `inspect`."""
+oracles; importing the CLI loads neither `dataclasses`, `inspect` nor
+`hashlib`."""
 
 import ast
 import os
@@ -36,6 +37,17 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     # both cost start-up time in every command's fresh process
     code = ("import sys, rvq.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert out.stdout == "[]\n"
+
+
+def test_cli_imports_no_hashlib():
+    # hashlib loads OpenSSL, which costs start-up time and memory in every
+    # command's fresh process; class files are named by crc32
+    code = ("import sys, rvq.cli; "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)))

