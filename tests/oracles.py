@@ -8,6 +8,9 @@ they import ``conftest``:
   ``relabel``, the oracle for ``GeneralizedPermutation.reduced``;
 * ``trajectory``: the vertices a walk visits in a class, read off its
   arrow table;
+* ``class_record_text``: a class file's text from one ``json.dumps`` of
+  the whole record, the oracle for the piecewise
+  ``RauzyClass.write_jsonl``;
 * ``arrow_matrix``: the matrix of one arrow's plus factor, or its inverse;
 * ``hyperelliptic_by_rotations``: the two-forms criterion tried over every
   pair of row rotations, the oracle for ``components.hyperelliptic_test``;
@@ -31,6 +34,7 @@ they import ``conftest``:
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,6 +78,20 @@ def trajectory(rc: RauzyClass, walk: str,
         if verts[-1] is None:
             break
     return verts
+
+
+def class_record_text(rc: RauzyClass) -> str:
+    """The class file of ``rc`` in format 2, built as one text: a single
+    ``json.dumps`` of the record with the default separators, then a
+    newline."""
+    return json.dumps({
+        "format": 2,
+        "complete": rc.complete,
+        "reduced_labels": rc.reduced_labels,
+        "vertices": [v.encode() for v in rc.vertices],
+        TOP: rc.table[TOP],
+        BOTTOM: rc.table[BOTTOM],
+    }) + "\n"
 
 
 def arrow_matrix(arrow: Arrow, order: Optional[Sequence[str]] = None,

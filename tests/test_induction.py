@@ -1,12 +1,16 @@
+import errno
 import gc
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import random_gp, small_gps
-from oracles import defined_moves, reduced_by_relabel, trajectory
+from oracles import (class_record_text, defined_moves, reduced_by_relabel,
+                     trajectory)
+from rvq.cli import main
 from rvq.components import table1, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, OpenWalk,
                         NotSuspendable, ReverseArrowMissing)
@@ -18,6 +22,9 @@ from rvq.homology import kz_walk
 from rvq.induction import (Arrow, RauzyClass, _cache_path, apply_arrow,
                            enumerate_class, export_graph, invert_arrow,
                            load_or_enumerate, resolve_walk)
+
+# its reduced class of 5,209 vertices spans many pieces of a class file
+CLASS_5209 = parse_gp("0 1 2 3 5 6 8 9 / 3 2 6 5 9 8 1 0")
 
 
 # -- literal position-formula implementation, used as an independent oracle --
@@ -374,6 +381,22 @@ def test_export_graph():
     assert "TRUNCATED" in export_graph(partial)
 
 
+@pytest.mark.parametrize("letter, quoted", [('a"', 'a\\"'), ("a\\", "a\\\\")],
+                         ids=["quote", "backslash"])
+def test_export_graph_escapes_each_label(letter, quoted):
+    # a letter is any token without '/' or a space, so a label may hold a
+    # double quote or a backslash; both are escaped, as DOT reads them
+    rc = enumerate_class(parse_gp("%s b / b %s" % (letter, letter)))
+    code = "%s b / b %s" % (quoted, quoted)
+    assert export_graph(rc) == "\n".join([
+        "digraph rauzy {",
+        '  label="base=%s vertices=1";' % code,
+        '  v0 [label="%s"];' % code,
+        '  v0 -> v0 [label="t:b"];',
+        '  v0 -> v0 [label="b:%s"];' % quoted,
+        "}", ""])
+
+
 def test_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
     seed = parse_gp("1 2 3 4 / 4 3 2 1")
@@ -399,6 +422,53 @@ def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+class _SmallDisk:
+    """A text file on a disk with room for ``room`` characters: a write
+    that does not fit raises OSError, as on a full disk."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room, self.used = fh, room, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if self.used + len(text) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.used += len(text)
+        return self.fh.write(text)
+
+
+def test_a_class_file_write_that_fails_partway_leaves_nothing(
+        tmp_path, monkeypatch, capsys):
+    # room for the head and a few pieces of the 253,105-character file:
+    # the error propagates, and neither the temporary file nor a class file
+    # stays behind, from the library or from the CLI
+    disks = []
+    fdopen = induction.os.fdopen
+
+    def small_disk(fd, *args, **kwargs):
+        disks.append(_SmallDisk(fdopen(fd, *args, **kwargs), 10_000))
+        return disks[-1]
+
+    monkeypatch.setattr(induction.os, "fdopen", small_disk)
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+    with pytest.raises(OSError, match="No space left on device"):
+        load_or_enumerate(CLASS_5209, reduced_labels=True)
+    assert list(tmp_path.iterdir()) == []
+    assert 5_000 < disks[0].used <= 10_000
+
+    code = main(["--cache-dir", str(tmp_path), "class", CLASS_5209.encode(),
+                 "--reduced"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "OSError: [Errno %d] No space left on device\n" % errno.ENOSPC
+    assert list(tmp_path.iterdir()) == [] and len(disks) == 2
+
+
 def test_a_class_is_not_equal_to_another_type():
     rc = enumerate_class(tau_sym(3))
     assert rc.__eq__(5) is NotImplemented
@@ -415,6 +485,61 @@ def test_class_file_roundtrip(seed, reduced, limit):
                          reduced_labels=reduced, allow_truncated=True)
     assert rc.complete == (limit is None)
     assert RauzyClass.from_jsonl(rc.to_jsonl()) == rc
+
+
+@pytest.mark.parametrize("seed, reduced, limit, size", [
+    (parse_gp("1 2 / 2 1"), False, None, 1),
+    (tau_sym(4), False, None, 7),
+    (CLASS_5209, True, None, 5209),
+    (parse_gp("0 A A 1 / 1 B B 0"), False, 40, 40),
+    (tau_sym(11), True, None, 1023),
+], ids=["torus", "tau_sym4-labeled", "5209-reduced", "truncated",
+        "tau_sym11-reduced"])
+def test_class_file_is_one_json_dumps_of_its_record(tmp_path, seed, reduced,
+                                                    limit, size):
+    # the file goes out in pieces, yet reads as one json.dumps of the record
+    rc = enumerate_class(seed, limit or induction.DEFAULT_BUDGET,
+                         reduced_labels=reduced, allow_truncated=True)
+    assert len(rc) == size and rc.complete == (limit is None)
+    path = tmp_path / "class.jsonl"
+    with open(path, "w") as fh:
+        rc.write_jsonl(fh)
+    text = class_record_text(rc)
+    assert path.read_text() == rc.to_jsonl() == text
+    with open(path) as fh:
+        assert RauzyClass.read_jsonl(fh) == rc
+
+
+def test_vertices_share_their_top_rows(tmp_path, monkeypatch):
+    # one tuple per distinct top row, enumerated (labeled or reduced) or
+    # read back from the class file
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+    seed = parse_gp("0 A A 1 / 1 B B 0")  # 43 reduced vertices, 23 tops
+    labeled = enumerate_class(tau_sym(6))
+    fresh = load_or_enumerate(seed, reduced_labels=True)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the class should come from the cache file")
+
+    monkeypatch.setattr(induction, "enumerate_class", no_enumeration)
+    read = load_or_enumerate(seed, reduced_labels=True)
+    assert read == fresh and read is not fresh
+    for rc in (labeled, fresh, read):
+        tops = [v.top for v in rc.vertices]
+        assert len(set(map(id, tops))) == len(set(tops)) < len(tops)
+
+
+def test_writing_a_class_file_holds_no_copy_of_its_text(tmp_path):
+    rc = enumerate_class(CLASS_5209, reduced_labels=True)
+    path = tmp_path / "class.jsonl"
+    with open(path, "w") as fh:
+        tracemalloc.start()
+        try:
+            rc.write_jsonl(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 def _set_field(text, field, value, i=None):
