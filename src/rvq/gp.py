@@ -190,7 +190,7 @@ def _trusted(top: tuple[Letter, ...],
     return gp
 
 
-# the tokens of reduced labels, one string object each that every reduced
+# the tokens of reduced labels, one string object each that every renamed
 # permutation shares; longer alphabets get their tokens built per call
 _TOKENS = tuple(map(str, range(64)))
 
@@ -199,10 +199,17 @@ def reduced_rows(top: tuple[Letter, ...], bottom: tuple[Letter, ...]
                  ) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
     """The rows of a valid permutation with its letters renamed by first
     appearance, top row first, to the tokens 0, 1, 2, ...: the rows of
-    :meth:`GeneralizedPermutation.reduced`, without building it."""
-    alphabet = dict.fromkeys(top + bottom)
-    tokens = (_TOKENS if len(alphabet) <= len(_TOKENS)
-              else tuple(map(str, range(len(alphabet)))))
+    :meth:`GeneralizedPermutation.reduced`, without building it.
+
+    Rows whose letters already appear as 0, 1, 2, ... come back as they
+    are, the same tuples: most move targets in a class with reduced labels
+    do (315,941 of table1(1)'s 555,536), so they are not renamed."""
+    alphabet = tuple(dict.fromkeys(top + bottom))
+    n = len(alphabet)
+    tokens = (_TOKENS[:n] if n <= len(_TOKENS)
+              else tuple(map(str, range(n))))
+    if alphabet == tokens:
+        return top, bottom
     rename = dict(zip(alphabet, tokens)).__getitem__
     return tuple(map(rename, top)), tuple(map(rename, bottom))
 

@@ -176,6 +176,12 @@ def _collector_paused():
     Vertices, rows and columns hold no reference cycles, so the collector
     finds nothing in them, yet each of its passes walks every container
     built so far.  The collector's prior state is restored on every exit.
+    Before it is turned back on, ``gc.freeze(); gc.unfreeze()`` moves every
+    tracked object to the oldest generation at once, where two young
+    collections would have put the new class after walking all of it.
+    Nothing stays frozen, so full collections still see the class; when a
+    host has frozen objects of its own, they are left frozen and the class
+    stays young.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -183,6 +189,9 @@ def _collector_paused():
         yield
     finally:
         if enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -9,15 +9,16 @@ import pytest
 
 from conftest import normal_forms, random_gp, small_gps
 from oracles import (STAR, ConventionViolated, SuspensionDatum,
-                     check_suspension, reduced_by_relabel, to_perm_involution)
-from rvq.components import table1
+                     check_suspension, defined_moves, reduced_by_relabel,
+                     to_perm_involution)
+from rvq.components import table1, tau_sym
 from rvq.errors import (EmptyRow, LetterCountError, MalformedText,
                         MoveUndefined, ReverseArrowMissing)
 from rvq import gp as gp_module
 from rvq.gp import (Decomposition, GeneralizedPermutation, _corner_masks,
                     erase_letters, find_reduction, is_irreducible, parse_gp,
                     reduced_rows, validate)
-from rvq.induction import apply_arrow, invert_arrow
+from rvq.induction import apply_arrow, enumerate_class, invert_arrow
 from rvq.strata import turning_map
 
 
@@ -500,6 +501,48 @@ def test_reduced_matches_the_checked_relabeling():
         red = gp.reduced()
         assert red == reduced_by_relabel(gp) and red._pairs is None
         assert reduced_rows(gp.top, gp.bottom) == (red.top, red.bottom)
+
+
+def _check_reduced_rows(gp):
+    """Whether ``gp``'s rows came back as they are; fails unless
+    reduced_rows renames them as the checked relabeling does."""
+    rows = reduced_rows(gp.top, gp.bottom)
+    red = reduced_by_relabel(gp)
+    assert rows == (red.top, red.bottom)
+    kept = rows[0] is gp.top and rows[1] is gp.bottom
+    assert kept == (rows == (gp.top, gp.bottom))
+    return kept
+
+
+@pytest.mark.parametrize("seed, limit, reduced", [
+    (tau_sym(6), None, False),
+    (table1(1), 2000, True),
+], ids=["tau6", "table1-1-cut"])
+def test_reduced_rows_of_every_move_target_match_the_relabeling(
+        seed, limit, reduced):
+    # most targets in a reduced class are reduced already and come back as
+    # they are; the rest are renamed.  Both must occur
+    rc = enumerate_class(seed, limit or 10_000, reduced_labels=reduced,
+                         allow_truncated=True)
+    kept = [_check_reduced_rows(apply_arrow(v, kind).target)
+            for v in rc.vertices for kind in defined_moves(v)]
+    assert any(kept) and not all(kept)
+
+
+def test_reduced_rows_beyond_the_shared_tokens_and_out_of_order():
+    letters = [str(k) for k in range(70)]  # more than gp._TOKENS holds
+    assert len(letters) > len(gp_module._TOKENS)
+    shuffled = letters[:]
+    random.Random(7).shuffle(shuffled)
+    assert _check_reduced_rows(
+        GeneralizedPermutation(tuple(letters), tuple(reversed(letters))))
+    assert not _check_reduced_rows(
+        GeneralizedPermutation(tuple(shuffled), tuple(reversed(shuffled))))
+    # the tokens 0..n-1, but not in order of first appearance
+    for text in ("1 0 / 0 1", "0 2 1 / 1 2 0", "0 2 2 1 / 3 3 1 0"):
+        gp = parse_gp(text)
+        assert not _check_reduced_rows(gp)
+        assert gp.reduced().alphabet == tuple(map(str, range(len(gp.alphabet))))
 
 
 def test_alphabet_first_appearance_order():

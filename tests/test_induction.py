@@ -660,6 +660,47 @@ def test_class_building_leaves_the_collector_as_it_found_it(
     assert gc.isenabled() is enabled
 
 
+@pytest.fixture
+def collector_on():
+    """Run with the cyclic collector on and nothing frozen, and leave it so."""
+    gc.unfreeze()
+    gc.enable()
+    yield
+    gc.unfreeze()
+    gc.enable()
+
+
+_YOUNG_CASES = {
+    "enumerate": lambda: enumerate_class(tau_sym(6), reduced_labels=True),
+    "read": lambda: RauzyClass.from_jsonl(
+        enumerate_class(tau_sym(6), reduced_labels=True).to_jsonl()),
+    "load-cold": lambda: load_or_enumerate(tau_sym(6), reduced_labels=True),
+    "load-warm": lambda: (load_or_enumerate(tau_sym(6), reduced_labels=True),
+                          load_or_enumerate(tau_sym(6),
+                                            reduced_labels=True))[1],
+}
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["thawed", "frozen"])
+@pytest.mark.parametrize("case", list(_YOUNG_CASES))
+def test_a_built_class_leaves_the_young_generation(
+        collector_on, tmp_path, monkeypatch, case, frozen):
+    # a class left in the young generations 0 and 1 is walked whole by
+    # their next collections; moved to the oldest one, it is not.  Objects
+    # a host froze stay frozen, and nothing else is frozen
+    monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
+    if frozen:
+        gc.freeze()
+    count = gc.get_freeze_count()
+    rc = _YOUNG_CASES[case]()
+    assert gc.get_freeze_count() == count and gc.isenabled()
+    if not frozen:
+        assert count == 0
+        young = {id(obj) for gen in (0, 1)
+                 for obj in gc.get_objects(generation=gen)}
+        assert not young & set(map(id, rc.vertices))
+
+
 @pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "null"])
 @pytest.mark.parametrize("field", ["complete", "reduced_labels"])
 def test_class_file_flags_must_be_booleans(field, value):
