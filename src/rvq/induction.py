@@ -244,9 +244,8 @@ class RauzyClass(_Frozen):
 
     def index_of(self, gp: GeneralizedPermutation) -> Optional[int]:
         # a vertex's rows are its key, its labels being reduced already
-        return self._memo('index', lambda: {
-            (v.top, v.bottom): i for i, v in enumerate(self.vertices)}
-        ).get(_key(gp, self.reduced_labels))
+        top, bottom = _key(gp, self.reduced_labels)
+        return self._memo('index', self._row_index).get(top, {}).get(bottom)
 
     def __contains__(self, gp: GeneralizedPermutation) -> bool:
         return self.index_of(gp) is not None
@@ -259,6 +258,14 @@ class RauzyClass(_Frozen):
         if forward is not None:
             return forward[i]
         return self._memo(move, lambda: self._reverse(move.lower())).get(i)
+
+    def _row_index(self) -> dict:
+        """Vertex indices by top row, then bottom row, as enumerate_class
+        keeps them: keyed by the vertices' own rows, with no pair built."""
+        index: dict = {}
+        for i, v in enumerate(self.vertices):
+            index.setdefault(v.top, {})[v.bottom] = i
+        return index
 
     def _reverse(self, kind: str) -> dict[int, int]:
         targets = self.table[kind]
@@ -385,19 +392,22 @@ class RauzyClass(_Frozen):
         n = len(codes)
         if not n:
             raise ValueError("class cache holds no vertices")
-        # the columns first, while the heap is small: the duplicate check's
-        # set of targets is as large as a column's integers
+        # the columns first, each in one pass that flags its targets in n bytes
         table = {kind: tuple(rec.pop(kind)) for kind in (TOP, BOTTOM)}
         for kind, targets in table.items():
-            hit = [j for j in targets if j is not None]
-            if len(targets) != n or hit and (
-                    set(map(type, hit)) != {int}
-                    or min(hit) < 0 or max(hit) >= n):
-                raise ValueError("class cache %r column is not one target "
-                                 "in 0..%d or null per vertex" % (kind, n - 1))
-            if len(set(hit)) != len(hit):
-                raise ValueError("class cache has two %r-arrows into one "
-                                 "vertex" % kind)
+            bad = ValueError("class cache %r column is not one target in "
+                             "0..%d or null per vertex" % (kind, n - 1))
+            if len(targets) != n:
+                raise bad
+            hit = bytearray(n)
+            for j in targets:
+                if j is not None:
+                    if type(j) is not int or not 0 <= j < n:
+                        raise bad
+                    if hit[j]:
+                        raise ValueError("class cache has two %r-arrows "
+                                         "into one vertex" % kind)
+                    hit[j] = 1
         base = parse_gp(codes[0])
         word = sorted(base.top + base.bottom)
         tops: dict[str, tuple[str, ...]] = {}  # a top row's text: its tuple
@@ -443,13 +453,10 @@ def enumerate_class(seed: GeneralizedPermutation,
     base = seed.reduced() if reduced_labels else seed
     arrow = arrow or apply_arrow  # at call time, so a wrapper on it counts
     vertices = [base]
-    index = {(base.top, base.bottom): 0}
-    # one tuple per distinct top row, read only for a new vertex; its index
-    # key holds the same tuple, so the row a move built does not stay alive.
-    # Bottom rows are not shared: table1(1)'s 307,336 vertices have 163,701
-    # of them against 37,078 tops, and sharing them too cost about a tenth
-    # more time for 5 MB less
-    tops = {base.top: base.top}
+    # RauzyClass._row_index's layout, keyed by the top tuple a row's
+    # vertices share: no pair of rows per vertex.  Bottoms are not shared
+    # (163,701 to 37,078 tops in table1(1): 10% more time for 5 MB less)
+    index = {base.top: {base.bottom: 0}}
     table: dict[str, list] = {TOP: [], BOTTOM: []}
     truncated = False
     for gp in vertices:  # the list grows while it is scanned
@@ -459,15 +466,18 @@ def enumerate_class(seed: GeneralizedPermutation,
             except MoveUndefined:
                 targets.append(None)
                 continue
-            key = _key(target, reduced_labels)
-            j = index.get(key)
+            top, bottom = _key(target, reduced_labels)
+            j = index.get(top, {}).get(bottom)
             if j is None and len(vertices) < limit:
-                key = tops.setdefault(key[0], key[0]), key[1]
-                j = index[key] = len(vertices)
-                vertices.append(_trusted(*key))
+                rows = index.setdefault(top, {})
+                if rows:  # the top tuple that the row's first vertex holds
+                    top = vertices[next(iter(rows.values()))].top
+                j = rows[bottom] = len(vertices)
+                vertices.append(_trusted(top, bottom))
             truncated |= j is None
             targets.append(j)
 
+    del index  # before the tuples below copy the vertices and columns
     rc = RauzyClass(tuple(vertices),
                     {kind: tuple(targets) for kind, targets in table.items()},
                     complete=not truncated, reduced_labels=reduced_labels)
