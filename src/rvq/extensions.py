@@ -135,22 +135,28 @@ def split_singularity(tau: GeneralizedPermutation, at: int,
     return _split(tau, at, m11, m12)
 
 
+def _parts(tau, at, parts):
+    """The turning orbit at ``at``, once ``parts`` split it: its order is at
+    least 1 (0 on the torus), the parts sum to it, each part is at least -1
+    and none is 0.  Both splits check this before any candidate is built."""
+    orbit = _find_orbit(tau, at)
+    order = orbit_order(tau, orbit)
+    if order < 1 and not (tau.is_genuine and tau.d == 2 and order == 0):
+        raise NotSplittable("singularity order %d < 1" % order)
+    if sum(parts) != order:
+        raise NotSplittable("parts must sum to the order %d" % order)
+    if min(parts) < -1:
+        raise NotSplittable("parts must be >= -1")
+    if 0 in parts:
+        raise NotSplittable("splitting off a marked point is not supported")
+    return orbit
+
+
 def _split(tau, at, m11, m12, row=None):
     """``split_singularity``, restricted to insertions with both copies in
     ``row`` when it is given.  The top-row half of :func:`split_even_zero`
     is intermediate by design, so its result need not keep the convention."""
-    orbit = _find_orbit(tau, at)
-    m1 = orbit_order(tau, orbit)
-    torus_case = tau.is_genuine and tau.d == 2 and m1 == 0
-    if m1 < 1 and not torus_case:
-        raise NotSplittable("singularity order %d < 1" % m1)
-    if m11 + m12 != m1:
-        raise NotSplittable("parts must sum to the order %d" % m1)
-    if m11 < -1 or m12 < -1:
-        raise NotSplittable("parts must be >= -1")
-    if m11 == 0 or m12 == 0:
-        raise NotSplittable("splitting off a marked point is not supported")
-
+    orbit = _parts(tau, at, (m11, m12))
     old_orbits = [frozenset(o) for o in turning_orbits(tau)
                   if set(o) != set(orbit)]
     for witness in _all_single_insertions(tau, row):
@@ -192,19 +198,14 @@ def split_even_zero(tau: GeneralizedPermutation, at: int,
     Two certified splits as in ``split_singularity``: the first insertion
     puts both copies of its letter in the top row, the second in the bottom
     row, and only the second is certified to keep the convention, so the
-    result carries duplicates in both rows. m11 and m12 must be odd; the sum
-    must equal the (even) order of the chosen point.
+    result carries duplicates in both rows. m11 and m12 must be odd, and
+    the three parts must split the (even) order of the chosen point.
     """
     if not tau.is_genuine:
         raise NotSplittable("base must be a genuine permutation")
     if m11 % 2 == 0 or m12 % 2 == 0:
         raise ParityError("the first two parts must be odd")
-    orbit = _find_orbit(tau, at)
-    q = orbit_order(tau, orbit)
-    torus_case = tau.d == 2 and q == 0
-    if q < 2 and not torus_case:
-        raise NotSplittable("chosen singularity order %d is not even >= 2" % q)
-
+    _parts(tau, at, (m11, m12, m13))
     first = _split(tau, at, m11, m12 + m13, row='top')
     second = _split(first.witness.extended, first.orbit_reps[1], m12, m13,
                     row='bottom')

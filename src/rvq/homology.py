@@ -22,8 +22,11 @@ def intersection_form(gp: GeneralizedPermutation,
                       order: Optional[Sequence[str]] = None) -> Matrix:
     """The alternating form of the mid-side curve system, indexed by ``order``.
 
-    The sign of the (alpha, beta) entry is decided by how the two occurrence
-    pairs nest or link, split by which rows they sit in.
+    Read the boundary ``top + bottom[::-1]`` once around: each letter is a
+    chord between its two copies (ia < ja).  The (alpha, beta) entry is +1
+    when the chords cross with alpha's first (ia < ib < ja < jb), -1 when
+    they cross the other way, 0 when they do not cross, times a sign -1 for
+    each of the two letters that has one copy in each row.
     """
     return _intersection_form(
         gp.top, gp.bottom, tuple(order) if order is not None else gp.alphabet)
@@ -33,31 +36,15 @@ def intersection_form(gp: GeneralizedPermutation,
 def _intersection_form(top: tuple[str, ...], bottom: tuple[str, ...],
                        order: tuple[str, ...]) -> Matrix:
     ell = len(top)
-    pos = letter_positions(top + bottom)
+    ends = letter_positions(top + bottom[::-1])
+    sign = {x: -1 if i <= ell < j else 1 for x, (i, j) in ends.items()}
 
     def entry(a, b):
-        ia, ja = pos[a]
-        ib, jb = pos[b]
-        if ia < ib <= ell and ja > jb > ell:
-            return 1
-        if ia < ib < ja < jb <= ell:
-            return 1
-        if ib < ia < jb <= ell < ja:
-            return 1
-        if ja > jb > ia > ell and ia > ib:
-            return 1
-        if ib < ia <= ell and jb > ja > ell:
-            return -1
-        if ib < ia < jb < ja <= ell:
-            return -1
-        if ia < ib < ja <= ell < jb:
-            return -1
-        if jb > ja > ib > ell and ib > ia:
-            return -1
-        return 0
+        ia, ja = ends[a]
+        ib, jb = ends[b]
+        return sign[a] * sign[b] * ((ia < ib < ja < jb) - (ib < ia < jb < ja))
 
-    return tuple(tuple(entry(a, b) if a != b else 0 for b in order)
-                 for a in order)
+    return tuple(tuple(entry(a, b) for b in order) for a in order)
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +89,15 @@ def _pairs_with_winner(arrow: Arrow) -> bool:
     """Whether the loser and the winner of ``arrow`` pair at its source
     (a nonzero entry of the intersection form there), read off the move.
 
-    The winner w ends the acting row ``own`` and the loser l the other row.
-    When the move keeps the type, w's twin sits in ``other``, and they pair
-    when l has a copy in ``own`` or w's twin comes after l's first copy.
-    When it changes the type, w's twin sits in ``own``, and they pair when l
-    has a copy in ``own`` after that twin.
+    It is the crossing rule of :func:`intersection_form` at the two row
+    ends.  The winner w ends the acting row ``own`` and the loser l the
+    other row, so their end copies sit side by side on the boundary, and
+    the two chords cross when, reading the boundary from l away from w
+    (``other`` backwards, then ``own`` forwards), w's twin comes before
+    l's.  When the move keeps the type, w's twin sits in ``other``: it
+    comes first when l has a copy in ``own`` or w's twin comes after l's
+    first copy.  When it changes the type, w's twin sits in ``own``: it
+    comes first when l has a copy in ``own`` after it.
     """
     source, w, l = arrow.source, arrow.winner, arrow.loser
     own, other = ((source.top, source.bottom) if arrow.kind == TOP

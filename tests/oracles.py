@@ -12,6 +12,9 @@ they import ``conftest``:
   the whole record, the oracle for the piecewise
   ``RauzyClass.write_jsonl``;
 * ``arrow_matrix``: the matrix of one arrow's plus factor, or its inverse;
+* ``intersection_form_by_cases``: the intersection form as eight cases of
+  nesting and linking by rows, the oracle for the chord-crossing sign of
+  ``homology.intersection_form``;
 * ``hyperelliptic_by_rotations``: the two-forms criterion tried over every
   pair of row rotations, the oracle for ``components.hyperelliptic_test``;
 * ``minus_form``: the +-2/0 form of the anti-invariant homology of the
@@ -43,7 +46,8 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from rvq import linalg
 from rvq.errors import (BudgetExceeded, MoveUndefined, NotOmegaPreserving,
                         OpenWalk, RVQError)
-from rvq.gp import GeneralizedPermutation, Letter, erase_letters
+from rvq.gp import (GeneralizedPermutation, Letter, erase_letters,
+                    letter_positions)
 from rvq.groups import arrow_cycles, random_directed_cycles
 from rvq.homology import (DuplicateWinner, QuotientData, _factor,
                           arrow_factor, kz_walk, quotient_data)
@@ -103,6 +107,42 @@ def arrow_matrix(arrow: Arrow, order: Optional[Sequence[str]] = None,
     mat = [list(row) for row in linalg.identity(len(order))]
     _factor(mat, *arrow_factor(arrow, order), inverse)
     return tuple(tuple(row) for row in mat)
+
+
+def intersection_form_by_cases(gp: GeneralizedPermutation,
+                               order: Optional[Sequence[str]] = None
+                               ) -> Matrix:
+    """The intersection form on the letters ``order`` (the alphabet by
+    default) as eight cases of how the two occurrence pairs, read top row
+    first, nest or link and in which rows they sit: the oracle for the one
+    chord-crossing sign of ``homology.intersection_form``."""
+    order = tuple(order) if order is not None else gp.alphabet
+    ell = gp.ell
+    pos = letter_positions(gp.top + gp.bottom)
+
+    def entry(a, b):
+        ia, ja = pos[a]
+        ib, jb = pos[b]
+        if ia < ib <= ell and ja > jb > ell:
+            return 1
+        if ia < ib < ja < jb <= ell:
+            return 1
+        if ib < ia < jb <= ell < ja:
+            return 1
+        if ja > jb > ia > ell and ia > ib:
+            return 1
+        if ib < ia <= ell and jb > ja > ell:
+            return -1
+        if ib < ia < jb < ja <= ell:
+            return -1
+        if ia < ib < ja <= ell < jb:
+            return -1
+        if jb > ja > ib > ell and ib > ia:
+            return -1
+        return 0
+
+    return tuple(tuple(entry(a, b) if a != b else 0 for b in order)
+                 for a in order)
 
 
 def minus_form(gp: GeneralizedPermutation,

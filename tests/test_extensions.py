@@ -296,6 +296,25 @@ def test_parts_that_do_not_sum_are_refused_before_any_candidate(
     assert str(exc.value) == "parts must sum to the order %d" % order
 
 
+@pytest.mark.parametrize("parts, message", [
+    ((5, 1, -2), "parts must be >= -1"),
+    ((1, 3, 0), "splitting off a marked point is not supported"),
+    ((1, 1, 1), "parts must sum to the order 4"),
+], ids=["below-minus-one", "marked-point", "wrong-sum"])
+def test_double_split_parts_are_refused_before_any_candidate(
+        monkeypatch, parts, message):
+    # all three parts are checked at the base, not only the two of the
+    # first split, so no top-row candidate is built for a part that the
+    # second split would refuse
+    def refuse(*args, **kwargs):
+        raise AssertionError("a candidate was built before the refusal")
+
+    monkeypatch.setattr(extensions, "_all_single_insertions", refuse)
+    with pytest.raises(NotSplittable) as exc:
+        split_even_zero(tau_sym(4), 2, *parts)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("at", [(), (3,), 2.9, "3"],
                          ids=["empty-tuple", "one-tuple", "float", "string"])
 def test_split_refuses_a_point_that_is_not_a_position(at):
@@ -338,11 +357,12 @@ def test_split_even_zero_parity():
 
 
 def test_split_even_zero_refuses_a_marked_point():
-    # tau_sym(3) lies in H(0, 0): its turning orbits have order 0, and a
-    # genuine base's orders are all even, so only the size is checked
+    # tau_sym(3) lies in H(0, 0): its turning orbits have order 0, and off
+    # the torus the check shared with the single split refuses an order
+    # below 1; a genuine base's orders are all even, so no parity is checked
     with pytest.raises(NotSplittable) as exc:
         split_even_zero(tau_sym(3), 1, 1, 1, -2)
-    assert str(exc.value) == "chosen singularity order 0 is not even >= 2"
+    assert str(exc.value) == "singularity order 0 < 1"
 
 
 def test_torus_special_case():
