@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import components, extensions, groups, homology, induction, strata
-from .errors import RVQError
+from .errors import BudgetExceeded, RVQError
 from .gp import parse_gp, require_suspendable, validate
 
 
@@ -194,8 +194,10 @@ def cmd_extend(args):
 
 def cmd_search(args):
     gp = require_suspendable(parse_gp(args.gp))
-    rc = induction.enumerate_class(gp, limit=args.vertices,
-                                   allow_truncated=True)
+    try:
+        rc = induction.enumerate_class(gp, limit=args.vertices)
+    except BudgetExceeded as exc:  # scan the truncated class
+        rc = exc.partial
     chains = extensions.search_extensions(
         rc.vertices, args.target_stratum, budget=args.budget)
     if args.nonhyp:

@@ -81,15 +81,6 @@ def is_simple_extension(pi: GeneralizedPermutation,
     return letter if _legal(pi.top, pi.bottom, letter) else None
 
 
-def witness_from(pi: GeneralizedPermutation,
-                 tau: GeneralizedPermutation) -> ExtensionWitness:
-    letter = is_simple_extension(pi, tau)
-    if letter is None:
-        raise IllegalPosition("%s is not a simple extension of %s"
-                              % (pi.encode(), tau.encode()))
-    return ExtensionWitness(base=tau, extended=pi, letter=letter)
-
-
 def fresh_letter(taken: Iterable[str]) -> str:
     taken = set(taken)
     for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ":

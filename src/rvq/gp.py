@@ -92,38 +92,17 @@ class GeneralizedPermutation(_Frozen):
         """Letters in order of first appearance, top row first."""
         return tuple(dict.fromkeys(self.top + self.bottom))
 
-    def letter(self, pos: int) -> Letter:
-        """Letter at 1-based position in 1..l+m."""
-        if 1 <= pos <= self.ell:
-            return self.top[pos - 1]
-        if self.ell < pos <= self.ell + self.m:
-            return self.bottom[pos - self.ell - 1]
-        raise IndexError(pos)
-
     @property
     def pairs(self) -> dict[Letter, tuple[int, int]]:
         """Every letter's two 1-based positions (i, j), i < j, in order of
-        first appearance: the one letter table the position, involution and
-        both-rows queries read.  Built on first use and kept; moves,
+        first appearance: the one letter table the both-rows, turning and
+        extension queries read.  Built on first use and kept; moves,
         relabelings and class enumeration never ask for it."""
         table = self._pairs
         if table is None:
             table = letter_positions(self.top + self.bottom)
             _set_pairs(self, table)
         return table
-
-    def positions(self, x: Letter) -> tuple[int, int]:
-        """The two 1-based positions (i, j) of a letter, i < j."""
-        try:
-            return self.pairs[x]
-        except KeyError:
-            raise LetterCountError(
-                "letter %r not in permutation" % (x,)) from None
-
-    def sigma(self, pos: int) -> int:
-        """The fixed-point-free involution pairing the two copies of a letter."""
-        i, j = self.pairs[self.letter(pos)]
-        return j if pos == i else i
 
     # -- classification --------------------------------------------------
 
@@ -154,9 +133,6 @@ class GeneralizedPermutation(_Frozen):
 
     def __str__(self):
         return self.encode()
-
-    def transpose(self) -> "GeneralizedPermutation":
-        return GeneralizedPermutation(self.bottom, self.top)
 
     def relabel(self, mapping: Mapping[Letter, Letter]) -> "GeneralizedPermutation":
         """Rename every letter by ``mapping``; the result is checked, since

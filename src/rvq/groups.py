@@ -117,7 +117,7 @@ def _vector_permutations(mats: Sequence[Matrix], p: int) -> list[list[int]]:
     """The permutations v -> v.mat of the nonzero vectors of F_p^n, for
     matrices with entries in 0..p-1.
 
-    Vector v is point sum(v[j] * p**j) - 1. Images are built linearly,
+    The vector v is point sum(v[j] * p**j) - 1. Images are built linearly,
     image(v) = image(v - e_k) + row_k with k the top nonzero coordinate of v,
     so each matrix costs O(p^n) table lookups: vectors are added as integers
     in base 2p - 1, where no digit carries, and two tables indexed by such a

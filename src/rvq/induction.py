@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import binascii
 import gc
-import io
 import json
 import os
 import tempfile
@@ -359,12 +358,6 @@ class RauzyClass(_Frozen):
             fh.write("]")
         fh.write("}\n")
 
-    def to_jsonl(self) -> str:
-        """The text :meth:`write_jsonl` writes."""
-        buf = io.StringIO()
-        self.write_jsonl(buf)
-        return buf.getvalue()
-
     @staticmethod
     @_collector_paused()
     def read_jsonl(fh: TextIO) -> "RauzyClass":
@@ -429,17 +422,11 @@ class RauzyClass(_Frozen):
                                  "letters in two non-empty rows" % (code,))
         return RauzyClass(tuple(verts), table, *flags)
 
-    @staticmethod
-    def from_jsonl(text: str) -> "RauzyClass":
-        """The class the record ``text`` holds; see :meth:`read_jsonl`."""
-        return RauzyClass.read_jsonl(io.StringIO(text))
-
 
 @_collector_paused()
 def enumerate_class(seed: GeneralizedPermutation,
                     limit: int = DEFAULT_BUDGET,
-                    *, reduced_labels: bool = False,
-                    allow_truncated: bool = False, arrow=None) -> RauzyClass:
+                    *, reduced_labels: bool = False, arrow=None) -> RauzyClass:
     """Breadth-first closure of ``seed`` under both induction moves.
 
     With ``reduced_labels`` every vertex is stored in relabeled normal form
@@ -447,7 +434,9 @@ def enumerate_class(seed: GeneralizedPermutation,
     commute with relabeling this enumerates the quotient graph, which is what
     component identification compares against.  ``arrow``, if given,
     replaces :func:`apply_arrow`, to enumerate the closure under fewer arrows.
-    A seed that is not suspendable raises ``NotSuspendable``.
+    A seed that is not suspendable raises ``NotSuspendable``, and a class of
+    more than ``limit`` vertices ``BudgetExceeded``, with the truncated class
+    as its ``partial``.
     """
     require_suspendable(seed)
     base = seed.reduced() if reduced_labels else seed
@@ -481,7 +470,7 @@ def enumerate_class(seed: GeneralizedPermutation,
     rc = RauzyClass(tuple(vertices),
                     {kind: tuple(targets) for kind, targets in table.items()},
                     complete=not truncated, reduced_labels=reduced_labels)
-    if truncated and not allow_truncated:
+    if truncated:
         raise BudgetExceeded("class budget of %d vertices hit" % limit,
                              partial=rc)
     return rc

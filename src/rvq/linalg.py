@@ -9,7 +9,6 @@ import functools
 import operator
 
 Matrix = tuple[tuple[int, ...], ...]
-Vector = tuple[int, ...]
 
 
 def identity(n: int) -> Matrix:

@@ -60,10 +60,6 @@ class StratumSignature(NamedTuple):
     genus: int
 
     @property
-    def marked_points(self) -> int:
-        return sum(1 for o in self.orders if o == 0)
-
-    @property
     def all_even(self) -> bool:
         return all(o % 2 == 0 for o in self.orders)
 

@@ -11,6 +11,12 @@ they import ``conftest``:
 * ``class_record_text``: a class file's text from one ``json.dumps`` of
   the whole record, the oracle for the piecewise
   ``RauzyClass.write_jsonl``;
+* ``to_jsonl`` and ``from_jsonl``: a class file's text as a string, written
+  and read through ``RauzyClass.write_jsonl`` and ``read_jsonl``;
+* ``enumerate_up_to``: a class, or the class truncated at the budget that
+  ``enumerate_class`` attaches to its ``BudgetExceeded``;
+* ``simple_witness``: the ``ExtensionWitness`` of a simple extension that
+  ``is_simple_extension`` accepts;
 * ``arrow_matrix``: the matrix of one arrow's plus factor, or its inverse;
 * ``intersection_form_by_cases``: the intersection form as eight cases of
   nesting and linking by rows, the oracle for the chord-crossing sign of
@@ -37,6 +43,7 @@ they import ``conftest``:
 
 from __future__ import annotations
 
+import io
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -46,12 +53,14 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from rvq import linalg
 from rvq.errors import (BudgetExceeded, MoveUndefined, NotOmegaPreserving,
                         OpenWalk, RVQError)
+from rvq.extensions import ExtensionWitness, is_simple_extension
 from rvq.gp import (GeneralizedPermutation, Letter, erase_letters,
                     letter_positions)
 from rvq.groups import arrow_cycles, random_directed_cycles
 from rvq.homology import (DuplicateWinner, QuotientData, _factor,
                           arrow_factor, kz_walk, quotient_data)
-from rvq.induction import BOTTOM, TOP, Arrow, RauzyClass, apply_arrow
+from rvq.induction import (BOTTOM, TOP, Arrow, RauzyClass, apply_arrow,
+                           enumerate_class)
 from rvq.linalg import Matrix
 
 
@@ -96,6 +105,41 @@ def class_record_text(rc: RauzyClass) -> str:
         TOP: rc.table[TOP],
         BOTTOM: rc.table[BOTTOM],
     }) + "\n"
+
+
+def to_jsonl(rc: RauzyClass) -> str:
+    """The text :meth:`RauzyClass.write_jsonl` writes for ``rc``."""
+    buf = io.StringIO()
+    rc.write_jsonl(buf)
+    return buf.getvalue()
+
+
+def from_jsonl(text: str) -> RauzyClass:
+    """The class the record ``text`` holds, read by
+    :meth:`RauzyClass.read_jsonl`."""
+    return RauzyClass.read_jsonl(io.StringIO(text))
+
+
+def enumerate_up_to(seed: GeneralizedPermutation, limit: int,
+                    **kwargs) -> RauzyClass:
+    """``enumerate_class(seed, limit, ...)``, or the truncated class its
+    ``BudgetExceeded`` carries when the class has more than ``limit``
+    vertices."""
+    try:
+        return enumerate_class(seed, limit, **kwargs)
+    except BudgetExceeded as exc:
+        return exc.partial
+
+
+def simple_witness(pi: GeneralizedPermutation,
+                   tau: GeneralizedPermutation) -> ExtensionWitness:
+    """The witness that ``pi`` is a simple extension of ``tau``; raises
+    AssertionError when :func:`is_simple_extension` refuses it."""
+    letter = is_simple_extension(pi, tau)
+    if letter is None:
+        raise AssertionError("%s is not a simple extension of %s"
+                             % (pi.encode(), tau.encode()))
+    return ExtensionWitness(tau, pi, letter)
 
 
 def arrow_matrix(arrow: Arrow, order: Optional[Sequence[str]] = None,
@@ -325,12 +369,13 @@ def to_perm_involution(gp: GeneralizedPermutation) -> PermWithInvolution:
     for i, j in gp.pairs.values():
         eps[i], eps[j] = 0, 1
 
+    word = gp.top + gp.bottom  # the letter at position p is word[p - 1]
     entries = []
     for p in range(ell + m, ell, -1):
-        entries.append((gp.letter(p), eps[p]))
+        entries.append((word[p - 1], eps[p]))
     entries.append(STAR)
     for p in range(1, ell + 1):
-        entries.append((gp.letter(p), eps[p]))
+        entries.append((word[p - 1], eps[p]))
     return PermWithInvolution(entries=tuple(entries), star_index=m)
 
 

@@ -13,14 +13,14 @@ import pytest
 from conftest import small_gps
 from oracles import (arrow_matrix, decomposition_product, defined_moves,
                      directed_decomposition, minus_form, minus_generators_modp,
-                     plus_generators_modp)
+                     plus_generators_modp, simple_witness)
 from rvq import groups, induction
 from rvq.components import (GENUS2_WITNESSES, identify_component, sigma_hyp,
                             sigma_zorich, table1, table1_rows, tau_sym,
                             tau_zorich, verify_extension_table)
 from rvq.errors import MoveUndefined, ReverseArrowMissing
 from rvq.extensions import (_all_single_insertions, extend_walk,
-                            split_even_zero, split_singularity, witness_from)
+                            split_even_zero, split_singularity)
 from rvq.gp import erase_letters, is_suspendable, parse_gp
 from rvq.groups import (admissible_component, arrow_cycles, image_modp,
                         modp_closure, random_directed_cycles,
@@ -144,10 +144,10 @@ def test_criterion_4_extension_conjugation():
     tau = parse_gp("1 2 3 4 / 4 3 2 1")
     mid = erase_letters(WITNESS, {"A"})
     chains = {
-        "one letter (B)": [witness_from(mid, tau)],
-        "one letter (A) over mid": [witness_from(WITNESS, mid)],
-        "two letters (B then A)": [witness_from(mid, tau),
-                                   witness_from(WITNESS, mid)],
+        "one letter (B)": [simple_witness(mid, tau)],
+        "one letter (A) over mid": [simple_witness(WITNESS, mid)],
+        "two letters (B then A)": [simple_witness(mid, tau),
+                                   simple_witness(WITNESS, mid)],
     }
     checked = 0
     for chain in chains.values():
@@ -291,8 +291,8 @@ def _lifted_cycles():
     tau = H(2) through the two simple extensions tau -> mid -> witness."""
     tau = erase_letters(WITNESS, {"A", "B"})
     mid = erase_letters(WITNESS, {"A"})
-    w1 = witness_from(mid, tau)
-    w2 = witness_from(WITNESS, mid)
+    w1 = simple_witness(mid, tau)
+    w2 = simple_witness(WITNESS, mid)
     rc = load_or_enumerate(tau)
     seeds = random_directed_cycles(rc, count=40, maxlen=14, seed=77)
     closed = []

@@ -4,7 +4,7 @@ from functools import cache
 import pytest
 
 from conftest import random_gp, small_gps
-from oracles import hyperelliptic_by_rotations
+from oracles import enumerate_up_to, hyperelliptic_by_rotations
 from rvq import components, strata
 from rvq.components import (UNKNOWN, canonical_rep, hyperelliptic_test,
                             identify_component, sigma_hyp, sigma_zorich,
@@ -106,7 +106,7 @@ def test_hyperelliptic_test_matches_the_rotation_search():
            if s + r >= 1 and not (r % 2 == 0 and s + r < 2)
            for v in enumerate_class(sigma_hyp(s, r),
                                     reduced_labels=True).vertices
-           for gp in (v, v.transpose())]
+           for gp in (v, GeneralizedPermutation(v.bottom, v.top))]
     rng = random.Random(31)
     framed = []
     while len(framed) < 5000:
@@ -155,8 +155,7 @@ def test_identify_unknown_stratum():
 def test_identify_strata_outside_the_old_registry(text, label):
     # a Rauzy class lies in one component, so the label is constant on
     # the first 300 vertices the enumeration reaches
-    rc = enumerate_class(parse_gp(text), limit=300, reduced_labels=True,
-                         allow_truncated=True)
+    rc = enumerate_up_to(parse_gp(text), limit=300, reduced_labels=True)
     assert {identify_component(v) for v in rc.vertices} == {label}
 
 
@@ -318,10 +317,10 @@ def test_identify_genus3_has_no_even_component():
             sig = stratum_signature(gp, cross_check=False)
             label = identify_component(gp)
             assert not label.endswith("^even"), gp.encode()
-            if sig.genus == 3 and not sig.marked_points:
+            if sig.genus == 3 and 0 not in sig.orders:
                 assert label in allowed, (gp.encode(), label)
                 seen.add(label)
-            elif sig.marked_points:
+            elif 0 in sig.orders:
                 assert label == UNKNOWN
     assert {"H(4)^hyp", "H(4)^odd", "H(2,2)^odd", "H(3,1)"} <= seen
 

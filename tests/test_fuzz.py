@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from oracles import from_jsonl, to_jsonl
 from rvq import induction
 from rvq.cli import main
 from rvq.errors import MalformedText, RVQError
@@ -190,14 +191,14 @@ def test_mutated_class_records_are_rebuilt_or_read_back_equal(monkeypatch,
     refused = accepted = 0
     for mutated in _mutations(rng, text):
         try:
-            rc = induction.RauzyClass.from_jsonl(mutated)
+            rc = from_jsonl(mutated)
         except (ValueError, LookupError, TypeError, AttributeError, RVQError):
             refused += 1
         else:
             accepted += 1
-            assert induction.RauzyClass.from_jsonl(rc.to_jsonl()) == rc
+            assert from_jsonl(to_jsonl(rc)) == rc
         path.write_text(mutated)
         rc = induction.load_or_enumerate(SMALL)
-        assert rc == good or rc == induction.RauzyClass.from_jsonl(mutated)
-        assert induction.RauzyClass.from_jsonl(path.read_text()) == rc
+        assert rc == good or rc == from_jsonl(mutated)
+        assert from_jsonl(path.read_text()) == rc
     assert refused and accepted

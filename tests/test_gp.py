@@ -9,8 +9,8 @@ import pytest
 
 from conftest import normal_forms, random_gp, small_gps
 from oracles import (STAR, ConventionViolated, SuspensionDatum,
-                     check_suspension, defined_moves, reduced_by_relabel,
-                     to_perm_involution)
+                     check_suspension, defined_moves, enumerate_up_to,
+                     reduced_by_relabel, to_perm_involution)
 from rvq.components import table1, tau_sym
 from rvq.errors import (EmptyRow, LetterCountError, MalformedText,
                         MoveUndefined, ReverseArrowMissing)
@@ -18,7 +18,7 @@ from rvq import gp as gp_module
 from rvq.gp import (Decomposition, GeneralizedPermutation, _corner_masks,
                     erase_letters, find_reduction, is_irreducible, parse_gp,
                     reduced_rows, validate)
-from rvq.induction import apply_arrow, enumerate_class, invert_arrow
+from rvq.induction import apply_arrow, invert_arrow
 from rvq.strata import turning_map
 
 
@@ -53,19 +53,15 @@ def test_roundtrip_encoding():
 
 def test_positions_and_sigma():
     gp = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
-    assert gp.positions("A") == (4, 5)
-    assert gp.positions("1") == (1, 12)
-    assert gp.sigma(4) == 5 and gp.sigma(5) == 4
-    # sigma is a fixed-point-free involution respecting letters
-    for p in range(1, 13):
-        assert gp.sigma(p) != p
-        assert gp.letter(gp.sigma(p)) == gp.letter(p)
-
-
-@pytest.mark.parametrize("pos", [0, 13])
-def test_letter_outside_the_positions(pos):
-    with pytest.raises(IndexError):
-        parse_gp("1 2 3 A A 4 / 4 3 B B 2 1").letter(pos)
+    assert gp.pairs["A"] == (4, 5)
+    assert gp.pairs["1"] == (1, 12)
+    # the pairs are a fixed-point-free involution sigma respecting letters:
+    # every position is in exactly one pair, whose two copies are its letter
+    word = gp.top + gp.bottom
+    positions = sorted(p for pair in gp.pairs.values() for p in pair)
+    assert positions == list(range(1, 13))
+    for x, (i, j) in gp.pairs.items():
+        assert i < j and word[i - 1] == word[j - 1] == x
 
 
 # -- oracle: the row rescans that each letter query used to make --
@@ -110,8 +106,9 @@ def _oracle_perm_involution(gp, sigma, strict):
     for p in range(1, ell + m + 1):
         if p not in eps:
             eps[p], eps[sigma[p]] = 0, 1
-    entries = ([(gp.letter(p), eps[p]) for p in range(ell + m, ell, -1)]
-               + [STAR] + [(gp.letter(p), eps[p]) for p in range(1, ell + 1)])
+    word = gp.top + gp.bottom
+    entries = ([(word[p - 1], eps[p]) for p in range(ell + m, ell, -1)]
+               + [STAR] + [(word[p - 1], eps[p]) for p in range(1, ell + 1)])
     left, right = set(entries[:m]), set(entries[m + 1:])
 
     def flipped(side):
@@ -130,9 +127,9 @@ def test_letter_table_matches_the_rescans():
         for gp in (base, base.relabel(reverse)):
             positions = {x: _oracle_positions(gp, x) for x in gp.alphabet}
             assert list(gp.pairs.items()) == list(positions.items())
-            assert all(gp.positions(x) == positions[x] for x in positions)
             sigma = _oracle_sigma_table(gp)
-            assert {p: gp.sigma(p) for p in sigma} == sigma
+            assert {p: q for i, j in gp.pairs.values()
+                    for p, q in ((i, j), (j, i))} == sigma
             top = _oracle_duplicates(gp.top)
             bottom = _oracle_duplicates(gp.bottom)
             genuine = not top and not bottom
@@ -154,8 +151,7 @@ def test_letter_table_matches_the_rescans():
                 assert to_perm_involution(gp).entries == entries
             checked += 1
     assert checked == 2 * 9324
-    with pytest.raises(LetterCountError):
-        parse_gp("1 2 / 2 1").positions("3")
+    assert "3" not in parse_gp("1 2 / 2 1").pairs
 
 
 def test_validate_reports():
@@ -522,8 +518,7 @@ def test_reduced_rows_of_every_move_target_match_the_relabeling(
         seed, limit, reduced):
     # most targets in a reduced class are reduced already and come back as
     # they are; the rest are renamed.  Both must occur
-    rc = enumerate_class(seed, limit or 10_000, reduced_labels=reduced,
-                         allow_truncated=True)
+    rc = enumerate_up_to(seed, limit or 10_000, reduced_labels=reduced)
     kept = [_check_reduced_rows(apply_arrow(v, kind).target)
             for v in rc.vertices for kind in defined_moves(v)]
     assert any(kept) and not all(kept)

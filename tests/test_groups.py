@@ -5,9 +5,10 @@ import pytest
 
 import oracles
 from oracles import (DecompositionPiece, decomposition_product,
-                     directed_decomposition, find_gamma_star, k_completeness,
+                     directed_decomposition, enumerate_up_to,
+                     find_gamma_star, from_jsonl, k_completeness,
                      labeled_class_minus_generators_modp,
-                     minus_generators_modp, plus_generators_modp,
+                     minus_generators_modp, plus_generators_modp, to_jsonl,
                      trajectory)
 from rvq import groups, linalg
 from rvq.components import sigma_hyp, table1, tau_sym, tau_zorich
@@ -215,7 +216,7 @@ def test_decomposition_refuses_walks_that_do_not_close_in_the_class():
         directed_decomposition(tau_sym(4), rc, "t")  # does not close up
     with pytest.raises(OpenWalk):
         directed_decomposition(TORUS, rc, "tb")  # starts outside the class
-    part = enumerate_class(tau_sym(4), limit=5, allow_truncated=True)
+    part = enumerate_up_to(tau_sym(4), limit=5)
     assert trajectory(part, "bt")[-1] is None
     with pytest.raises(OpenWalk):
         directed_decomposition(tau_sym(4), part, "bt")  # leaves the class
@@ -470,7 +471,7 @@ def test_cycle_matrices_refuse_a_walk_that_is_not_a_forward_cycle():
         cycle_matrices(rc, ["tT"])
     with pytest.raises(OpenWalk, match="does not close up"):
         cycle_matrices(rc, ["t"])
-    part = enumerate_class(tau_sym(4), limit=5, allow_truncated=True)
+    part = enumerate_up_to(tau_sym(4), limit=5)
     with pytest.raises(OpenWalk, match="leaves the class"):
         cycle_matrices(part, ["bt"])
 
@@ -716,7 +717,7 @@ def test_an_incomplete_class_gives_a_lower_bound():
     incomplete = RauzyClass(rc.vertices, rc.table, complete=False)
     res = rauzy_veech_group_modp(base, incomplete, 2)
     assert res.order == 120 and not res.exact
-    part = enumerate_class(base, limit=6, allow_truncated=True)
+    part = enumerate_up_to(base, limit=6)
     with pytest.raises(OpenWalk):  # vertex 2 has no way home in the part
         rauzy_veech_group_modp(base, part, 2)
 
@@ -724,7 +725,7 @@ def test_an_incomplete_class_gives_a_lower_bound():
 def _swap_t_arrows(rc, a, b):
     """The class's cache text with the t-arrow targets of vertices a and b
     swapped: every target stays distinct and in range."""
-    rec = json.loads(rc.to_jsonl())
+    rec = json.loads(to_jsonl(rc))
     targets = rec["t"]
     assert None not in (targets[a], targets[b])
     targets[a], targets[b] = targets[b], targets[a]
@@ -734,7 +735,7 @@ def _swap_t_arrows(rc, a, b):
 def test_a_class_table_that_lies_is_refused():
     base = tau_sym(5)
     # both trees still reach every vertex, so only the moves show the lie
-    lying = RauzyClass.from_jsonl(_swap_t_arrows(enumerate_class(base), 0, 2))
+    lying = from_jsonl(_swap_t_arrows(enumerate_class(base), 0, 2))
     with pytest.raises(OpenWalk, match="does not lead to vertex"):
         rauzy_veech_group_modp(base, lying, 2)
     with pytest.raises(OpenWalk, match="does not lead to vertex"):
@@ -744,7 +745,7 @@ def test_a_class_table_that_lies_is_refused():
 def test_a_class_table_that_lies_is_refused_on_the_minus_side():
     # every swap in the 5-vertex component of QUADRATIC cuts a vertex off
     base = sigma_hyp(2, 1)
-    lying = RauzyClass.from_jsonl(
+    lying = from_jsonl(
         _swap_t_arrows(admissible_component(base), 0, 4))
     with pytest.raises(OpenWalk, match="does not lead to vertex"):
         rauzy_veech_group_modp(base, lying, 2, minus=True)
@@ -831,7 +832,7 @@ def test_a_walk_into_a_dead_end_of_a_truncated_class_is_open(limit):
     # the class of the witness cut at these budgets holds a vertex whose
     # arrows all leave it, which a random walk reaches
     base = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
-    part = enumerate_class(base, limit=limit, allow_truncated=True)
+    part = enumerate_up_to(base, limit=limit)
     assert any(trajectory(part, "t", i)[-1] is trajectory(part, "b", i)[-1]
                is None for i in range(len(part)))
     with pytest.raises(OpenWalk, match="not connected to the base"):

@@ -8,8 +8,8 @@ import tracemalloc
 import pytest
 
 from conftest import random_gp, small_gps
-from oracles import (class_record_text, defined_moves, reduced_by_relabel,
-                     trajectory)
+from oracles import (class_record_text, defined_moves, enumerate_up_to,
+                     from_jsonl, reduced_by_relabel, to_jsonl, trajectory)
 from rvq.cli import main
 from rvq.components import table1, tau_sym, tau_zorich
 from rvq.errors import (BudgetExceeded, MoveUndefined, OpenWalk,
@@ -29,11 +29,17 @@ CLASS_5209 = parse_gp("0 1 2 3 5 6 8 9 / 3 2 6 5 9 8 1 0")
 
 # -- literal position-formula implementation, used as an independent oracle --
 
+def _twins(gp):
+    """Each 1-based position's twin: the involution pairing a letter's two
+    copies."""
+    return {p: q for i, j in gp.pairs.values() for p, q in ((i, j), (j, i))}
+
+
 def _literal_move(gp, kind):
     ell, m = gp.ell, gp.m
-    pi = {i: gp.letter(i) for i in range(1, ell + m + 1)}
+    pi = dict(enumerate(gp.top + gp.bottom, 1))
     if kind == 't':
-        s = gp.sigma(ell)
+        s = _twins(gp)[ell]
         if s > ell:
             new = {}
             for i in range(1, ell + m + 1):
@@ -58,7 +64,7 @@ def _literal_move(gp, kind):
         else:
             return None
     else:
-        s = gp.sigma(ell + m)
+        s = _twins(gp)[ell + m]
         if s < ell:
             new = {}
             for i in range(1, ell + m + 1):
@@ -97,7 +103,8 @@ def _literal_arrow(gp, kind):
         return None
     ell, m = gp.ell, gp.m
     w, lo = (ell, ell + m) if kind == 't' else (ell + m, ell)
-    return target, gp.letter(w), gp.letter(lo), target.ell != ell
+    word = gp.top + gp.bottom
+    return target, word[w - 1], word[lo - 1], target.ell != ell
 
 
 def test_moves_match_literal_formulas():
@@ -206,7 +213,9 @@ def test_transpose_mirror():
         except MoveUndefined:
             lhs = None
         try:
-            rhs = apply_arrow(gp.transpose(), 't').target.transpose()
+            t = apply_arrow(GeneralizedPermutation(gp.bottom, gp.top),
+                            't').target
+            rhs = GeneralizedPermutation(t.bottom, t.top)
         except MoveUndefined:
             rhs = None
         assert lhs == rhs
@@ -314,13 +323,12 @@ def test_budget():
         enumerate_class(seed, limit=4)
     partial = info.value.partial
     assert partial is not None and not partial.complete
-    truncated = enumerate_class(seed, limit=4, allow_truncated=True)
-    assert len(truncated) == 4 and not truncated.complete
+    assert len(partial) == 4
 
 
 def test_tree_path_refuses_a_vertex_cut_off_from_the_base():
     # vertex 2 of this truncated class has no stored arrow back to the base
-    part = enumerate_class(tau_sym(4), limit=5, allow_truncated=True)
+    part = enumerate_up_to(tau_sym(4), limit=5)
     assert part.path_to_base(1) == "tt"
     with pytest.raises(OpenWalk):
         part.path_to_base(2)
@@ -376,8 +384,7 @@ def test_export_graph():
     dot = export_graph(rc)
     assert dot.count("->") == 2 and "t:2" in dot and "b:1" in dot
 
-    partial = enumerate_class(parse_gp("1 2 3 4 5 / 5 4 3 2 1"), limit=4,
-                              allow_truncated=True)
+    partial = enumerate_up_to(parse_gp("1 2 3 4 5 / 5 4 3 2 1"), limit=4)
     assert "TRUNCATED" in export_graph(partial)
 
 
@@ -402,8 +409,8 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     seed = parse_gp("1 2 3 4 / 4 3 2 1")
     rc1 = load_or_enumerate(seed)
     rc2 = load_or_enumerate(seed)
-    assert rc1.to_jsonl() == rc2.to_jsonl()
-    [line] = rc1.to_jsonl().splitlines()
+    assert to_jsonl(rc1) == to_jsonl(rc2)
+    [line] = to_jsonl(rc1).splitlines()
     assert '"complete": true' in line and '"base"' not in line
 
 
@@ -481,10 +488,10 @@ def test_a_class_is_not_equal_to_another_type():
     (parse_gp("0 A A 1 / 1 B B 0"), False, 40),
 ], ids=["labeled", "reduced", "truncated"])
 def test_class_file_roundtrip(seed, reduced, limit):
-    rc = enumerate_class(seed, limit or induction.DEFAULT_BUDGET,
-                         reduced_labels=reduced, allow_truncated=True)
+    rc = enumerate_up_to(seed, limit or induction.DEFAULT_BUDGET,
+                         reduced_labels=reduced)
     assert rc.complete == (limit is None)
-    assert RauzyClass.from_jsonl(rc.to_jsonl()) == rc
+    assert from_jsonl(to_jsonl(rc)) == rc
 
 
 @pytest.mark.parametrize("seed, reduced, limit, size", [
@@ -498,14 +505,14 @@ def test_class_file_roundtrip(seed, reduced, limit):
 def test_class_file_is_one_json_dumps_of_its_record(tmp_path, seed, reduced,
                                                     limit, size):
     # the file goes out in pieces, yet reads as one json.dumps of the record
-    rc = enumerate_class(seed, limit or induction.DEFAULT_BUDGET,
-                         reduced_labels=reduced, allow_truncated=True)
+    rc = enumerate_up_to(seed, limit or induction.DEFAULT_BUDGET,
+                         reduced_labels=reduced)
     assert len(rc) == size and rc.complete == (limit is None)
     path = tmp_path / "class.jsonl"
     with open(path, "w") as fh:
         rc.write_jsonl(fh)
     text = class_record_text(rc)
-    assert path.read_text() == rc.to_jsonl() == text
+    assert path.read_text() == to_jsonl(rc) == text
     with open(path) as fh:
         assert RauzyClass.read_jsonl(fh) == rc
 
@@ -625,12 +632,12 @@ def _set_field(text, field, value, i=None):
 def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
     seed = parse_gp("1 2 3 4 5 / 5 4 3 2 1")
-    good = load_or_enumerate(seed).to_jsonl()
-    other = enumerate_class(parse_gp("1 2 3 4 / 4 3 2 1")).to_jsonl()
+    good = to_jsonl(load_or_enumerate(seed))
+    other = to_jsonl(enumerate_class(parse_gp("1 2 3 4 / 4 3 2 1")))
     [path] = tmp_path.iterdir()
     path.write_text(corrupt(good, other))
     rc = load_or_enumerate(seed)
-    assert len(rc) == 15 and rc.complete and rc.to_jsonl() == good
+    assert len(rc) == 15 and rc.complete and to_jsonl(rc) == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
     assert path.read_text() == good
 
@@ -646,10 +653,10 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, corrupt):
 def test_class_read_back_is_the_parsed_class(seed, limit, reduced):
     # only the base is parsed on reading; every vertex must still be the
     # permutation its code parses to, built without a letter table
-    rc = enumerate_class(seed, limit or induction.DEFAULT_BUDGET,
-                         reduced_labels=reduced, allow_truncated=True)
+    rc = enumerate_up_to(seed, limit or induction.DEFAULT_BUDGET,
+                         reduced_labels=reduced)
     assert rc.complete == (limit is None)
-    read = RauzyClass.from_jsonl(rc.to_jsonl())
+    read = from_jsonl(to_jsonl(rc))
     assert all(v._pairs is None for v in read.vertices)
     assert read == rc
     assert all(v == parse_gp(v.encode()) for v in read.vertices)
@@ -664,15 +671,15 @@ def collector_state():
 
 _COLLECTOR_CASES = {
     "enumerate": lambda: enumerate_class(tau_sym(5)),
-    "read": lambda: RauzyClass.from_jsonl(
-        enumerate_class(tau_sym(5)).to_jsonl()),
+    "read": lambda: from_jsonl(
+        to_jsonl(enumerate_class(tau_sym(5)))),
     "load": lambda: load_or_enumerate(tau_sym(5)),
     "enumerate-budget": lambda: enumerate_class(tau_sym(5), limit=3),
     "load-budget": lambda: load_or_enumerate(tau_sym(6), limit=3),
     "enumerate-unsuspendable": lambda: enumerate_class(parse_gp("1 2 / 1 2")),
     "load-unsuspendable": lambda: load_or_enumerate(parse_gp("1 2 / 1 2")),
-    "read-corrupt": lambda: RauzyClass.from_jsonl(_set_field(
-        enumerate_class(tau_sym(5)).to_jsonl(), "vertices", "1 2 / 2 1", 1)),
+    "read-corrupt": lambda: from_jsonl(_set_field(
+        to_jsonl(enumerate_class(tau_sym(5))), "vertices", "1 2 / 2 1", 1)),
 }
 _COLLECTOR_ERRORS = {"enumerate-budget": BudgetExceeded,
                      "load-budget": BudgetExceeded,
@@ -709,8 +716,8 @@ def collector_on():
 
 _YOUNG_CASES = {
     "enumerate": lambda: enumerate_class(tau_sym(6), reduced_labels=True),
-    "read": lambda: RauzyClass.from_jsonl(
-        enumerate_class(tau_sym(6), reduced_labels=True).to_jsonl()),
+    "read": lambda: from_jsonl(
+        to_jsonl(enumerate_class(tau_sym(6), reduced_labels=True))),
     "load-cold": lambda: load_or_enumerate(tau_sym(6), reduced_labels=True),
     "load-warm": lambda: (load_or_enumerate(tau_sym(6), reduced_labels=True),
                           load_or_enumerate(tau_sym(6),
@@ -741,9 +748,9 @@ def test_a_built_class_leaves_the_young_generation(
 @pytest.mark.parametrize("value", ["no", 1, None], ids=["str", "int", "null"])
 @pytest.mark.parametrize("field", ["complete", "reduced_labels"])
 def test_class_file_flags_must_be_booleans(field, value):
-    text = enumerate_class(tau_sym(4)).to_jsonl()
+    text = to_jsonl(enumerate_class(tau_sym(4)))
     with pytest.raises(ValueError, match="booleans"):
-        RauzyClass.from_jsonl(_set_field(text, field, value))
+        from_jsonl(_set_field(text, field, value))
 
 
 def test_reverse_step_refuses_two_arrows_into_one_vertex():
@@ -764,11 +771,11 @@ _BAD_ARROWS = {"negative": -1, "past-end": 516, "str": "1", "float": 1.0,
     ids=[name + suffix for suffix in ("", "-b") for name in _BAD_ARROWS])
 def test_class_file_with_a_bad_arrow_is_refused(column, value):
     rc = enumerate_class(parse_gp("0 A A 1 / 1 B B 0"))  # 516 vertices
-    text = rc.to_jsonl()
-    assert RauzyClass.from_jsonl(text).to_jsonl() == text
+    text = to_jsonl(rc)
+    assert to_jsonl(from_jsonl(text)) == text
     i = next(i for i, j in enumerate(rc.table[column]) if j is not None)
     with pytest.raises(ValueError, match="column is not one target"):
-        RauzyClass.from_jsonl(_set_field(text, column, value, i))
+        from_jsonl(_set_field(text, column, value, i))
 
 
 def test_class_vertices_carry_no_letter_table(tmp_path, monkeypatch):
@@ -824,8 +831,7 @@ def _assert_class_checked_alike(seed, limit=induction.DEFAULT_BUDGET):
     vertices, and the moves at each vertex.  The labeled base is ``seed``
     itself, built by the caller."""
     for reduced in (False, True):
-        rc = enumerate_class(seed, limit, reduced_labels=reduced,
-                             allow_truncated=True)
+        rc = enumerate_up_to(seed, limit, reduced_labels=reduced)
         built = rc.vertices if reduced else rc.vertices[1:]
         assert rc.base is seed or reduced
         for v in built:
@@ -878,12 +884,12 @@ def test_arrow_is_a_named_tuple_of_six_fields():
 
 def test_jsonl_format_fields():
     rc = enumerate_class(parse_gp("1 2 / 2 1"))
-    [line] = rc.to_jsonl().splitlines()
+    [line] = to_jsonl(rc).splitlines()
     rec = json.loads(line)
     assert list(rec) == ["format", "complete", "reduced_labels", "vertices",
                          "t", "b"]
     assert rec["format"] == 2 and rec["vertices"] == [rc.base.encode()]
-    assert RauzyClass.from_jsonl(rc.to_jsonl()).vertices == rc.vertices
+    assert from_jsonl(to_jsonl(rc)).vertices == rc.vertices
 
 
 def test_resolve_walk_and_end():
@@ -1037,7 +1043,7 @@ def test_class_file_names_unchanged(tmp_path, monkeypatch):
 def test_class_file_format_unchanged(tmp_path, monkeypatch):
     seed = parse_gp("1 2 3 4 / 4 3 2 1")
     rc = enumerate_class(seed)
-    assert rc.to_jsonl() == FORMAT_2_JSONL
+    assert to_jsonl(rc) == FORMAT_2_JSONL
     monkeypatch.setenv("RVQ_CACHE_DIR", str(tmp_path))
     path = _cache_path(seed, False)
     with open(path, "w") as fh:
@@ -1051,4 +1057,4 @@ def test_class_file_format_unchanged(tmp_path, monkeypatch):
 
     monkeypatch.setattr("rvq.induction.enumerate_class", no_enumeration)
     loaded = load_or_enumerate(seed)
-    assert loaded == rc and loaded.to_jsonl() == FORMAT_2_JSONL
+    assert loaded == rc and to_jsonl(loaded) == FORMAT_2_JSONL

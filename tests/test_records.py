@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from oracles import from_jsonl, to_jsonl
 from rvq.components import (RowReport, Table1Row, table1_rows, tau_sym,
                             verify_row)
 from rvq.strata import CoverStratum, cover_stratum
@@ -88,7 +89,8 @@ def test_permutation_is_equal_hashed_and_shown_by_its_rows_alone():
         assert repr(gp) == text
         assert hash(gp) == hash((gp.top, gp.bottom))
     assert built == bare and not built != bare
-    assert built != built.transpose() and built != (built.top, built.bottom)
+    assert built != GeneralizedPermutation(built.bottom, built.top)
+    assert built != (built.top, built.bottom)
     assert pickle.loads(pickle.dumps(built))._pairs is None
 
 
@@ -97,7 +99,7 @@ def test_rauzy_class_is_equal_by_its_fields_and_unhashable():
     # fill the memo, which equality does not read
     rc.step(0, "T")
     assert rc.index_of(rc.base) == 0
-    read = RauzyClass.from_jsonl(rc.to_jsonl())
+    read = from_jsonl(to_jsonl(rc))
     assert read == rc and not read != rc
     assert RauzyClass(rc.vertices, rc.table, complete=False) != rc
     assert RauzyClass(rc.vertices, rc.table, True, True) != rc
