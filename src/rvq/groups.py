@@ -1,15 +1,19 @@
 """Mod-p images of the groups generated along induction cycles, and the
 harvest of those cycles.
 
-A mod-p image is computed by deterministic Schreier-Sims on the permutation
-action of the generators on the nonzero row vectors of F_p^n. Its order is
+The order of a mod-p image is read off the orbit of a transvection among the
+generators when that orbit names the group (:func:`_certified_order`);
+otherwise deterministic Schreier-Sims on the permutation action of the
+generators on the nonzero row vectors of F_p^n computes it. Either way it is
 exact, and it is checked to divide the order of the full symplectic group;
-the quotient is reported as the mod-p index.
+the quotient is reported as the mod-p index. ``base_length`` counts the base
+points of the Schreier-Sims stabilizer chain, and is 0 when none was built.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -55,9 +59,11 @@ def sp_order(g: int, p: int) -> int:
 
 class ClosureResult(NamedTuple):
     """The mod-p image; ``base_length`` is the number of base points of its
-    stabilizer chain on the nonzero vectors.  ``exact`` is set when the
-    order is that of the image of the group of all closed walks at the base,
-    not a lower bound (see :func:`rauzy_veech_group_modp`)."""
+    stabilizer chain on the nonzero vectors, 0 when no chain was built: when
+    :func:`_certified_order` gave the order, or the image is trivial.
+    ``exact`` is set when the order is that of the image of the group of all
+    closed walks at the base, not a lower bound (see
+    :func:`rauzy_veech_group_modp`)."""
 
     order: int
     index: int
@@ -73,10 +79,11 @@ def modp_closure(generators: Iterable[Matrix], p: int,
     """Order and index of the subgroup of Sp(form, F_p) the generators span.
 
     ``form`` must be non-degenerate mod p (for the double-cover case, the
-    intersection form on the both-rows letters). The order is exact:
-    deterministic Schreier-Sims on the action of the generators on the
-    p^n - 1 nonzero row vectors of F_p^n, which is faithful. No group
-    element is stored, only the stabilizer chain with its transversals.
+    intersection form on the both-rows letters). The order is exact: that of
+    :func:`_certified_order` when it names the image, else deterministic
+    Schreier-Sims on the action of the generators on the p^n - 1 nonzero row
+    vectors of F_p^n, which is faithful. No group element is stored, only
+    the stabilizer chain with its transversals.
     Raises ValueError unless p is a prime; that and the checks on the form
     come before the first generator is read.
     """
@@ -101,16 +108,157 @@ def modp_closure(generators: Iterable[Matrix], p: int,
             gens.append(mg)
 
     total = sp_order(g, p)
-    levels = _schreier_sims(_vector_permutations(gens, p), p ** n - 1, total)
-    order = 1
-    for level in levels:
-        order *= len(level.orbit)
+    order = _certified_order(gens, fp, p)
+    levels: list[_Level] = []
+    if order is None:
+        levels = _schreier_sims(_vector_permutations(gens, p), p ** n - 1,
+                                total)
+        order = math.prod(len(level.orbit) for level in levels)
     if total % order:
         raise NonDividingOrder(
             "order %d does not divide |Sp(%d, F_%d)| = %d"
             % (order, 2 * g, p, total))
     return ClosureResult(order=order, index=total // order, genus=g, p=p,
                          generators_used=len(gens), base_length=len(levels))
+
+
+def _mod2_orders(g: int) -> list[tuple[int, int]]:
+    """(number of transvections, order) of each irreducible subgroup of
+    Sp(2g, F_2) generated by transvections: Sp(2g, F_2), O^+(2g, F_2),
+    O^-(2g, F_2), S_{2g+1} and S_{2g+2}.  Their transvection vectors are the
+    nonzero vectors, the vectors where the quadratic form is 1, and the
+    transpositions.  Where two sizes coincide, so do the orders: S_3 =
+    Sp(2, F_2) = O^-(2, F_2), S_5 = O^-(4, F_2), S_6 = Sp(4, F_2) and
+    S_8 = O^+(6, F_2).  At g = 1 only the size 3 can occur: O^+(2, F_2)
+    has one transvection, and S_4 acts on F_2^2 through S_3."""
+    half = 2 ** (g - 1)
+    rest = math.prod(4 ** i - 1 for i in range(1, g))
+    return [(4 * half * half - 1, sp_order(g, 2))] + [
+        (2 * half * half - eps * half,
+         2 * 2 ** (g * g - g) * (2 * half - eps) * rest) for eps in (1, -1)
+    ] + [(math.comb(m, 2), math.factorial(m)) for m in (2 * g + 1, 2 * g + 2)]
+
+
+def _certified_order(gens: Sequence[Matrix], form: Matrix,
+                     p: int) -> Optional[int]:
+    """The order of the group G that ``gens`` generate, named by the orbit
+    of one transvection among them, or None.
+
+    ``gens`` are reduced mod the prime p and preserve ``form``, alternating
+    and non-degenerate mod p; a row vector v goes to v·M.  A generator with
+    rank(M - I) = 1 is a transvection v -> v + c·ω(v, a)·a, and its
+    conjugate by h is the transvection along a·h, so G holds a transvection
+    along every line of the orbit O of the line through a.  The order is:
+
+    * |Sp(2g, F_p)| when O is every line of F_p^2g, at any p.  F_p is a
+      prime field, so the powers of a transvection along a are every
+      transvection along a; G holds them all, and they generate
+      Sp(2g, F_p) (E. Artin, Geometric Algebra, 1957, ch. III).
+    * the order :func:`_mod2_orders` gives for |O|, when p = 2, O spans and
+      its ω-graph (an edge where ω(a, b) = 1) is connected.  Then the group
+      N that the transvections along O generate is irreducible: a nonzero
+      N-invariant subspace W holds some a in O, as O spans, ω is
+      non-degenerate and T_a(w) = w + a when ω(w, a) = 1; and with a, every
+      neighbour b of a, as T_b(a) = a + b.  McLaughlin (Some subgroups of
+      SL_n(F_2), Illinois J. Math. 13, 1969): an irreducible subgroup of
+      SL(n, F_2) generated by transvections is SL(n, F_2), Sp(n, F_2),
+      O^±(n, F_2), or S_{n+1} or S_{n+2} on the heart of its permutation
+      module.  In N ⊆ Sp(2g, F_2) these are the groups of
+      :func:`_mod2_orders`, whose transvections make one conjugacy class,
+      so O is all of N's and |O| names N.  N is normal in G, and each
+      listed group is self-normalizing in Sp(2g, F_2): O^ε fixes one of the
+      quadratic forms polarizing to ω, and S_m for m ≠ 6 has only inner
+      automorphisms and a centralizer of scalars, 1 over F_2, while S_6 =
+      Sp(4, F_2).  So G = N.
+
+    None otherwise: no generator is a transvection, or, at p = 2, O does
+    not span, its ω-graph is disconnected, or no listed group has |O|
+    transvections.  At odd p only the full orbit certifies: an early stop
+    after McLaughlin (Some groups generated by transvections, Arch. Math.
+    18, 1967) is not used, as its hypotheses are not pinned here.
+    """
+    n = len(form)
+    a = next(filter(None, (_transvection_line(m, p) for m in gens)), None)
+    if a is None:
+        return None
+    if p == 2:
+        start, moves = _bits(a), list(map(_mod2_images, gens))
+        step = list.__getitem__
+    else:
+        inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+        start, moves = a, [list(zip(*m)) for m in gens]
+
+        def step(columns, v):
+            w = [sum(map(operator.mul, v, col)) % p for col in columns]
+            lead = inverse[next(filter(None, w))]
+            return tuple(x * lead % p for x in w)
+    lines = (p ** n - 1) // (p - 1)
+    orbit, seen = [start], {start}
+    for v in orbit:
+        for move in moves:
+            w = step(move, v)
+            if w not in seen:
+                seen.add(w)
+                orbit.append(w)
+                if len(orbit) == lines:
+                    return sp_order(n // 2, p)
+    if p != 2 or not _spans_connected(orbit, form):
+        return None
+    orders = {order for size, order in _mod2_orders(n // 2)
+              if size == len(orbit)}
+    return orders.pop() if len(orders) == 1 else None
+
+
+def _transvection_line(m: Matrix, p: int) -> Optional[tuple[int, ...]]:
+    """The line of m - I when it has rank 1 mod p, as the vector on it with
+    first nonzero coordinate 1; else None."""
+    rows = [[(x - (i == j)) % p for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
+    nonzero = [row for row in rows if any(row)]
+    if not nonzero:
+        return None
+    k = next(j for j, x in enumerate(nonzero[0]) if x)
+    lead = pow(nonzero[0][k], -1, p)
+    a = tuple(x * lead % p for x in nonzero[0])
+    if any((x - row[k] * y) % p for row in nonzero for x, y in zip(row, a)):
+        return None
+    return a
+
+
+def _bits(v: Sequence[int]) -> int:
+    """A vector over F_2 as a bit mask, coordinate j at bit j."""
+    return sum((x & 1) << j for j, x in enumerate(v))
+
+
+def _mod2_images(m: Matrix) -> list[int]:
+    """The bit mask of v·m over F_2 for every vector v, indexed by the bit
+    mask of v."""
+    images = [0]
+    for row in m:
+        r = _bits(row)
+        images += [x ^ r for x in images]
+    return images
+
+
+def _spans_connected(vectors: Sequence[int], form: Matrix) -> bool:
+    """Whether the bit masks ``vectors`` span F_2^n and their ω-graph, an
+    edge where v·form·wᵀ is odd, is connected."""
+    basis: list[int] = []
+    for x in vectors:
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis.append(x)
+    if len(basis) < len(form):
+        return False
+    paired = _mod2_images(form)
+    todo, left = [vectors[0]], set(vectors[1:])
+    while todo:
+        v = paired[todo.pop()]
+        near = [w for w in left if bin(v & w).count("1") & 1]
+        left.difference_update(near)
+        todo += near
+    return not left
 
 
 def _vector_permutations(mats: Sequence[Matrix], p: int) -> list[list[int]]:

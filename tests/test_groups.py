@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -385,33 +386,178 @@ def test_directed_vs_mixed_closures_agree():
 BFS_BUDGET = 60_000
 
 
-@pytest.mark.parametrize("base, p", [
+def _schreier_sims_order(gens, p, form):
+    """The order Schreier-Sims gives, called directly, as modp_closure does
+    when the transvection certificate gives none."""
+    n = len(form)
+    perms = groups._vector_permutations(
+        [linalg.mat_mod(m, p) for m in gens], p)
+    levels = groups._schreier_sims(perms, p ** n - 1, sp_order(n // 2, p))
+    return math.prod(len(level.orbit) for level in levels)
+
+
+def _certified(gens, p, form):
+    return groups._certified_order([linalg.mat_mod(m, p) for m in gens],
+                                   linalg.mat_mod(form, p), p)
+
+
+SS_CASES = [
     (TORUS, 2), (TORUS, 3), (TORUS, 5),
     (tau_sym(4), 2), (tau_sym(4), 3), (tau_sym(4), 5),
     (tau_sym(5), 2), (tau_sym(5), 3),
     (tau_sym(6), 2), (tau_zorich(3), 2),
-], ids=["torus-2", "torus-3", "torus-5", "H(2)-2", "H(2)-3", "H(2)-5",
-        "H(1,1)-2", "H(1,1)-3", "H(4)hyp-2", "H(4)odd-2"])
-def test_schreier_sims_matches_bfs(base, p):
+]
+SS_IDS = ["torus-2", "torus-3", "torus-5", "H(2)-2", "H(2)-3", "H(2)-5",
+          "H(1,1)-2", "H(1,1)-3", "H(4)hyp-2", "H(4)odd-2"]
+
+
+def _oracle_generators(base, p):
     rc = load_or_enumerate(base)
     walks = arrow_cycles(rc, cap=80) + random_directed_cycles(
         rc, count=40, maxlen=30, seed=3)
-    gens, form = plus_generators_modp(base, walks, p)
+    return plus_generators_modp(base, walks, p)
+
+
+@pytest.mark.parametrize("base, p", SS_CASES, ids=SS_IDS)
+def test_schreier_sims_matches_bfs(base, p):
+    gens, form = _oracle_generators(base, p)
     total = sp_order(len(form) // 2, p)
     rng = random.Random(p)
     compared = 0
     for size in (1, 2, 2, 3, len(gens)):
         subset = rng.sample(gens, min(size, len(gens)))
         res = modp_closure(subset, p, form)
-        assert res.order * res.index == total
+        # Schreier-Sims now runs only where the certificate gives no order,
+        # so it is held to the same oracle when called directly
+        ss = _schreier_sims_order(subset, p, form)
+        assert res.order == ss and res.order * res.index == total
         if res.order > BFS_BUDGET:
             # too large to store: the oracle must still outgrow a small budget
             with pytest.raises(BudgetExceeded):
                 _bfs_closure(subset, p, form, budget=2_000)
             continue
-        assert res.order == _bfs_closure(subset, p, form, budget=BFS_BUDGET)
+        assert ss == _bfs_closure(subset, p, form, budget=BFS_BUDGET)
         compared += 1
     assert compared >= 2
+
+
+# ---------------------------------------------------------------------------
+# the transvection certificate against Schreier-Sims
+# ---------------------------------------------------------------------------
+
+WITNESS = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
+
+CERTIFIED_CASES = [(base, p, False) for base, p in SS_CASES] + [
+    (tau_sym(4), 7, False), (tau_sym(5), 5, False),
+    (tau_sym(6), 3, False), (tau_zorich(3), 3, False),
+    (WITNESS, 2, True), (WITNESS, 3, True)]
+CERTIFIED_IDS = SS_IDS + ["H(2)-7", "H(1,1)-5", "H(4)hyp-3", "H(4)odd-3",
+                          "witness-minus-2", "witness-minus-3"]
+
+
+@pytest.mark.parametrize("base, p, minus", CERTIFIED_CASES,
+                         ids=CERTIFIED_IDS)
+def test_certified_order_equals_schreier_sims(base, p, minus):
+    if minus:
+        rc = admissible_component(base)
+        gens, form = minus_generators_modp(base, arrow_cycles(rc), p)
+    else:
+        gens, form = _oracle_generators(base, p)
+    order = _certified(gens, p, form)
+    assert order is not None, "the certificate did not fire"
+    assert order == _schreier_sims_order(gens, p, form)
+    res = modp_closure(gens, p, form)
+    assert (res.order, res.base_length) == (order, 0)
+
+
+def _transvection(a, form, p):
+    """The matrix of v -> v + ω(v, a)·a, ω(v, w) = v·form·wᵀ."""
+    n = len(a)
+    af = [sum(form[j][k] * a[k] for k in range(n)) for j in range(n)]
+    return tuple(tuple(((i == j) + af[i] * a[j]) % p for j in range(n))
+                 for i in range(n))
+
+
+def _planes(g):
+    """The form of g orthogonal hyperbolic planes, e_i·f_i = 1."""
+    n = 2 * g
+    return tuple(tuple((j == i + 1) - (i == j + 1) if i // 2 == j // 2 else 0
+                       for j in range(n)) for i in range(n))
+
+
+def _block_sum(a, b):
+    """The block-diagonal matrix with blocks a and b."""
+    return tuple(tuple(row) + (0,) * len(b) for row in a) + tuple(
+        (0,) * len(a) + tuple(row) for row in b)
+
+
+@pytest.mark.parametrize("base, p, order", [
+    (tau_zorich(3), 2, 51_840), (tau_sym(4), 3, 51_840)],
+    ids=["O-(6)+plane-2", "Sp(4)+plane-3"])
+def test_an_orbit_in_a_proper_subspace_certifies_nothing(base, p, order):
+    # the image on the first block, with the identity on a hyperbolic plane
+    # beside it: every orbit stays in the first block.  Mod 2 its 36 vectors
+    # are as many as the transpositions of S_9 in Sp(8, F_2), so without the
+    # span check the certificate would give 9!
+    gens, form = _oracle_generators(base, p)
+    gens = [_block_sum(m, identity(2)) for m in gens]
+    form = _block_sum(form, _planes(1))
+    assert _certified(gens, p, form) is None
+    res = modp_closure(gens, p, form)
+    assert res.order == order == _schreier_sims_order(gens, p, form)
+    assert res.base_length >= 1
+
+
+def test_a_disconnected_orbit_certifies_nothing():
+    # the transvections along e1 and f1, and the swap of the two planes:
+    # the orbit of e1 is the six nonzero vectors of the planes, which span,
+    # but no vector of one plane meets one of the other
+    form = _planes(2)
+    e1, f1 = (1, 0, 0, 0), (0, 1, 0, 0)
+    swap = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+    gens = [_transvection(e1, form, 2), _transvection(f1, form, 2), swap]
+    assert _certified(gens, 2, form) is None
+    res = modp_closure(gens, 2, form)
+    assert res.order == 72 == _bfs_closure(gens, 2, form)
+    assert res.base_length >= 1
+
+
+@pytest.mark.parametrize("gens, p, order", [
+    ([((0, 1), (1, 1))], 2, 3), ([((2, 0), (0, 2))], 3, 2),
+    ([((0, 1), (2, 0)), ((1, 1), (2, 0))], 3, 24)],
+    ids=["order-3-mod-2", "minus-one-mod-3", "no-transvection-mod-3"])
+def test_generators_without_a_transvection_certify_nothing(gens, p, order):
+    form = ((0, 1), (-1, 0))
+    assert _certified(gens, p, form) is None
+    res = modp_closure(gens, p, form)
+    assert res.order == order == _bfs_closure(gens, p, form)
+    assert res.base_length >= 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_empty_and_identity_generators_give_order_one(p):
+    form = _planes(2)
+    for gens in ([], [identity(4)], [identity(4), identity(4)]):
+        assert _certified(gens, p, form) is None
+        res = modp_closure(gens, p, form)
+        assert (res.order, res.index) == (1, sp_order(2, p))
+        assert res.base_length == 0
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_the_mod2_table_gives_one_order_per_size(g):
+    orders = {}
+    for size, order in groups._mod2_orders(g):
+        orders.setdefault(size, set()).add(order)
+    assert all(len(found) == 1 for found in orders.values()), orders
+    named = {1: {3: 6}, 2: {10: 120, 15: 720, 6: 72}, 3: {28: 40_320}}
+    for size, order in named.get(g, {}).items():
+        assert orders[size] == {order}
+    assert orders[4 ** g - 1] == {sp_order(g, 2)}
+    assert orders[math.comb(2 * g + 1, 2)] == {math.factorial(2 * g + 1)}
+    if g >= 2:
+        assert all(sp_order(g, 2) % order == 0 for size, order in
+                   groups._mod2_orders(g))
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +678,6 @@ def test_minus_group_equals_the_closure_of_the_walked_harvest(base, p, order,
     gens, form = minus_generators_modp(base, arrow_cycles(rc, cap=800), p)
     assert res == modp_closure(gens, p, form)._replace(exact=True)
 
-
-WITNESS = parse_gp("1 2 3 A A 4 / 4 3 B B 2 1")
 
 # the minus cases and sigma_hyp(0, 3), whose labeled class (124,920
 # vertices) the oracle route still enumerates; sigma_hyp(2, 0), in
