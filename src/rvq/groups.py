@@ -3,11 +3,12 @@ harvest of those cycles.
 
 The order of a mod-p image is read off the orbit of a transvection among the
 generators when that orbit names the group (:func:`_certified_order`);
-otherwise deterministic Schreier-Sims on the permutation action of the
-generators on the nonzero row vectors of F_p^n computes it. Either way it is
-exact, and it is checked to divide the order of the full symplectic group;
-the quotient is reported as the mod-p index. ``base_length`` counts the base
-points of the Schreier-Sims stabilizer chain, and is 0 when none was built.
+otherwise deterministic Schreier-Sims on the generators themselves, matrices
+mod p acting on row vectors with base vectors from e_1...e_n, computes it.
+Either way it is exact, and it is checked to divide the order of the full
+symplectic group; the quotient is reported as the mod-p index.
+``base_length`` counts the base vectors of the Schreier-Sims stabilizer
+chain, and is 0 when none was built.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ def sp_order(g: int, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 class ClosureResult(NamedTuple):
-    """The mod-p image; ``base_length`` is the number of base points of its
-    stabilizer chain on the nonzero vectors, 0 when no chain was built: when
+    """The mod-p image; ``base_length`` is the number of base vectors of its
+    stabilizer chain, 0 when no chain was built: when
     :func:`_certified_order` gave the order, or the image is trivial.
     ``exact`` is set when the order is that of the image of the group of all
     closed walks at the base, not a lower bound (see
@@ -81,9 +82,8 @@ def modp_closure(generators: Iterable[Matrix], p: int,
     ``form`` must be non-degenerate mod p (for the double-cover case, the
     intersection form on the both-rows letters). The order is exact: that of
     :func:`_certified_order` when it names the image, else deterministic
-    Schreier-Sims on the action of the generators on the p^n - 1 nonzero row
-    vectors of F_p^n, which is faithful. No group element is stored, only
-    the stabilizer chain with its transversals.
+    Schreier-Sims on the generators mod p (:func:`_schreier_sims`). No group
+    element is stored, only the stabilizer chain with its transversals.
     Raises ValueError unless p is a prime; that and the checks on the form
     come before the first generator is read.
     """
@@ -111,8 +111,7 @@ def modp_closure(generators: Iterable[Matrix], p: int,
     order = _certified_order(gens, fp, p)
     levels: list[_Level] = []
     if order is None:
-        levels = _schreier_sims(_vector_permutations(gens, p), p ** n - 1,
-                                total)
+        levels = _schreier_sims(gens, p, total)
         order = math.prod(len(level.orbit) for level in levels)
     if total % order:
         raise NonDividingOrder(
@@ -189,7 +188,7 @@ def _certified_order(gens: Sequence[Matrix], form: Matrix,
         start, moves = a, [list(zip(*m)) for m in gens]
 
         def step(columns, v):
-            w = [sum(map(operator.mul, v, col)) % p for col in columns]
+            w = _times(v, columns, p)
             lead = inverse[next(filter(None, w))]
             return tuple(x * lead % p for x in w)
     lines = (p ** n - 1) // (p - 1)
@@ -261,158 +260,154 @@ def _spans_connected(vectors: Sequence[int], form: Matrix) -> bool:
     return not left
 
 
-def _vector_permutations(mats: Sequence[Matrix], p: int) -> list[list[int]]:
-    """The permutations v -> v.mat of the nonzero vectors of F_p^n, for
-    matrices with entries in 0..p-1.
+def _times(v: Sequence[int], columns: Sequence[Sequence[int]],
+           p: int) -> tuple[int, ...]:
+    """v·M mod p, for the matrix M with these columns."""
+    return tuple([sum(map(operator.mul, v, col)) % p for col in columns])
 
-    The vector v is point sum(v[j] * p**j) - 1. Images are built linearly,
-    image(v) = image(v - e_k) + row_k with k the top nonzero coordinate of v,
-    so each matrix costs O(p^n) table lookups: vectors are added as integers
-    in base 2p - 1, where no digit carries, and two tables indexed by such a
-    sum give its reduction mod p in the same base and its point.
-    """
-    n = len(mats[0]) if mats else 0
-    q = 2 * p - 1
-    reduced, points = [0], [-1]
-    for j in range(n):
-        reduced = [r + d % p * q ** j for d in range(q) for r in reduced]
-        points = [x + d % p * p ** j for d in range(q) for x in points]
-    perms = []
-    for mat in mats:
-        images, perm = [0], []
-        for k, row in enumerate(mat):
-            r = sum(x * q ** j for j, x in enumerate(row))
-            step = p ** k
-            for d in range(1, p):
-                sums = [a + r for a in images[(d - 1) * step:d * step]]
-                images += [reduced[x] for x in sums]
-                perm += [points[x] for x in sums]
-        perms.append(perm)
-    return perms
+
+def _mul(a: Matrix, b: Matrix, p: int) -> Matrix:
+    """a·b mod p."""
+    columns = tuple(zip(*b))
+    return tuple(_times(row, columns, p) for row in a)
+
+
+def _inverse(m: Matrix, p: int) -> Matrix:
+    """The inverse mod p of m, by Gauss-Jordan elimination on [m | I].  Each
+    matrix of the chain preserves a form that is non-degenerate mod p, so it
+    is invertible."""
+    n = len(m)
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(m)]
+    for c in range(n):
+        r = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[r] = rows[r], rows[c]
+        lead = pow(rows[c][c], -1, p)
+        rows[c] = [x * lead % p for x in rows[c]]
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[c])]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 class _Level:
-    """One level of a stabilizer chain.
+    """One level of a stabilizer chain of matrices mod p acting on row
+    vectors, v -> v·M.
 
-    ``gens`` generate the level's group, which fixes the base points of the
-    levels above; ``orbit`` is the orbit of the base point ``orbit[0]`` under
-    them, and ``u[x]``/``uinv[x]`` are a transversal element taking the base
-    point to x and its inverse. The Schreier generators from ``orbit[:done[k]]``
-    and ``gens[k]`` are known to lie in the levels below.
+    ``gens`` generate the level's group, which fixes the base vectors of the
+    levels above; ``orbit`` is the orbit of the level's base vector e_k,
+    ``orbit[0]``, under them, and ``u[x]``/``uinv[x]`` are a transversal
+    element taking e_k to x and its inverse.  The image of e_k under a
+    matrix is its row k.  The Schreier generators from ``orbit[:done[j]]``
+    and ``gens[j]`` are known to lie in the levels below.
     """
 
-    __slots__ = ("gens", "invs", "done", "orbit", "u", "uinv")
+    __slots__ = ("k", "gens", "invs", "done", "orbit", "u", "uinv")
 
-    def __init__(self, point: int, identity: list[int]):
-        self.gens: list[list[int]] = []
-        self.invs: list[list[int]] = []
+    def __init__(self, k: int, identity: Matrix):
+        self.k = k
+        self.gens: list[Matrix] = []
+        self.invs: list[Matrix] = []
         self.done: list[int] = []
-        self.orbit = [point]
-        self.u = {point: identity}
-        self.uinv = {point: identity}
+        self.orbit = [identity[k]]
+        self.u = {identity[k]: identity}
+        self.uinv = {identity[k]: identity}
 
-    def add(self, s: list[int], sinv: list[int]) -> None:
+    def add(self, s: Matrix, sinv: Matrix, p: int) -> None:
         """Add a generator and extend the orbit and the transversal."""
         self.gens.append(s)
         self.invs.append(sinv)
         self.done.append(0)
         orbit, u, uinv = self.orbit, self.u, self.uinv
+        columns = [tuple(zip(*t)) for t in self.gens]
         old = len(orbit)
-        pos = 0
-        while pos < len(orbit):
-            x = orbit[pos]
-            pairs = zip(self.gens, self.invs) if pos >= old else ((s, sinv),)
-            for t, tinv in pairs:
-                y = t[x]
+        for pos, x in enumerate(orbit):
+            triples = (zip(self.gens, self.invs, columns) if pos >= old
+                       else ((s, sinv, columns[-1]),))
+            for t, tinv, tcols in triples:
+                y = _times(x, tcols, p)
                 if y not in u:
-                    ux, uix = u[x], uinv[x]
-                    u[y] = [t[z] for z in ux]
-                    uinv[y] = [uix[z] for z in tinv]
+                    u[y] = _mul(u[x], t, p)
+                    uinv[y] = _mul(tinv, uinv[x], p)
                     orbit.append(y)
-            pos += 1
 
 
-def _sift(levels: list[_Level], x: list[int], start: int
-          ) -> tuple[list[int], int]:
+def _sift(levels: list[_Level], x: Matrix, start: int, p: int
+          ) -> tuple[Matrix, int]:
     """Strip x through ``levels[start:]``: the residue and the level where it
     left the chain (``len(levels)`` when it passed every level)."""
     for i in range(start, len(levels)):
         level = levels[i]
-        uinv = level.uinv.get(x[level.orbit[0]])
+        uinv = level.uinv.get(x[level.k])
         if uinv is None:
             return x, i
-        x = [uinv[y] for y in x]
+        x = _mul(x, uinv, p)
     return x, len(levels)
 
 
-def _add_strong_generator(levels: list[_Level], h: list[int], first: int,
-                          last: int, identity: list[int]) -> None:
-    """Add h, which fixes the base points above ``last``, to
-    ``levels[first:last + 1]``; a new level gets the first point h moves."""
+def _add_strong_generator(levels: list[_Level], h: Matrix, first: int,
+                          last: int, identity: Matrix, p: int) -> None:
+    """Add h, which fixes the base vectors above ``last``, to
+    ``levels[first:last + 1]``; a new level gets the first e_k h moves."""
     if last == len(levels):
-        point = next(x for x, y in enumerate(h) if x != y)
-        levels.append(_Level(point, identity))
-    hinv = [0] * len(h)
-    for x, y in enumerate(h):
-        hinv[y] = x
+        k = next(k for k, row in enumerate(h) if row != identity[k])
+        levels.append(_Level(k, identity))
+    hinv = _inverse(h, p)
     for level in levels[first:last + 1]:
-        level.add(h, hinv)
+        level.add(h, hinv, p)
 
 
-def _schreier_residue(levels: list[_Level], i: int, identity: list[int]
-                      ) -> Optional[tuple[list[int], int]]:
+def _schreier_residue(levels: list[_Level], i: int, identity: Matrix,
+                      p: int) -> Optional[tuple[Matrix, int]]:
     """Sift the untested Schreier generators of level i through the levels
     below it: the first residue that is not the identity, with the level it
     left the chain at, or None when every one of them sifts to the identity."""
     level = levels[i]
     orbit, done, u = level.orbit, level.done, level.u
-    for k, s in enumerate(level.gens):
-        while done[k] < len(orbit):
-            x = orbit[done[k]]
-            done[k] += 1
-            t = [s[z] for z in u[x]]
-            y = s[x]
+    for j, s in enumerate(level.gens):
+        while done[j] < len(orbit):
+            x = orbit[done[j]]
+            done[j] += 1
+            t = _mul(u[x], s, p)
+            y = t[level.k]
             if t != u[y]:
-                uinv = level.uinv[y]
-                h, j = _sift(levels, [uinv[z] for z in t], i + 1)
-                if j < len(levels) or h != identity:
-                    return h, j
+                h, out = _sift(levels, _mul(t, level.uinv[y], p), i + 1, p)
+                if out < len(levels) or h != identity:
+                    return h, out
     return None
 
 
-def _schreier_sims(perms: Sequence[list[int]], degree: int,
+def _schreier_sims(mats: Sequence[Matrix], p: int,
                    known: int) -> list[_Level]:
-    """A stabilizer chain of the group the permutations generate.
+    """A stabilizer chain of the group that the matrices, with entries in
+    0..p-1, generate mod p on row vectors, with base vectors from e_1...e_n.
 
-    Each permutation is sifted through the chain built so far and dropped if
-    it sifts to the identity; otherwise its residue joins the chain and every
+    Each matrix is sifted through the chain built so far and dropped if it
+    sifts to the identity; otherwise its residue joins the chain and every
     untested Schreier generator, at every level, is sifted until none is left.
     The product of the orbit lengths is always a lower bound on the order, so
     the chain is returned as soon as it reaches ``known``, an upper bound.
     """
-    identity = list(range(degree))
+    identity = linalg.identity(len(mats[0]) if mats else 0)
     levels: list[_Level] = []
 
     def reached():
-        size = 1
-        for level in levels:
-            size *= len(level.orbit)
-        return size >= known
+        return math.prod(len(level.orbit) for level in levels) >= known
 
-    for x in perms:
-        h, i = _sift(levels, x, 0)
+    for x in mats:
+        h, i = _sift(levels, x, 0, p)
         if i == len(levels) and h == identity:
             continue
-        _add_strong_generator(levels, h, 0, i, identity)
+        _add_strong_generator(levels, h, 0, i, identity, p)
         if reached():
             return levels
         while i >= 0:
-            found = _schreier_residue(levels, i, identity)
+            found = _schreier_residue(levels, i, identity, p)
             if found is None:
                 i -= 1
                 continue
             h, j = found
-            _add_strong_generator(levels, h, i + 1, j, identity)
+            _add_strong_generator(levels, h, i + 1, j, identity, p)
             if reached():
                 return levels
             i = j

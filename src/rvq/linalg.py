@@ -31,7 +31,8 @@ def _is_alternating(form: Matrix, p: int) -> bool:
 
 
 def preserves_form(m: Matrix, form: Matrix, p: int = 0) -> bool:
-    """Whether m·form·mᵀ = form, or with a prime p, whether they agree mod p.
+    """Whether m·form·mᵀ = form, or with a prime p, whether they agree mod p;
+    False unless m is square of the form's size.
 
     ``form`` must be alternating: zero diagonal and formᵀ = -form (mod p
     when p is given), else ValueError.  Then m·form·mᵀ is alternating too,
@@ -43,7 +44,7 @@ def preserves_form(m: Matrix, form: Matrix, p: int = 0) -> bool:
     n = len(form)
     off = (lambda x: x % p) if p else bool
     mf = mul(m, form)
-    return len(m) == n and not any(
+    return {len(m), *map(len, m)} == {n} and not any(
         off(sum(map(operator.mul, mf[i], m[j])) - form[i][j])
         for i in range(n) for j in range(i + 1, n))
 

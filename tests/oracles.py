@@ -38,13 +38,18 @@ they import ``conftest``:
   ``groups.cycle_matrices`` and ``groups.image_modp``;
 * the minus generators harvested from the labeled class, the route
   ``group --minus`` took before it walked the admissible component: the
-  oracle for ``groups.admissible_component``.
+  oracle for ``groups.admissible_component``;
+* Schreier-Sims on the permutations of the p^n - 1 nonzero row vectors that
+  matrices mod p induce, the closure ``groups.modp_closure`` ran before its
+  chain held the matrices themselves: the oracle for
+  ``groups._schreier_sims``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -595,3 +600,178 @@ def labeled_class_minus_generators_modp(base: GeneralizedPermutation,
     walks = arrow_cycles(rc, cap=4 * cycles) + random_directed_cycles(
         rc, count=cycles, maxlen=maxlen, seed=seed)
     return minus_generators_modp(base, walks, p)
+
+
+# ---------------------------------------------------------------------------
+# Schreier-Sims on the permutations of the nonzero vectors: the closure that
+# groups.modp_closure ran before it sifted the matrices themselves
+# ---------------------------------------------------------------------------
+
+def vector_permutations(mats: Sequence[Matrix], p: int) -> list[list[int]]:
+    """The permutations v -> v.mat of the nonzero vectors of F_p^n, for
+    matrices with entries in 0..p-1.
+
+    The vector v is point sum(v[j] * p**j) - 1. Images are built linearly,
+    image(v) = image(v - e_k) + row_k with k the top nonzero coordinate of v,
+    so each matrix costs O(p^n) table lookups: vectors are added as integers
+    in base 2p - 1, where no digit carries, and two tables indexed by such a
+    sum give its reduction mod p in the same base and its point.
+    """
+    n = len(mats[0]) if mats else 0
+    q = 2 * p - 1
+    reduced, points = [0], [-1]
+    for j in range(n):
+        reduced = [r + d % p * q ** j for d in range(q) for r in reduced]
+        points = [x + d % p * p ** j for d in range(q) for x in points]
+    perms = []
+    for mat in mats:
+        images, perm = [0], []
+        for k, row in enumerate(mat):
+            r = sum(x * q ** j for j, x in enumerate(row))
+            step = p ** k
+            for d in range(1, p):
+                sums = [a + r for a in images[(d - 1) * step:d * step]]
+                images += [reduced[x] for x in sums]
+                perm += [points[x] for x in sums]
+        perms.append(perm)
+    return perms
+
+
+class _Level:
+    """One level of a stabilizer chain.
+
+    ``gens`` generate the level's group, which fixes the base points of the
+    levels above; ``orbit`` is the orbit of the base point ``orbit[0]`` under
+    them, and ``u[x]``/``uinv[x]`` are a transversal element taking the base
+    point to x and its inverse. The Schreier generators from ``orbit[:done[k]]``
+    and ``gens[k]`` are known to lie in the levels below.
+    """
+
+    __slots__ = ("gens", "invs", "done", "orbit", "u", "uinv")
+
+    def __init__(self, point: int, identity: list[int]):
+        self.gens: list[list[int]] = []
+        self.invs: list[list[int]] = []
+        self.done: list[int] = []
+        self.orbit = [point]
+        self.u = {point: identity}
+        self.uinv = {point: identity}
+
+    def add(self, s: list[int], sinv: list[int]) -> None:
+        """Add a generator and extend the orbit and the transversal."""
+        self.gens.append(s)
+        self.invs.append(sinv)
+        self.done.append(0)
+        orbit, u, uinv = self.orbit, self.u, self.uinv
+        old = len(orbit)
+        pos = 0
+        while pos < len(orbit):
+            x = orbit[pos]
+            pairs = zip(self.gens, self.invs) if pos >= old else ((s, sinv),)
+            for t, tinv in pairs:
+                y = t[x]
+                if y not in u:
+                    ux, uix = u[x], uinv[x]
+                    u[y] = [t[z] for z in ux]
+                    uinv[y] = [uix[z] for z in tinv]
+                    orbit.append(y)
+            pos += 1
+
+
+def _sift(levels: list[_Level], x: list[int], start: int
+          ) -> tuple[list[int], int]:
+    """Strip x through ``levels[start:]``: the residue and the level where it
+    left the chain (``len(levels)`` when it passed every level)."""
+    for i in range(start, len(levels)):
+        level = levels[i]
+        uinv = level.uinv.get(x[level.orbit[0]])
+        if uinv is None:
+            return x, i
+        x = [uinv[y] for y in x]
+    return x, len(levels)
+
+
+def _add_strong_generator(levels: list[_Level], h: list[int], first: int,
+                          last: int, identity: list[int]) -> None:
+    """Add h, which fixes the base points above ``last``, to
+    ``levels[first:last + 1]``; a new level gets the first point h moves."""
+    if last == len(levels):
+        point = next(x for x, y in enumerate(h) if x != y)
+        levels.append(_Level(point, identity))
+    hinv = [0] * len(h)
+    for x, y in enumerate(h):
+        hinv[y] = x
+    for level in levels[first:last + 1]:
+        level.add(h, hinv)
+
+
+def _schreier_residue(levels: list[_Level], i: int, identity: list[int]
+                      ) -> Optional[tuple[list[int], int]]:
+    """Sift the untested Schreier generators of level i through the levels
+    below it: the first residue that is not the identity, with the level it
+    left the chain at, or None when every one of them sifts to the identity."""
+    level = levels[i]
+    orbit, done, u = level.orbit, level.done, level.u
+    for k, s in enumerate(level.gens):
+        while done[k] < len(orbit):
+            x = orbit[done[k]]
+            done[k] += 1
+            t = [s[z] for z in u[x]]
+            y = s[x]
+            if t != u[y]:
+                uinv = level.uinv[y]
+                h, j = _sift(levels, [uinv[z] for z in t], i + 1)
+                if j < len(levels) or h != identity:
+                    return h, j
+    return None
+
+
+def _permutation_chain(perms: Sequence[list[int]], degree: int,
+                       known: int) -> list[_Level]:
+    """A stabilizer chain of the group the permutations generate.
+
+    Each permutation is sifted through the chain built so far and dropped if
+    it sifts to the identity; otherwise its residue joins the chain and every
+    untested Schreier generator, at every level, is sifted until none is left.
+    The product of the orbit lengths is always a lower bound on the order, so
+    the chain is returned as soon as it reaches ``known``, an upper bound.
+    """
+    identity = list(range(degree))
+    levels: list[_Level] = []
+
+    def reached():
+        size = 1
+        for level in levels:
+            size *= len(level.orbit)
+        return size >= known
+
+    for x in perms:
+        h, i = _sift(levels, x, 0)
+        if i == len(levels) and h == identity:
+            continue
+        _add_strong_generator(levels, h, 0, i, identity)
+        if reached():
+            return levels
+        while i >= 0:
+            found = _schreier_residue(levels, i, identity)
+            if found is None:
+                i -= 1
+                continue
+            h, j = found
+            _add_strong_generator(levels, h, i + 1, j, identity)
+            if reached():
+                return levels
+            i = j
+    return levels
+
+
+def permutation_schreier_sims_order(mats: Sequence[Matrix], p: int,
+                                    known: int) -> int:
+    """The order of the group that the matrices, with entries in 0..p-1,
+    generate, from Schreier-Sims on their permutations of the p^n - 1
+    nonzero row vectors: each level holds tables of p^n entries, so this
+    runs only on small images."""
+    n = len(mats[0]) if mats else 0
+    levels = _permutation_chain(vector_permutations(mats, p), p ** n - 1,
+                                known)
+    return math.prod(len(level.orbit) for level in levels)

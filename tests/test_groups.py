@@ -22,7 +22,7 @@ from rvq.groups import (admissible_component, arrow_cycles, cycle_matrices,
                         random_directed_cycles, rauzy_veech_group_modp,
                         sp_order)
 from rvq.homology import (DuplicateWinner, arrow_factor, kz_walk, letters,
-                          quotient_data)
+                          quotient_action, quotient_data)
 from rvq.induction import (RauzyClass, apply_arrow, enumerate_class,
                            invert_arrow, load_or_enumerate)
 from rvq.linalg import identity
@@ -291,6 +291,25 @@ def test_non_symplectic_generator_rejected():
         modp_closure([((1, 0), (0, 0))], 2, form)
 
 
+@pytest.mark.parametrize("mat", [((1,), (0, 1)), ((1, 0, 5), (0, 1, 7)),
+                                 ((1, 0, 0), (0, 1, 0)), ((1, 0),)],
+                         ids=["short-row", "long-rows", "2x3", "one-row"])
+def test_a_matrix_that_is_not_square_of_the_forms_size_is_refused(mat):
+    # a product by zip cuts the rows to the form's size, so only a shape
+    # check keeps such a matrix out of the closure and the push-down
+    form = ((0, 1), (-1, 0))
+    for p in (2, 3):
+        with pytest.raises(NonSymplecticGenerator,
+                           match="does not preserve the form"):
+            modp_closure([mat], p, form)
+        with pytest.raises(NonSymplecticGenerator):
+            modp_closure([identity(2), mat], p, form)
+    with pytest.raises(NotOmegaPreserving):
+        quotient_action(mat, quotient_data(TORUS))
+    with pytest.raises(NotOmegaPreserving):
+        image_modp(TORUS, [mat], 2)
+
+
 def test_closure_monotone_in_generators():
     rc = load_or_enumerate(tau_sym(4))
     cycles = random_directed_cycles(rc, count=24, maxlen=20, seed=9)
@@ -386,14 +405,23 @@ def test_directed_vs_mixed_closures_agree():
 BFS_BUDGET = 60_000
 
 
+def _schreier_chain(gens, p, form):
+    """The stabilizer chain of the matrix Schreier-Sims, called directly, as
+    modp_closure does when the transvection certificate gives none."""
+    return groups._schreier_sims([linalg.mat_mod(m, p) for m in gens], p,
+                                 sp_order(len(form) // 2, p))
+
+
 def _schreier_sims_order(gens, p, form):
-    """The order Schreier-Sims gives, called directly, as modp_closure does
-    when the transvection certificate gives none."""
-    n = len(form)
-    perms = groups._vector_permutations(
-        [linalg.mat_mod(m, p) for m in gens], p)
-    levels = groups._schreier_sims(perms, p ** n - 1, sp_order(n // 2, p))
-    return math.prod(len(level.orbit) for level in levels)
+    return math.prod(len(level.orbit)
+                     for level in _schreier_chain(gens, p, form))
+
+
+def _permutation_order(gens, p, form):
+    """The order from the oracle: Schreier-Sims on the permutations of the
+    nonzero vectors."""
+    return oracles.permutation_schreier_sims_order(
+        [linalg.mat_mod(m, p) for m in gens], p, sp_order(len(form) // 2, p))
 
 
 def _certified(gens, p, form):
@@ -431,6 +459,7 @@ def test_schreier_sims_matches_bfs(base, p):
         # so it is held to the same oracle when called directly
         ss = _schreier_sims_order(subset, p, form)
         assert res.order == ss and res.order * res.index == total
+        assert ss == _permutation_order(subset, p, form)
         if res.order > BFS_BUDGET:
             # too large to store: the oracle must still outgrow a small budget
             with pytest.raises(BudgetExceeded):
@@ -439,6 +468,26 @@ def test_schreier_sims_matches_bfs(base, p):
         assert ss == _bfs_closure(subset, p, form, budget=BFS_BUDGET)
         compared += 1
     assert compared >= 2
+
+
+def test_schreier_sims_alone_gives_sp4_mod_7():
+    # the H(2) harvest mod 7 generates Sp(4, F_7): the matrix chain finds
+    # its order without the certificate, as the permutation oracle does on
+    # its 2,400 points, and stores the true inverse of each strong generator
+    base, p = tau_sym(4), 7
+    rc = load_or_enumerate(base)
+    gens, form = plus_generators_modp(base, arrow_cycles(rc, cap=800), p)
+    levels = _schreier_chain(gens, p, form)
+    order = math.prod(len(level.orbit) for level in levels)
+    assert order == sp_order(2, p) == _permutation_order(gens, p, form)
+    one = identity(4)
+    for level in levels:
+        assert level.gens and len(level.gens) == len(level.invs)
+        for s, sinv in zip(level.gens, level.invs):
+            assert linalg.mat_mod(linalg.mul(s, sinv), p) == one
+            assert linalg.mat_mod(linalg.mul(sinv, s), p) == one
+        assert level.orbit[0] == one[level.k]
+    assert len({level.k for level in levels}) == len(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +540,19 @@ def _block_sum(a, b):
         (0,) * len(a) + tuple(row) for row in b)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_chain_inverse_is_the_inverse_mod_p(p):
+    form = _planes(2)
+    rng = random.Random(p)
+    mats = [_transvection(tuple(rng.randrange(p) for _ in range(4)), form, p)
+            for _ in range(6)]
+    mat = identity(4)
+    for m in mats:
+        mat = linalg.mat_mod(linalg.mul(mat, m), p)
+        inv = groups._inverse(mat, p)
+        assert linalg.mat_mod(linalg.mul(mat, inv), p) == identity(4)
+
+
 @pytest.mark.parametrize("base, p, order", [
     (tau_zorich(3), 2, 51_840), (tau_sym(4), 3, 51_840)],
     ids=["O-(6)+plane-2", "Sp(4)+plane-3"])
@@ -505,6 +567,7 @@ def test_an_orbit_in_a_proper_subspace_certifies_nothing(base, p, order):
     assert _certified(gens, p, form) is None
     res = modp_closure(gens, p, form)
     assert res.order == order == _schreier_sims_order(gens, p, form)
+    assert res.order == _permutation_order(gens, p, form)
     assert res.base_length >= 1
 
 
@@ -519,6 +582,7 @@ def test_a_disconnected_orbit_certifies_nothing():
     assert _certified(gens, 2, form) is None
     res = modp_closure(gens, 2, form)
     assert res.order == 72 == _bfs_closure(gens, 2, form)
+    assert res.order == _permutation_order(gens, 2, form)
     assert res.base_length >= 1
 
 
@@ -531,6 +595,7 @@ def test_generators_without_a_transvection_certify_nothing(gens, p, order):
     assert _certified(gens, p, form) is None
     res = modp_closure(gens, p, form)
     assert res.order == order == _bfs_closure(gens, p, form)
+    assert res.order == _permutation_order(gens, p, form)
     assert res.base_length >= 1
 
 
@@ -542,6 +607,8 @@ def test_empty_and_identity_generators_give_order_one(p):
         res = modp_closure(gens, p, form)
         assert (res.order, res.index) == (1, sp_order(2, p))
         assert res.base_length == 0
+        assert _schreier_chain(gens, p, form) == []
+        assert _permutation_order(gens, p, form) == 1
 
 
 @pytest.mark.parametrize("g", range(1, 7))

@@ -237,6 +237,19 @@ def test_preserves_form_equals_the_full_product(base):
     assert all(caught.values()), caught
 
 
+@pytest.mark.parametrize("m", [((1,), (0, 1)), ((1, 0, 5), (0, 1, 7)),
+                               ((1, 0, 0), (0, 1, 0)), ((1, 0),), ()],
+                         ids=["short-row", "long-rows", "2x3", "one-row",
+                              "empty"])
+def test_a_matrix_that_is_not_square_of_the_forms_size_preserves_nothing(m):
+    # the products zip the rows, cut to the form's size: only the shape
+    # check refuses the first three
+    form = ((0, 1), (-1, 0))
+    for p in (0, 2, 3):
+        assert not linalg.preserves_form(m, form, p)
+    assert linalg.preserves_form(linalg.identity(2), form)
+
+
 def test_preserves_form_refuses_a_form_that_is_not_alternating():
     m = linalg.identity(2)
     for p in (0, 2, 3, 5):
