@@ -295,11 +295,13 @@ class _Level:
     vectors, v -> v·M.
 
     ``gens`` generate the level's group, which fixes the base vectors of the
-    levels above; ``orbit`` is the orbit of the level's base vector e_k,
-    ``orbit[0]``, under them, and ``u[x]``/``uinv[x]`` are a transversal
-    element taking e_k to x and its inverse.  The image of e_k under a
-    matrix is its row k.  The Schreier generators from ``orbit[:done[j]]``
-    and ``gens[j]`` are known to lie in the levels below.
+    levels above, and ``invs`` are their inverses; ``orbit`` is the orbit of
+    the level's base vector e_k, ``orbit[0]``, under them, and ``u[x]`` is a
+    transversal element taking e_k to x.  Its inverse is formed by
+    :meth:`inverse` the first time a sift or a Schreier generator reads it,
+    and kept in ``uinv``.  The image of e_k under a matrix is its row k.
+    The Schreier generators from ``orbit[:done[j]]`` and ``gens[j]`` are
+    known to lie in the levels below.
     """
 
     __slots__ = ("k", "gens", "invs", "done", "orbit", "u", "uinv")
@@ -318,18 +320,24 @@ class _Level:
         self.gens.append(s)
         self.invs.append(sinv)
         self.done.append(0)
-        orbit, u, uinv = self.orbit, self.u, self.uinv
+        orbit, u = self.orbit, self.u
         columns = [tuple(zip(*t)) for t in self.gens]
         old = len(orbit)
         for pos, x in enumerate(orbit):
-            triples = (zip(self.gens, self.invs, columns) if pos >= old
-                       else ((s, sinv, columns[-1]),))
-            for t, tinv, tcols in triples:
+            pairs = (zip(self.gens, columns) if pos >= old
+                     else ((s, columns[-1]),))
+            for t, tcols in pairs:
                 y = _times(x, tcols, p)
                 if y not in u:
                     u[y] = _mul(u[x], t, p)
-                    uinv[y] = _mul(tinv, uinv[x], p)
                     orbit.append(y)
+
+    def inverse(self, y: tuple[int, ...], p: int) -> Matrix:
+        """The inverse mod p of ``u[y]``, formed on first use."""
+        inv = self.uinv.get(y)
+        if inv is None:
+            inv = self.uinv[y] = _inverse(self.u[y], p)
+        return inv
 
 
 def _sift(levels: list[_Level], x: Matrix, start: int, p: int
@@ -338,10 +346,10 @@ def _sift(levels: list[_Level], x: Matrix, start: int, p: int
     left the chain (``len(levels)`` when it passed every level)."""
     for i in range(start, len(levels)):
         level = levels[i]
-        uinv = level.uinv.get(x[level.k])
-        if uinv is None:
+        y = x[level.k]
+        if y not in level.u:
             return x, i
-        x = _mul(x, uinv, p)
+        x = _mul(x, level.inverse(y, p), p)
     return x, len(levels)
 
 
@@ -371,7 +379,8 @@ def _schreier_residue(levels: list[_Level], i: int, identity: Matrix,
             t = _mul(u[x], s, p)
             y = t[level.k]
             if t != u[y]:
-                h, out = _sift(levels, _mul(t, level.uinv[y], p), i + 1, p)
+                h, out = _sift(levels, _mul(t, level.inverse(y, p), p),
+                               i + 1, p)
                 if out < len(levels) or h != identity:
                     return h, out
     return None
@@ -449,7 +458,11 @@ def random_directed_cycles(rc: RauzyClass, *, count: int = 200,
 
 def arrow_cycles(rc: RauzyClass, *, cap: Optional[int] = None) -> list[str]:
     """One base cycle through every arrow: out-tree path, the arrow, in-tree
-    path home. These generate everything the directed cycles can reach."""
+    path home. These generate everything the directed cycles can reach.
+
+    The out-tree arrow into a vertex i and the in-tree arrow out of i both
+    give the walk path_from_base(i) + path_to_base(i), so each vertex other
+    than the base repeats one walk (:func:`harvest` walks it once)."""
     return [rc.path_from_base(i) + kind + rc.path_to_base(j)
             for i, kind, j, _ in islice(rc.arrows(), cap)]
 
@@ -528,7 +541,15 @@ def harvest(rc: RauzyClass, *, cycles: int, maxlen: int, seed: int,
     whether they generate all closed walks at the base, as they do, with
     their inverses, when they cover every arrow of a complete class.  If they
     miss one, ``cycles`` random directed cycles of length at most ``maxlen``
-    from ``seed`` join them; ``cycles`` below 1 raises ValueError."""
+    from ``seed`` join them; ``cycles`` below 1 raises ValueError.
+
+    Each distinct walk is walked once, at its first place.  The out-tree
+    arrow into a vertex i and the in-tree arrow out of i close up along the
+    same walk, path_from_base(i) + path_to_base(i), so the 2V arrow cycles
+    of a complete class of V vertices hold V + 1 distinct walks (217 of 420
+    over the seven cases of the ``group`` benchmark).  A repeated walk is
+    the same matrix, which :func:`modp_closure` would drop as a repeated
+    residue, so the closure gets the same generators in the same order."""
     if cycles < 1:
         raise ValueError("cycles must be at least 1, got %r" % (cycles,))
     covered = rc.arrow_count() <= 4 * cycles
@@ -538,7 +559,8 @@ def harvest(rc: RauzyClass, *, cycles: int, maxlen: int, seed: int,
         if not covered:
             walks += random_directed_cycles(rc, count=cycles, maxlen=maxlen,
                                             seed=seed)
-        yield from cycle_matrices(rc, walks, minus=minus)
+        yield from cycle_matrices(rc, list(dict.fromkeys(walks)),
+                                  minus=minus)
     return matrices(), covered and rc.complete
 
 

@@ -490,6 +490,25 @@ def test_schreier_sims_alone_gives_sp4_mod_7():
     assert len({level.k for level in levels}) == len(levels)
 
 
+def test_the_chain_forms_each_transversal_inverse_on_use():
+    # Sp(4, F_7) from the H(2) harvest: every inverse the chain formed is
+    # that of its transversal element, and only orbit points carry one
+    base, p = tau_sym(4), 7
+    rc = load_or_enumerate(base)
+    gens, form = plus_generators_modp(base, arrow_cycles(rc, cap=800), p)
+    levels = _schreier_chain(gens, p, form)
+    one = identity(4)
+    formed = 0
+    for level in levels:
+        assert set(level.uinv) <= set(level.u) == set(level.orbit)
+        for y, inv in level.uinv.items():
+            assert linalg.mat_mod(linalg.mul(level.u[y], inv), p) == one
+            assert level.inverse(y, p) is inv
+        formed += len(level.uinv) - 1
+    # the sifts and Schreier generators read few of the 2,400 top points
+    assert 0 < formed and 2 * len(levels[0].uinv) < len(levels[0].u)
+
+
 # ---------------------------------------------------------------------------
 # the transvection certificate against Schreier-Sims
 # ---------------------------------------------------------------------------
@@ -715,6 +734,61 @@ def test_arrow_cycles_give_the_order_of_the_full_harvest(base, p, order):
         for maxlen in (10, 60):
             assert rauzy_veech_group_modp(base, rc, p, seed=seed,
                                           maxlen=maxlen) == res
+
+
+def _spy_on_harvest(monkeypatch):
+    """The walk lists that ``groups`` hands to ``cycle_matrices``, and the
+    matrices it hands to ``quotient_action``, recorded as they run."""
+    walked, pushed = [], []
+    cycles, push = groups.cycle_matrices, groups.quotient_action
+
+    def spy_walks(rc, walks, **kwargs):
+        walked.append(list(walks))
+        return cycles(rc, walks, **kwargs)
+
+    def spy_push(mat, qd):
+        pushed.append(mat)
+        return push(mat, qd)
+
+    monkeypatch.setattr(groups, "cycle_matrices", spy_walks)
+    monkeypatch.setattr(groups, "quotient_action", spy_push)
+    return walked, pushed
+
+
+@pytest.mark.parametrize("case, distinct, arrows", zip(
+    BENCH_CASES, [2, 8, 8, 16, 16, 32, 135], [2, 14, 14, 30, 30, 62, 268]),
+    ids=BENCH_IDS)
+def test_the_harvest_walks_each_distinct_cycle_once(monkeypatch, case,
+                                                    distinct, arrows):
+    # the out-tree arrow into a vertex and the in-tree arrow out of it give
+    # one walk: each vertex other than the base repeats one arrow cycle
+    base, p, order = case
+    rc = load_or_enumerate(base)
+    assert rc.arrow_count() == len(arrow_cycles(rc)) == arrows
+    walked, pushed = _spy_on_harvest(monkeypatch)
+    assert rauzy_veech_group_modp(base, rc, p).order == order
+    [walks] = walked
+    assert len(walks) == len(set(walks)) == distinct == len(pushed)
+    assert walks == list(dict.fromkeys(arrow_cycles(rc)))
+
+
+@pytest.mark.parametrize("cycles, seed, shared", [(1, 0, 0), (5, 3, 1)])
+def test_the_harvest_walks_each_distinct_cycle_once_with_random_cycles(
+        monkeypatch, cycles, seed, shared):
+    # on a class the arrows do not cover, random cycles join the arrow
+    # cycles, and with seed 3 one of them is an arrow cycle too
+    base = tau_zorich(3)
+    rc = load_or_enumerate(base)
+    assert rc.arrow_count() > 4 * cycles
+    walked, pushed = _spy_on_harvest(monkeypatch)
+    res = rauzy_veech_group_modp(base, rc, 2, cycles=cycles, seed=seed)
+    assert not res.exact
+    [walks] = walked
+    arrows = arrow_cycles(rc, cap=4 * cycles)
+    randoms = random_directed_cycles(rc, count=cycles, seed=seed)
+    assert len(set(arrows) & set(randoms)) == shared
+    assert len(walks) == len(set(walks)) == len(pushed)
+    assert walks == list(dict.fromkeys(arrows + randoms))
 
 
 def _spy_on_random_cycles(monkeypatch):
