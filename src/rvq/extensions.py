@@ -1,5 +1,7 @@
 """Single-letter extensions, certified singularity splitting, and the
 induced map from arrows at the small permutation to walks at the big one.
+Through a chain of extensions it lifts cycles at tau to closed walks at pi,
+so tau's Rauzy-Veech group lies in pi's, with no class of pi enumerated.
 
 An extension inserts one fresh letter twice, never at the end of a row and
 not at both row starts; erasing the letter recovers the base.
@@ -15,10 +17,10 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (AlphabetMismatch, BudgetExceeded, CaseUnmatched,
-                     IllegalPosition, MoveUndefined, NotSplittable,
+                     IllegalPosition, MoveUndefined, NotSplittable, OpenWalk,
                      ParityError)
-from .gp import (GeneralizedPermutation, _trusted, is_irreducible,
-                 is_suspendable)
+from .gp import (GeneralizedPermutation, _trusted, erase_letters,
+                 is_irreducible, is_suspendable)
 from .induction import DEFAULT_BUDGET, apply_arrow
 from .strata import orbit_order, stratum_signature, turning_orbits
 
@@ -231,6 +233,36 @@ def extend_walk(witness: ExtensionWitness,
             raise CaseUnmatched("the ends differ by more than the letter")
         out.append(kind * count)
     return "".join(out), ExtensionWitness(base, pi, letter)
+
+
+def lift_cycles(pi: GeneralizedPermutation, letters: Iterable[str],
+                walks: Iterable[str]) -> list[str]:
+    """The closed walks at ``pi`` induced by the cycles ``walks`` at tau,
+    which is ``pi`` with ``letters`` erased one at a time, the first first.
+
+    Each link of the chain is certified by :func:`is_simple_extension`
+    (``IllegalPosition`` when it fails), and each walk is lifted through
+    the chain once by :func:`extend_walk`, innermost link first; a lift
+    that does not end at ``pi`` raises ``OpenWalk``."""
+    chain = []
+    upper = pi
+    for letter in letters:
+        lower = erase_letters(upper, {letter})
+        if is_simple_extension(upper, lower) != letter:
+            raise IllegalPosition("erasing %r from %s is not a simple "
+                                  "extension" % (letter, upper.encode()))
+        chain.append(ExtensionWitness(lower, upper, letter))
+        upper = lower
+    if not chain:
+        raise AlphabetMismatch("no letter to erase")
+    lifted = []
+    for walk in walks:
+        for witness in reversed(chain):
+            walk, end = extend_walk(witness, walk)
+        if end.extended != pi:
+            raise OpenWalk("a lift ends at %s" % end.extended.encode())
+        lifted.append(walk)
+    return lifted
 
 
 # ---------------------------------------------------------------------------

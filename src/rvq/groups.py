@@ -295,30 +295,28 @@ class _Level:
     vectors, v -> v·M.
 
     ``gens`` generate the level's group, which fixes the base vectors of the
-    levels above, and ``invs`` are their inverses; ``orbit`` is the orbit of
-    the level's base vector e_k, ``orbit[0]``, under them, and ``u[x]`` is a
-    transversal element taking e_k to x.  Its inverse is formed by
-    :meth:`inverse` the first time a sift or a Schreier generator reads it,
-    and kept in ``uinv``.  The image of e_k under a matrix is its row k.
+    levels above; ``orbit`` is the orbit of the level's base vector e_k,
+    ``orbit[0]``, under them, and ``u[x]`` is a transversal element taking
+    e_k to x.  Its inverse is formed by :meth:`inverse` the first time a
+    sift or a Schreier generator reads it, and kept in ``uinv``.  The image
+    of e_k under a matrix is its row k.
     The Schreier generators from ``orbit[:done[j]]`` and ``gens[j]`` are
     known to lie in the levels below.
     """
 
-    __slots__ = ("k", "gens", "invs", "done", "orbit", "u", "uinv")
+    __slots__ = ("k", "gens", "done", "orbit", "u", "uinv")
 
     def __init__(self, k: int, identity: Matrix):
         self.k = k
         self.gens: list[Matrix] = []
-        self.invs: list[Matrix] = []
         self.done: list[int] = []
         self.orbit = [identity[k]]
         self.u = {identity[k]: identity}
         self.uinv = {identity[k]: identity}
 
-    def add(self, s: Matrix, sinv: Matrix, p: int) -> None:
+    def add(self, s: Matrix, p: int) -> None:
         """Add a generator and extend the orbit and the transversal."""
         self.gens.append(s)
-        self.invs.append(sinv)
         self.done.append(0)
         orbit, u = self.orbit, self.u
         columns = [tuple(zip(*t)) for t in self.gens]
@@ -360,9 +358,8 @@ def _add_strong_generator(levels: list[_Level], h: Matrix, first: int,
     if last == len(levels):
         k = next(k for k, row in enumerate(h) if row != identity[k])
         levels.append(_Level(k, identity))
-    hinv = _inverse(h, p)
     for level in levels[first:last + 1]:
-        level.add(h, hinv, p)
+        level.add(h, p)
 
 
 def _schreier_residue(levels: list[_Level], i: int, identity: Matrix,

@@ -18,8 +18,9 @@ from rvq import groups, induction
 from rvq.components import (GENUS2_WITNESSES, identify_component, sigma_hyp,
                             sigma_zorich, table1, table1_rows, tau_sym,
                             tau_zorich, verify_extension_table)
-from rvq.errors import MoveUndefined, ReverseArrowMissing
-from rvq.extensions import (_all_single_insertions, extend_walk,
+from rvq.errors import (CriterionInapplicable, MoveUndefined,
+                        ReverseArrowMissing)
+from rvq.extensions import (_all_single_insertions, extend_walk, lift_cycles,
                             split_even_zero, split_singularity)
 from rvq.gp import erase_letters, is_suspendable, parse_gp
 from rvq.groups import (admissible_component, arrow_cycles, image_modp,
@@ -286,32 +287,18 @@ def test_criterion_7_mod2_indices():
            % res_h2.index)
 
 
-def _lifted_cycles():
-    """Closed walks at the witness lifted from 40 random cycles of
-    tau = H(2) through the two simple extensions tau -> mid -> witness."""
+def _witness_walks():
+    """The closed walks at the witness that lift_cycles makes from 40 random
+    cycles of tau = H(2), through tau -> mid -> witness."""
     tau = erase_letters(WITNESS, {"A", "B"})
-    mid = erase_letters(WITNESS, {"A"})
-    w1 = simple_witness(mid, tau)
-    w2 = simple_witness(WITNESS, mid)
-    rc = load_or_enumerate(tau)
-    seeds = random_directed_cycles(rc, count=40, maxlen=14, seed=77)
-    closed = []
-    for c in seeds:
-        walk = ""
-        cur1, cur2 = w1, w2
-        for _ in range(50):
-            s1, cur1 = extend_walk(cur1, c)
-            s2, cur2 = extend_walk(cur2, s1)
-            walk += s2
-            if cur2.extended == WITNESS:
-                closed.append(walk)
-                break
-    return closed
+    seeds = random_directed_cycles(load_or_enumerate(tau), count=40,
+                                   maxlen=14, seed=77)
+    return lift_cycles(WITNESS, "AB", seeds)
 
 
 def _admissible_cycles(rng, want):
     """Closed walks at the witness avoiding duplicate-letter winners."""
-    closed = _lifted_cycles()
+    closed = _witness_walks()
     assert len(closed) >= 10
     out = []
     while len(out) < want:
@@ -410,7 +397,7 @@ def test_criterion_11_lifted_cycles_close_without_a_class(monkeypatch):
     # tau's group lies in the witness's under the inclusion of the simple
     # extensions: the lifted walks' matrices close through image_modp
     # alone, with no class of the witness (1,739,520 labeled vertices)
-    walks = _lifted_cycles()
+    walks = _witness_walks()
     assert len(walks) == 40
     # the 19-vertex admissible component only feeds the comparison below
     comp = admissible_component(WITNESS)
@@ -444,7 +431,7 @@ def test_criterion_11_lifted_cycles_close_without_a_class(monkeypatch):
 def test_criterion_11_lifted_minus_matrices_are_the_both_rows_blocks():
     # A and B never win along a lifted walk, so a both-rows row of the plus
     # matrix only ever gains both-rows rows
-    walks = _lifted_cycles()
+    walks = _witness_walks()
     assert len(walks) == 40
     both = [WITNESS.alphabet.index(x) for x in WITNESS.both_rows_letters()]
     duplicate = [WITNESS.alphabet.index(x) for x in "AB"]
@@ -456,3 +443,33 @@ def test_criterion_11_lifted_minus_matrices_are_the_both_rows_blocks():
         assert not any(plus[i][j] for i in both for j in duplicate)
     report(11, "the minus matrices of 40 lifted cycles are the both-rows "
                "blocks of their plus matrices")
+
+
+@pytest.mark.parametrize("row, count, plus, minus", [
+    (1, 32, 288, 288), (2, 135, 28, 28), (3, 32, 288, 288),
+    (4, 135, 28, 28), (5, 510, 1, None), (6, 510, 1, None)])
+def test_table1_rows_1_to_6_through_the_lift(row, count, plus, minus):
+    # every distinct arrow cycle of tau's labeled class lifts through the
+    # row's chain tau -> mid -> pi to a closed walk at pi, so the lifted
+    # matrices generate a subgroup of pi's group: its mod-2 index is tau's
+    # own on the plus side, the admissible component's on the minus side,
+    # and 1 mod 3; rows 5 and 6 have four singularities of odd order, so
+    # their minus image is refused before any matrix is read
+    pi = table1(row)
+    rc = load_or_enumerate(erase_letters(pi, {"A", "B"}))
+    walks = lift_cycles(pi, "AB", dict.fromkeys(arrow_cycles(rc)))
+    assert len(walks) == count
+    for sign, index in ((False, plus), (True, minus)):
+        if index is None:
+            with pytest.raises(CriterionInapplicable):
+                image_modp(pi, (kz_walk(pi, w, minus=True)[0] for w in walks),
+                           2, minus=True)
+            continue
+        mats = []
+        for walk in walks:
+            mat, end = kz_walk(pi, walk, minus=sign)
+            assert end == pi
+            mats.append(mat)
+        for p, want in ((2, index), (3, 1)):
+            res = image_modp(pi, mats, p, minus=sign)
+            assert (res.index, res.exact) == (want, False)

@@ -6,18 +6,20 @@ import pytest
 
 from conftest import random_gp
 from oracles import defined_moves, simple_witness
-from rvq import extensions
+from rvq import extensions, induction
 from rvq.components import tau_sym, tau_zorich
 from rvq.errors import (AlphabetMismatch, CaseUnmatched, IllegalPosition,
-                        MoveUndefined, NotSplittable, ParityError, RVQError)
+                        MoveUndefined, NotSplittable, OpenWalk, ParityError,
+                        RVQError)
 from rvq.extensions import (ExtensionWitness, _all_single_insertions,
                             extend_walk, fresh_letter,
-                            insert_letter, is_simple_extension,
+                            insert_letter, is_simple_extension, lift_cycles,
                             search_extensions, split_even_zero,
                             split_singularity)
 from rvq.gp import (GeneralizedPermutation, erase_letters, is_irreducible,
                     is_suspendable, parse_gp)
-from rvq.induction import apply_arrow
+from rvq.groups import random_directed_cycles
+from rvq.induction import apply_arrow, load_or_enumerate
 from rvq.strata import orbit_order, stratum_signature, turning_orbits
 
 T4 = parse_gp("1 2 3 4 / 4 3 2 1")
@@ -462,6 +464,41 @@ def test_extend_walk_chain():
     steps, end_w = extend_walk(w, "tb")
     assert end_w.base == apply_arrow(apply_arrow(mid, 't').target, 'b').target
     assert erase_letters(end_w.extended, {"A"}) == end_w.base
+
+
+def test_lift_cycles_closes_the_witness_walks_without_its_class(monkeypatch):
+    # 40 random cycles of tau = H(2) lift through tau -> mid -> witness in
+    # one pass each, and the witness's labeled class (1,739,520 vertices)
+    # is never enumerated
+    tau = erase_letters(WITNESS, {"A", "B"})
+    seeds = random_directed_cycles(load_or_enumerate(tau), count=40,
+                                   maxlen=14, seed=77)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lift_cycles enumerated a class")
+
+    monkeypatch.setattr(induction, "enumerate_class", refuse)
+    walks = lift_cycles(WITNESS, "AB", seeds)
+    assert len(walks) == 40
+    text = "\n".join(walks)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "130aaba038ada063"
+    for walk in walks:
+        end = WITNESS
+        for kind in walk:
+            end = apply_arrow(end, kind).target
+        assert end == WITNESS
+
+
+def test_lift_cycles_refusals():
+    # 1 ends the witness's bottom row, so erasing it is no simple extension;
+    # the chain is certified before any walk is read
+    with pytest.raises(IllegalPosition):
+        lift_cycles(WITNESS, "1", ["t"])
+    # one top arrow at tau is no cycle, so its lift ends away from the witness
+    with pytest.raises(OpenWalk):
+        lift_cycles(WITNESS, "AB", ["t"])
+    with pytest.raises(AlphabetMismatch):
+        lift_cycles(WITNESS, "", [])
 
 
 def test_extension_preserves_irreducibility():

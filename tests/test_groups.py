@@ -473,7 +473,8 @@ def test_schreier_sims_matches_bfs(base, p):
 def test_schreier_sims_alone_gives_sp4_mod_7():
     # the H(2) harvest mod 7 generates Sp(4, F_7): the matrix chain finds
     # its order without the certificate, as the permutation oracle does on
-    # its 2,400 points, and stores the true inverse of each strong generator
+    # its 2,400 points, and the inverse it forms for each orbit point is
+    # that of its transversal element
     base, p = tau_sym(4), 7
     rc = load_or_enumerate(base)
     gens, form = plus_generators_modp(base, arrow_cycles(rc, cap=800), p)
@@ -482,10 +483,11 @@ def test_schreier_sims_alone_gives_sp4_mod_7():
     assert order == sp_order(2, p) == _permutation_order(gens, p, form)
     one = identity(4)
     for level in levels:
-        assert level.gens and len(level.gens) == len(level.invs)
-        for s, sinv in zip(level.gens, level.invs):
-            assert linalg.mat_mod(linalg.mul(s, sinv), p) == one
-            assert linalg.mat_mod(linalg.mul(sinv, s), p) == one
+        assert level.gens
+        for y in level.orbit:
+            u, inv = level.u[y], level.inverse(y, p)
+            assert linalg.mat_mod(linalg.mul(u, inv), p) == one
+            assert linalg.mat_mod(linalg.mul(inv, u), p) == one
         assert level.orbit[0] == one[level.k]
     assert len({level.k for level in levels}) == len(levels)
 
