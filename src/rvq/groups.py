@@ -77,36 +77,37 @@ class ClosureResult(NamedTuple):
 
 def modp_closure(generators: Iterable[Matrix], p: int,
                  form: Matrix) -> ClosureResult:
-    """Order and index of the subgroup of Sp(form, F_p) the generators span.
-
-    ``form`` must be non-degenerate mod p (for the double-cover case, the
-    intersection form on the both-rows letters). The order is exact: that of
-    :func:`_certified_order` when it names the image, else deterministic
-    Schreier-Sims on the generators mod p (:func:`_schreier_sims`). No group
-    element is stored, only the stabilizer chain with its transversals.
-    Raises ValueError unless p is a prime; that and the checks on the form
-    come before the first generator is read.
-    """
-    _require_prime(p)
-    n = len(form)
-    if n % 2:
-        raise ValueError("form must have even size")
-    g = n // 2
-    fp = linalg.mat_mod(form, p)
-    if linalg.det(form) % p == 0:
-        raise NonSymplecticGenerator("form is degenerate mod %d" % p)
-
-    gens = []
-    seen_g = set()
+    """Order and index of the subgroup of Sp(form, F_p) the generators span,
+    by :func:`_closure`, after :func:`_form_mod`'s checks and then one per new
+    residue mod p: one off the form raises NonSymplecticGenerator."""
+    fp = _form_mod(form, p)
+    gens: dict[Matrix, None] = {}
     for mat in generators:
         mg = linalg.mat_mod(mat, p)
-        if mg not in seen_g:
-            if not linalg.preserves_form(mg, fp, p):
-                raise NonSymplecticGenerator(
-                    "generator does not preserve the form")
-            seen_g.add(mg)
-            gens.append(mg)
+        if mg not in gens and not linalg.preserves_form(mg, fp, p):
+            raise NonSymplecticGenerator(
+                "generator does not preserve the form")
+        gens[mg] = None
+    return _closure(gens, p, fp)
 
+
+def _form_mod(form: Matrix, p: int) -> Matrix:
+    """``form`` mod p; ValueError unless p is a prime and the form has even
+    size, NonSymplecticGenerator unless it is non-degenerate mod p."""
+    _require_prime(p)
+    if len(form) % 2:
+        raise ValueError("form must have even size")
+    if linalg.det(form) % p == 0:
+        raise NonSymplecticGenerator("form is degenerate mod %d" % p)
+    return linalg.mat_mod(form, p)
+
+
+def _closure(residues: Iterable[Matrix], p: int, fp: Matrix) -> ClosureResult:
+    """The image of ``residues``, matrices mod p checked to preserve ``fp``,
+    one kept per residue; its order is :func:`_certified_order`'s, else that
+    of Schreier-Sims, which stores only the chain's transversals."""
+    gens = list(dict.fromkeys(residues))
+    g = len(fp) // 2
     total = sp_order(g, p)
     order = _certified_order(gens, fp, p)
     levels: list[_Level] = []
@@ -545,7 +546,7 @@ def harvest(rc: RauzyClass, *, cycles: int, maxlen: int, seed: int,
     same walk, path_from_base(i) + path_to_base(i), so the 2V arrow cycles
     of a complete class of V vertices hold V + 1 distinct walks (217 of 420
     over the seven cases of the ``group`` benchmark).  A repeated walk is
-    the same matrix, which :func:`modp_closure` would drop as a repeated
+    the same matrix, which :func:`_closure` would drop as a repeated
     residue, so the closure gets the same generators in the same order."""
     if cycles < 1:
         raise ValueError("cycles must be at least 1, got %r" % (cycles,))
@@ -587,15 +588,17 @@ def image_modp(base: GeneralizedPermutation, matrices: Iterable[Matrix],
                p: int, *, minus: bool = False) -> ClosureResult:
     """The mod-p image of the group that cycle matrices at ``base`` span, on
     the quotient of the intersection form on ``letters(base, minus)``, with
-    no class.  Every matrix is checked exactly and pushed down (the basis
-    change is integral, so matrices equal mod p stay equal mod p), and
-    :func:`modp_closure` keeps one per residue.  ``exact`` stays False: only
-    the matrices' source knows.  :func:`image_quotient`'s refusals, then
-    :func:`modp_closure`'s (a non-prime raises ValueError), come before any
-    matrix is read; one off the form raises NotOmegaPreserving."""
+    no class.  :func:`image_quotient`'s refusals, then :func:`_form_mod`'s,
+    come before any matrix is read.  Each matrix, a repeated residue too, is
+    checked exactly and pushed down by :func:`~rvq.homology.quotient_action`
+    (else NotOmegaPreserving), and :func:`_closure` keeps one push-down per
+    residue mod p.  None is checked again mod p: for the quotient basis U,
+    M·Ω·Mᵀ = Ω, U·M·U⁻¹ = [[A, B], [0, D]] and U·Ω·Uᵀ = [[R, 0], [0, 0]] give
+    A·R·Aᵀ = R over Z, so mod every p.  ``exact`` stays False."""
     qd = image_quotient(base, minus=minus)
-    return modp_closure((quotient_action(m, qd) for m in matrices), p,
-                        qd.reduced_form)
+    fp = _form_mod(qd.reduced_form, p)
+    return _closure((linalg.mat_mod(quotient_action(m, qd), p)
+                     for m in matrices), p, fp)
 
 
 def rauzy_veech_group_modp(base: GeneralizedPermutation, rc: RauzyClass,

@@ -40,14 +40,21 @@ they import ``conftest``:
   ``group --minus`` took before it walked the admissible component: the
   oracle for ``groups.admissible_component``;
 * Schreier-Sims on the permutations of the p^n - 1 nonzero row vectors that
-  matrices mod p induce, the closure ``groups.modp_closure`` ran before its
+  matrices mod p induce, the closure of ``groups.modp_closure`` and
+  ``groups.image_modp`` (since their split, ``groups._closure``) before its
   chain held the matrices themselves: the oracle for
-  ``groups._schreier_sims``.
+  ``groups._schreier_sims``;
+* the reduced classes of genuine suspendable permutations up to a number of
+  letters, and the mod-p orders that the classification of components
+  (Kontsevich-Zorich; A'Campo and Avila-Matheus-Yoccoz; Gutierrez-Romo)
+  predicts for their Rauzy-Veech groups, in closed form: the oracle for
+  ``groups.harvest`` with ``groups.image_modp``.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from collections import deque
@@ -55,18 +62,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from rvq import linalg
+from rvq import groups, linalg
+from rvq.components import UNKNOWN, identify_component
 from rvq.errors import (BudgetExceeded, MoveUndefined, NotOmegaPreserving,
                         OpenWalk, RVQError)
 from rvq.extensions import ExtensionWitness, is_simple_extension
 from rvq.gp import (GeneralizedPermutation, Letter, erase_letters,
-                    letter_positions)
+                    is_suspendable, letter_positions)
 from rvq.groups import arrow_cycles, random_directed_cycles
 from rvq.homology import (DuplicateWinner, QuotientData, _factor,
                           arrow_factor, kz_walk, quotient_data)
 from rvq.induction import (BOTTOM, TOP, Arrow, RauzyClass, apply_arrow,
                            enumerate_class)
 from rvq.linalg import Matrix
+from rvq.strata import stratum_signature
 
 
 def defined_moves(gp: GeneralizedPermutation) -> tuple[str, ...]:
@@ -604,7 +613,7 @@ def labeled_class_minus_generators_modp(base: GeneralizedPermutation,
 
 # ---------------------------------------------------------------------------
 # Schreier-Sims on the permutations of the nonzero vectors: the closure that
-# groups.modp_closure ran before it sifted the matrices themselves
+# groups ran before it sifted the matrices themselves
 # ---------------------------------------------------------------------------
 
 def vector_permutations(mats: Sequence[Matrix], p: int) -> list[list[int]]:
@@ -775,3 +784,123 @@ def permutation_schreier_sims_order(mats: Sequence[Matrix], p: int,
     levels = _permutation_chain(vector_permutations(mats, p), p ** n - 1,
                                 known)
     return math.prod(len(level.orbit) for level in levels)
+
+
+# ---------------------------------------------------------------------------
+# the classification of abelian components: the mod-p images it predicts
+# ---------------------------------------------------------------------------
+
+def abelian_class_bases(dmax: int) -> list[GeneralizedPermutation]:
+    """The first vertex of each reduced class of genuine suspendable
+    permutations on the letters 0..d-1, 2 <= d <= dmax, with the top row in
+    order: the classes in the order their first bottom row appears in
+    lexicographic order."""
+    bases = []
+    for d in range(2, dmax + 1):
+        top, seen = tuple(map(str, range(d))), set()
+        for bottom in itertools.permutations(top):
+            gp = GeneralizedPermutation(top, bottom)
+            if gp not in seen and is_suspendable(gp):
+                rc = enumerate_class(gp, reduced_labels=True)
+                seen.update(rc.vertices)
+                bases.append(rc.vertices[0])
+    return bases
+
+
+def component_suffixes(zeros: tuple[int, ...], g: int) -> list[str]:
+    """The label suffixes of the components of the abelian stratum with
+    these zeros, none of order 0, in genus g (Kontsevich-Zorich, Invent.
+    Math. 153, 2003): one component up to genus 2; from
+    genus 3, a hyperelliptic one in H(2g-2) and H(g-1, g-1), and, when every
+    zero has even order, one of odd spin and, from genus 4, one of even
+    spin; in H(g-1, g-1) with g-1 odd, a non-hyperelliptic one."""
+    if g <= 2:
+        return [""]
+    hyp = zeros in ((2 * g - 2,), (g - 1, g - 1))
+    if all(z % 2 == 0 for z in zeros):
+        return ["^hyp"] * hyp + ["^odd"] + ["^even"] * (g >= 4)
+    return ["^hyp", "^nonhyp"] if hyp else [""]
+
+
+def predicted_mod2_order(suffix: str, zeros: tuple[int, ...], g: int) -> int:
+    """The order of the mod-2 image of the Rauzy-Veech group of the
+    component of H(zeros), no zero of order 0, with this label suffix.
+
+    * A hyperelliptic component, and every component of genus 1 or 2, has
+      by Avila-Matheus-Yoccoz (Zorich conjecture for hyperelliptic
+      Rauzy-Veech groups, Math. Ann. 370, 2018) the monodromy group of the
+      curves y^2 = (x - a_1)...(x - a_n), n = 2g+1 for one zero and 2g+2
+      for two, which A'Campo (Tresses, monodromie et le groupe
+      symplectique, Comment. Math. Helv. 54, 1979) showed to be the
+      preimage in Sp(2g, Z) of S_n, acting on F_2^{2g} through the heart of
+      its permutation module.
+    * Gutierrez-Romo (Classification of Rauzy-Veech groups: proof of the
+      Zorich conjecture, Invent. Math. 215, 2019): the group of
+      a non-hyperelliptic component is Sp(2g, Z) when some zero has odd
+      order, and otherwise the subgroup of Sp(2g, Z) that preserves mod 2
+      the quadratic form of the spin structure, whose Arf invariant is the
+      parity.  Mod 2 these are Sp(2g, F_2), and O^+(2g, F_2) for even spin
+      or O^-(2g, F_2) for odd spin, of order
+      2·2^{g(g-1)}·(2^g ∓ 1)·∏_{i<g}(4^i - 1).
+
+    Each group contains the level-2 congruence subgroup, so its image mod
+    an odd prime is Sp(2g, F_p)."""
+    if g <= 2 or suffix == "^hyp":
+        return math.factorial(2 * g + 1 if len(zeros) <= 1 else 2 * g + 2)
+    rest = math.prod(4 ** i - 1 for i in range(1, g))
+    if suffix in ("^odd", "^even"):
+        sign = 1 if suffix == "^even" else -1
+        return 2 * 2 ** (g * (g - 1)) * (2 ** g - sign) * rest
+    return 2 ** (g * g) * (4 ** g - 1) * rest
+
+
+def classification_mismatches(dmax: int, primes: Sequence[int], *,
+                              report=None) -> list[str]:
+    """Each disagreement between the exact mod-p images of the labeled
+    classes of :func:`abelian_class_bases` and the classification.
+
+    A class that ``identify_component`` names must carry a label of
+    :func:`component_suffixes` and have the order that
+    :func:`predicted_mod2_order` gives for it mod 2, and Sp(2g, F_p) at an
+    odd p.  The classes of a stratum with marked points are "unknown" to
+    it: their orders mod 2 must be, as a set, those of the components of
+    the stratum without its marked points.  ``report``, if given, gets one
+    line per class."""
+    missed: list[str] = []
+    marked: dict[tuple[int, ...], set[int]] = {}
+    for base in abelian_class_bases(dmax):
+        sig = stratum_signature(base, cross_check=False)
+        orders, g, name = sig.abelian_orders(), sig.genus, sig.abelian_str()
+        zeros = tuple(z for z in orders if z)
+        label = identify_component(base)
+        rc = enumerate_class(base)
+        mats, generates = groups.harvest(rc, cycles=-(-rc.arrow_count() // 4),
+                                         maxlen=60, seed=0, minus=False)
+        mats = list(mats)
+        got = {p: groups.image_modp(base, mats, p).order for p in primes}
+        if report:
+            report("%s  %s  %s  %d vertices: %s"
+                   % (base.encode(), name, label, len(rc), got))
+        if not generates:
+            missed.append("%s: the harvest does not generate" % base.encode())
+        want = {p: groups.sp_order(g, p) for p in primes if p != 2}
+        suffix = label[len(name):]
+        if label == UNKNOWN and 0 in orders:
+            marked.setdefault(orders, set()).add(got.get(2))
+        elif label[:len(name)] != name or suffix not in component_suffixes(
+                zeros, g):
+            missed.append("%s: label %s in %s" % (base.encode(), label, name))
+        elif 2 in primes:
+            want[2] = predicted_mod2_order(suffix, zeros, g)
+        missed += ["%s %s mod %d: order %d, predicted %d"
+                   % (base.encode(), label, p, got[p], want[p])
+                   for p in want if got[p] != want[p]]
+    for orders, seen in marked.items() if 2 in primes else ():
+        zeros = tuple(z for z in orders if z)
+        g = sum(orders) // 2 + 1
+        want2 = {predicted_mod2_order(s, zeros, g)
+                 for s in component_suffixes(zeros, g)}
+        if seen != want2:
+            missed.append("H%s mod 2: orders %s, predicted %s"
+                          % (orders, sorted(seen), sorted(want2)))
+    return missed

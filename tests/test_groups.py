@@ -234,21 +234,31 @@ def test_decomposition_product_refuses_an_open_piece():
 
 
 def _spy_on_closure(monkeypatch):
-    """The (generators, form) pairs that ``groups`` hands to
-    ``modp_closure``, recorded as it runs, each list cut to its first
-    matrix of each residue mod p: the generators the closure keeps."""
-    closure = groups.modp_closure
-    handed = []
+    """The (generators, form) pairs that ``image_modp`` hands to
+    ``groups._closure``, recorded as it runs: the push-downs by
+    ``quotient_action``, each list cut to its first matrix of each residue
+    mod p, the generators the closure keeps, with the reduced form.  The
+    closure reads residues mod p, so the push-downs are recorded as they
+    are made; a call with none, as from ``modp_closure``, is not recorded."""
+    closure, push = groups._closure, groups.quotient_action
+    handed, pushed = [], []
 
-    def spy(gens, q, form):
-        gens = list(gens)
+    def spy_push(mat, qd):
+        pushed.append((push(mat, qd), qd.reduced_form))
+        return pushed[-1][0]
+
+    def spy(residues, q, fp):
+        pushed.clear()
+        residues = list(residues)
         kept = {}
-        for mat in gens:
-            kept.setdefault(linalg.mat_mod(mat, q), mat)
-        handed.append((list(kept.values()), form))
-        return closure(gens, q, form)
+        for (mat, _), res in zip(pushed, residues):
+            kept.setdefault(res, mat)
+        if pushed:
+            handed.append((list(kept.values()), pushed[0][1]))
+        return closure(residues, q, fp)
 
-    monkeypatch.setattr(groups, "modp_closure", spy)
+    monkeypatch.setattr(groups, "quotient_action", spy_push)
+    monkeypatch.setattr(groups, "_closure", spy)
     return handed
 
 
@@ -959,6 +969,39 @@ def test_quotient_generators_check_every_cycle_exactly(monkeypatch, base):
     assert len(gens) == 1
     with pytest.raises(NotOmegaPreserving):
         image_modp(base, [mat, bad], p)
+
+
+@pytest.mark.parametrize("base, p, minus", [
+    (base, p, False) for base, p, _ in BENCH_CASES] + [
+    (WITNESS, 2, True), (WITNESS, 3, True)],
+    ids=BENCH_IDS + ["witness-minus-2", "witness-minus-3"])
+def test_image_modp_checks_each_matrix_once_and_only_exactly(
+        monkeypatch, base, p, minus):
+    # M·Ω·Mᵀ = Ω over Z and an invariant kernel give A·R·Aᵀ = R on the
+    # quotient, so image_modp checks no residue again mod p; modp_closure,
+    # handed the same push-downs unchecked, checks each new residue mod p
+    rc = admissible_component(base) if minus else load_or_enumerate(base)
+    mats, generates = groups.harvest(rc, cycles=200, maxlen=60, seed=0,
+                                     minus=minus)
+    mats = list(mats)
+    assert generates
+    assert len(mats) == len(set(arrow_cycles(rc)))
+    qd = image_quotient(base, minus=minus)
+    pushed = [quotient_action(m, qd) for m in mats]
+    calls = []
+    check = linalg.preserves_form
+
+    def spy(m, form, q=0):
+        calls.append(q)
+        return check(m, form, q)
+
+    monkeypatch.setattr(linalg, "preserves_form", spy)
+    res = image_modp(base, mats, p, minus=minus)
+    assert calls == [0] * len(mats)
+    calls.clear()
+    want = modp_closure(pushed, p, qd.reduced_form)
+    assert calls == [p] * want.generators_used
+    assert res._asdict() == want._asdict()
 
 
 def test_random_cycles_are_walked_when_the_arrows_are_not_covered(
